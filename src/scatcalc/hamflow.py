@@ -18,6 +18,11 @@ Rescaled fields on boundary faces use each model's customary normalization
 for the Helmholtz spatial chart), so threshold data like beta_0 = -|xi_j| come
 out in the conventional scale; only sign patterns and the ratio beta_1/beta_0
 are invariant statements.
+
+The table ``_SPECS`` is the single source for what each (model, chart) pair
+means: flat coordinate layout, closed-form field, defining and transverse
+slots, characteristic function and the maps of the limit oracle.  Every
+routine here reads it, and a pair missing from it raises NotImplementedError.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .symbols import Symbol
+from .symbols import Symbol, symbol_derivative
 
 __all__ = [
     "PhasePointChart",
@@ -85,7 +90,7 @@ class PhasePointChart:
                 raise ValueError(f"{rho_key} must be nonnegative, got {rho}")
 
     def _rho_key(self) -> Optional[str]:
-        return {"interior": None, "parabolic_face": "rho_b"}.get(self.chart, "rho")
+        return _RHO_KEYS.get(self.chart)
 
     @property
     def on_boundary(self) -> bool:
@@ -175,70 +180,319 @@ def x_dx_model() -> SymbolHamiltonian:
     return SymbolHamiltonian(p, (1.0, 1.0), "x_dx", {"dim": 1})
 
 
+@dataclass(frozen=True)
+class _ChartSpec:
+    """What one (model, chart) pair means; every flow and radial routine reads it.
+
+    The flat state of a chart concatenates its layout slots (name, k): k None
+    is a scalar, an int k a vector of length dim + k.  The defining slot rho
+    comes first (flat index 0); it is None on the interior.  coords, interior
+    and rescale serve the limit oracle: the chart coordinates of an interior
+    (x, xi), the interior point over a flat state at a given rho, and the
+    factor turning H_p into the rescaled field.  parabolic_face does not flow:
+    it has two defining functions (rho_b, rho_f) and the engine clamps one.
+    """
+
+    layout: tuple
+    field: Callable  # (H, pt, s) -> field at flat state s; pt gives axis and signs
+    rho: Optional[str] = "rho"
+    transverse: tuple = ()  # slots of the radial linearization, rho first
+    char: Optional[Callable] = None  # (H, coords) -> normalized characteristic function
+    threshold: Optional[float] = None
+    projective: bool = False  # a direction-ray chart whose axis flows may switch
+    flows: bool = True
+    coords: Optional[Callable] = None
+    interior: Optional[Callable] = None
+    rescale: Optional[Callable] = None
+
+
+def _symbol_field(H, pt, s):
+    """Hamilton field of an arbitrary real symbol, by symbol differentiation."""
+    n = H.dim
+    x, xi = s[None, :n], s[None, n:]
+    f = np.empty(2 * n)
+    z = (0,) * n
+    for j in range(n):
+        e = tuple(1 if i == j else 0 for i in range(n))
+        f[j] = np.real(symbol_derivative(H.p, z, e, x, xi)[0])
+        f[n + j] = -np.real(symbol_derivative(H.p, e, z, x, xi)[0])
+    return f
+
+
+def _helmholtz_spatial(H, pt, s):
+    # (2 rho)^{-1} H_p for p = |xi|^2 - lambda^2
+    n, j, sigma = H.dim, pt.axis, pt.sign
+    rho, y, xi = s[0], s[1:n], s[n:]
+    others = [m for m in range(n) if m != j]
+    return np.concatenate([[-sigma * xi[j] * rho], sigma * (xi[others] - y * xi[j]), np.zeros(n)])
+
+
+def _d_x1_spatial(H, pt, s):
+    # rho^{-1} <x> H_p for p = xi_1
+    n, j, sigma = H.dim, pt.axis, pt.sign
+    rho, y = s[0], s[1:n]
+    ind = np.array([1.0 if m == 0 else 0.0 for m in range(n) if m != j])
+    drho = -sigma * (1.0 if j == 0 else 0.0) * rho
+    dy = sigma * (ind - (y if j == 0 else 0.0 * y))
+    return np.concatenate([[drho], dy, np.zeros(n)])
+
+
+def _kg_face(H, pt, s):
+    # rho = sigma/t; the familiar -2 tau (rho d_rho + v d_v) form is the
+    # future-cap chart sigma = +1
+    c = -2.0 * pt.sign * s[2]
+    return np.array([c * s[0], c * s[1], 0.0, 0.0])
+
+
+def _schrodinger_time_face(H, pt, s):
+    n, sigma = H.dim, pt.sign
+    y, xi = s[1:n], s[n + 1 :]
+    return np.concatenate([[-sigma * s[0]], sigma * (2.0 * xi - y), [0.0], np.zeros(n - 1)])
+
+
+def _parabolic_face(H, pt, s):
+    csign = pt.sign * pt.sign2
+    f = -2.0 * csign * s
+    f[-1] = 0.0  # rho_f is a flow invariant
+    return f
+
+
+def _helmholtz_char(H, c):
+    lam = H.params["lambda"]
+    q = float(np.sum(np.asarray(c["xi"], dtype=float) ** 2))
+    return (q - lam**2) / (q + lam**2)
+
+
+def _kg_char(H, c):
+    m = H.params["mass"]
+    tau, xi = float(c["tau"]), float(c["xi"])
+    return (tau**2 - xi**2 - m**2) / (tau**2 + xi**2 + m**2 + 1.0)
+
+
+def _schrodinger_char(H, c):
+    tau = float(c["tau"])
+    q = float(np.sum(np.asarray(c["xi"], dtype=float) ** 2))
+    return (tau + q) / (1.0 + abs(tau) + q)
+
+
+def _d_x1_char(H, c):
+    xi = np.asarray(c["xi"], dtype=float)
+    return float(xi[0] / np.sqrt(1.0 + np.sum(xi**2)))
+
+
+def _x_dx_char(H, c):
+    x, xi = c["x"], c["xi"]
+    return float(x[0] * xi[0] / np.sqrt((1 + x[0] ** 2) * (1 + xi[0] ** 2)))
+
+
+def _unit(v):
+    return v / np.sqrt(1.0 + v**2)
+
+
+def _spatial_coords(pt, H, x, xi):
+    j = pt.axis
+    return np.concatenate([[pt.sign / x[j]], [x[m] / x[j] for m in range(H.dim) if m != j], xi])
+
+
+def _spatial_interior(pt, H, s, rho):
+    return _direction(s, H.dim, pt.axis) * (pt.sign / rho), s[H.dim :].copy()
+
+
+def _kg_interior(pt, H, s, rho):
+    t = pt.sign / rho
+    tau, xi = s[2], s[3]
+    return np.array([t, (s[1] - xi) * t / tau]), np.array([tau, xi])
+
+
+def _schrodinger_interior(pt, H, s, rho):
+    n = H.dim
+    t = pt.sign / rho
+    return np.concatenate([[t], s[1:n] * t]), np.concatenate([[s[n]], s[n + 1 :]])
+
+
+_INTERIOR = (("x", 0), ("xi", 0))
+_SPATIAL = (("rho", None), ("y", -1), ("xi", 0))
+
+_SPECS = {
+    (None, "interior"): _ChartSpec(_INTERIOR, _symbol_field, rho=None),
+    ("helmholtz", "interior"): _ChartSpec(
+        _INTERIOR, lambda H, pt, s: np.concatenate([2.0 * s[H.dim :], np.zeros(H.dim)]),
+        rho=None, char=_helmholtz_char,
+    ),
+    ("helmholtz", "spatial_face"): _ChartSpec(
+        _SPATIAL, _helmholtz_spatial, transverse=("rho", "y"), char=_helmholtz_char,
+        threshold=-0.5, projective=True, coords=_spatial_coords, interior=_spatial_interior,
+        rescale=lambda pt, x: abs(x[pt.axis]) / 2.0,
+    ),
+    ("klein_gordon", "interior"): _ChartSpec(
+        _INTERIOR, lambda H, pt, s: np.array([2.0 * s[2], -2.0 * s[3], 0.0, 0.0]), rho=None
+    ),
+    ("klein_gordon", "kg_face"): _ChartSpec(
+        (("rho", None), ("v", None), ("tau", None), ("xi", None)), _kg_face,
+        transverse=("rho", "v"), char=_kg_char, threshold=-0.5,
+        coords=lambda pt, H, x, xi: np.array(
+            [pt.sign / x[0], x[1] * xi[0] / x[0] + xi[1], xi[0], xi[1]]
+        ),
+        interior=_kg_interior, rescale=lambda pt, x: abs(x[0]),
+    ),
+    # position slots (t, x_1..x_n), frequency slots (tau, xi_1..xi_n)
+    ("schrodinger_free", "interior"): _ChartSpec(
+        _INTERIOR,
+        lambda H, pt, s: np.concatenate([[1.0], 2.0 * s[H.dim + 1 :], np.zeros(H.dim)]),
+        rho=None,
+    ),
+    ("schrodinger_free", "schrodinger_time_face"): _ChartSpec(
+        (("rho", None), ("y", -1), ("tau", None), ("xi", -1)), _schrodinger_time_face,
+        transverse=("rho", "y"), char=_schrodinger_char, threshold=-0.5,
+        coords=lambda pt, H, x, xi: np.concatenate(
+            [[pt.sign / x[0]], x[1:] / x[0], [xi[0]], xi[1:]]
+        ),
+        interior=_schrodinger_interior, rescale=lambda pt, x: abs(x[0]),
+    ),
+    ("schrodinger_free", "parabolic_face"): _ChartSpec(
+        (("rho_b", None), ("s_t", None), ("vt", -2), ("rho_f", None)), _parabolic_face,
+        rho="rho_b", transverse=("rho_b", "s_t", "vt"), threshold=-0.5, flows=False,
+        # tau/xi_1^2 + sum (xi/xi_1)^2: vanishing encodes tau = -|xi|^2, and
+        # the chart is built inside the characteristic set
+        char=lambda H, c: float(c["s_t"]) * 0.0,
+    ),
+    ("d_x1", "interior"): _ChartSpec(
+        _INTERIOR, lambda H, pt, s: np.eye(2 * H.dim)[0], rho=None, char=_d_x1_char
+    ),
+    ("d_x1", "spatial_face"): _ChartSpec(
+        _SPATIAL, _d_x1_spatial, transverse=("rho", "y"), char=_d_x1_char, projective=True,
+        coords=_spatial_coords, interior=_spatial_interior, rescale=lambda pt, x: abs(x[pt.axis]),
+    ),
+    ("x_dx", "interior"): _ChartSpec(
+        _INTERIOR, lambda H, pt, s: np.concatenate([s[: H.dim], -s[H.dim :]]),
+        rho=None, char=_x_dx_char,
+    ),
+    # one dimension: the spatial chart has no y slot, and the fiber variable
+    # moves under the flow, so it is transverse
+    ("x_dx", "spatial_face"): _ChartSpec(
+        (("rho", None), ("xi", None)), lambda H, pt, s: -s, transverse=("rho", "xi"),
+        char=lambda H, c: _unit(float(c["xi"])),
+        coords=_spatial_coords, interior=_spatial_interior, rescale=lambda pt, x: 1.0,
+    ),
+    # the Euler field rho d_rho + x d_x
+    ("x_dx", "frequency_face"): _ChartSpec(
+        (("rho", None), ("x", None)), lambda H, pt, s: s.copy(), transverse=("rho", "x"),
+        char=lambda H, c: _unit(float(c["x"])),
+        coords=lambda pt, H, x, xi: np.concatenate([[pt.sign / xi[0]], x]),
+        interior=lambda pt, H, s, rho: (s[1:2].copy(), np.array([pt.sign / rho])),
+        rescale=lambda pt, x: 1.0,
+    ),
+}
+
+# the defining coordinate is a property of the chart alone
+_RHO_KEYS = {chart: spec.rho for (_, chart), spec in _SPECS.items()}
+
+
+def _spec(H: SymbolHamiltonian, chart: str, need: str = "field") -> _ChartSpec:
+    """The table entry for (H.named_model, chart), which must provide ``need``."""
+    spec = _SPECS.get((H.named_model, chart))
+    if spec is None or not getattr(spec, need):
+        raise NotImplementedError(f"no {need} for model {H.named_model!r} on chart {chart!r}")
+    return spec
+
+
+def _flatten(spec: _ChartSpec, pt: PhasePointChart) -> np.ndarray:
+    return np.concatenate([np.atleast_1d(np.asarray(pt.coords[k], float)) for k, _ in spec.layout])
+
+
+def _slots(spec: _ChartSpec, n: int) -> dict:
+    """Slot name -> (start, stop, scalar) in the flat state at dimension n."""
+    out, i = {}, 0
+    for name, k in spec.layout:
+        stop = i + (1 if k is None else n + k)
+        out[name] = (i, stop, k is None)
+        i = stop
+    return out
+
+
+def _unflatten(spec: _ChartSpec, s: np.ndarray, n: int) -> dict:
+    """Coords dict over the flat state s: floats for scalar slots, arrays else."""
+    return {k: float(s[a]) if scalar else s[a:b] for k, (a, b, scalar) in _slots(spec, n).items()}
+
+
+def _field(spec: _ChartSpec, H, pt: PhasePointChart, s: np.ndarray) -> np.ndarray:
+    """The table's field at s, refusing one that leaves the boundary at rho = 0."""
+    f = spec.field(H, pt, s)
+    if spec.rho and s[0] == 0.0 and abs(f[0]) > TANGENCY_TOL:
+        raise RuntimeError("rescaled field is not tangent to the boundary")
+    return f
+
+
+def _flat_field(H: SymbolHamiltonian, pt: PhasePointChart) -> np.ndarray:
+    """Boundary chart field at pt in the table's flat layout."""
+    spec = _spec(H, pt.chart, "rho")
+    return _field(spec, H, pt, _flatten(spec, pt))
+
+
+def _direction(s: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """Direction ray of a projective spatial chart: 1 on axis, y elsewhere."""
+    u = np.empty(n)
+    u[axis] = 1.0
+    u[[m for m in range(n) if m != axis]] = s[1:n]
+    return u
+
+
+def _transition(s: np.ndarray, n: int, axis: int, sign: int, new_axis: int):
+    """Flat state and sign of the projective chart with dominant axis new_axis."""
+    u = _direction(s, n, axis)
+    if u[new_axis] == 0.0:
+        raise ValueError("target chart is invalid: vanishing dominant component")
+    new_rho = s[0] * abs(1.0 / u[new_axis])
+    new_y = u[[m for m in range(n) if m != new_axis]] / u[new_axis]
+    return np.concatenate([[new_rho], new_y, s[n:]]), int(np.sign(u[new_axis])) * sign
+
+
+def _transverse(H: SymbolHamiltonian, pt: PhasePointChart):
+    """(spec, flat state, flat indices of the transverse slots) at pt."""
+    spec = _spec(H, pt.chart, "transverse")
+    slots = _slots(spec, H.dim)
+    idx = np.concatenate([np.arange(*slots[k][:2]) for k in spec.transverse])
+    return spec, _flatten(spec, pt), idx
+
+
+def _transverse_field(spec, H, pt, s, idx, vec):
+    """Transverse field components with the transverse slots of s set to vec."""
+    # rho sits in slot 0 of every transverse layout; FD probes may push it
+    # negative, in which case we use the odd/even extension (every implemented
+    # field has drho odd and the other components even in rho)
+    w = s.copy()
+    w[idx] = vec
+    rho_neg = w[0] < 0
+    if rho_neg:
+        w[0] = -w[0]
+    out = _field(spec, H, pt, w)[idx]
+    if rho_neg:
+        out[0] = -out[0]
+    return out
+
+
+def _jacobian(g, base: np.ndarray, step: float) -> np.ndarray:
+    """Central-difference Jacobian of g at base."""
+    m = len(base)
+    jac = np.empty((m, m))
+    for k in range(m):
+        e = np.zeros(m)
+        e[k] = step
+        jac[:, k] = (g(base + e) - g(base - e)) / (2 * step)
+    return jac
+
+
 def hamilton_field(H: SymbolHamiltonian, x: np.ndarray, xi: np.ndarray):
     """(dx/dt, dxi/dt) = (dp/dxi, -dp/dx) at an interior point."""
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    model = H.named_model
-    if model == "helmholtz":
-        return 2.0 * xi, np.zeros_like(x)
-    if model in ("klein_gordon",):
-        return np.array([2.0 * xi[0], -2.0 * xi[1]]), np.zeros_like(x)
-    if model == "schrodinger_free":
-        return np.concatenate([[1.0], 2.0 * xi[1:]]), np.zeros_like(x)
-    if model == "d_x1":
-        dx = np.zeros_like(x)
-        dx[0] = 1.0
-        return dx, np.zeros_like(x)
-    if model == "x_dx":
-        return x.copy(), -xi.copy()
-    from .symbols import symbol_derivative
-
-    n = H.dim
-    dx = np.empty(n)
-    dxi = np.empty(n)
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        z = (0,) * n
-        dx[j] = np.real(symbol_derivative(H.p, z, e, x[None, :], xi[None, :])[0])
-        dxi[j] = -np.real(symbol_derivative(H.p, e, z, x[None, :], xi[None, :])[0])
-    return dx, dxi
+    f = _spec(H, "interior").field(H, None, np.concatenate([x, xi]))
+    return f[: len(x)], f[len(x) :]
 
 
 def char_value(H: SymbolHamiltonian, pt: PhasePointChart) -> float:
     """Normalized characteristic function; zero on Char(P), bounded on charts."""
-    model = H.named_model
-    if model == "helmholtz":
-        lam = H.params["lambda"]
-        xi = np.asarray(pt.coords["xi"], dtype=float)
-        q = float(np.sum(xi**2))
-        return (q - lam**2) / (q + lam**2)
-    if model == "klein_gordon":
-        m = H.params["mass"]
-        tau, xi = float(pt.coords["tau"]), float(pt.coords["xi"])
-        return (tau**2 - xi**2 - m**2) / (tau**2 + xi**2 + m**2 + 1.0)
-    if model == "schrodinger_free":
-        if pt.chart == "parabolic_face":
-            # tau/xi_1^2 + sum (xi/xi_1)^2: vanishing encodes tau = -|xi|^2
-            st = float(pt.coords["s_t"])
-            return st * 0.0  # chart built inside the characteristic set
-        tau = float(pt.coords["tau"])
-        xi = np.asarray(pt.coords["xi"], dtype=float)
-        q = float(np.sum(xi**2))
-        return (tau + q) / (1.0 + abs(tau) + q)
-    if model == "d_x1":
-        xi = np.asarray(pt.coords["xi"], dtype=float)
-        return float(xi[0] / np.sqrt(1.0 + np.sum(xi**2)))
-    if model == "x_dx":
-        if pt.chart == "spatial_face":
-            xi = float(pt.coords["xi"])
-            return xi / np.sqrt(1.0 + xi**2)
-        if pt.chart == "frequency_face":
-            x = float(pt.coords["x"])
-            return x / np.sqrt(1.0 + x**2)
-        x, xi = pt.coords["x"], pt.coords["xi"]
-        return float(x[0] * xi[0] / np.sqrt((1 + x[0] ** 2) * (1 + xi[0] ** 2)))
-    raise NotImplementedError(f"char_value for model {model!r}")
+    return _spec(H, pt.chart, "char").char(H, pt.coords)
 
 
 def boundary_chart_field(H: SymbolHamiltonian, pt: PhasePointChart) -> dict:
@@ -248,125 +502,7 @@ def boundary_chart_field(H: SymbolHamiltonian, pt: PhasePointChart) -> dict:
     surviving at rho = 0), which no implemented model does; the guard mirrors
     the b-vector-field property of the rescaled flow.
     """
-    model, chart = H.named_model, pt.chart
-    c = pt.coords
-    if model in ("helmholtz", "d_x1") and chart == "spatial_face":
-        j, sigma = pt.axis, pt.sign
-        xi = np.asarray(c["xi"], dtype=float)
-        y = np.asarray(c["y"], dtype=float)
-        rho = float(c["rho"])
-        others = [m for m in range(H.dim) if m != j]
-        if model == "helmholtz":
-            # (2 rho)^{-1} H_p for p = |xi|^2 - lambda^2
-            drho = -sigma * xi[j] * rho
-            dy = sigma * (xi[others] - y * xi[j])
-        else:
-            # rho^{-1} <x> H_p for p = xi_1
-            drho = -sigma * (1.0 if j == 0 else 0.0) * rho
-            ind = np.array([1.0 if m == 0 else 0.0 for m in others])
-            dy = sigma * (ind - (y if j == 0 else 0.0 * y))
-        out = {"rho": drho, "y": dy, "xi": np.zeros_like(xi)}
-    elif model == "x_dx" and chart == "spatial_face":
-        out = {"rho": -float(c["rho"]), "xi": -float(c["xi"])}
-    elif model == "x_dx" and chart == "frequency_face":
-        out = {"rho": float(c["rho"]), "x": float(c["x"])}
-    elif model == "klein_gordon" and chart == "kg_face":
-        # rho = sigma/t; the familiar -2 tau (rho d_rho + v d_v) form is the
-        # future-cap chart sigma = +1
-        tau = float(c["tau"])
-        sigma = pt.sign
-        out = {
-            "rho": -2.0 * sigma * tau * float(c["rho"]),
-            "v": -2.0 * sigma * tau * float(c["v"]),
-            "tau": 0.0,
-            "xi": 0.0,
-        }
-    elif model == "schrodinger_free" and chart == "schrodinger_time_face":
-        # coords: rho = sigma/t, y = x/t, tau, spatial xi
-        sigma = pt.sign
-        y = np.asarray(c["y"], dtype=float)
-        xi = np.asarray(c["xi"], dtype=float)
-        out = {
-            "rho": -sigma * float(c["rho"]),
-            "y": sigma * (2.0 * xi - y),
-            "tau": 0.0,
-            "xi": np.zeros_like(xi),
-        }
-    elif model == "schrodinger_free" and chart == "parabolic_face":
-        csign = pt.sign * pt.sign2
-        vt = np.asarray(c["vt"], dtype=float)
-        out = {
-            "rho_b": -2.0 * csign * float(c["rho_b"]),
-            "s_t": -2.0 * csign * float(c["s_t"]),
-            "vt": -2.0 * csign * vt,
-            "rho_f": 0.0,
-        }
-    else:
-        raise NotImplementedError(f"no closed-form chart field for {model!r} on {chart!r}")
-    rho_key = pt._rho_key()
-    if pt.on_boundary and abs(float(np.ravel(out[rho_key])[0])) > TANGENCY_TOL:
-        raise RuntimeError("rescaled field is not tangent to the boundary")
-    return out
-
-
-def _interior_from_chart(pt: PhasePointChart, H: SymbolHamiltonian, rho_value: float):
-    """Interior (x, xi) obtained by pushing a boundary chart point to rho > 0."""
-    c = pt.coords
-    if pt.chart == "spatial_face":
-        n = H.dim
-        j, sigma = pt.axis, pt.sign
-        xj = sigma / rho_value
-        x = np.empty(n)
-        x[j] = xj
-        others = [m for m in range(n) if m != j]
-        x[others] = np.asarray(c["y"], dtype=float) * xj
-        return x, np.asarray(c["xi"], dtype=float).copy()
-    if pt.chart == "frequency_face":
-        xij = pt.sign / rho_value
-        return np.atleast_1d(np.asarray(c["x"], dtype=float)).copy(), np.array([xij])
-    if pt.chart == "kg_face":
-        t = pt.sign / rho_value
-        tau, xi = float(c["tau"]), float(c["xi"])
-        x1 = (float(c["v"]) - xi) * t / tau
-        return np.array([t, x1]), np.array([tau, xi])
-    if pt.chart == "schrodinger_time_face":
-        t = pt.sign / rho_value
-        y = np.asarray(c["y"], dtype=float)
-        xi = np.asarray(c["xi"], dtype=float)
-        return np.concatenate([[t], y * t]), np.concatenate([[float(c["tau"])], xi])
-    raise NotImplementedError(pt.chart)
-
-
-_CHART_COORD_FNS = {
-    "spatial_face": lambda pt, H, x, xi: np.concatenate(
-        [
-            [pt.sign / x[pt.axis]],
-            [x[m] / x[pt.axis] for m in range(H.dim) if m != pt.axis],
-            xi,
-        ]
-    ),
-    "frequency_face": lambda pt, H, x, xi: np.concatenate([[pt.sign / xi[0]], x]),
-    "kg_face": lambda pt, H, x, xi: np.array(
-        [pt.sign / x[0], x[1] * xi[0] / x[0] + xi[1], xi[0], xi[1]]
-    ),
-    "schrodinger_time_face": lambda pt, H, x, xi: np.concatenate(
-        [[pt.sign / x[0]], x[1:] / x[0], [xi[0]], xi[1:]]
-    ),
-}
-
-def _limit_rescale(H: SymbolHamiltonian, pt: PhasePointChart, x, xi) -> float:
-    model, chart = H.named_model, pt.chart
-    if model == "helmholtz" and chart == "spatial_face":
-        return abs(x[pt.axis]) / 2.0
-    if model == "d_x1" and chart == "spatial_face":
-        return abs(x[pt.axis])
-    if model == "x_dx":
-        return 1.0
-    if model == "klein_gordon" and chart == "kg_face":
-        return abs(x[0])
-    if model == "schrodinger_free" and chart == "schrodinger_time_face":
-        return abs(x[0])
-    raise NotImplementedError((model, chart))
+    return _unflatten(_spec(H, pt.chart), _flat_field(H, pt), H.dim)
 
 
 def chart_field_by_limit(
@@ -378,66 +514,21 @@ def chart_field_by_limit(
     coordinate functions are differentiated along the interior Hamilton field
     and the limit rho -> 0 is extrapolated from two probe values.
     """
-    fn = _CHART_COORD_FNS[pt.chart]
+    spec = _spec(H, pt.chart, "interior")
+    s = _flatten(spec, pt)
 
     def at_rho(rho):
-        x, xi = _interior_from_chart(pt, H, rho)
+        x, xi = spec.interior(pt, H, s, rho)
         dx, dxi = hamilton_field(H, x, xi)
-        w = _limit_rescale(H, pt, x, xi)
+        w = spec.rescale(pt, x)
         eps = 1e-6 / max(1.0, float(np.max(np.abs(dx))) + float(np.max(np.abs(dxi))))
-        fwd = fn(pt, H, x + eps * dx, xi + eps * dxi)
-        bwd = fn(pt, H, x - eps * dx, xi - eps * dxi)
+        fwd = spec.coords(pt, H, x + eps * dx, xi + eps * dxi)
+        bwd = spec.coords(pt, H, x - eps * dx, xi - eps * dxi)
         return w * (fwd - bwd) / (2.0 * eps)
 
     f1 = at_rho(rho_probe)
     f2 = at_rho(rho_probe / 2.0)
     return 2.0 * f2 - f1
-
-
-def _flat_field(H: SymbolHamiltonian, pt: PhasePointChart) -> np.ndarray:
-    """Chart field flattened in the same layout as _CHART_COORD_FNS."""
-    f = boundary_chart_field(H, pt)
-    if pt.chart == "spatial_face":
-        return np.concatenate([[f["rho"]], np.atleast_1d(f["y"]), np.atleast_1d(f["xi"])])
-    if pt.chart == "frequency_face":
-        return np.array([f["rho"], f["x"]])
-    if pt.chart == "kg_face":
-        return np.array([f["rho"], f["v"], f["tau"], f["xi"]])
-    if pt.chart == "schrodinger_time_face":
-        return np.concatenate([[f["rho"]], np.atleast_1d(f["y"]), [f["tau"]], np.atleast_1d(f["xi"])])
-    if pt.chart == "parabolic_face":
-        return np.concatenate([[f["rho_b"], f["s_t"]], np.atleast_1d(f["vt"]), [f["rho_f"]]])
-    raise NotImplementedError(pt.chart)
-
-
-def _unflatten(pt: PhasePointChart, vec: np.ndarray, H: SymbolHamiltonian) -> PhasePointChart:
-    n = H.dim
-    if pt.chart == "spatial_face":
-        return pt.copy_with(rho=max(vec[0], 0.0), y=vec[1:n], xi=vec[n:])
-    if pt.chart == "frequency_face":
-        return pt.copy_with(rho=max(vec[0], 0.0), x=vec[1])
-    if pt.chart == "kg_face":
-        return pt.copy_with(rho=max(vec[0], 0.0), v=vec[1], tau=vec[2], xi=vec[3])
-    if pt.chart == "schrodinger_time_face":
-        return pt.copy_with(rho=max(vec[0], 0.0), y=vec[1:n], tau=vec[n], xi=vec[n + 1 :])
-    raise NotImplementedError(pt.chart)
-
-
-def _flatten(pt: PhasePointChart, H: SymbolHamiltonian) -> np.ndarray:
-    c = pt.coords
-    if pt.chart == "spatial_face":
-        return np.concatenate(
-            [[float(c["rho"])], np.atleast_1d(c["y"]).astype(float), np.atleast_1d(c["xi"]).astype(float)]
-        )
-    if pt.chart == "frequency_face":
-        return np.array([float(c["rho"]), float(c["x"])])
-    if pt.chart == "kg_face":
-        return np.array([float(c["rho"]), float(c["v"]), float(c["tau"]), float(c["xi"])])
-    if pt.chart == "schrodinger_time_face":
-        return np.concatenate(
-            [[float(c["rho"])], np.atleast_1d(c["y"]).astype(float), [float(c["tau"])], np.atleast_1d(c["xi"]).astype(float)]
-        )
-    raise NotImplementedError(pt.chart)
 
 
 def chart_transition(pt: PhasePointChart, H: SymbolHamiltonian, new_axis: int) -> PhasePointChart:
@@ -446,46 +537,17 @@ def chart_transition(pt: PhasePointChart, H: SymbolHamiltonian, new_axis: int) -
     Valid where the direction ray has a nonzero new_axis component; mutually
     inverse with the reverse transition on the overlap.
     """
-    if pt.chart != "spatial_face":
-        raise ValueError("chart_transition applies to spatial_face points")
-    n = H.dim
-    j, sigma = pt.axis, pt.sign
-    u = np.empty(n)
-    u[j] = 1.0
-    others = [m for m in range(n) if m != j]
-    u[others] = np.asarray(pt.coords["y"], dtype=float)
-    if u[new_axis] == 0.0:
-        raise ValueError("target chart is invalid: vanishing dominant component")
-    new_sigma = int(np.sign(u[new_axis])) * sigma
-    new_rho = float(pt.coords["rho"]) * abs(1.0 / u[new_axis])
-    new_others = [m for m in range(n) if m != new_axis]
-    new_y = u[new_others] / u[new_axis]
-    return PhasePointChart(
-        chart="spatial_face",
-        coords={"rho": new_rho, "y": new_y, "xi": np.asarray(pt.coords["xi"], dtype=float).copy()},
-        axis=new_axis,
-        sign=new_sigma,
-    )
+    spec = _SPECS.get((H.named_model, pt.chart))
+    if spec is None or not spec.projective:
+        raise ValueError("chart_transition applies to projective spatial_face points")
+    s, sign = _transition(_flatten(spec, pt), H.dim, pt.axis, pt.sign, new_axis)
+    return PhasePointChart(pt.chart, _unflatten(spec, s, H.dim), axis=new_axis, sign=sign)
 
 
 # chart-switch hysteresis: leave a chart once the dominant ratio drops below
 # 0.45, enter the best chart (which then has ratio >= 1/sqrt(n) > 0.55 for the
 # models here), avoiding thrashing on the overlap
 SWITCH_LOW = 0.45
-
-
-def _maybe_switch(pt: PhasePointChart, H: SymbolHamiltonian) -> PhasePointChart:
-    if pt.chart != "spatial_face":
-        return pt
-    n = H.dim
-    y = np.atleast_1d(np.asarray(pt.coords["y"], dtype=float))
-    u = np.empty(n)
-    u[pt.axis] = 1.0
-    u[[m for m in range(n) if m != pt.axis]] = y
-    ratios = np.abs(u) / np.max(np.abs(u))
-    if ratios[pt.axis] < SWITCH_LOW:
-        return chart_transition(pt, H, int(np.argmax(np.abs(u))))
-    return pt
 
 
 def flow_trajectory(
@@ -497,83 +559,42 @@ def flow_trajectory(
     require_null: bool = True,
     char_tol: float = 1e-8,
 ) -> list[PhasePointChart]:
-    """Fixed-step RK4 bicharacteristic flow with automatic chart switching."""
+    """Fixed-step RK4 bicharacteristic flow with automatic chart switching.
+
+    Stages run on the chart's flat state, with rho clamped to its half-line.
+    """
     if abs(dt) > 0.01:
         raise ValueError("|dt| must be at most 0.01")
     if require_null and abs(char_value(H, start)) > char_tol:
         raise ValueError("start is not on the characteristic set")
+    spec = _spec(H, start.chart, "flows")
+    n = H.dim
     steps = int(round(abs(T / dt)))
     sgn = np.sign(T) if T != 0 else 1.0
     h = sgn * abs(dt)
+
+    def clamp(v):
+        if spec.rho:
+            v[0] = max(v[0], 0.0)
+        return v
+
+    pt, s = start, _flatten(spec, start)
     path = [start]
-    pt = start
-    if pt.chart == "interior":
-        x = np.atleast_1d(np.asarray(pt.coords["x"], dtype=float)).copy()
-        xi = np.atleast_1d(np.asarray(pt.coords["xi"], dtype=float)).copy()
-        for _ in range(steps):
-            k1x, k1xi = hamilton_field(H, x, xi)
-            k2x, k2xi = hamilton_field(H, x + h / 2 * k1x, xi + h / 2 * k1xi)
-            k3x, k3xi = hamilton_field(H, x + h / 2 * k2x, xi + h / 2 * k2xi)
-            k4x, k4xi = hamilton_field(H, x + h * k3x, xi + h * k3xi)
-            x = x + h / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-            xi = xi + h / 6 * (k1xi + 2 * k2xi + 2 * k3xi + k4xi)
-            path.append(pt.copy_with(x=x, xi=xi))
-            pt = path[-1]
-        return path
     for _ in range(steps):
-        state = _flatten(pt, H)
-
-        def rhs(vec):
-            return _flat_field(H, _unflatten(pt, vec, H))
-
-        k1 = rhs(state)
-        k2 = rhs(state + h / 2 * k1)
-        k3 = rhs(state + h / 2 * k2)
-        k4 = rhs(state + h * k3)
-        new = state + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        pt = _unflatten(pt, new, H)
-        pt = _maybe_switch(pt, H)
+        k1 = _field(spec, H, pt, s)
+        k2 = _field(spec, H, pt, clamp(s + h / 2 * k1))
+        k3 = _field(spec, H, pt, clamp(s + h / 2 * k2))
+        k4 = _field(spec, H, pt, clamp(s + h * k3))
+        s = clamp(s + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+        axis, sign = pt.axis, pt.sign
+        if spec.projective:
+            u = np.abs(_direction(s, n, axis))
+            if u[axis] / np.max(u) < SWITCH_LOW:
+                axis = int(np.argmax(u))
+                s, sign = _transition(s, n, pt.axis, pt.sign, axis)
+        pt = PhasePointChart(pt.chart, _unflatten(spec, s, n), axis, sign, pt.sign2)
         path.append(pt)
     return path
-
-
-_TRANSVERSE = {
-    "spatial_face": ("rho", "y"),
-    "frequency_face": ("rho", "x"),
-    "kg_face": ("rho", "v"),
-    "schrodinger_time_face": ("rho", "y"),
-    "parabolic_face": ("rho_b", "s_t", "vt"),
-}
-
-# models whose fiber variables move under the flow carry them transversally
-_TRANSVERSE_OVERRIDE = {
-    ("x_dx", "spatial_face"): ("rho", "xi"),
-    ("x_dx", "frequency_face"): ("rho", "x"),
-}
-
-
-def _transverse_keys(pt: PhasePointChart, model: Optional[str]) -> tuple:
-    return _TRANSVERSE_OVERRIDE.get((model, pt.chart), _TRANSVERSE[pt.chart])
-
-
-def _transverse_vector(pt: PhasePointChart, model: Optional[str] = None):
-    keys = _transverse_keys(pt, model)
-    parts, layout = [], []
-    for k in keys:
-        v = np.atleast_1d(np.asarray(pt.coords[k], dtype=float))
-        parts.append(v)
-        layout.append((k, len(v)))
-    return np.concatenate(parts), layout
-
-
-def _with_transverse(pt: PhasePointChart, vec, layout):
-    out = {}
-    i = 0
-    for k, ln in layout:
-        val = vec[i : i + ln]
-        out[k] = float(val[0]) if ln == 1 else val
-        i += ln
-    return pt.copy_with(**out)
 
 
 def classify_radial(H: SymbolHamiltonian, pt: PhasePointChart, fd_step: float = 1e-5):
@@ -584,15 +605,8 @@ def classify_radial(H: SymbolHamiltonian, pt: PhasePointChart, fd_step: float = 
     eigenvalue real-part signs are called with EPS_EIG, and a modulus below
     EPS_EIG in any direction is reported as degenerate rather than guessed.
     """
-    base, layout = _transverse_vector(pt, H.named_model)
-    m = len(base)
-    jac = np.empty((m, m))
-    for k in range(m):
-        e = np.zeros(m)
-        e[k] = fd_step
-        fp, _ = _transverse_vector_field(H, pt, base + e, layout)
-        fm, _ = _transverse_vector_field(H, pt, base - e, layout)
-        jac[:, k] = (fp - fm) / (2 * fd_step)
+    spec, s, idx = _transverse(H, pt)
+    jac = _jacobian(lambda v: _transverse_field(spec, H, pt, s, idx, v), s[idx], fd_step)
     eigs = np.linalg.eigvals(jac)
     re = eigs.real
     if np.any(np.abs(eigs) < EPS_EIG):
@@ -604,22 +618,6 @@ def classify_radial(H: SymbolHamiltonian, pt: PhasePointChart, fd_step: float = 
     else:
         verdict = "saddle"
     return verdict, eigs
-
-
-def _transverse_vector_field(H, pt, vec, layout):
-    # rho sits in slot 0 of every transverse layout; FD probes may push it
-    # negative, in which case we use the odd/even extension (every implemented
-    # field has drho odd and the other components even in rho)
-    vec = np.asarray(vec, dtype=float).copy()
-    rho_neg = vec[0] < 0
-    if rho_neg:
-        vec[0] = -vec[0]
-    q = _with_transverse(pt, vec, layout)
-    f = boundary_chart_field(H, q)
-    out = np.concatenate([np.atleast_1d(np.asarray(f[k], dtype=float)) for k, _ in layout])
-    if rho_neg:
-        out[0] = -out[0]
-    return out, layout
 
 
 @dataclass
@@ -782,28 +780,24 @@ def find_radial_points(
 
 def _newton_polish(H: SymbolHamiltonian, pt: PhasePointChart, iters: int = 8) -> PhasePointChart:
     """Newton iteration on the transverse coordinates at fixed invariants."""
+    spec, s, idx = _transverse(H, pt)
+
+    def g(v):
+        return _transverse_field(spec, H, pt, s, idx, v)
+
     for _ in range(iters):
-        base, layout = _transverse_vector(pt, H.named_model)
-        f, _ = _transverse_vector_field(H, pt, base, layout)
+        f = g(s[idx])
         if np.max(np.abs(f)) < 1e-14:
             break
-        m = len(base)
-        jac = np.empty((m, m))
-        for k in range(m):
-            e = np.zeros(m)
-            e[k] = 1e-6
-            fp, _ = _transverse_vector_field(H, pt, base + e, layout)
-            fm, _ = _transverse_vector_field(H, pt, base - e, layout)
-            jac[:, k] = (fp - fm) / 2e-6
         try:
-            step = np.linalg.solve(jac, -f)
+            step = np.linalg.solve(_jacobian(g, s[idx], 1e-6), -f)
         except np.linalg.LinAlgError:
             break
-        new = base + step
+        new = s[idx] + step
         # keep rho on its half-line
         new[0] = max(new[0], 0.0)
-        pt = _with_transverse(pt, new, layout)
-    return pt
+        s[idx] = new
+    return PhasePointChart(pt.chart, _unflatten(spec, s, H.dim), pt.axis, pt.sign, pt.sign2)
 
 
 def threshold_data(
@@ -826,13 +820,13 @@ def threshold_data(
             "beta_0 vanishes at this radial point (zero-frequency degeneracy); "
             "threshold data is undefined and the square-root commutant cannot be built"
         )
-    rho_key = pt._rho_key()
+    spec, s0, idx = _transverse(H, pt)
     if rho_fn is None:
-        rho_fn = lambda q: float(q.coords[rho_key])  # noqa: E731
+        rho_fn = lambda q: float(q.coords[spec.rho])  # noqa: E731
     if varrho_fn is None:
         # quadratic defining function of the radial set within the chart:
         # squared distance of the non-rho transverse coords from the point
-        keys = [k for k in _transverse_keys(pt, H.named_model) if k != rho_key]
+        keys = spec.transverse[1:]
         center = {k: np.atleast_1d(np.asarray(pt.coords[k], float)).copy() for k in keys}
 
         def varrho_fn(q):
@@ -843,40 +837,40 @@ def threshold_data(
                 )
             )
 
+    def at(s):
+        return PhasePointChart(pt.chart, _unflatten(spec, s, H.dim), pt.axis, pt.sign, pt.sign2)
+
     def log_rate(fn, displace):
         def rate(eps):
-            q = displace(eps)
-            base_q, layout_q = _transverse_vector(q, H.named_model)
-            f, _ = _transverse_vector_field(H, q, base_q, layout_q)
+            s = displace(eps)
+            f = _transverse_field(spec, H, pt, s, idx, s[idx])
             # central difference along the flow; the defining functions are
             # linear/quadratic so a generous step avoids cancellation
             step = 1e-2 * eps / (1.0 + float(np.max(np.abs(f))))
-            qf = _with_transverse(q, base_q + step * f, layout_q)
-            qb = _with_transverse(q, base_q - step * f, layout_q)
-            return (fn(qf) - fn(qb)) / (2 * step) / fn(q)
+            sf, sb = s.copy(), s.copy()
+            sf[idx] = s[idx] + step * f
+            sb[idx] = s[idx] - step * f
+            return (fn(at(sf)) - fn(at(sb))) / (2 * step) / fn(at(s))
 
         r1 = rate(probe)
         r2 = rate(probe / 2)
         return 2 * r2 - r1
 
-    base, layout = _transverse_vector(pt, H.named_model)
-
     def displace_rho(eps):
-        vec = base.copy()
-        vec[0] = eps
-        return _with_transverse(pt, vec, layout)
+        s = s0.copy()
+        s[0] = eps
+        return s
 
     def displace_trans(eps):
-        vec = base.copy()
-        vec[1:] = vec[1:] + eps
-        return _with_transverse(pt, vec, layout)
+        s = s0.copy()
+        s[idx[1:]] = s[idx[1:]] + eps
+        return s
 
     beta0 = float(log_rate(rho_fn, displace_rho))
     beta1 = float(log_rate(varrho_fn, displace_trans))
     if beta0 * beta1 <= 0:
         raise ThresholdDegeneracyError("beta_0 and beta_1 do not share a strict sign")
-    threshold = -0.5 if H.named_model in ("helmholtz", "klein_gordon", "schrodinger_free") else None
-    return beta0, beta1, threshold
+    return beta0, beta1, spec.threshold
 
 
 def _y_seeds(d: int, grid: np.ndarray):

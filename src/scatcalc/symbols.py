@@ -36,7 +36,6 @@ __all__ = [
     "sym1d",
     "symbol_sum",
     "symbol_scale",
-    "symbol_product",
     "symbol_derivative",
     "conormal_seminorm",
     "classical_limit_consistency",
@@ -114,16 +113,6 @@ def symbol_scale(a: Symbol, c: complex) -> Symbol:
         classical=a.classical,
         depends_on_x=a.depends_on_x,
         depends_on_xi=a.depends_on_xi,
-    )
-
-
-def symbol_product(a: Symbol, b: Symbol) -> Symbol:
-    return Symbol(
-        eval=lambda x, xi: a(x, xi) * b(x, xi),
-        order=(a.order[0] + b.order[0], a.order[1] + b.order[1]),
-        classical=a.classical and b.classical,
-        depends_on_x=a.depends_on_x or b.depends_on_x,
-        depends_on_xi=a.depends_on_xi or b.depends_on_xi,
     )
 
 

@@ -118,3 +118,10 @@ class TestMainExitCodes:
         assert code == 0
         body = json.loads((tmp_path / "w" / "radial-report.json").read_text())
         assert body["criteria"]["degenerate_gate"] is True
+
+    def test_flow_runner_is_byte_stable(self, tmp_path):
+        cfg = write_config(tmp_path, {"trajectories": 3})
+        for out in ("a", "b"):
+            assert main(["flow", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        a = (tmp_path / "a" / "flow-report.json").read_bytes()
+        assert a == (tmp_path / "b" / "flow-report.json").read_bytes()

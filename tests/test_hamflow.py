@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from scatcalc import hamflow
 from scatcalc.hamflow import (
     PhasePointChart,
     ThresholdDegeneracyError,
@@ -22,6 +25,47 @@ from scatcalc.hamflow import (
     wave_model,
     x_dx_model,
 )
+
+
+def _spatial(rho, y, xi, axis, sign):
+    return PhasePointChart(
+        "spatial_face", {"rho": rho, "y": np.array(y), "xi": np.array(xi)}, axis=axis, sign=sign
+    )
+
+
+# one boundary point per chart-table entry that has an interior map, with the
+# layout of its closed-form field
+LIMIT_CASES = [
+    lambda: (helmholtz_model(1.0, 2), _spatial(0.0, [0.3], [0.8, 0.6], 0, 1), ("rho", "y", "xi")),
+    lambda: (
+        klein_gordon_model(1.0),
+        PhasePointChart(
+            "kg_face", {"rho": 0.0, "v": 0.2, "tau": np.sqrt(1.25), "xi": -0.5}, sign=1
+        ),
+        ("rho", "v", "tau", "xi"),
+    ),
+    lambda: (
+        schrodinger_model(1),
+        PhasePointChart(
+            "schrodinger_time_face",
+            {"rho": 0.0, "y": np.array([0.7]), "tau": -0.09, "xi": np.array([0.3])},
+            sign=1,
+        ),
+        ("rho", "y", "tau", "xi"),
+    ),
+    lambda: (d_x1_model(2), _spatial(0.0, [0.3], [0.0, 0.5], 0, 1), ("rho", "y", "xi")),
+    lambda: (d_x1_model(2), _spatial(0.0, [-0.4], [0.0, 0.5], 1, -1), ("rho", "y", "xi")),
+    lambda: (
+        x_dx_model(),
+        PhasePointChart("spatial_face", {"rho": 0.0, "xi": 0.7}, axis=0, sign=-1),
+        ("rho", "xi"),
+    ),
+    lambda: (
+        x_dx_model(),
+        PhasePointChart("frequency_face", {"rho": 0.0, "x": -0.4}, axis=0, sign=1),
+        ("rho", "x"),
+    ),
+]
 
 
 class TestHamiltonField:
@@ -85,43 +129,27 @@ class TestChartFields:
         f = boundary_chart_field(H, pt)
         assert f["rho"] == 0.0 and np.allclose(f["y"], 0.0)
 
-    @pytest.mark.parametrize(
-        "make_pt",
-        [
-            lambda: (
-                helmholtz_model(1.0, 2),
-                PhasePointChart(
-                    "spatial_face",
-                    {"rho": 0.0, "y": np.array([0.3]), "xi": np.array([0.8, 0.6])},
-                    axis=0,
-                    sign=1,
-                ),
-                ("rho", "y", "xi"),
-            ),
-            lambda: (
-                klein_gordon_model(1.0),
-                PhasePointChart(
-                    "kg_face", {"rho": 0.0, "v": 0.2, "tau": np.sqrt(1.25), "xi": -0.5}, sign=1
-                ),
-                ("rho", "v", "tau", "xi"),
-            ),
-            lambda: (
-                schrodinger_model(1),
-                PhasePointChart(
-                    "schrodinger_time_face",
-                    {"rho": 0.0, "y": np.array([0.7]), "tau": -0.09, "xi": np.array([0.3])},
-                    sign=1,
-                ),
-                ("rho", "y", "tau", "xi"),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("make_pt", LIMIT_CASES)
     def test_closed_form_matches_rescaled_limit(self, make_pt):
         H, pt, keys = make_pt()
         f = boundary_chart_field(H, pt)
         closed = np.concatenate([np.atleast_1d(np.asarray(f[k], dtype=float)) for k in keys])
         limit = chart_field_by_limit(H, pt)
         assert np.max(np.abs(closed - limit)) < 1e-6
+
+    def test_limit_cases_cover_every_oracle_entry(self):
+        cases = {(H.named_model, pt.chart) for H, pt, _ in (make() for make in LIMIT_CASES)}
+        assert cases == {key for key, spec in hamflow._SPECS.items() if spec.interior}
+
+    def test_tangency_guard_rejects_a_field_leaving_the_boundary(self, monkeypatch):
+        key = ("helmholtz", "spatial_face")
+        bad = dataclasses.replace(hamflow._SPECS[key], field=lambda H, pt, s: np.ones_like(s))
+        monkeypatch.setitem(hamflow._SPECS, key, bad)
+        H, pt = helmholtz_model(1.0, 2), _spatial(0.0, [0.3], [0.8, 0.6], 0, 1)
+        with pytest.raises(RuntimeError, match="not tangent"):
+            boundary_chart_field(H, pt)
+        with pytest.raises(RuntimeError, match="not tangent"):
+            flow_trajectory(H, pt, 1.0, 0.01)
 
     def test_tangency_of_rho_coefficient(self):
         # at rho = 0 the rho-component of every implemented field vanishes
@@ -227,6 +255,20 @@ class TestFlow:
         exact = np.array([1.0, -2.0]) + 2 * xi * 5.0
         assert np.max(np.abs(np.asarray(path[-1].coords["x"]) - exact)) < 1e-10
 
+    @pytest.mark.parametrize("sign, T", [(1, 5.0), (1, -2.0), (-1, 2.0), (-1, -5.0)])
+    def test_frozen_xi_closed_form(self, sign, T):
+        # at frozen xi the spatial-face field is linear in (rho, y):
+        # rho = rho0 e^{-sigma xi_j t}, y = xi_o/xi_j + (y0 - xi_o/xi_j) e^{-sigma xi_j t}
+        xi, rho0, y0 = np.array([0.8, 0.6]), 0.1, 0.3
+        path = flow_trajectory(self.H, _spatial(rho0, [y0], xi, 0, sign), T, 0.01)
+        assert {(p.axis, p.sign) for p in path} == {(0, sign)}
+        decay = np.exp(-sign * xi[0] * np.sign(T) * 0.01 * np.arange(len(path)))
+        rho = np.array([float(p.coords["rho"]) for p in path])
+        y = np.array([float(np.asarray(p.coords["y"])[0]) for p in path])
+        np.testing.assert_allclose(rho, rho0 * decay, rtol=1e-9, atol=0)
+        y_star = xi[1] / xi[0]
+        np.testing.assert_allclose(y, y_star + (y0 - y_star) * decay, rtol=0, atol=1e-9)
+
     def test_large_step_rejected(self):
         start = PhasePointChart("interior", {"x": np.zeros(2), "xi": np.array([1.0, 0.0])})
         with pytest.raises(ValueError):
@@ -241,6 +283,61 @@ class TestFlow:
         start = PhasePointChart("interior", {"x": np.zeros(2), "xi": np.array([1.0, 0.0])})
         rows = trajectory_rows(self.H, flow_trajectory(self.H, start, 0.1, 0.01))
         assert rows[0]["step"] == 0 and "abs_char" in rows[0]
+
+
+PARABOLIC = PhasePointChart(
+    "parabolic_face", {"rho_b": 0.0, "s_t": 0.3, "vt": np.zeros(0), "rho_f": 0.2}, sign=1
+)
+
+
+class TestErrorTypes:
+    H = helmholtz_model(1.0, 2)
+    kg_point = PhasePointChart("kg_face", {"rho": 0.0, "v": 0.2, "tau": 1.0, "xi": 0.0}, sign=1)
+
+    def test_flow_value_errors_from_a_boundary_start(self):
+        with pytest.raises(ValueError):
+            flow_trajectory(self.H, _spatial(0.0, [0.3], [0.8, 0.6], 0, 1), 1.0, 0.02)
+        with pytest.raises(ValueError):
+            flow_trajectory(self.H, _spatial(0.0, [0.3], [1.6, 1.2], 0, 1), 1.0, 0.01)
+
+    @pytest.mark.parametrize(
+        "chart, coords",
+        [
+            ("kg_face", {"rho": -0.1, "v": 0.0, "tau": 1.0, "xi": 0.0}),
+            ("parabolic_face", {"rho_b": -0.1, "s_t": 0.0, "vt": np.zeros(0), "rho_f": 0.1}),
+        ],
+    )
+    def test_negative_defining_coordinate_rejected(self, chart, coords):
+        with pytest.raises(ValueError):
+            PhasePointChart(chart, coords)
+
+    def test_no_helmholtz_field_on_kg_face(self):
+        with pytest.raises(NotImplementedError):
+            boundary_chart_field(self.H, self.kg_point)
+
+    def test_no_flow_on_parabolic_face(self):
+        with pytest.raises(NotImplementedError):
+            flow_trajectory(schrodinger_model(1), PARABOLIC, 1.0, 0.01)
+
+    def test_parabolic_face_has_no_limit_oracle(self):
+        with pytest.raises(NotImplementedError):
+            chart_field_by_limit(schrodinger_model(1), PARABOLIC)
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            boundary_chart_field,
+            char_value,
+            chart_field_by_limit,
+            classify_radial,
+            threshold_data,
+            lambda H, pt: flow_trajectory(H, pt, 1.0, 0.01, require_null=False),
+        ],
+        ids=["field", "char", "limit", "classify", "threshold", "flow"],
+    )
+    def test_unsupported_pair_raises_not_implemented(self, fn):
+        with pytest.raises(NotImplementedError):
+            fn(self.H, self.kg_point)
 
 
 class TestRadialPoints:
