@@ -2,6 +2,7 @@
 
 Submodules
 ----------
+quadrature  the product sphere rule and composite Gauss-Legendre panels
 grid        truncated grids, FFTs, weighted (and variable-order) Sobolev norms
 symbols     symbol classes, quantization, composition, parametrices
 hamflow     compactified-phase-space charts, bicharacteristic flow, radial sets

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+
+from .quadrature import gauss_panels
 
 __all__ = [
     "chi0",
@@ -128,17 +129,14 @@ class FlatSquareCutoff:
     def __post_init__(self):
         if not self.t2 > self.t1:
             raise ValueError("need t1 < t2")
-        nodes, weights = leggauss(self.gl_order)
-        edges = np.linspace(self.t1, self.t2, self.panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        pts = mid[:, None] + half[:, None] * nodes[None, :]
-        vals = self._eta2_raw(pts) * weights[None, :] * half[:, None]
-        per_panel = vals.sum(axis=1)
-        self._edges = edges
+        self._edges = np.linspace(self.t1, self.t2, self.panels + 1)
+        # raw [-1, 1] rule for the partial panel of _cumulative, a hot path
+        # that maps it by hand rather than rebuilding a rule per call
+        self._gl = tuple(a.ravel() for a in gauss_panels(-1.0, 1.0, 1, self.gl_order))
+        pts, w = gauss_panels(self.t1, self.t2, self.panels, self.gl_order)
+        per_panel = (self._eta2_raw(pts) * w).sum(axis=1)
         self._prefix = np.concatenate([[0.0], np.cumsum(per_panel)])
         self._norm = self._prefix[-1]
-        self._gl = (nodes, weights)
 
     def _eta2_raw(self, t):
         return chi0(np.asarray(t) - self.t1, self.digamma) * chi0(

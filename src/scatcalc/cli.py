@@ -551,19 +551,10 @@ def _run_radon(v, seed):
         for q, s, sc in zip(tab["xi"], tab["symbol"], tab["scaled"])
     ]
     # plain grid dump of the reconstruction demo
-    gp = v["grid_points"]
-    ax = np.linspace(-1.0, 1.0, gp)
-    mesh = np.meshgrid(*([ax] * v["dim"]), indexing="ij")
-    Z = np.stack([m.ravel() for m in mesh], axis=-1)
-    ball = np.sum(Z**2, axis=-1) <= 1.0
-    f0 = np.exp(-6.0 * np.sum(Z[ball] ** 2, axis=-1)) * (
-        1.0 - np.clip(np.sum(Z[ball] ** 2, axis=-1), 0, 1)
-    )
-    rec = np.linalg.solve(probe["matrix"], probe["matrix"] @ f0)
     grid_rows = [
-        {**{f"x{j}": float(Z[ball][i, j]) for j in range(v["dim"])},
-         "f0": float(f0[i]), "reconstruction": float(rec[i])}
-        for i in range(len(f0))
+        {**{f"x{j}": float(x) for j, x in enumerate(pt)},
+         "f0": float(f), "reconstruction": float(r)}
+        for pt, f, r in zip(probe["points"], probe["f0"], probe["reconstruction"])
     ]
     return metrics, criteria, {"symbol": rows, "reconstruction": grid_rows}
 

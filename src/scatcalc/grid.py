@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+
+from .quadrature import gauss_panels, product_sphere_rule
 
 __all__ = [
     "GridSpec",
@@ -291,33 +292,6 @@ def var_sobolev_norm(u: GridField, ord: SobolevOrder) -> float:
     return float(np.sqrt(Au.l2_norm() ** 2 + (FLOOR_WEIGHT * floor) ** 2))
 
 
-def _sphere_rule(n: int, n_ang: int):
-    """Product quadrature on S^{n-1}: nodes (K, n), weights (K,)."""
-    if n == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if n == 2:
-        th = 2.0 * np.pi * np.arange(n_ang) / n_ang
-        nodes = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        w = np.full(n_ang, 2.0 * np.pi / n_ang)
-        return nodes, w
-    if n == 3:
-        nc = max(4, n_ang // 2)
-        c, wc = leggauss(nc)
-        phi = 2.0 * np.pi * np.arange(n_ang) / n_ang
-        sgn = np.sqrt(1.0 - c**2)
-        nodes = np.stack(
-            [
-                np.outer(sgn, np.cos(phi)).ravel(),
-                np.outer(sgn, np.sin(phi)).ravel(),
-                np.outer(c, np.ones_like(phi)).ravel(),
-            ],
-            axis=-1,
-        )
-        w = np.outer(wc, np.full(n_ang, 2.0 * np.pi / n_ang)).ravel()
-        return nodes, w
-    raise ValueError("n must be 1, 2 or 3")
-
-
 def truncated_weighted_mass(
     u: Callable[[np.ndarray], np.ndarray],
     r: float,
@@ -351,14 +325,9 @@ def truncated_weighted_mass(
 
 
 def _mass_once(u, r, R, n, panel_width, n_ang, gl_order) -> float:
-    nodes, gw = leggauss(gl_order)
     n_panels = max(1, int(np.ceil(R / panel_width)))
-    edges = np.linspace(0.0, R, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    radii = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    rw = (half[:, None] * gw[None, :]).ravel()
-    theta, tw = _sphere_rule(n, n_ang)
+    radii, rw = (a.ravel() for a in gauss_panels(0.0, R, n_panels, gl_order))
+    theta, tw = product_sphere_rule(n, max(4, n_ang // 2), n_ang)
     pts = radii[:, None, None] * theta[None, :, :]
     M = pts.shape[0] * pts.shape[1]
     vals = np.asarray(u(pts.reshape(M, n))).reshape(len(radii), len(tw))

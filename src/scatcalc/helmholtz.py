@@ -4,12 +4,12 @@ Eigenfunctions are synthesized from a density g on the unit sphere as
 
     u(x) = (2 pi)^{-n} lambda^{n-1} int_{S^{n-1}} exp(i lambda x.theta) g(theta) dtheta,
 
-by sphere quadrature (trapezoid on S^1, Gauss-Legendre x uniform on S^2),
-with the node count auto-raised to track the sampling requirement ~ 2 lambda
-|x| per great circle.  Large-|x| asymptotics, incoming/outgoing coefficients,
-the boundary pairing, threshold-decay scans, the outgoing/incoming formal
-series recursion, and the (free) scattering matrix all read off this one
-representation.
+by the product sphere rule of :mod:`scatcalc.quadrature` (trapezoid on S^1,
+Gauss-Legendre x uniform on S^2), with the node count auto-raised to track
+the sampling requirement ~ 2 lambda |x| per great circle.  Large-|x|
+asymptotics, incoming/outgoing coefficients, the boundary pairing,
+threshold-decay scans, the outgoing/incoming formal series recursion, and the
+(free) scattering matrix all read off this one representation.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .grid import fit_growth_exponent, fit_log_growth, truncated_weighted_mass
+from .quadrature import product_sphere_rule
 
 __all__ = [
     "SphereDensity",
@@ -64,28 +64,9 @@ class PowerMismatchError(ValueError):
 
 def sphere_rule(n: int, degree: int):
     """Product quadrature on S^{n-1} exact for harmonics up to `degree`."""
-    if n == 2:
-        K = max(degree + 1, 8)
-        th = 2.0 * np.pi * np.arange(K) / K
-        nodes = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        return nodes, np.full(K, 2.0 * np.pi / K)
-    if n == 3:
-        nq = max((degree + 2) // 2, 4)
-        K = max(degree + 1, 8)
-        c, wc = leggauss(nq)
-        s = np.sqrt(1.0 - c**2)
-        phi = 2.0 * np.pi * np.arange(K) / K
-        nodes = np.stack(
-            [
-                np.outer(s, np.cos(phi)).ravel(),
-                np.outer(s, np.sin(phi)).ravel(),
-                np.outer(c, np.ones(K)).ravel(),
-            ],
-            axis=-1,
-        )
-        w = np.outer(wc, np.full(K, 2.0 * np.pi / K)).ravel()
-        return nodes, w
-    raise ValueError("sphere dimension n must be 2 or 3")
+    if n not in (2, 3):
+        raise ValueError("sphere dimension n must be 2 or 3")
+    return product_sphere_rule(n, max((degree + 2) // 2, 4), max(degree + 1, 8))
 
 
 @dataclass
@@ -149,17 +130,17 @@ def _required_degree(lam: float, rmax: float) -> int:
     return int(4 + 2 * np.ceil(lam * rmax)) + 16
 
 
-def eigenfunction_evaluator(f: SphereDensity, lam: float, chunk: int = 16384):
-    """Vectorized evaluator of the eigenfunction over (M, n) point arrays."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+def _synthesis_evaluator(f: SphereDensity, lam: float, chunk: int, kernel):
+    """Chunked plane-wave sum pref * kernel(points, nodes) @ (g * weights) over
+    (M, n) or (n,) points, raising the density's sphere rule to the largest
+    radius it is asked for."""
     n = f.n
     state = {"dens": f}
 
-    def u(points: np.ndarray) -> np.ndarray:
+    def synth(points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
-            return u(pts[None, :])[0]
+            return synth(pts[None, :])[0]
         rmax = float(np.sqrt(np.max(np.sum(pts**2, axis=-1)))) if len(pts) else 0.0
         need = _required_degree(lam, rmax)
         if need > state["dens"].degree:
@@ -170,38 +151,35 @@ def eigenfunction_evaluator(f: SphereDensity, lam: float, chunk: int = 16384):
         out = np.empty(len(pts), dtype=complex)
         for lo in range(0, len(pts), chunk):
             hi = min(len(pts), lo + chunk)
-            phase = np.exp(1j * lam * (pts[lo:hi] @ dens.nodes.T))
-            out[lo:hi] = pref * (phase @ gw)
+            out[lo:hi] = pref * (kernel(pts[lo:hi], dens.nodes) @ gw)
         return out
 
-    return u
+    return synth
+
+
+def eigenfunction_evaluator(f: SphereDensity, lam: float, chunk: int = 16384):
+    """Vectorized evaluator of the eigenfunction over (M, n) point arrays."""
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+
+    def phase(pts, nodes):
+        return np.exp(1j * lam * (pts @ nodes.T))
+
+    return _synthesis_evaluator(f, lam, chunk, phase)
 
 
 def radial_derivative_evaluator(f: SphereDensity, lam: float, chunk: int = 16384):
     """d/dr of the eigenfunction along x/|x|, by differentiating the phase."""
-    n = f.n
-    state = {"dens": f}
 
-    def du(points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
+    def dphase(pts, nodes):
         r = np.sqrt(np.sum(pts**2, axis=-1))
-        xhat = pts / r[:, None]
-        rmax = float(np.max(r)) if len(pts) else 0.0
-        need = _required_degree(lam, rmax)
-        if need > state["dens"].degree:
-            state["dens"] = state["dens"].with_degree(need)
-        dens = state["dens"]
-        gw = dens(dens.nodes) * dens.weights
-        pref = (2.0 * np.pi) ** (-n) * lam ** (n - 1)
-        out = np.empty(len(pts), dtype=complex)
-        for lo in range(0, len(pts), chunk):
-            hi = min(len(pts), lo + chunk)
-            dots = xhat[lo:hi] @ dens.nodes.T
-            phase = np.exp(1j * lam * (r[lo:hi, None] * dots))
-            out[lo:hi] = pref * ((1j * lam * dots * phase) @ gw)
-        return out
+        dots = (pts / r[:, None]) @ nodes.T
+        # exp before the product, so its two (M, K) complex temporaries are
+        # not alive together with 1j * lam * dots (a third at peak)
+        phase = np.exp(1j * lam * (r[:, None] * dots))
+        return 1j * lam * dots * phase
 
-    return du
+    return _synthesis_evaluator(f, lam, chunk, dphase)
 
 
 def eigenfunction(f: SphereDensity, lam: float, x) -> complex:
@@ -296,10 +274,15 @@ def asymptotic_profile(f: SphereDensity, lam: float) -> AsymptoticProfile:
     return AsymptoticProfile(fp, fm, lam)
 
 
+def _probe_directions(n: int, n_dirs: int) -> np.ndarray:
+    """About n_dirs unit vectors, a stride through the degree-2 n_dirs rule."""
+    dirs, _ = sphere_rule(n, 2 * n_dirs)
+    return dirs[:: max(1, len(dirs) // n_dirs)]
+
+
 def error_slope(f: SphereDensity, lam: float, radii, n_dirs: int = 4) -> float:
     """Fitted log-log slope of sup_dirs |u - leading| against radius."""
-    n = f.n
-    dirs = sphere_rule(n, 2 * n_dirs)[0][:: max(1, len(sphere_rule(n, 2 * n_dirs)[0]) // n_dirs)]
+    dirs = _probe_directions(f.n, n_dirs)
     u = eigenfunction_evaluator(f, lam)
     errs = []
     for r in radii:
@@ -494,8 +477,7 @@ def series_residual_slope(exp: ExpansionCoeffs, radii, n_dirs: int = 6, h: float
     """Fitted decay exponent of |(Delta - lam^2) u_J| via the FD oracle."""
     n = exp.n
     u = series_evaluator(exp)
-    dirs, _ = sphere_rule(n, 2 * n_dirs)
-    dirs = dirs[:: max(1, len(dirs) // n_dirs)]
+    dirs = _probe_directions(n, n_dirs)
     vals = []
     for r in radii:
         base = r * dirs
@@ -652,13 +634,14 @@ def free_scattering_matrix(lam: float, f_minus: SphereDensity) -> SphereDensity:
 def fit_smatrix_phase(
     lam: float, n: int, R: float = 200.0, direction=None, extra_degree: int = 0
 ) -> complex:
-    """Extract the S-matrix phase by fitting oscillations at two radii.
+    """Measure the S-matrix phase f_+(theta) / f_-(-theta) by oscillation fits.
 
-    Synthesizes an eigenfunction from a reference density, solves the 2x2
-    system u(R), u(R') = r^{-(n-1)/2}(e^{i lam r} f_+ + e^{-i lam r} f_-) for
-    the coefficients along one direction, and returns f_+ / (S f_-) evaluated
-    there; stability of this number under quadrature refinement
-    (extra_degree) is the fixture check.
+    Synthesizes an eigenfunction from a reference density and, along theta and
+    along -theta separately, solves the 2x2 system
+    u(r) = r^{-(n-1)/2}(e^{i lam r} f_+ + e^{-i lam r} f_-) at r = R, R' for
+    the coefficients; the phase is the fitted f_+ at theta over the fitted f_-
+    at -theta.  Stability under quadrature refinement (extra_degree) is the
+    fixture check, closeness to :data:`FREE_SMATRIX_PHASE` the value check.
     """
     if direction is None:
         direction = np.zeros(n)
@@ -672,7 +655,6 @@ def fit_smatrix_phase(
         dens = dens.with_degree(_required_degree(lam, R) + extra_degree)
     u = eigenfunction_evaluator(dens, lam)
     r1, r2 = R, R + np.pi / (4 * lam)
-    vals = u(np.stack([r1 * direction, r2 * direction]))
     nu = (n - 1) / 2.0
     A = np.array(
         [
@@ -680,14 +662,9 @@ def fit_smatrix_phase(
             [np.exp(1j * lam * r2) * r2 ** (-nu), np.exp(-1j * lam * r2) * r2 ** (-nu)],
         ]
     )
-    fp_fit, fm_fit = np.linalg.solve(A, vals)
-    prof = asymptotic_profile(dens, lam)
-    fm_here = complex(prof.f_minus(direction[None, :])[0])
-    sf = free_scattering_matrix(lam, prof.f_minus)
-    sf_here = complex(sf(direction[None, :])[0])
-    # phase estimate: fitted outgoing coefficient relative to S applied to the
-    # analytic incoming coefficient, times the frozen phase
-    return fp_fit / sf_here * FREE_SMATRIX_PHASE[n]
+    fp_fit, _ = np.linalg.solve(A, u(np.stack([r1 * direction, r2 * direction])))
+    _, fm_fit = np.linalg.solve(A, u(np.stack([-r1 * direction, -r2 * direction])))
+    return complex(fp_fit / fm_fit)
 
 
 def rotate_density(f: SphereDensity, Rmat: np.ndarray) -> SphereDensity:

@@ -1,0 +1,55 @@
+"""The two quadrature rules behind the sphere and interval integrals of scatcalc.
+
+``product_sphere_rule`` integrates over the unit sphere S^{n-1}: the two
+points +-1 for n = 1, the uniform trapezoid in the angle on S^1, and
+Gauss-Legendre in cos(theta) times a uniform azimuth on S^2 (polar axis e_3).
+``gauss_panels`` is the composite Gauss-Legendre rule on equal panels of an
+interval, with array endpoints broadcasting to a batch of intervals.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from numpy.polynomial.legendre import leggauss
+
+__all__ = ["product_sphere_rule", "gauss_panels"]
+
+
+def product_sphere_rule(n: int, n_polar: int, n_azimuth: int, offset: float = 0.0):
+    """Nodes (K, n) and weights (K,) of the product rule on S^{n-1}.
+
+    n_polar Gauss-Legendre nodes in cos(theta) (n = 3 only) times n_azimuth
+    uniform angles 2 pi (k + offset) / n_azimuth; the azimuth runs fastest.
+    """
+    if n == 1:
+        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    phi = 2.0 * np.pi * (np.arange(n_azimuth) + offset) / n_azimuth
+    w_phi = np.full(n_azimuth, 2.0 * np.pi / n_azimuth)
+    if n == 2:
+        return np.stack([np.cos(phi), np.sin(phi)], axis=-1), w_phi
+    if n == 3:
+        c, wc = leggauss(n_polar)
+        s = np.sqrt(1.0 - c**2)
+        nodes = np.stack(
+            [
+                np.outer(s, np.cos(phi)).ravel(),
+                np.outer(s, np.sin(phi)).ravel(),
+                np.outer(c, np.ones(n_azimuth)).ravel(),
+            ],
+            axis=-1,
+        )
+        return nodes, np.outer(wc, w_phi).ravel()
+    raise ValueError("n must be 1, 2 or 3")
+
+
+def gauss_panels(lo, hi, n_panels: int, order: int):
+    """Composite Gauss-Legendre rule on n_panels equal panels of [lo, hi].
+
+    Returns nodes and weights of shape lo.shape + (n_panels, order); array
+    endpoints broadcast, one rule per interval.  Ravel for a flat rule.
+    """
+    x, w = leggauss(order)
+    edges = np.linspace(lo, hi, n_panels + 1, axis=-1)
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    return mid[..., None] + half[..., None] * x, half[..., None] * w

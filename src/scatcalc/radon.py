@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy import sparse
 from scipy.linalg import svdvals
 
 from .bumps import plateau
+from .quadrature import gauss_panels, product_sphere_rule
 
 __all__ = [
     "LocalizerProfile",
@@ -42,12 +42,8 @@ __all__ = [
 ]
 
 
-def _composite_rule(lo, hi, n_panels: int, order: int):
-    edges = np.linspace(lo, hi, n_panels + 1)
-    nodes, w = leggauss(order)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * w).ravel()
+def _flat_panels(lo, hi, n_panels: int, order: int):
+    return tuple(a.ravel() for a in gauss_panels(lo, hi, n_panels, order))
 
 
 @dataclass
@@ -55,7 +51,8 @@ class LocalizerProfile:
     """Line profile phi and its self-convolution phi_tilde = phi * phi.
 
     Plateau-type profiles converge slowly under single-panel Gauss rules, so
-    every integral here uses composite panels (aligned with the plateau
+    every integral here uses the composite panels of
+    :func:`scatcalc.quadrature.gauss_panels` (aligned with the plateau
     structure for the fixed-range ones, oscillation-adaptive for phi_hat).
     """
 
@@ -63,7 +60,6 @@ class LocalizerProfile:
     support: float = 2.0
 
     def __post_init__(self):
-        self._gl16 = leggauss(16)
         self._hat_cache = (0, None)
 
     def __call__(self, t):
@@ -72,19 +68,11 @@ class LocalizerProfile:
     def phi_tilde(self, s):
         """(phi * phi)(s) by composite Gauss quadrature over the overlap."""
         s = np.asarray(s, dtype=float)
-        nodes16, w16 = self._gl16
         lo = np.maximum(-self.support, s - self.support)
         hi = np.minimum(self.support, s + self.support)
-        out = np.zeros_like(s)
-        n_panels = 8
-        for k in range(n_panels):
-            a = lo + (hi - lo) * k / n_panels
-            b = lo + (hi - lo) * (k + 1) / n_panels
-            mid, half = 0.5 * (a + b), np.clip(0.5 * (b - a), 0.0, None)
-            pts = mid[..., None] + half[..., None] * nodes16
-            vals = self(pts) * self(s[..., None] - pts)
-            out = out + np.sum(vals * w16, axis=-1) * half
-        return out
+        pts, w = gauss_panels(lo, hi, 8, 16)
+        vals = self(pts) * self(s[..., None, None] - pts)
+        return np.sum(vals * w, axis=(-2, -1))
 
     def phi_hat(self, s):
         """Fourier transform int phi(t) exp(-i s t) dt (real and even).
@@ -96,7 +84,7 @@ class LocalizerProfile:
         smax = float(np.max(np.abs(s))) if s.size else 0.0
         n_panels = int(max(4, np.ceil(smax * self.support / np.pi)))
         if n_panels != self._hat_cache[0]:
-            self._hat_cache = (n_panels, _composite_rule(-self.support, self.support, n_panels, 16))
+            self._hat_cache = (n_panels, _flat_panels(-self.support, self.support, n_panels, 16))
         pts, w = self._hat_cache[1]
         vals = self(pts)
         return np.sum(vals * w * np.cos(np.multiply.outer(s, pts)), axis=-1)
@@ -129,29 +117,15 @@ def default_cone(width: float = 0.3) -> ConeCutoff:
 def direction_rule(n: int, count: int):
     """Direction quadrature: `count` angles on S^1, a product grid on S^2."""
     if n == 2:
-        th = np.pi * (2.0 * np.arange(count) + 1.0) / count / 2.0 * 2.0
-        nodes = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        return nodes, np.full(count, 2.0 * np.pi / count)
+        return product_sphere_rule(2, 0, count, offset=0.5)
     nc = max(4, int(np.sqrt(count / 2)))
-    na = max(8, count // nc)
-    c, wc = leggauss(nc)
-    s = np.sqrt(1.0 - c**2)
-    phi = 2.0 * np.pi * (np.arange(na) + 0.5) / na
-    nodes = np.stack(
-        [
-            np.outer(c, np.ones(na)).ravel(),
-            np.outer(s, np.cos(phi)).ravel(),
-            np.outer(s, np.sin(phi)).ravel(),
-        ],
-        axis=-1,
-    )
-    w = np.outer(wc, np.full(na, 2.0 * np.pi / na)).ravel()
-    return nodes, w
+    nodes, w = product_sphere_rule(3, nc, max(8, count // nc), offset=0.5)
+    return np.roll(nodes, 1, axis=-1), w  # polar axis e_1
 
 
 def _line_rule(support: float, n_t: int = 16):
     # 4 panels aligned with the plateau structure, n_t Gauss nodes each
-    return _composite_rule(-support, support, 4, n_t)
+    return _flat_panels(-support, support, 4, n_t)
 
 
 def xray_transform(f: Callable, z, omega, phi: LocalizerProfile, n_t: int = 24):
@@ -239,9 +213,7 @@ def pairing_gap(
     quadrature error alone.
     """
     dirs, dw = direction_rule(n, n_dirs)
-    nodes, w = leggauss(n_gauss)
-    ax = box * nodes
-    axw = box * w
+    ax, axw = _flat_panels(-box, box, 1, n_gauss)
     mesh = np.meshgrid(*([ax] * n), indexing="ij")
     Z = np.stack([m.ravel() for m in mesh], axis=-1)
     WZ = np.prod(np.meshgrid(*([axw] * n), indexing="ij"), axis=0).ravel()
@@ -267,11 +239,11 @@ def normal_kernel_symbol(n: int, phi: LocalizerProfile, xi_grid, *, n_sphere: in
     """
     q = np.asarray(xi_grid, dtype=float)
     if n == 2:
-        gamma = 2.0 * np.pi * np.arange(n_sphere) / n_sphere
-        vals = phi.phi_hat(np.outer(q, np.cos(gamma))) ** 2
-        a = vals.sum(axis=1) * (2.0 * np.pi / n_sphere)
+        om, w = product_sphere_rule(2, 0, n_sphere)
+        vals = phi.phi_hat(np.outer(q, om[:, 0])) ** 2
+        a = vals.sum(axis=1) * w[0]
     elif n == 3:
-        c, w = leggauss(min(n_sphere, 512))
+        c, w = _flat_panels(-1.0, 1.0, 1, min(n_sphere, 512))
         vals = phi.phi_hat(np.outer(q, c)) ** 2
         a = 2.0 * np.pi * vals @ w
     else:
@@ -288,7 +260,7 @@ def normal_symbol_hankel(n: int, phi: LocalizerProfile, xi_grid) -> np.ndarray:
     q = np.asarray(xi_grid, dtype=float)
     qmax = float(np.max(q)) if q.size else 1.0
     n_panels = int(max(8, np.ceil(qmax * phi.support)))
-    rho, wr = _composite_rule(0.0, 2.0 * phi.support, n_panels, 12)
+    rho, wr = _flat_panels(0.0, 2.0 * phi.support, n_panels, 12)
     pt = phi.phi_tilde(rho)
     if n == 2:
         return 4.0 * np.pi * np.array([np.sum(wr * pt * j0(qq * rho)) for qq in q])
@@ -324,28 +296,16 @@ def cone_ellipticity_check(
     for iq, q in enumerate(xi_ladder):
         n_nodes = int(max(256, 8 * q))
         if n == 2:
-            gamma = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-            wgt = 2.0 * np.pi / n_nodes
-            om1 = np.cos(gamma)
+            om, wgt = product_sphere_rule(2, 0, n_nodes)
+            om1 = om[:, 0]
             for it, tl in enumerate(tilts):
                 xihat = np.array([np.cos(tl), np.sin(tl)])
-                dots = om1 * xihat[0] + np.sin(gamma) * xihat[1]
-                per_dir[iq, it] = np.sum(chi(om1) * phi.phi_hat(q * dots) ** 2) * wgt
+                dots = om1 * xihat[0] + om[:, 1] * xihat[1]
+                per_dir[iq, it] = np.sum(chi(om1) * phi.phi_hat(q * dots) ** 2) * wgt[0]
         else:
-            nc = max(64, int(2 * q))
-            c, wc = leggauss(nc)
-            na = max(64, int(2 * q))
-            az = 2.0 * np.pi * np.arange(na) / na
-            s = np.sqrt(1.0 - c**2)
-            om = np.stack(
-                [
-                    np.outer(c, np.ones(na)).ravel(),
-                    np.outer(s, np.cos(az)).ravel(),
-                    np.outer(s, np.sin(az)).ravel(),
-                ],
-                axis=-1,
-            )
-            wgt = np.outer(wc, np.full(na, 2.0 * np.pi / na)).ravel()
+            m = max(64, int(2 * q))
+            om, wgt = product_sphere_rule(3, m, m)
+            om = np.roll(om, 1, axis=-1)  # polar axis e_1
             chiv = chi(om[:, 0])
             for it, tl in enumerate(tilts):
                 xihat = np.array([np.cos(tl), np.sin(tl), 0.0])
@@ -417,7 +377,8 @@ def injectivity_probe(
     I_0 samples line integrals on (z grid) x (direction rule); L backprojects
     with the same rule; the optional cone cutoff multiplies the direction
     weights inside L.  Reports sigma_min, the relative reconstruction error
-    for a known bump f0, and the matrix itself.
+    for a known bump f0, the matrix itself, and the demo data: the ball
+    points, f0 on them and the reconstruction.
     """
     if phi is None:
         phi = default_profile()
@@ -464,4 +425,7 @@ def injectivity_probe(
         "matrix": A,
         "grid_points": grid_points,
         "dof": int(ball.sum()),
+        "points": Z[ball],
+        "f0": fvec,
+        "reconstruction": rec,
     }

@@ -311,10 +311,21 @@ def test_10_boundary_pairing():
     )
 
 
+def _criterion_11_phase_fits(lam):
+    """Per n: the phase f_+(theta)/f_-(-theta) fitted at R = 200, its drift
+    under quadrature refinement, and its distance to the frozen constant."""
+    from scatcalc.helmholtz import FREE_SMATRIX_PHASE, fit_smatrix_phase
+
+    fits = {}
+    for n in (2, 3):
+        p1 = fit_smatrix_phase(lam, n, R=200.0)
+        p2 = fit_smatrix_phase(lam, n, R=200.0, extra_degree=256)
+        fits[n] = (p1, abs(p1 - p2), abs(p1 - FREE_SMATRIX_PHASE[n]))
+    return fits
+
+
 def test_11_free_scattering_matrix():
     from scatcalc.helmholtz import (
-        FREE_SMATRIX_PHASE,
-        fit_smatrix_phase,
         free_scattering_matrix,
         rotate_density,
         sphere_density,
@@ -343,11 +354,7 @@ def test_11_free_scattering_matrix():
     equivar = float(np.max(np.abs(lhs(nodes) - rhs(nodes))))
     # fixture: the fitted phase is stable under quadrature refinement and
     # sits at the frozen constant up to the O(1/R) fit truncation
-    fits = {}
-    for n in (2, 3):
-        p1 = fit_smatrix_phase(lam, n, R=200.0)
-        p2 = fit_smatrix_phase(lam, n, R=200.0, extra_degree=256)
-        fits[n] = (p1, abs(p1 - p2), abs(p1 - FREE_SMATRIX_PHASE[n]))
+    fits = _criterion_11_phase_fits(lam)
     stable = all(v[1] < 1e-6 for v in fits.values())
     near = all(v[2] < 0.02 for v in fits.values())
     ok = defect < 1e-6 and equivar < 1e-8 and stable and near
@@ -357,6 +364,17 @@ def test_11_free_scattering_matrix():
         ok,
         f"defect {defect:.1e}, equivariance {equivar:.1e}, fit drift {max(v[1] for v in fits.values()):.1e}",
     )
+
+
+def test_11_phase_check_fails_for_negated_constant(monkeypatch):
+    # the fit measures the phase from the field, so a wrong frozen constant
+    # must put every fitted phase outside the criterion-11 tolerance
+    import scatcalc.helmholtz as hz
+
+    negated = {n: -c for n, c in hz.FREE_SMATRIX_PHASE.items()}
+    monkeypatch.setattr(hz, "FREE_SMATRIX_PHASE", negated)
+    fits = _criterion_11_phase_fits(1.0)
+    assert all(v[2] >= 0.02 for v in fits.values())
 
 
 def test_12_poisson_formal_series():

@@ -125,3 +125,23 @@ class TestMainExitCodes:
             assert main(["flow", "--config", cfg, "--out", str(tmp_path / out)]) == 0
         a = (tmp_path / "a" / "flow-report.json").read_bytes()
         assert a == (tmp_path / "b" / "flow-report.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "experiment,body",
+        [
+            ("commutant", {}),
+            ("helmholtz", {}),
+            ("threshold", {"radii": [25.0, 50.0, 100.0]}),
+            ("radon", {"grid_points": 8, "directions": 16}),
+        ],
+    )
+    def test_runner_passes_and_is_byte_stable(self, tmp_path, experiment, body):
+        cfg = write_config(tmp_path, body)
+        for out in ("a", "b"):
+            argv = [experiment, "--config", cfg, "--out", str(tmp_path / out), "--format", "json,csv"]
+            assert main(argv) == 0
+        a_files = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert f"{experiment}-report.json" in a_files
+        assert a_files == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in a_files:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
