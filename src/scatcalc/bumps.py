@@ -26,7 +26,6 @@ __all__ = [
     "smoothstep",
     "smoothstep_prime",
     "plateau",
-    "plateau_prime",
     "FlatSquareCutoff",
 ]
 
@@ -98,12 +97,6 @@ def plateau(t, inner: float, outer: float, digamma: float = 1.0):
     return 1.0 - smoothstep((np.abs(t) - inner) / (outer - inner), digamma)
 
 
-def plateau_prime(t, inner: float, outer: float, digamma: float = 1.0):
-    t = np.asarray(t, dtype=float)
-    w = outer - inner
-    return -np.sign(t) / w * smoothstep_prime((np.abs(t) - inner) / w, digamma)
-
-
 @dataclass
 class FlatSquareCutoff:
     """Decreasing cutoff psi with psi = 1 on [0, t1], psi = 0 on [t2, inf),
@@ -137,6 +130,8 @@ class FlatSquareCutoff:
         per_panel = (self._eta2_raw(pts) * w).sum(axis=1)
         self._prefix = np.concatenate([[0.0], np.cumsum(per_panel)])
         self._norm = self._prefix[-1]
+        if not (np.isfinite(self._norm) and self._norm > 0):
+            raise ValueError(f"eta**2 integrates to {float(self._norm)}; widen [t1, t2] or lower digamma")
 
     def _eta2_raw(self, t):
         return chi0(np.asarray(t) - self.t1, self.digamma) * chi0(

@@ -37,7 +37,6 @@ from .bumps import (
     FlatSquareCutoff,
     chi0,
     plateau,
-    plateau_prime,
     smoothstep,
     smoothstep_prime,
     sqrt_chi0_over_t2,
@@ -285,9 +284,6 @@ def radial_commutant_check(
 
     def phi(p):
         return plateau(p, phi_inner, phi_outer)
-
-    def phip(p):
-        return plateau_prime(p, phi_inner, phi_outer)
 
     # sample chart points: rho > 0, v around the sink, xi near the sphere with
     # x1-dominant directions (xi_1 comfortably positive)

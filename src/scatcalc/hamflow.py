@@ -27,7 +27,7 @@ routine here reads it, and a pair missing from it raises NotImplementedError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -83,25 +83,11 @@ class PhasePointChart:
     sign2: int = 1
 
     def __post_init__(self):
-        rho_key = self._rho_key()
+        rho_key = _RHO_KEYS.get(self.chart)
         if rho_key is not None:
             rho = float(self.coords[rho_key])
             if rho < 0:
                 raise ValueError(f"{rho_key} must be nonnegative, got {rho}")
-
-    def _rho_key(self) -> Optional[str]:
-        return _RHO_KEYS.get(self.chart)
-
-    @property
-    def on_boundary(self) -> bool:
-        key = self._rho_key()
-        return key is not None and float(self.coords[key]) == 0.0
-
-    def copy_with(self, **coords) -> "PhasePointChart":
-        new = dict(self.coords)
-        for k, v in coords.items():
-            new[k] = np.asarray(v, dtype=float) if np.ndim(v) else float(v)
-        return replace(self, coords=new)
 
 
 @dataclass

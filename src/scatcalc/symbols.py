@@ -228,10 +228,6 @@ class SeminormReport:
     flagged: bool
     growth_ratio: float
 
-    @property
-    def in_declared_class(self) -> bool:
-        return not self.flagged
-
 
 # A genuine symbol has scale-wise bounded weighted sups; a log loss grows like
 # log(scale), i.e. by the ratio log(s_hi)/log(s_lo) between the top scales.
@@ -346,9 +342,6 @@ class DenseOperator:
             self.declared_order[1] + other.declared_order[1],
         )
         return DenseOperator(self.spec, kern, order)
-
-    def l2_operator_norm(self) -> float:
-        return float(svdvals(self.as_l2_matrix())[0])
 
 
 def identity_operator(spec: GridSpec) -> DenseOperator:

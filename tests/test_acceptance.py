@@ -2,25 +2,26 @@
 
 Run as `pytest tests/test_acceptance.py -v`; the per-criterion lines are
 written straight to the terminal so they appear regardless of capture.
-Criteria and tolerances are pinned here, not configurable.
+
+Criteria 1, 4-10, 13, 15 and 16 are the criteria of the `scatcalc` CLI
+runners: each test loads its pinned config through `load_config` (the CLI's
+schema validation) and takes its verdict and detail line from
+`run_experiment`, so the runner is the only definition of those criteria and
+their tolerances.  Checks no runner makes stay here as extra assertions.
+Criteria 2, 3, 11, 12 and 14 have no runner and are pinned here.
 """
 
+import json
 import sys
 
 import numpy as np
+import pytest
 
-from scatcalc.grid import (
-    GridField,
-    SobolevOrder,
-    field_from_function,
-    make_grid,
-    sobolev_norm,
-    var_sobolev_norm,
-)
+from scatcalc.cli import load_config, run_experiment
+from scatcalc.grid import make_grid
 from scatcalc.symbols import (
     NotScEllipticError,
     compose_expansion,
-    conormal_seminorm,
     parametrix,
     poisson_bracket,
     quantize,
@@ -41,26 +42,34 @@ def announce(num: int, name: str, ok: bool, detail: str = ""):
     assert ok, line
 
 
-def test_01_quantization_identity():
-    spec = make_grid(1, 20.0, 128)
-    one = sym1d(lambda x, xi: np.ones_like(x + xi), (0, 0), depends_on_x=False, depends_on_xi=False)
-    id_err = float(np.max(np.abs(quantize(one, spec).as_l2_matrix() - np.eye(spec.size))))
+def run(tmp_path, experiment, body):
+    """The CLI runner's report for a config body, validated as the CLI does."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(body))
+    return run_experiment(load_config(path, experiment))
+
+
+def passed(report, *names):
+    """True when the named runner criteria (all of them if none named) hold."""
+    return all(bool(report.criteria[k]) for k in names or report.criteria)
+
+
+def test_01_quantization_identity(tmp_path):
+    rep = run(tmp_path, "quantize-check", {"L": 20.0, "N": 128})
+    # extra: the composed symbol of xi # x itself is x xi - i
     s_xi = sym1d(lambda x, xi: xi + 0 * x, (1, 0), depends_on_x=False)
     s_x = sym1d(lambda x, xi: x + 0 * xi, (0, 1), depends_on_xi=False)
     comp = compose_expansion(s_xi, s_x, 2)
     xs = np.linspace(-5, 5, 11)[:, None]
     xis = np.linspace(-4, 4, 11)[:, None]
     sym_err = float(np.max(np.abs(comp(xs, xis) - (xs[:, 0] * xis[:, 0] - 1j))))
-    diff = (
-        quantize(s_xi, spec).compose(quantize(s_x, spec)).as_l2_matrix()
-        - quantize(comp, spec).as_l2_matrix()
+    m = rep.metrics
+    announce(
+        1,
+        "quantization identity",
+        passed(rep) and sym_err < 1e-9,
+        f"Op(1) err {m['op1_identity_err']:.1e}, xi.x resid {m['moyal_terminating_resid']:.1e}",
     )
-    resid = 0.0
-    for shift in (-3.0, 0.0, 2.0):
-        u = field_from_function(spec, lambda x: np.exp(-((x - shift) ** 2) / 5.0))
-        resid = max(resid, float(np.linalg.norm(diff @ u.values) / np.linalg.norm(u.values)))
-    ok = id_err < 1e-10 and sym_err < 1e-9 and resid < 1e-9
-    announce(1, "quantization identity", ok, f"Op(1) err {id_err:.1e}, xi.x resid {resid:.1e}")
 
 
 def test_02_commutator_vs_poisson_bracket():
@@ -122,67 +131,56 @@ def test_03_parametrix_neumann_series():
     announce(3, "parametrix Neumann series", ok, "residuals " + ", ".join(f"{r:.4f}" for r in resids))
 
 
-def test_04_model_quantitative_estimate():
-    from scatcalc.commutants import model_inequality_margins
-
-    spec = make_grid(2, 6.0, 64)
-    pairs = model_inequality_margins(spec, n_fields=20, seed=2026)
-    worst = min(rhs - lhs for lhs, rhs in pairs)
-    ok = len(pairs) == 20 and all(lhs <= rhs + 1e-8 for lhs, rhs in pairs)
-    announce(4, "model quantitative estimate (constant 36)", ok, f"min margin {worst:.3f}")
+COMMUTANT = {"seed": 2026, "s0": 1.0, "eps": 0.25, "digamma": 10.0, "lambda": 1.0,
+             "r_below": -1.0, "r_above": 0.0, "delta": 0.05, "L": 6.0, "N": 64, "fields": 20}
 
 
-def test_05_commutant_identities():
-    from scatcalc.commutants import (
-        SupportTooWideError,
-        build_propagation_commutant,
-        radial_commutant_check,
+def test_04_model_quantitative_estimate(tmp_path):
+    rep = run(tmp_path, "commutant", COMMUTANT)
+    announce(
+        4,
+        "model quantitative estimate (constant 36)",
+        passed(rep, "model_inequality"),
+        f"min margin {rep.metrics['model_inequality_min_margin']:.3f}",
     )
 
-    cb = build_propagation_commutant(1.0, 0.25, digamma=10.0)
-    below = radial_commutant_check(1.0, -1.0, 0.05)
-    above = radial_commutant_check(1.0, 0.0, 0.05)
-    try:
-        radial_commutant_check(1.0, -0.5, 0.05)
-        rejected = False
-    except SupportTooWideError:
-        rejected = True
-    ok = (
-        cb.residual_sup < 1e-8
-        and cb.eprime_support_ok
-        and below.residual_sup < 1e-8
-        and below.min_b_scaled > 0
-        and above.residual_sup < 1e-8
-        and rejected
+
+def test_05_commutant_identities(tmp_path):
+    from scatcalc.commutants import radial_commutant_check
+
+    rep = run(tmp_path, "commutant", COMMUTANT)
+    # extra: the scaled b term stays positive near the radial set below threshold
+    v = rep.parameters
+    min_b = radial_commutant_check(v["lambda"], v["r_below"], v["delta"]).min_b_scaled
+    ok = min_b > 0 and passed(
+        rep,
+        "flowbox_identity",
+        "eprime_in_turn_on",
+        "radial_identity_below",
+        "radial_identity_above",
+        "threshold_order_rejected",
     )
+    m = rep.metrics
     announce(
         5,
         "commutant identities",
         ok,
-        f"flow-box {cb.residual_sup:.1e}, radial {below.residual_sup:.1e}/{above.residual_sup:.1e}",
+        f"flow-box {m['flowbox_residual']:.1e}, "
+        f"radial {m['radial_residual_below']:.1e}/{m['radial_residual_above']:.1e}",
     )
 
 
-def test_06_helmholtz_dynamics():
-    from scatcalc.hamflow import (
-        PhasePointChart,
-        find_radial_points,
-        flow_trajectory,
-        helmholtz_model,
-        helmholtz_radial_distance,
-        threshold_data,
-    )
+def test_06_helmholtz_dynamics(tmp_path):
+    from scatcalc.hamflow import PhasePointChart, helmholtz_model, threshold_data
 
+    radial = run(tmp_path, "radial", {"model": "helmholtz", "lambda": 1.0, "dim": 2, "resolution": 8})
+    flow = run(
+        tmp_path,
+        "flow",
+        {"seed": 20260810, "lambda": 1.0, "dim": 2, "trajectories": 50, "time": 20.0, "dt": 0.01},
+    )
+    # extra: beta ratio at one radial point seen in two overlapping charts
     H = helmholtz_model(1.0, 2)
-    rep = find_radial_points(H, resolution=8)
-    tau_dev = max(abs(abs(p.tau) - 1.0) for p in rep.points)
-    mu_max = max(abs(p.mu) for p in rep.points)
-    verdicts_ok = all(
-        (p.family == "out") == (p.verdict == "sink")
-        and (p.family == "in") == (p.verdict == "source")
-        for p in rep.points
-    )
-    # beta ratio at one radial point seen in two overlapping charts
     xi = np.array([0.8, 0.6])
     pt0 = PhasePointChart(
         "spatial_face", {"rho": 0.0, "y": np.array([0.75]), "xi": xi}, axis=0, sign=1
@@ -193,107 +191,97 @@ def test_06_helmholtz_dynamics():
     b0a, b1a, _ = threshold_data(H, pt0)
     b0b, b1b, _ = threshold_data(H, pt1)
     ratio_err = max(abs(b1a / b0a - 2.0), abs(b1b / b0b - 2.0))
-    rng = np.random.default_rng(20260810)
-    worst_dist = 0.0
-    for _ in range(50):
-        xi_r = rng.standard_normal(2)
-        xi_r /= np.linalg.norm(xi_r)
-        xd = rng.standard_normal(2)
-        xd /= np.linalg.norm(xd)
-        j = int(np.argmax(np.abs(xd)))
-        others = [m for m in range(2) if m != j]
-        start = PhasePointChart(
-            "spatial_face",
-            {"rho": 0.0, "y": xd[others] / xd[j], "xi": xi_r},
-            axis=j,
-            sign=int(np.sign(xd[j])),
-        )
-        path = flow_trajectory(H, start, 20.0, 0.01)
-        worst_dist = max(worst_dist, helmholtz_radial_distance(H, path[-1], "out"))
-    ok = (
-        tau_dev < 1e-8
-        and mu_max < 1e-8
-        and verdicts_ok
-        and ratio_err < 1e-6
-        and worst_dist < 1e-3
-    )
     announce(
         6,
         "Helmholtz dynamics",
-        ok,
-        f"tau dev {tau_dev:.1e}, ratio err {ratio_err:.1e}, worst dist {worst_dist:.1e}",
+        passed(radial) and passed(flow) and ratio_err < 1e-6,
+        f"tau dev {radial.metrics['tau_deviation']:.1e}, ratio err {ratio_err:.1e}, "
+        f"worst dist {flow.metrics['max_final_distance_to_out']:.1e}",
     )
 
 
-def test_07_degeneracy_gate():
-    from scatcalc.hamflow import (
-        PhasePointChart,
-        ThresholdDegeneracyError,
-        classify_radial,
-        threshold_data,
-        wave_model,
-    )
+@pytest.mark.parametrize("verdict", ["sink", "saddle"])
+def test_06_in_point_must_be_source(tmp_path, monkeypatch, verdict):
+    # relabel one in-radial point: "sink" also breaks the out/sink pairing,
+    # "saddle" breaks only the in/source one
+    import dataclasses
 
-    Hw = wave_model()
+    import scatcalc.hamflow as hf
+
+    real = hf.find_radial_points
+
+    def relabelled(H, **kwargs):
+        rep = real(H, **kwargs)
+        i = next(i for i, p in enumerate(rep.points) if p.family == "in")
+        rep.points[i] = dataclasses.replace(rep.points[i], verdict=verdict)
+        return rep
+
+    monkeypatch.setattr(hf, "find_radial_points", relabelled)
+    rep = run(tmp_path, "radial", {"model": "helmholtz"})
+    assert rep.criteria["in_source_out_sink"] is False
+
+
+def test_07_degeneracy_gate(tmp_path):
+    from scatcalc.hamflow import PhasePointChart, ThresholdDegeneracyError, threshold_data, wave_model
+
+    rep = run(tmp_path, "radial", {"model": "wave", "resolution": 8})
+    # extra: threshold data refuse the degenerate zero-section point
     pt = PhasePointChart("kg_face", {"rho": 0.0, "v": 0.0, "tau": 0.0, "xi": 0.0}, sign=1)
-    verdict, _ = classify_radial(Hw, pt)
-    refused = False
     try:
-        threshold_data(Hw, pt)
+        threshold_data(wave_model(), pt)
+        refused = False
     except ThresholdDegeneracyError:
         refused = True
-    ok = verdict == "degenerate" and refused
-    announce(7, "wave-operator degeneracy gate", ok, f"verdict {verdict}")
+    ok = passed(rep) and refused
+    announce(7, "wave-operator degeneracy gate", ok, f"verdict {rep.metrics['zero_section_verdict']}")
 
 
-def test_08_stationary_phase_slopes():
-    from scatcalc.helmholtz import error_slope, sphere_density
-
+def test_08_stationary_phase_slopes(tmp_path):
     # dense ladder: the error magnitude carries an oscillatory |sin| factor
     # whose sparse sampling would wobble the fitted slope
-    radii = np.geomspace(20.0, 200.0, 24)
-    f2 = sphere_density(2, lambda th: 1.0 + 0.5 * th[:, 0] + 0.2j * th[:, 1])
-    s2 = error_slope(f2, 1.0, radii)
-    f3 = sphere_density(3, lambda th: 1.0 + 0.4 * th[:, 2] + 0.2 * th[:, 0])
-    s3 = error_slope(f3, 1.0, radii)
-    ok = abs(s2 + 1.5) < 0.2 and abs(s3 + 2.0) < 0.2
-    announce(8, "stationary phase error slopes", ok, f"n=2: {s2:.3f}, n=3: {s3:.3f}")
+    rep = run(
+        tmp_path,
+        "helmholtz",
+        {"lambda": 1.0, "dims": [2, 3], "r_min": 20.0, "r_max": 200.0, "n_radii": 24},
+    )
+    m = rep.metrics
+    announce(
+        8,
+        "stationary phase error slopes",
+        passed(rep, "stationary_phase_n2", "stationary_phase_n3"),
+        f"n=2: {m['slope_n2']:.3f}, n=3: {m['slope_n3']:.3f}",
+    )
 
 
-def test_09_threshold_trichotomy():
-    from scatcalc.helmholtz import sphere_density, threshold_scan
-
-    f = sphere_density(2, lambda th: 1.0 + 0.45 * th[:, 0] + 0.2j * th[:, 1])
-    table = threshold_scan(f, 1.0, [-0.75, -0.5, -0.25, 0.0], [50.0, 100.0, 200.0, 400.0])
-    e0 = table[0.0]["exponent"]
-    e25 = table[-0.25]["exponent"]
-    r2 = table[-0.5]["log_r2"]
-    ratio = table[-0.75]["ratio"]
-    ok = abs(e0 - 1.0) < 0.05 and abs(e25 - 0.5) < 0.05 and r2 > 0.99 and ratio < 1.05
+def test_09_threshold_trichotomy(tmp_path):
+    rep = run(
+        tmp_path,
+        "threshold",
+        {"lambda": 1.0, "orders": [-0.75, -0.5, -0.25, 0.0], "radii": [50.0, 100.0, 200.0, 400.0]},
+    )
+    m = rep.metrics
     announce(
         9,
         "threshold trichotomy",
-        ok,
-        f"exps {e25:.3f}/{e0:.3f}, log R2 {r2:.4f}, ratio {ratio:.3f}",
+        passed(rep, "bounded_r-0.75", "log_at_threshold", "growth_r-0.25", "growth_r0.0"),
+        f"exps {m['exponent_r-0.25']:.3f}/{m['exponent_r0.0']:.3f}, "
+        f"log R2 {m['log_fit_r2']:.4f}, ratio {m['bounded_ratio_r-0.75']:.3f}",
     )
 
 
-def test_10_boundary_pairing():
+def test_10_boundary_pairing(tmp_path):
     from scatcalc.helmholtz import (
         asymptotic_profile,
         boundary_pairing_check,
-        build_poisson_series,
-        solution_from_series,
         sphere_density,
         sphere_rule,
     )
 
+    rep = run(tmp_path, "pairing", {"lambda": 1.0, "radii": [100.0, 200.0, 400.0]})
+    # extra: boundary_pairing_check(f1, f1) against the direct formula
+    # 2 i lam (||f+||^2 - ||f-||^2), which vanishes
     lam = 1.0
     f1 = sphere_density(2, lambda th: 1.0 + 0.5 * th[:, 0] + 0.2j * th[:, 1])
-    ser = build_poisson_series({0: 1.0, 1: 0.4, -1: 0.15j}, 0, lam, 2)
-    sol = solution_from_series(ser)
-    gaps = [boundary_pairing_check(f1, sol, lam, R)[2] for R in (100.0, 200.0, 400.0)]
-    # self pairing: rhs equals 2 i lam (||f+||^2 - ||f-||^2), which vanishes
     _, rhs_self, _ = boundary_pairing_check(f1, f1, lam, 100.0)
     prof = asymptotic_profile(f1, lam)
     nodes, w = sphere_rule(2, 64)
@@ -302,11 +290,11 @@ def test_10_boundary_pairing():
         - np.sum(w * np.abs(prof.f_minus(nodes)) ** 2)
     )
     self_err = abs(rhs_self - complex(direct))
-    ok = gaps[-1] < 0.10 and gaps[0] > gaps[1] > gaps[2] and self_err < 1e-6
+    gaps = [row["gap"] for row in rep.tables["pairing"]]
     announce(
         10,
         "boundary pairing",
-        ok,
+        passed(rep) and self_err < 1e-6,
         f"gaps {gaps[0]:.2e}>{gaps[1]:.2e}>{gaps[2]:.2e}, self {self_err:.1e}",
     )
 
@@ -401,42 +389,39 @@ def test_12_poisson_formal_series():
     announce(12, "Poisson formal series", ok, f"slopes {['%.2f' % s for s in slopes]}")
 
 
-def test_13_one_dimensional_scattering():
-    from scatcalc.scatter1d import (
-        compact_bump,
-        gaussian_bump,
-        solve_scatter,
-        square_barrier,
-        square_barrier_coeffs,
-        wronskian_drift,
-    )
-
-    lambdas = np.linspace(0.5, 3.2, 10)
-    worst_defect, worst_drift, worst_oracle = 0.0, 0.0, 0.0
-    for V, name in (
-        (square_barrier(2.0, 1.0), "barrier"),
-        (gaussian_bump(1.2, 1.5), "gauss"),
-        (compact_bump(0.8, 1.0), "bump"),
-    ):
-        for lam in lambdas:
-            sol = solve_scatter(V, float(lam))
-            worst_defect = max(worst_defect, sol.coeffs.unitarity_defect)
-            worst_drift = max(worst_drift, wronskian_drift(sol))
-            if name == "barrier":
-                o = square_barrier_coeffs(2.0, 1.0, float(lam))
-                worst_oracle = max(
-                    worst_oracle, abs(sol.coeffs.r - o.r) + abs(sol.coeffs.t - o.t)
-                )
-    ok = worst_defect < 1e-6 and worst_drift < 1e-8 and worst_oracle < 1e-6
+def test_13_one_dimensional_scattering(tmp_path):
+    reps = [
+        run(tmp_path, "scatter1d", {"potential": name, "height": height, "width": width})
+        for name, height, width in (
+            ("square_barrier", 2.0, 1.0),
+            ("gaussian_bump", 1.2, 1.5),
+            ("compact_bump", 0.8, 1.0),
+        )
+    ]
+    defect = max(r.metrics["max_unitarity_defect"] for r in reps)
+    drift = max(r.metrics["max_wronskian_drift"] for r in reps)
     announce(
         13,
         "1D scattering",
-        ok,
-        f"defect {worst_defect:.1e}, drift {worst_drift:.1e}, oracle {worst_oracle:.1e}",
+        all(passed(r) for r in reps) and passed(reps[0], "matches_closed_form"),
+        f"defect {defect:.1e}, drift {drift:.1e}, oracle {reps[0].metrics['barrier_oracle_err']:.1e}",
     )
 
 
-def test_14_liouville_green_profiles():
+#: cutoff ladder of the criterion-14 tail masses (three rungs of ratio 4)
+LG_LADDER = (100.0, 400.0, 1600.0)
+
+
+def lg_mass_closed_form(k, cutoffs):
+    """Oracle for lg_tail_masses: int_10^c x^{-k/2} dx in closed form."""
+    c = np.asarray(cutoffs, dtype=float)
+    if k == 2:
+        return np.log(c / 10.0)
+    expo = 1.0 - k / 2.0
+    return (c**expo - 10.0**expo) / expo
+
+
+def _criterion_14():
     from scatcalc.scatter1d import lg_profile_residual, lg_tail_masses, symmetry_boundary_term
 
     ranges = {3: (10.0, 1000.0), 4: (10.0, 1000.0), 5: (10.0, 400.0), 6: (10.0, 140.0)}
@@ -445,94 +430,62 @@ def test_14_liouville_green_profiles():
         for k in (3, 4, 5, 6)
         for eps in (-1, 1)
     )
-    dichotomy_ok = (not lg_tail_masses(2, [100.0, 400.0])["convergent"]) and all(
-        lg_tail_masses(k, [100.0, 400.0])["convergent"] for k in (3, 4, 5, 6)
+    tails = {k: lg_tail_masses(k, LG_LADDER) for k in (2, 3, 4, 5, 6)}
+    masses_ok = all(
+        np.allclose(t["masses"], lg_mass_closed_form(k, LG_LADDER), rtol=1e-12, atol=0.0)
+        for k, t in tails.items()
     )
+    dichotomy_ok = not tails[2]["convergent"] and all(tails[k]["convergent"] for k in (3, 4, 5, 6))
     terms = [abs(symmetry_boundary_term(R)) for R in (50.0, 100.0, 200.0)]
     term_ok = min(terms) > 1.9 and (max(terms) - min(terms)) / min(terms) < 0.5
-    ok = slopes_ok and dichotomy_ok and term_ok
-    announce(14, "Liouville-Green profiles", ok, f"boundary terms {['%.3f' % t for t in terms]}")
+    ok = slopes_ok and masses_ok and dichotomy_ok and term_ok
+    return ok, f"boundary terms {['%.3f' % t for t in terms]}"
 
 
-def test_15_radon_flat_model():
-    from scatcalc.radon import (
-        ConeCutoff,
-        cone_ellipticity_check,
-        default_cone,
-        default_profile,
-        injectivity_probe,
-        normal_kernel_symbol,
-        pairing_gap,
-    )
+def test_14_liouville_green_profiles():
+    announce(14, "Liouville-Green profiles", *_criterion_14())
 
-    phi = default_profile()
 
-    def f(p):
-        return np.exp(-np.sum((p - np.array([0.1, -0.15])) ** 2, axis=-1))
+def test_14_fails_when_k3_carries_the_k2_amplitude(monkeypatch):
+    # the tail verdict is read from the quadrature masses, so a k = 3 profile
+    # with the harmonic k = 2 amplitude must be judged divergent
+    import scatcalc.scatter1d as sc
 
-    def v(p, k):
-        return np.exp(-0.8 * np.sum(p**2, axis=-1)) * (1.0 + 0.01 * k)
+    real = sc.lg_profile
+    monkeypatch.setattr(sc, "lg_profile", lambda k, eps, branch=1: real(2 if k == 3 else k, eps, branch))
+    assert not sc.lg_tail_masses(3, LG_LADDER)["convergent"]
+    assert not _criterion_14()[0]
 
-    gap = pairing_gap(f, v, phi, 2, n_dirs=32)
-    qs = np.geomspace(0.1, 100.0, 25)
-    tab = normal_kernel_symbol(2, phi, qs)
-    positive = bool(np.min(tab["symbol"]) > 0)
-    top = tab["scaled"][qs >= 10.0]
-    plateau_var = float((top.max() - top.min()) / top.mean())
-    full = ConeCutoff(lambda w: np.ones_like(np.asarray(w, dtype=float)))
-    ladder = (5.0, 20.0, 80.0)
-    cone3 = cone_ellipticity_check(3, default_cone(0.3), phi, xi_ladder=ladder)
-    full2 = cone_ellipticity_check(2, full, phi, xi_ladder=ladder)
-    narrow2 = cone_ellipticity_check(2, default_cone(0.3), phi, xi_ladder=ladder)
-    floor3 = min(cone3["scaled_floor"])
-    collapse = narrow2["scaled_floor"][-1] / full2["scaled_floor"][-1]
-    r24 = injectivity_probe(2, grid_points=24)
+
+def test_15_radon_flat_model(tmp_path):
+    from scatcalc.radon import default_cone, injectivity_probe
+
+    rep = run(tmp_path, "radon", {"dim": 2, "grid_points": 24, "directions": 64, "cone_width": 0.3})
+    # extra: sigma_min is stable under grid refinement, and the cone-cut
+    # 3-D probe is injective too
     r30 = injectivity_probe(2, grid_points=30)
-    stable = 0.7 < r30["sigma_min"] / r24["sigma_min"] < 1.3
+    stable = 0.7 < r30["sigma_min"] / rep.metrics["sigma_min"] < 1.3
     r3 = injectivity_probe(3, grid_points=10, n_dirs=60, n_t=12, chi=default_cone(0.3))
-    ok = (
-        gap < 1e-6
-        and positive
-        and plateau_var < 0.05
-        and floor3 > 0
-        and collapse < 1e-3
-        and r24["sigma_min"] > 0
-        and stable
-        and r24["reconstruction_error"] < 1e-3
-        and r3["sigma_min"] > 0
-        and r3["reconstruction_error"] < 1e-3
-    )
+    ok = passed(rep) and stable and r3["sigma_min"] > 0 and r3["reconstruction_error"] < 1e-3
+    m = rep.metrics
     announce(
         15,
         "flat Radon model",
         ok,
-        f"adjoint {gap:.1e}, plateau {plateau_var:.3f}, collapse {collapse:.1e}, "
-        f"sigma_min {r24['sigma_min']:.3f}",
+        f"adjoint {m['adjointness_gap']:.1e}, plateau {m['plateau_variation']:.3f}, "
+        f"collapse {m['cone2_collapse_ratio']:.1e}, sigma_min {m['sigma_min']:.3f}",
     )
 
 
-def test_16_variable_orders():
-    amp = 1.0 / 16.0
-
-    def ell(x, xi):
-        return -amp * (1.0 + xi / np.sqrt(1.0 + xi**2))
-
-    a = sym1d(lambda x, xi: (1.0 + x**2) ** (0.5 * ell(x, xi)), (0, 0))
-    rep = conormal_seminorm(a, 1)
-    spec = make_grid(1, 12.0, 96)
-    xs = spec.axis()
-    u = GridField(spec, (np.exp(-((xs - 1.0) ** 2) / 2.0) * (1.0 + 0.2j)).astype(complex))
-    worst = 0.0
-    for s, rc in ((0.0, -1.0), (1.0, -1.0), (0.0, 0.5)):
-        nv = var_sobolev_norm(
-            u, SobolevOrder(s=s, variable_r=lambda x, xi, rc=rc: rc + 0.0 * x[..., 0] * xi[..., 0])
-        )
-        nf = sobolev_norm(u, SobolevOrder(s=s, r=rc))
-        worst = max(worst, abs(nv - nf) / nf)
-    ok = rep.flagged and worst < 1e-6
+def test_16_variable_orders(tmp_path):
+    reps = [
+        run(tmp_path, "var-order", {"L": 12.0, "N": 96, "s": s, "r_const": rc})
+        for s, rc in ((0.0, -1.0), (1.0, -1.0), (0.0, 0.5))
+    ]
+    worst = max(r.metrics["const_order_rel_err"] for r in reps)
     announce(
         16,
         "variable orders",
-        ok,
-        f"log-loss growth {rep.growth_ratio:.2f}, const-order err {worst:.1e}",
+        all(passed(r) for r in reps),
+        f"log-loss growth {reps[0].metrics['log_loss_growth_ratio']:.2f}, const-order err {worst:.1e}",
     )

@@ -79,3 +79,9 @@ class TestFlatSquareCutoff:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             FlatSquareCutoff(1.0, 0.5)
+
+    def test_underflowing_normalisation_rejected(self):
+        # eta**2 underflows to 0 on every node of a short interval at large
+        # digamma; the cutoff would be NaN, so construction must fail
+        with pytest.raises(ValueError, match="integrates to 0"):
+            FlatSquareCutoff(0.01, 0.04, digamma=10.0)

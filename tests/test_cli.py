@@ -33,6 +33,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="range check"):
             load_config(write_config(tmp_path, {"N": 127}), "quantize-check")
 
+    @pytest.mark.parametrize(
+        "experiment,body", [("radial", {"model": "schrodinger"}), ("scatter1d", {"potential": "step"})]
+    )
+    def test_name_outside_constructor_table(self, tmp_path, experiment, body):
+        with pytest.raises(ConfigError, match="range check"):
+            load_config(write_config(tmp_path, body), experiment)
+
     def test_parse_error(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")
@@ -131,7 +138,9 @@ class TestMainExitCodes:
         [
             ("commutant", {}),
             ("helmholtz", {}),
-            ("threshold", {"radii": [25.0, 50.0, 100.0]}),
+            # the ladder must reach the tail: bounded_r-0.75 needs
+            # mass(R_top) / mass(R_top-2) < 1.05, and [25, 50, 100] gives 1.089
+            ("threshold", {"radii": [40.0, 80.0, 120.0, 160.0]}),
             ("radon", {"grid_points": 8, "directions": 16}),
         ],
     )

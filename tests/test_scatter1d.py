@@ -107,6 +107,11 @@ class TestLGProfiles:
         # harmonic growth: equal increments per doubling
         assert (m[1] - m[0]) == pytest.approx(m[2] - m[1], rel=1e-12)
 
+    @pytest.mark.parametrize("cutoffs", [[100.0, 400.0], [5.0, 100.0, 400.0], [100.0, 400.0, 200.0]])
+    def test_tail_ladder_rejected(self, cutoffs):
+        with pytest.raises(ValueError):
+            lg_tail_masses(3, cutoffs)
+
     def test_profile_closed_form_derivatives(self):
         u, up, upp = lg_profile(4, -1)(np.linspace(5.0, 9.0, 11))
         h = 1e-5
