@@ -28,7 +28,7 @@ asymptotic tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -75,9 +75,9 @@ class CommutantBundle:
     eprime_support_ok: bool
 
 
-def _chart_grid(s0: float, eps: float, nz1: int = 221, nz2: int = 101):
-    z1 = np.linspace(-eps - 0.5, s0 + eps + 0.5, nz1)
-    z2 = np.linspace(-2 * eps - 0.5, 2 * eps + 0.5, nz2)
+def _chart_grid(s0: float, eps: float):
+    z1 = np.linspace(-eps - 0.5, s0 + eps + 0.5, 221)
+    z2 = np.linspace(-2 * eps - 0.5, 2 * eps + 0.5, 101)
     return np.meshgrid(z1, z2, indexing="ij")
 
 
@@ -87,7 +87,6 @@ def build_propagation_commutant(
     digamma: Optional[float] = None,
     orders: tuple[float, float] = (0.0, 0.0),
     p1: Optional[Callable] = None,
-    grid_shape: tuple[int, int] = (221, 101),
 ) -> CommutantBundle:
     """Commutant bundle on a flow-box chart (z1, z') with H_p = d/dz1.
 
@@ -121,7 +120,7 @@ def build_propagation_commutant(
     def psi(z2):
         return plateau(z2, eps, 2 * eps)
 
-    Z1, Z2 = _chart_grid(s0, eps, *grid_shape)
+    Z1, Z2 = _chart_grid(s0, eps)
     competing = (T - Z1) ** 2 * (np.abs(p1_eff(Z1, Z2)) + w(Z1, Z2))
     auto = digamma is None
     dig = 10.0 * float(np.max(competing)) if auto else float(digamma)
@@ -243,7 +242,6 @@ class RadialCommutantReport:
     min_b_scaled: float
     delta: float
     r: float
-    params: dict = field(default_factory=dict)
 
 
 def radial_commutant_check(
@@ -255,7 +253,6 @@ def radial_commutant_check(
     psi_outer: float = 0.09,
     phi_inner: float = 0.10,
     phi_outer: float = 0.25,
-    digamma: float = 8.0,
     n_rho: int = 14,
     n_v: int = 15,
     n_xi: int = 9,
@@ -347,5 +344,4 @@ def radial_commutant_check(
         min_b_scaled=min_b,
         delta=delta,
         r=r,
-        params={"lambda": lam, "digamma": digamma},
     )

@@ -15,7 +15,7 @@ error rather than a modeling choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -294,7 +294,7 @@ def var_sobolev_norm(u: GridField, ord: SobolevOrder) -> float:
 
 def truncated_weighted_mass(
     u: Callable[[np.ndarray], np.ndarray],
-    r: float,
+    r: float | Sequence[float],
     R: float,
     *,
     n: int,
@@ -303,28 +303,32 @@ def truncated_weighted_mass(
     gl_order: int = 8,
     tol: float = 1e-8,
     check: bool = True,
-) -> float:
+) -> float | list[float]:
     """integral_{|x| <= R} <x>^{2r} |u|^2 dx by radial x angular quadrature.
 
     u must be vectorized over (M, n) point arrays.  Composite Gauss-Legendre
-    panels in the radius, a trapezoidal/product rule on the sphere.  When
-    `check` is set, the result is compared against a higher-order radial rule
+    panels in the radius, a trapezoidal/product rule on the sphere.  r is one
+    order (a float comes back) or a sequence of orders (a list of masses comes
+    back, one per order, from a single evaluation of u on the nodes).  When
+    `check` is set, each result is compared against a higher-order radial rule
     and a :class:`QuadratureError` is raised on disagreement beyond tol.
     """
     if R < 1:
         raise ValueError("R must be at least 1")
-    val = _mass_once(u, r, R, n, panel_width, n_ang, gl_order)
+    orders = list(r) if np.ndim(r) else [r]
+    vals = _mass_once(u, orders, R, n, panel_width, n_ang, gl_order)
     if check:
-        ref = _mass_once(u, r, R, n, panel_width, n_ang, gl_order + 4)
-        scale = max(abs(ref), 1e-300)
-        if abs(val - ref) / scale > tol:
-            raise QuadratureError(
-                f"radial quadrature not converged: {val!r} vs {ref!r} at order {gl_order}"
-            )
-    return val
+        refs = _mass_once(u, orders, R, n, panel_width, n_ang, gl_order + 4)
+        for val, ref in zip(vals, refs):
+            scale = max(abs(ref), 1e-300)
+            if abs(val - ref) / scale > tol:
+                raise QuadratureError(
+                    f"radial quadrature not converged: {val!r} vs {ref!r} at order {gl_order}"
+                )
+    return vals if np.ndim(r) else vals[0]
 
 
-def _mass_once(u, r, R, n, panel_width, n_ang, gl_order) -> float:
+def _mass_once(u, orders, R, n, panel_width, n_ang, gl_order) -> list:
     n_panels = max(1, int(np.ceil(R / panel_width)))
     radii, rw = (a.ravel() for a in gauss_panels(0.0, R, n_panels, gl_order))
     theta, tw = product_sphere_rule(n, max(4, n_ang // 2), n_ang)
@@ -332,8 +336,11 @@ def _mass_once(u, r, R, n, panel_width, n_ang, gl_order) -> float:
     M = pts.shape[0] * pts.shape[1]
     vals = np.asarray(u(pts.reshape(M, n))).reshape(len(radii), len(tw))
     ang = np.abs(vals) ** 2 @ tw
-    wgt = (1.0 + radii**2) ** r * radii ** (n - 1)
-    return float(np.sum(rw * wgt * ang))
+    masses = []
+    for r in orders:
+        wgt = (1.0 + radii**2) ** r * radii ** (n - 1)
+        masses.append(float(np.sum(rw * wgt * ang)))
+    return masses
 
 
 def fit_growth_exponent(radii, masses) -> float:

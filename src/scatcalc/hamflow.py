@@ -21,13 +21,16 @@ are invariant statements.
 
 The table ``_SPECS`` is the single source for what each (model, chart) pair
 means: flat coordinate layout, closed-form field, defining and transverse
-slots, characteristic function and the maps of the limit oracle.  Every
-routine here reads it, and a pair missing from it raises NotImplementedError.
+slots, characteristic function, the maps of the limit oracle and the seeds of
+the radial scan.  Every routine here reads it, and a pair missing from it
+raises NotImplementedError; :func:`find_radial_points` walks the scans of a
+model's entries in table order and raises it for a model with none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,10 +64,13 @@ __all__ = [
 
 EPS_EIG = 1e-6
 TANGENCY_TOL = 1e-9
+FIELD_TOL = 1e-10  # |rescaled field| above which a scan candidate is not radial
+CHAR_TOL = 1e-8  # |char_value| up to which a flow start counts as null
 
 
 class ThresholdDegeneracyError(RuntimeError):
-    """Radial point with vanishing normal rate beta_0.
+    """Radial point whose threshold data is undefined, chiefly by a vanishing
+    normal rate beta_0.
 
     This is the zero-frequency pathology of the wave operator: the defining
     square roots of the commutant construction lose strict positivity, and the
@@ -190,6 +196,7 @@ class _ChartSpec:
     coords: Optional[Callable] = None
     interior: Optional[Callable] = None
     rescale: Optional[Callable] = None
+    scan: Optional[Callable] = None  # (H, resolution) -> radial candidates (pt, family, tau, mu)
 
 
 def _symbol_field(H, pt, s):
@@ -296,6 +303,101 @@ def _schrodinger_interior(pt, H, s, rho):
     return np.concatenate([[t], s[1:n] * t]), np.concatenate([[s[n]], s[n + 1 :]])
 
 
+def _sc_frequencies(x_dir: np.ndarray, xi: np.ndarray):
+    """Scattering frequencies (tau, |mu|) of (x_dir, xi): tau is minus the
+    radial component of xi along x_dir, mu the tangential part."""
+    xhat = x_dir / np.linalg.norm(x_dir)
+    tau = -float(np.dot(xhat, xi))
+    mu = float(np.linalg.norm(xi + tau * xhat))
+    return tau, mu
+
+
+def _sphere_grid(n: int, resolution: int, radius: float):
+    """Weightless seed points on the sphere of the given radius."""
+    if n == 1:
+        return [np.array([radius]), np.array([-radius])]
+    if n == 2:
+        th = 2 * np.pi * (np.arange(resolution) + 0.37) / resolution
+        return [radius * np.array([np.cos(t), np.sin(t)]) for t in th]
+    out = []
+    for c in np.linspace(-0.9, 0.9, resolution // 2 + 2):
+        s = np.sqrt(1 - c**2)
+        for t in 2 * np.pi * (np.arange(resolution) + 0.29) / resolution:
+            out.append(radius * np.array([s * np.cos(t), s * np.sin(t), c]))
+    return out
+
+
+def _helmholtz_scan(H, resolution):
+    # per xi on the sphere |xi| = lambda and per hemisphere: the best point of
+    # a coarse grid in the chart's angular coordinates, then Newton polish
+    n = H.dim
+    ygrid = np.linspace(-1.0, 1.0, 7)
+    for xi in _sphere_grid(n, resolution, H.params["lambda"]):
+        j = int(np.argmax(np.abs(xi)))
+        for sign in (+1, -1):
+            seeds = (
+                PhasePointChart("spatial_face", {"rho": 0.0, "y": y, "xi": xi.copy()}, j, sign)
+                for y in map(np.array, product(ygrid, repeat=n - 1))
+            )
+            pt = _newton_polish(H, min(seeds, key=lambda c: np.max(np.abs(_flat_field(H, c)))))
+            u = np.insert(np.atleast_1d(pt.coords["y"]), j, 1.0)
+            tau, mu = _sc_frequencies(sign * u, xi)
+            yield pt, "out" if tau < 0 else "in", tau, mu
+
+
+def _d_x1_scan(H, resolution):
+    n = H.dim
+    for xi_rest in np.linspace(-1.0, 1.0, resolution):
+        xi = np.zeros(n)
+        if n > 1:
+            xi[1] = xi_rest
+        for sigma in (+1, -1):
+            coords = {"rho": 0.0, "y": np.zeros(n - 1), "xi": xi.copy()}
+            pt = _newton_polish(H, PhasePointChart("spatial_face", coords, axis=0, sign=sigma))
+            x_dir = np.zeros(n)
+            x_dir[0] = sigma
+            tau, mu = _sc_frequencies(x_dir, xi) if np.linalg.norm(xi) > 0 else (0.0, 0.0)
+            yield pt, "x1_" + ("plus" if sigma > 0 else "minus"), tau, mu
+
+
+def _kg_scan(H, resolution):
+    m = H.params["mass"]
+    for xi in np.linspace(-2.0, 2.0, 2 * resolution + 1):
+        for tsheet in (+1, -1):
+            tau = tsheet * np.sqrt(xi**2 + m**2)
+            # interior requirement: x1/t = (v - xi)/tau must stay in the
+            # t-dominant chart, which holds near the timelike caps
+            if tau != 0.0 and abs((0.0 - xi) / tau) > 1.5:
+                continue
+            sheet = "tau+" if tau > 0 else ("tau-" if tau < 0 else "tau0")
+            coords = {"rho": 0.0, "v": 0.0, "tau": tau, "xi": xi}
+            for sigma in (+1, -1):
+                cap = "future_cap" if sigma > 0 else "past_cap"
+                pt = PhasePointChart("kg_face", coords, sign=sigma)
+                yield pt, f"{cap}:{sheet}", float(tau), None
+
+
+def _schrodinger_scan(H, resolution):
+    n = H.dim - 1
+    for xi1 in np.linspace(-1.5, 1.5, 2 * resolution + 1):
+        xi = np.array([xi1] + [0.0] * (n - 1))
+        for sigma in (+1, -1):
+            coords = {"rho": 0.0, "y": 2.0 * xi, "tau": -float(xi1**2), "xi": xi}
+            pt = PhasePointChart("schrodinger_time_face", coords, sign=sigma)
+            yield pt, "out" if sigma > 0 else "in", None, None
+
+
+def _x_dx_scan(chart, slot, family):
+    """The two corners {rho = 0, slot = 0} of an x_dx face."""
+
+    def scan(H, resolution):
+        for sigma in (+1, -1):
+            pt = PhasePointChart(chart, {"rho": 0.0, slot: 0.0}, axis=0, sign=sigma)
+            yield pt, f"{family}_{'+' if sigma > 0 else '-'}", None, None
+
+    return scan
+
+
 _INTERIOR = (("x", 0), ("xi", 0))
 _SPATIAL = (("rho", None), ("y", -1), ("xi", 0))
 
@@ -308,7 +410,7 @@ _SPECS = {
     ("helmholtz", "spatial_face"): _ChartSpec(
         _SPATIAL, _helmholtz_spatial, transverse=("rho", "y"), char=_helmholtz_char,
         threshold=-0.5, projective=True, coords=_spatial_coords, interior=_spatial_interior,
-        rescale=lambda pt, x: abs(x[pt.axis]) / 2.0,
+        rescale=lambda pt, x: abs(x[pt.axis]) / 2.0, scan=_helmholtz_scan,
     ),
     ("klein_gordon", "interior"): _ChartSpec(
         _INTERIOR, lambda H, pt, s: np.array([2.0 * s[2], -2.0 * s[3], 0.0, 0.0]), rho=None
@@ -319,7 +421,7 @@ _SPECS = {
         coords=lambda pt, H, x, xi: np.array(
             [pt.sign / x[0], x[1] * xi[0] / x[0] + xi[1], xi[0], xi[1]]
         ),
-        interior=_kg_interior, rescale=lambda pt, x: abs(x[0]),
+        interior=_kg_interior, rescale=lambda pt, x: abs(x[0]), scan=_kg_scan,
     ),
     # position slots (t, x_1..x_n), frequency slots (tau, xi_1..xi_n)
     ("schrodinger_free", "interior"): _ChartSpec(
@@ -333,7 +435,7 @@ _SPECS = {
         coords=lambda pt, H, x, xi: np.concatenate(
             [[pt.sign / x[0]], x[1:] / x[0], [xi[0]], xi[1:]]
         ),
-        interior=_schrodinger_interior, rescale=lambda pt, x: abs(x[0]),
+        interior=_schrodinger_interior, rescale=lambda pt, x: abs(x[0]), scan=_schrodinger_scan,
     ),
     ("schrodinger_free", "parabolic_face"): _ChartSpec(
         (("rho_b", None), ("s_t", None), ("vt", -2), ("rho_f", None)), _parabolic_face,
@@ -348,6 +450,7 @@ _SPECS = {
     ("d_x1", "spatial_face"): _ChartSpec(
         _SPATIAL, _d_x1_spatial, transverse=("rho", "y"), char=_d_x1_char, projective=True,
         coords=_spatial_coords, interior=_spatial_interior, rescale=lambda pt, x: abs(x[pt.axis]),
+        scan=_d_x1_scan,
     ),
     ("x_dx", "interior"): _ChartSpec(
         _INTERIOR, lambda H, pt, s: np.concatenate([s[: H.dim], -s[H.dim :]]),
@@ -359,6 +462,7 @@ _SPECS = {
         (("rho", None), ("xi", None)), lambda H, pt, s: -s, transverse=("rho", "xi"),
         char=lambda H, c: _unit(float(c["xi"])),
         coords=_spatial_coords, interior=_spatial_interior, rescale=lambda pt, x: 1.0,
+        scan=_x_dx_scan("spatial_face", "xi", "spatial"),
     ),
     # the Euler field rho d_rho + x d_x
     ("x_dx", "frequency_face"): _ChartSpec(
@@ -366,7 +470,7 @@ _SPECS = {
         char=lambda H, c: _unit(float(c["x"])),
         coords=lambda pt, H, x, xi: np.concatenate([[pt.sign / xi[0]], x]),
         interior=lambda pt, H, s, rho: (s[1:2].copy(), np.array([pt.sign / rho])),
-        rescale=lambda pt, x: 1.0,
+        rescale=lambda pt, x: 1.0, scan=_x_dx_scan("frequency_face", "x", "frequency"),
     ),
 }
 
@@ -491,9 +595,7 @@ def boundary_chart_field(H: SymbolHamiltonian, pt: PhasePointChart) -> dict:
     return _unflatten(_spec(H, pt.chart), _flat_field(H, pt), H.dim)
 
 
-def chart_field_by_limit(
-    H: SymbolHamiltonian, pt: PhasePointChart, rho_probe: float = 1e-3
-) -> np.ndarray:
+def chart_field_by_limit(H: SymbolHamiltonian, pt: PhasePointChart) -> np.ndarray:
     """Boundary chart field as a Richardson limit of the rescaled interior flow.
 
     Independent of the closed forms in :func:`boundary_chart_field`: the chart
@@ -512,8 +614,8 @@ def chart_field_by_limit(
         bwd = spec.coords(pt, H, x - eps * dx, xi - eps * dxi)
         return w * (fwd - bwd) / (2.0 * eps)
 
-    f1 = at_rho(rho_probe)
-    f2 = at_rho(rho_probe / 2.0)
+    f1 = at_rho(1e-3)
+    f2 = at_rho(1e-3 / 2.0)
     return 2.0 * f2 - f1
 
 
@@ -543,7 +645,6 @@ def flow_trajectory(
     dt: float,
     *,
     require_null: bool = True,
-    char_tol: float = 1e-8,
 ) -> list[PhasePointChart]:
     """Fixed-step RK4 bicharacteristic flow with automatic chart switching.
 
@@ -551,7 +652,7 @@ def flow_trajectory(
     """
     if abs(dt) > 0.01:
         raise ValueError("|dt| must be at most 0.01")
-    if require_null and abs(char_value(H, start)) > char_tol:
+    if require_null and abs(char_value(H, start)) > CHAR_TOL:
         raise ValueError("start is not on the characteristic set")
     spec = _spec(H, start.chart, "flows")
     n = H.dim
@@ -583,7 +684,7 @@ def flow_trajectory(
     return path
 
 
-def classify_radial(H: SymbolHamiltonian, pt: PhasePointChart, fd_step: float = 1e-5):
+def classify_radial(H: SymbolHamiltonian, pt: PhasePointChart):
     """Verdict and transverse linearization eigenvalues at a radial point.
 
     The Jacobian of the chart field is taken in the transverse slots only
@@ -592,7 +693,7 @@ def classify_radial(H: SymbolHamiltonian, pt: PhasePointChart, fd_step: float = 
     EPS_EIG in any direction is reported as degenerate rather than guessed.
     """
     spec, s, idx = _transverse(H, pt)
-    jac = _jacobian(lambda v: _transverse_field(spec, H, pt, s, idx, v), s[idx], fd_step)
+    jac = _jacobian(lambda v: _transverse_field(spec, H, pt, s, idx, v), s[idx], 1e-5)
     eigs = np.linalg.eigvals(jac)
     re = eigs.real
     if np.any(np.abs(eigs) < EPS_EIG):
@@ -619,159 +720,38 @@ class RadialPoint:
 @dataclass
 class RadialSetReport:
     points: list
-    beta0: Optional[float] = None
-    beta1: Optional[float] = None
-    threshold_order: Optional[float] = None
-
-    @property
-    def verdicts(self):
-        return [p.verdict for p in self.points]
 
 
-def _sc_frequencies(x_dir: np.ndarray, xi: np.ndarray):
-    """Scattering frequencies (tau, |mu|) of (x_dir, xi): tau is minus the
-    radial component of xi along x_dir, mu the tangential part."""
-    xhat = x_dir / np.linalg.norm(x_dir)
-    tau = -float(np.dot(xhat, xi))
-    mu = float(np.linalg.norm(xi + tau * xhat))
-    return tau, mu
+def find_radial_points(H: SymbolHamiltonian, resolution: int = 8) -> RadialSetReport:
+    """Scan boundary faces for zeros of the rescaled field and classify them.
 
-
-def find_radial_points(
-    H: SymbolHamiltonian, resolution: int = 8, *, field_tol: float = 1e-10
-) -> RadialSetReport:
-    """Scan boundary faces for zeros of the rescaled field, then polish.
-
-    The scan walks a coarse grid on each face restricted to the characteristic
-    set and keeps |field| < tol candidates; Newton polish runs on the
-    transverse coordinates.  An empty scan yields an empty report, not an
-    error.
+    The scans of the model's table entries, in table order, seed candidates on
+    the characteristic set (some Newton-polished on the transverse
+    coordinates); those whose field exceeds FIELD_TOL are dropped.  An empty
+    scan yields an empty report, not an error; a model with no scan raises
+    NotImplementedError.
     """
-    model = H.named_model
+    scans = [spec.scan for (m, _), spec in _SPECS.items() if spec.scan and m == H.named_model]
+    if not scans:
+        raise NotImplementedError(f"radial scan for model {H.named_model!r}")
     pts: list[RadialPoint] = []
-    if model == "helmholtz":
-        lam = H.params["lambda"]
-        n = H.dim
-        ygrid = np.linspace(-1.0, 1.0, 7)
-        for xi in _sphere_grid(n, resolution, lam):
-            j = int(np.argmax(np.abs(xi)))
-            others = [m for m in range(n) if m != j]
-            for sign in (+1, -1):
-                # coarse scan over the chart's angular coordinates, then polish
-                best, best_val = None, np.inf
-                for seed in _y_seeds(n - 1, ygrid):
-                    cand = PhasePointChart(
-                        "spatial_face",
-                        {"rho": 0.0, "y": seed, "xi": xi.copy()},
-                        axis=j,
-                        sign=sign,
-                    )
-                    val = float(np.max(np.abs(_flat_field(H, cand)), initial=0.0))
-                    if val < best_val:
-                        best, best_val = cand, val
-                cand = _newton_polish(H, best)
-                f = _flat_field(H, cand)
-                if np.max(np.abs(f)) > field_tol:
-                    continue
-                u = np.empty(n)
-                u[j] = 1.0
-                u[others] = np.atleast_1d(cand.coords["y"])
-                x_dir = sign * u
-                tau, mu = _sc_frequencies(x_dir, xi)
-                family = "out" if tau < 0 else "in"
-                verdict, eigs = classify_radial(H, cand)
-                pts.append(RadialPoint(cand, family, verdict, eigs, tau, mu))
-    elif model == "klein_gordon":
-        m = H.params["mass"]
-        ximax = 2.0
-        for xi in np.linspace(-ximax, ximax, 2 * resolution + 1):
-            for tsheet in (+1, -1):
-                tau = tsheet * np.sqrt(xi**2 + m**2)
-                for sigma in (+1, -1):
-                    cand = PhasePointChart(
-                        "kg_face", {"rho": 0.0, "v": 0.0, "tau": tau, "xi": xi}, sign=sigma
-                    )
-                    f = _flat_field(H, cand)
-                    if np.max(np.abs(f)) > field_tol:
-                        continue
-                    # interior requirement: x1/t = (v - xi)/tau must stay in the
-                    # t-dominant chart, which holds near the timelike caps
-                    if tau != 0.0 and abs((0.0 - xi) / tau) > 1.5:
-                        continue
-                    cap = "future_cap" if sigma > 0 else "past_cap"
-                    sheet = "tau+" if tau > 0 else ("tau-" if tau < 0 else "tau0")
-                    family = f"{cap}:{sheet}"
-                    verdict, eigs = classify_radial(H, cand)
-                    pts.append(RadialPoint(cand, family, verdict, eigs, tau=float(tau), mu=None))
-    elif model == "d_x1":
-        n = H.dim
-        for xi_rest in np.linspace(-1.0, 1.0, resolution):
-            xi = np.zeros(n)
-            if n > 1:
-                xi[1] = xi_rest
-            for sigma in (+1, -1):
-                cand = PhasePointChart(
-                    "spatial_face",
-                    {"rho": 0.0, "y": np.zeros(n - 1), "xi": xi.copy()},
-                    axis=0,
-                    sign=sigma,
-                )
-                cand = _newton_polish(H, cand)
-                f = _flat_field(H, cand)
-                if np.max(np.abs(f)) > field_tol:
-                    continue
-                x_dir = np.zeros(n)
-                x_dir[0] = sigma
-                verdict, eigs = classify_radial(H, cand)
-                tau, mu = _sc_frequencies(x_dir, xi) if np.linalg.norm(xi) > 0 else (0.0, 0.0)
-                pts.append(RadialPoint(cand, "x1_" + ("plus" if sigma > 0 else "minus"), verdict, eigs, tau, mu))
-    elif model == "x_dx":
-        for sigma in (+1, -1):
-            cand = PhasePointChart("spatial_face", {"rho": 0.0, "xi": 0.0}, axis=0, sign=sigma)
-            verdict, eigs = classify_radial(H, cand)
-            pts.append(RadialPoint(cand, f"spatial_{'+' if sigma>0 else '-'}", verdict, eigs))
-        for sigma in (+1, -1):
-            cand = PhasePointChart("frequency_face", {"rho": 0.0, "x": 0.0}, axis=0, sign=sigma)
-            verdict, eigs = classify_radial(H, cand)
-            pts.append(RadialPoint(cand, f"frequency_{'+' if sigma>0 else '-'}", verdict, eigs))
-    elif model == "schrodinger_free":
-        n = H.dim - 1
-        for xi1 in np.linspace(-1.5, 1.5, 2 * resolution + 1):
-            xi = np.array([xi1] + [0.0] * (n - 1))
-            for sigma in (+1, -1):
-                cand = PhasePointChart(
-                    "schrodinger_time_face",
-                    {"rho": 0.0, "y": 2.0 * xi, "tau": -float(xi1**2), "xi": xi},
-                    sign=sigma,
-                )
-                f = _flat_field(H, cand)
-                if np.max(np.abs(f)) > field_tol:
-                    continue
-                family = "out" if sigma > 0 else "in"
-                verdict, eigs = classify_radial(H, cand)
-                pts.append(RadialPoint(cand, family, verdict, eigs))
-    else:
-        raise NotImplementedError(f"radial scan for model {model!r}")
-    report = RadialSetReport(points=pts)
-    for p in pts:
-        if p.verdict in ("source", "sink"):
-            try:
-                b0, b1, th = threshold_data(H, p.point)
-            except (ThresholdDegeneracyError, NotImplementedError):
+    for scan in scans:
+        for pt, family, tau, mu in scan(H, resolution):
+            if np.max(np.abs(_flat_field(H, pt))) > FIELD_TOL:
                 continue
-            report.beta0, report.beta1, report.threshold_order = b0, b1, th
-            break
-    return report
+            verdict, eigs = classify_radial(H, pt)
+            pts.append(RadialPoint(pt, family, verdict, eigs, tau, mu))
+    return RadialSetReport(pts)
 
 
-def _newton_polish(H: SymbolHamiltonian, pt: PhasePointChart, iters: int = 8) -> PhasePointChart:
+def _newton_polish(H: SymbolHamiltonian, pt: PhasePointChart) -> PhasePointChart:
     """Newton iteration on the transverse coordinates at fixed invariants."""
     spec, s, idx = _transverse(H, pt)
 
     def g(v):
         return _transverse_field(spec, H, pt, s, idx, v)
 
-    for _ in range(iters):
+    for _ in range(8):
         f = g(s[idx])
         if np.max(np.abs(f)) < 1e-14:
             break
@@ -790,8 +770,6 @@ def threshold_data(
     H: SymbolHamiltonian,
     pt: PhasePointChart,
     rho_fn: Optional[Callable[[PhasePointChart], float]] = None,
-    varrho_fn: Optional[Callable[[PhasePointChart], float]] = None,
-    probe: float = 1e-3,
 ):
     """(beta_0, beta_1, threshold_order) at a nondegenerate radial point.
 
@@ -799,6 +777,8 @@ def threshold_data(
     function and of the quadratic defining function of the radial set along
     the rescaled flow, fitted at two probe scales.  They are chart-scale
     quantities; their common sign and the ratio beta_1/beta_0 are invariant.
+    ThresholdDegeneracyError is raised at a degenerate point, on a chart with
+    no transverse slot besides rho, and when the two lack a common sign.
     """
     verdict, eigs = classify_radial(H, pt)
     if verdict == "degenerate":
@@ -807,21 +787,24 @@ def threshold_data(
             "threshold data is undefined and the square-root commutant cannot be built"
         )
     spec, s0, idx = _transverse(H, pt)
+    if len(idx) == 1:
+        raise ThresholdDegeneracyError(
+            "the chart has no transverse slot besides rho, so beta_1 is undefined"
+        )
     if rho_fn is None:
         rho_fn = lambda q: float(q.coords[spec.rho])  # noqa: E731
-    if varrho_fn is None:
-        # quadratic defining function of the radial set within the chart:
-        # squared distance of the non-rho transverse coords from the point
-        keys = spec.transverse[1:]
-        center = {k: np.atleast_1d(np.asarray(pt.coords[k], float)).copy() for k in keys}
+    # quadratic defining function of the radial set within the chart:
+    # squared distance of the non-rho transverse coords from the point
+    keys = spec.transverse[1:]
+    center = {k: np.atleast_1d(np.asarray(pt.coords[k], float)).copy() for k in keys}
 
-        def varrho_fn(q):
-            return float(
-                sum(
-                    np.sum((np.atleast_1d(np.asarray(q.coords[k], float)) - center[k]) ** 2)
-                    for k in keys
-                )
+    def varrho_fn(q):
+        return float(
+            sum(
+                np.sum((np.atleast_1d(np.asarray(q.coords[k], float)) - center[k]) ** 2)
+                for k in keys
             )
+        )
 
     def at(s):
         return PhasePointChart(pt.chart, _unflatten(spec, s, H.dim), pt.axis, pt.sign, pt.sign2)
@@ -838,8 +821,8 @@ def threshold_data(
             sb[idx] = s[idx] - step * f
             return (fn(at(sf)) - fn(at(sb))) / (2 * step) / fn(at(s))
 
-        r1 = rate(probe)
-        r2 = rate(probe / 2)
+        r1 = rate(1e-3)
+        r2 = rate(1e-3 / 2)
         return 2 * r2 - r1
 
     def displace_rho(eps):
@@ -857,28 +840,6 @@ def threshold_data(
     if beta0 * beta1 <= 0:
         raise ThresholdDegeneracyError("beta_0 and beta_1 do not share a strict sign")
     return beta0, beta1, spec.threshold
-
-
-def _y_seeds(d: int, grid: np.ndarray):
-    if d == 0:
-        return [np.zeros(0)]
-    from itertools import product as _prod
-
-    return [np.array(c, dtype=float) for c in _prod(grid, repeat=d)]
-
-
-def _sphere_grid(n: int, resolution: int, radius: float):
-    if n == 1:
-        return [np.array([radius]), np.array([-radius])]
-    if n == 2:
-        th = 2 * np.pi * (np.arange(resolution) + 0.37) / resolution
-        return [radius * np.array([np.cos(t), np.sin(t)]) for t in th]
-    out = []
-    for c in np.linspace(-0.9, 0.9, resolution // 2 + 2):
-        s = np.sqrt(1 - c**2)
-        for t in 2 * np.pi * (np.arange(resolution) + 0.29) / resolution:
-            out.append(radius * np.array([s * np.cos(t), s * np.sin(t), c]))
-    return out
 
 
 def helmholtz_radial_distance(H: SymbolHamiltonian, pt: PhasePointChart, which: str = "out") -> float:

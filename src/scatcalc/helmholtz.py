@@ -126,6 +126,12 @@ def quadrature_harmonic_defect(dens: SphereDensity, max_degree: Optional[int] = 
     return worst
 
 
+def _far_field_constant(n: int, lam: float) -> float:
+    """(2 pi)^{-n} lam^{n-1} (2 pi / lam)^{(n-1)/2}: synthesis prefactor times
+    the stationary-phase factor of each of the directions theta = +-xhat."""
+    return (2.0 * np.pi) ** (-n) * lam ** (n - 1) * (2.0 * np.pi / lam) ** ((n - 1) / 2)
+
+
 def _required_degree(lam: float, rmax: float) -> int:
     return int(4 + 2 * np.ceil(lam * rmax)) + 16
 
@@ -187,6 +193,24 @@ def eigenfunction(f: SphereDensity, lam: float, x) -> complex:
     return complex(eigenfunction_evaluator(f, lam)(np.asarray(x, dtype=float)[None, :])[0])
 
 
+def _fd_laplacian(u, base: np.ndarray, step: float) -> np.ndarray:
+    """sum_j d^2 u / dx_j^2 at the (M, n) points base, by the 4th-order
+    five-point stencil per axis (minus the positive Laplacian)."""
+    n = base.shape[-1]
+    u0 = u(base)
+    acc = np.zeros(len(base), dtype=complex)
+    for j in range(n):
+        col = {}
+        for k in (-2, -1, 1, 2):
+            shift = np.zeros(n)
+            shift[j] = k * step
+            col[k] = u(base + shift)
+        acc += (
+            -col[-2] / 12 + 4 * col[-1] / 3 - 5 * u0 / 2 + 4 * col[1] / 3 - col[2] / 12
+        ) / step**2
+    return acc
+
+
 def pde_residual_patch(
     f: SphereDensity,
     lam: float,
@@ -206,24 +230,7 @@ def pde_residual_patch(
     mesh = np.meshgrid(*axes, indexing="ij")
     base = np.stack([m.ravel() for m in mesh], axis=-1) + c
     u = eigenfunction_evaluator(f, lam)
-
-    def lap_fd(step):
-        # 4th-order second-derivative stencil per axis
-        acc = np.zeros(len(base), dtype=complex)
-        u0 = u(base)
-        for j in range(n):
-            vals = {}
-            for k in (-2, -1, 1, 2):
-                shift = np.zeros(n)
-                shift[j] = k * step
-                vals[k] = u(base + shift)
-            d2 = (
-                -vals[-2] / 12 + 4 * vals[-1] / 3 - 5 * u0 / 2 + 4 * vals[1] / 3 - vals[2] / 12
-            ) / step**2
-            acc += d2
-        return acc
-
-    lap = (16.0 * lap_fd(h / 2) - lap_fd(h)) / 15.0
+    lap = (16.0 * _fd_laplacian(u, base, h / 2) - _fd_laplacian(u, base, h)) / 15.0
     resid = -lap - lam**2 * u(base)
     return float(np.max(np.abs(resid)))
 
@@ -243,7 +250,7 @@ def stationary_phase_leading(f: SphereDensity, lam: float, x) -> np.ndarray:
     n = f.n
     r = np.sqrt(np.sum(pts**2, axis=-1))
     xhat = pts / r[:, None]
-    pref = (2.0 * np.pi) ** (-n) * lam ** (n - 1) * (2.0 * np.pi / lam) ** ((n - 1) / 2)
+    pref = _far_field_constant(n, lam)
     phase = lam * r - np.pi * (n - 1) / 4.0
     out = (
         pref
@@ -266,7 +273,7 @@ def asymptotic_profile(f: SphereDensity, lam: float) -> AsymptoticProfile:
     In u ~ r^{-(n-1)/2} (e^{i lam r} f_+ + e^{-i lam r} f_-), the coefficients
     are phase rotations of g(+-theta) with the stationary-phase constant."""
     n = f.n
-    pref = (2.0 * np.pi) ** (-n) * lam ** (n - 1) * (2.0 * np.pi / lam) ** ((n - 1) / 2)
+    pref = _far_field_constant(n, lam)
     cp = pref * np.exp(-1j * np.pi * (n - 1) / 4.0)
     cm = pref * np.exp(1j * np.pi * (n - 1) / 4.0)
     fp = SphereDensity(n, lambda th: cp * f(th), f.nodes, f.weights, f.degree)
@@ -292,22 +299,6 @@ def error_slope(f: SphereDensity, lam: float, radii, n_dirs: int = 4) -> float:
     return fit_growth_exponent(radii, errs)
 
 
-class _CachingEvaluator:
-    """Memoizes point-batch evaluations (the mass scans reuse identical grids
-    across spatial orders)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self._cache = {}
-
-    def __call__(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        key = (pts.shape, hash(pts.tobytes()))
-        if key not in self._cache:
-            self._cache[key] = self.fn(pts)
-        return self._cache[key]
-
-
 def threshold_scan(
     f: SphereDensity,
     lam: float,
@@ -323,16 +314,17 @@ def threshold_scan(
     exponent fit for r > -1/2 (expected 2r + 1), log-linear fit quality at
     r = -1/2, boundedness ratio for r < -1/2.
     """
-    n = f.n
-    u = _CachingEvaluator(eigenfunction_evaluator(f, lam))
+    u = eigenfunction_evaluator(f, lam)
+    # one mass call per radius: u is evaluated once for all orders
+    by_radius = [
+        truncated_weighted_mass(
+            u, r_orders, R, n=f.n, n_ang=n_ang, panel_width=panel_width, check=False
+        )
+        for R in radii
+    ]
     table = {}
-    for r in r_orders:
-        masses = [
-            truncated_weighted_mass(
-                u, r, R, n=n, n_ang=n_ang, panel_width=panel_width, check=False
-            )
-            for R in radii
-        ]
+    for k, r in enumerate(r_orders):
+        masses = [m[k] for m in by_radius]
         entry = {"radii": list(radii), "masses": masses}
         if r > -0.5:
             entry["kind"] = "power"
@@ -347,8 +339,9 @@ def threshold_scan(
             entry["log_r2"] = fit_log_growth(radii, masses)
         else:
             entry["kind"] = "bounded"
-            # ratio over the top two rungs (mass(400)/mass(100) on the
-            # canonical dyadic ladder), where the tail dominates the trend
+            # the top mass over the mass two rungs below it (over the first
+            # rung on a ladder of fewer than three radii), where the tail
+            # dominates the trend
             base = masses[-3] if len(masses) >= 3 else masses[0]
             entry["ratio"] = masses[-1] / base
         table[float(r)] = entry
@@ -360,13 +353,17 @@ def threshold_scan(
 # ---------------------------------------------------------------------------
 
 
+#: sign s of the oscillation e^{s i lam r}
+_OSCILLATION_SIGN = {"outgoing": 1.0, "incoming": -1.0}
+
+
 def series_obstruction(p: float, lam: float, n: int, oscillation: str = "outgoing") -> complex:
     """Leading coefficient of (Delta - lam^2)(r^{-p} e^{s i lam r} a(y)).
 
     For the outgoing oscillation (s = +1) it is i lam (2p - n + 1), vanishing
     exactly at p = (n - 1)/2; the incoming oscillation flips the sign.
     """
-    s = {"outgoing": 1.0, "incoming": -1.0}[oscillation]
+    s = _OSCILLATION_SIGN[oscillation]
     return s * 1j * lam * (2.0 * p - n + 1.0)
 
 
@@ -405,7 +402,7 @@ def poisson_series_step(a_j: dict, j: int, lam: float, n: int, oscillation: str 
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
-    s = {"outgoing": 1.0, "incoming": -1.0}[oscillation]
+    s = _OSCILLATION_SIGN[oscillation]
     mu = (n - 1) / 2.0 + j
     out = {}
     for key, c in a_j.items():
@@ -457,7 +454,7 @@ def _angular_eval(n: int, coeffs: dict, xhat: np.ndarray) -> np.ndarray:
 
 def series_evaluator(exp: ExpansionCoeffs):
     """Pointwise evaluator of the truncated series on (M, n) arrays."""
-    s = {"outgoing": 1.0, "incoming": -1.0}[exp.oscillation]
+    s = _OSCILLATION_SIGN[exp.oscillation]
     nu = (exp.n - 1) / 2.0
 
     def u(points):
@@ -481,18 +478,7 @@ def series_residual_slope(exp: ExpansionCoeffs, radii, n_dirs: int = 6, h: float
     vals = []
     for r in radii:
         base = r * dirs
-        u0 = u(base)
-        acc = np.zeros(len(base), dtype=complex)
-        for j in range(n):
-            col = {}
-            for k in (-2, -1, 1, 2):
-                shift = np.zeros(n)
-                shift[j] = k * h
-                col[k] = u(base + shift)
-            acc += (
-                -col[-2] / 12 + 4 * col[-1] / 3 - 5 * u0 / 2 + 4 * col[1] / 3 - col[2] / 12
-            ) / h**2
-        resid = -acc - exp.lam**2 * u0
+        resid = -_fd_laplacian(u, base, h) - exp.lam**2 * u(base)
         vals.append(float(np.max(np.abs(resid))))
     return fit_growth_exponent(radii, vals), vals
 
@@ -538,7 +524,7 @@ def solution_from_series(exp: ExpansionCoeffs) -> ScatteringSolution:
     Its PDE defect O(r^{-(n-1)/2 - J - 2}) is far below the O(1/R) pairing
     convergence, and its radial derivative is exact term-by-term.
     """
-    s = {"outgoing": 1.0, "incoming": -1.0}[exp.oscillation]
+    s = _OSCILLATION_SIGN[exp.oscillation]
     u = series_evaluator(exp)
     nu = (exp.n - 1) / 2.0
 
@@ -618,7 +604,7 @@ def free_scattering_matrix(lam: float, f_minus: SphereDensity) -> SphereDensity:
     theory pins to a printed constant).
     """
     n = f_minus.n
-    pref = (2.0 * np.pi) ** (-n) * lam ** (n - 1) * (2.0 * np.pi / lam) ** ((n - 1) / 2)
+    pref = _far_field_constant(n, lam)
     cm = pref * np.exp(1j * np.pi * (n - 1) / 4.0)
     cp = pref * np.exp(-1j * np.pi * (n - 1) / 4.0)
 

@@ -393,19 +393,16 @@ def injectivity_probe(
     t, wt = _line_rule(phi.support, n_t)
     wt = wt * phi(t)
     size = grid_points**n
-    n_rays = size * len(dirs)
-    blocks_I, blocks_L = [], []
+    # line weights: row z of W sums the n_t samples of the line through z
+    W = sparse.kron(sparse.eye(size, format="csr"), sparse.csr_matrix(wt[None, :]))
+    A = 0
     for k, om in enumerate(dirs):
         pts_f = (Z[:, None, :] + t[:, None] * om[None, None, :]).reshape(-1, n)
-        Mk = _interp_matrix(axes, pts_f)
-        I0k = sparse.kron(sparse.eye(size, format="csr"), sparse.csr_matrix(wt[None, :])) @ Mk
-        blocks_I.append(I0k)
+        I0k = W @ _interp_matrix(axes, pts_f)
         pts_b = (Z[:, None, :] - t[:, None] * om[None, None, :]).reshape(-1, n)
-        Mb = _interp_matrix(axes, pts_b)
-        Lk = sparse.kron(sparse.eye(size, format="csr"), sparse.csr_matrix(wt[None, :])) @ Mb
+        Lk = W @ _interp_matrix(axes, pts_b)
         wchi = dw[k] * (float(chi(np.array([om[0]]))[0]) if chi is not None else 1.0)
-        blocks_L.append(wchi * Lk)
-    A = sum(blocks_L[k] @ blocks_I[k] for k in range(len(dirs)))
+        A = A + (wchi * Lk) @ I0k
     A = np.asarray(A.todense())[np.ix_(ball, ball)]
     sv = svdvals(A)
     sigma_min, sigma_max = float(sv[-1]), float(sv[0])

@@ -144,7 +144,7 @@ def _partial(fn, slot: str, j: int, x, xi, total_order: int):
     return (4.0 * d2 - d1) / 3.0
 
 
-def symbol_derivative(a: Symbol, alpha, beta, x, xi, _depth: int = 0):
+def symbol_derivative(a: Symbol, alpha, beta, x, xi):
     """partial_x^alpha partial_xi^beta a, analytic when registered, else FD.
 
     Note this returns plain partial derivatives; D = -i * partial factors are

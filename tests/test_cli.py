@@ -142,6 +142,8 @@ class TestMainExitCodes:
             # mass(R_top) / mass(R_top-2) < 1.05, and [25, 50, 100] gives 1.089
             ("threshold", {"radii": [40.0, 80.0, 120.0, 160.0]}),
             ("radon", {"grid_points": 8, "directions": 16}),
+            # no transverse slot besides rho: threshold data is undefined
+            ("radial", {"model": "d_x1", "dim": 1}),
         ],
     )
     def test_runner_passes_and_is_byte_stable(self, tmp_path, experiment, body):

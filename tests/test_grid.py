@@ -233,6 +233,20 @@ class TestTruncatedMass:
         with pytest.raises(QuadratureError):
             truncated_weighted_mass(noisy, 0.0, 10.0, n=1, tol=1e-10)
 
+    def test_order_sequence_matches_single_orders(self):
+        # one evaluation of u serves every order, with the same values
+        calls = []
+        base = shell_profile(-0.5)
+
+        def u(pts):
+            calls.append(len(pts))
+            return base(pts)
+
+        orders = [-0.75, -0.5, 0.0]
+        many = truncated_weighted_mass(u, orders, 40.0, n=2)
+        assert len(calls) == 2  # the rule and its higher-order check
+        assert many == [truncated_weighted_mass(base, r, 40.0, n=2) for r in orders]
+
     def test_small_radius_rejected(self):
         with pytest.raises(ValueError):
             truncated_weighted_mass(shell_profile(-0.5), 0.0, 0.5, n=2)

@@ -401,6 +401,24 @@ class TestRadialPoints:
         rep = find_radial_points(schrodinger_model(1), resolution=4)
         assert {(p.family, p.verdict) for p in rep.points} == {("out", "sink"), ("in", "source")}
 
+    def test_every_named_model_scans(self):
+        models = {
+            H.named_model
+            for H in (helmholtz_model(1.0), klein_gordon_model(), schrodinger_model(), d_x1_model(),
+                      x_dx_model())
+        }
+        assert models == {m for m, _ in hamflow._SPECS if m is not None}
+        for m in models:
+            assert any(spec.scan for (k, _), spec in hamflow._SPECS.items() if k == m), m
+
+    def test_model_without_scan_raises(self):
+        from scatcalc.hamflow import SymbolHamiltonian
+        from scatcalc.symbols import Symbol
+
+        p = Symbol(eval=lambda x, xi: np.sum(xi**2, axis=-1) + 0.0 * x[..., 0], order=(2.0, 0.0))
+        with pytest.raises(NotImplementedError):
+            find_radial_points(SymbolHamiltonian(p, (2.0, 0.0), None, {"dim": 2}))
+
     def test_empty_scan_reports_not_raises(self):
         # the d_x1 scan in a chart family with no zeros stays silent
         rep = find_radial_points(d_x1_model(2), resolution=3)
@@ -461,6 +479,15 @@ class TestThresholdData:
         assert verdict == "degenerate"
         with pytest.raises(ThresholdDegeneracyError):
             threshold_data(Hw, pt)
+
+    def test_no_transverse_slot_besides_rho(self):
+        # d_x1 in one dimension: the spatial chart has no y slot, so the
+        # quadratic defining function of the radial set is identically zero
+        rep = find_radial_points(d_x1_model(1), resolution=3)
+        assert {p.verdict for p in rep.points} == {"sink", "source"}
+        for p in rep.points:
+            with pytest.raises(ThresholdDegeneracyError, match="no transverse slot"):
+                threshold_data(d_x1_model(1), p.point)
 
     def test_massive_kg_not_degenerate(self):
         H = klein_gordon_model(1.0)
