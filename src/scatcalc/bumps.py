@@ -97,6 +97,11 @@ def plateau(t, inner: float, outer: float, digamma: float = 1.0):
     return 1.0 - smoothstep((np.abs(t) - inner) / (outer - inner), digamma)
 
 
+#: Composite Gauss-Legendre mesh of the cumulative integral in FlatSquareCutoff.
+_CUTOFF_PANELS = 400
+_CUTOFF_GL_ORDER = 12
+
+
 @dataclass
 class FlatSquareCutoff:
     """Decreasing cutoff psi with psi = 1 on [0, t1], psi = 0 on [t2, inf),
@@ -106,15 +111,13 @@ class FlatSquareCutoff:
     eta = sqrt(c * chi0(t - t1) * chi0(t2 - t)) has a smooth closed form.
     Then -psi' * psi = eta**2 / 2 exactly, with smooth square root
     eta / sqrt(2).  The cumulative integral of eta**2 is precomputed on a
-    composite Gauss-Legendre mesh, well beyond the accuracy the commutant
-    residual checks need.
+    composite Gauss-Legendre mesh (400 panels of 12 nodes), well beyond the
+    accuracy the commutant residual checks need.
     """
 
     t1: float
     t2: float
     digamma: float = 1.0
-    panels: int = 400
-    gl_order: int = 12
     _edges: np.ndarray = field(init=False, repr=False)
     _prefix: np.ndarray = field(init=False, repr=False)
     _norm: float = field(init=False, repr=False)
@@ -122,11 +125,11 @@ class FlatSquareCutoff:
     def __post_init__(self):
         if not self.t2 > self.t1:
             raise ValueError("need t1 < t2")
-        self._edges = np.linspace(self.t1, self.t2, self.panels + 1)
+        self._edges = np.linspace(self.t1, self.t2, _CUTOFF_PANELS + 1)
         # raw [-1, 1] rule for the partial panel of _cumulative, a hot path
         # that maps it by hand rather than rebuilding a rule per call
-        self._gl = tuple(a.ravel() for a in gauss_panels(-1.0, 1.0, 1, self.gl_order))
-        pts, w = gauss_panels(self.t1, self.t2, self.panels, self.gl_order)
+        self._gl = tuple(a.ravel() for a in gauss_panels(-1.0, 1.0, 1, _CUTOFF_GL_ORDER))
+        pts, w = gauss_panels(self.t1, self.t2, _CUTOFF_PANELS, _CUTOFF_GL_ORDER)
         per_panel = (self._eta2_raw(pts) * w).sum(axis=1)
         self._prefix = np.concatenate([[0.0], np.cumsum(per_panel)])
         self._norm = self._prefix[-1]
@@ -142,7 +145,7 @@ class FlatSquareCutoff:
         """Integral of the unnormalized eta**2 from t1 to t, vectorized."""
         t = np.asarray(t, dtype=float)
         tc = np.clip(t, self.t1, self.t2)
-        idx = np.clip(np.searchsorted(self._edges, tc, side="right") - 1, 0, self.panels - 1)
+        idx = np.clip(np.searchsorted(self._edges, tc, side="right") - 1, 0, _CUTOFF_PANELS - 1)
         lo = self._edges[idx]
         nodes, weights = self._gl
         mid = 0.5 * (lo + tc)

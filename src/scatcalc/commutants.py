@@ -60,7 +60,7 @@ class DigammaTooSmallError(ValueError):
 
 
 class SupportTooWideError(ValueError):
-    """Square-root argument loses positivity; shrink supports or delta."""
+    """Square-root argument loses positivity; shrink delta."""
 
 
 @dataclass
@@ -68,9 +68,7 @@ class CommutantBundle:
     a: Callable
     b: Callable
     e_prime: Callable
-    g: Callable
     digamma: float
-    params: dict
     residual_sup: float
     eprime_support_ok: bool
 
@@ -154,11 +152,6 @@ def build_propagation_commutant(
     def e_fn(z1, z2):
         return 2.0 * w(z1, z2) * chi0(T - z1, dig) * chi1(z1) * chi1p(z1) * psi(z2) ** 2
 
-    def g_fn(z1, z2):
-        return plateau(z1 - 0.5 * (T - eps), 0.5 * (T + eps) + 0.1, 0.5 * (T + eps) + 0.4) * plateau(
-            z2, 2 * eps + 0.05, 2 * eps + 0.35
-        )
-
     # flow derivative by Richardson-extrapolated central differences in z1
     h = 1e-4 * (1.0 + np.abs(Z1))
 
@@ -174,9 +167,7 @@ def build_propagation_commutant(
         a=a_fn,
         b=b_fn,
         e_prime=e_fn,
-        g=g_fn,
         digamma=dig,
-        params={"s0": s0, "eps": eps, "orders": tuple(orders)},
         residual_sup=residual_sup,
         eprime_support_ok=eprime_ok,
     )
@@ -202,9 +193,7 @@ def model_estimate_multipliers(x1, x2):
     return a, b, e
 
 
-def model_inequality_margins(
-    spec: GridSpec, n_fields: int = 20, seed: int = 0, band_fraction: float = 0.25
-):
+def model_inequality_margins(spec: GridSpec, n_fields: int = 20, seed: int = 0):
     """<b u, u> vs 2 <e u, u> + 36 ||D_x1 u||^2 for random band-limited fields.
 
     Returns (lhs, rhs) pairs in the discrete L^2 pairing; the inequality is
@@ -217,7 +206,7 @@ def model_inequality_margins(
     X1, X2 = spec.mesh()
     a, b, e = model_estimate_multipliers(X1, X2)
     h2 = spec.spacing**2
-    kcut = band_fraction * np.pi / spec.spacing
+    kcut = 0.25 * np.pi / spec.spacing
     K1, K2 = spec.freq_mesh()
     damp = np.exp(-((K1**2 + K2**2) / kcut**2) * 3.0)
     out = []
@@ -240,23 +229,9 @@ class RadialCommutantReport:
     branch: str
     residual_sup: float
     min_b_scaled: float
-    delta: float
-    r: float
 
 
-def radial_commutant_check(
-    lam: float,
-    r: float,
-    delta: float,
-    *,
-    psi_inner: float = 0.01,
-    psi_outer: float = 0.09,
-    phi_inner: float = 0.10,
-    phi_outer: float = 0.25,
-    n_rho: int = 14,
-    n_v: int = 15,
-    n_xi: int = 9,
-) -> RadialCommutantReport:
+def radial_commutant_check(lam: float, r: float, delta: float) -> RadialCommutantReport:
     """Verify the radial-point commutant identity on the Helmholtz sink chart.
 
     Chart: x1-dominant, sign +1, coordinates (rho, v, xi) with v the offset
@@ -265,7 +240,9 @@ def radial_commutant_check(
 
         a = rho^{-(2r+1)} phi(pbar)^2 psi(varrho)^2,   varrho = v^2,
 
-    with pbar the normalized characteristic function of xi.  Below threshold
+    with pbar the normalized characteristic function of xi, phi a plateau
+    (1 on |pbar| <= 0.1, 0 beyond 0.25) and psi the flat square cutoff on
+    [0.01, 0.09].  Below threshold
     (r < -1/2) the identity H_p a = -2 delta rho^{2r+2} a^2 - b^2 + e^2
     + h pbar holds pointwise (h vanishes for the flat model, whose flow
     freezes xi); above threshold the b^2 and delta terms switch sign, and the
@@ -277,16 +254,16 @@ def radial_commutant_check(
             "2r + 1 = 0: the leading commutant term has no sign at the threshold order"
         )
     below = r < -0.5
-    cut = FlatSquareCutoff(psi_inner, psi_outer)
+    cut = FlatSquareCutoff(0.01, 0.09)
 
     def phi(p):
-        return plateau(p, phi_inner, phi_outer)
+        return plateau(p, 0.10, 0.25)
 
     # sample chart points: rho > 0, v around the sink, xi near the sphere with
     # x1-dominant directions (xi_1 comfortably positive)
-    rhos = np.linspace(0.02, 0.4, n_rho)
-    vs = np.linspace(-0.35, 0.35, n_v)
-    qs = lam * np.linspace(0.85, 1.15, n_xi)
+    rhos = np.linspace(0.02, 0.4, 14)
+    vs = np.linspace(-0.35, 0.35, 15)
+    qs = lam * np.linspace(0.85, 1.15, 9)
     angs = np.linspace(-0.35, 0.35, 5)
     R, V, Q, A = np.meshgrid(rhos, vs, qs, angs, indexing="ij")
     XI1 = Q * np.cos(A)
@@ -307,7 +284,7 @@ def radial_commutant_check(
     if np.any(arg[on_supp] <= 0):
         raise SupportTooWideError(
             f"square-root argument reaches {float(np.min(arg[on_supp])):.3e}; "
-            "shrink the phi/psi supports or delta"
+            "shrink delta or move r away from -1/2"
         )
 
     b = R ** (-r) * phi(pbar(XI1, XI2)) * cut.psi(V**2) * np.sqrt(np.clip(arg, 0.0, None))
@@ -342,6 +319,4 @@ def radial_commutant_check(
         branch="below" if below else "above",
         residual_sup=residual,
         min_b_scaled=min_b,
-        delta=delta,
-        r=r,
     )

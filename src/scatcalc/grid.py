@@ -47,6 +47,10 @@ MAX_TOTAL_POINTS = 2**24
 #: constant-order consistency tolerance.
 FLOOR_WEIGHT = 1e-7
 
+#: Gauss-Legendre nodes per radial panel of :func:`truncated_weighted_mass`;
+#: its self-check reruns with four more.
+MASS_GL_ORDER = 8
+
 
 class GridBudgetError(ValueError):
     """Requested grid or operator exceeds the desk-scale budget."""
@@ -298,16 +302,15 @@ def truncated_weighted_mass(
     R: float,
     *,
     n: int,
-    panel_width: float = 0.5,
     n_ang: int = 64,
-    gl_order: int = 8,
     tol: float = 1e-8,
     check: bool = True,
 ) -> float | list[float]:
     """integral_{|x| <= R} <x>^{2r} |u|^2 dx by radial x angular quadrature.
 
     u must be vectorized over (M, n) point arrays.  Composite Gauss-Legendre
-    panels in the radius, a trapezoidal/product rule on the sphere.  r is one
+    panels of width 0.5 (at most) and order :data:`MASS_GL_ORDER` in the
+    radius, a trapezoidal/product rule on the sphere.  r is one
     order (a float comes back) or a sequence of orders (a list of masses comes
     back, one per order, from a single evaluation of u on the nodes).  When
     `check` is set, each result is compared against a higher-order radial rule
@@ -316,20 +319,20 @@ def truncated_weighted_mass(
     if R < 1:
         raise ValueError("R must be at least 1")
     orders = list(r) if np.ndim(r) else [r]
-    vals = _mass_once(u, orders, R, n, panel_width, n_ang, gl_order)
+    vals = _mass_once(u, orders, R, n, n_ang, MASS_GL_ORDER)
     if check:
-        refs = _mass_once(u, orders, R, n, panel_width, n_ang, gl_order + 4)
+        refs = _mass_once(u, orders, R, n, n_ang, MASS_GL_ORDER + 4)
         for val, ref in zip(vals, refs):
             scale = max(abs(ref), 1e-300)
             if abs(val - ref) / scale > tol:
                 raise QuadratureError(
-                    f"radial quadrature not converged: {val!r} vs {ref!r} at order {gl_order}"
+                    f"radial quadrature not converged: {val!r} vs {ref!r} at order {MASS_GL_ORDER}"
                 )
     return vals if np.ndim(r) else vals[0]
 
 
-def _mass_once(u, orders, R, n, panel_width, n_ang, gl_order) -> list:
-    n_panels = max(1, int(np.ceil(R / panel_width)))
+def _mass_once(u, orders, R, n, n_ang, gl_order) -> list:
+    n_panels = max(1, int(np.ceil(R / 0.5)))  # radial panels at most 0.5 wide
     radii, rw = (a.ravel() for a in gauss_panels(0.0, R, n_panels, gl_order))
     theta, tw = product_sphere_rule(n, max(4, n_ang // 2), n_ang)
     pts = radii[:, None, None] * theta[None, :, :]

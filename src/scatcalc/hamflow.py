@@ -346,8 +346,10 @@ def _helmholtz_scan(H, resolution):
 
 
 def _d_x1_scan(H, resolution):
+    # xi_2 (when there is one) sweeps [-1, 1]; in one dimension the only
+    # fiber point is xi = 0, seeded once
     n = H.dim
-    for xi_rest in np.linspace(-1.0, 1.0, resolution):
+    for xi_rest in np.linspace(-1.0, 1.0, resolution if n > 1 else 1):
         xi = np.zeros(n)
         if n > 1:
             xi[1] = xi_rest

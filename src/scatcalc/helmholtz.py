@@ -136,7 +136,11 @@ def _required_degree(lam: float, rmax: float) -> int:
     return int(4 + 2 * np.ceil(lam * rmax)) + 16
 
 
-def _synthesis_evaluator(f: SphereDensity, lam: float, chunk: int, kernel):
+#: Points per block of the plane-wave sum: bounds its (points, nodes) temporaries.
+_SYNTH_CHUNK = 16384
+
+
+def _synthesis_evaluator(f: SphereDensity, lam: float, kernel):
     """Chunked plane-wave sum pref * kernel(points, nodes) @ (g * weights) over
     (M, n) or (n,) points, raising the density's sphere rule to the largest
     radius it is asked for."""
@@ -155,15 +159,15 @@ def _synthesis_evaluator(f: SphereDensity, lam: float, chunk: int, kernel):
         gw = dens(dens.nodes) * dens.weights
         pref = (2.0 * np.pi) ** (-n) * lam ** (n - 1)
         out = np.empty(len(pts), dtype=complex)
-        for lo in range(0, len(pts), chunk):
-            hi = min(len(pts), lo + chunk)
+        for lo in range(0, len(pts), _SYNTH_CHUNK):
+            hi = min(len(pts), lo + _SYNTH_CHUNK)
             out[lo:hi] = pref * (kernel(pts[lo:hi], dens.nodes) @ gw)
         return out
 
     return synth
 
 
-def eigenfunction_evaluator(f: SphereDensity, lam: float, chunk: int = 16384):
+def eigenfunction_evaluator(f: SphereDensity, lam: float):
     """Vectorized evaluator of the eigenfunction over (M, n) point arrays."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -171,10 +175,10 @@ def eigenfunction_evaluator(f: SphereDensity, lam: float, chunk: int = 16384):
     def phase(pts, nodes):
         return np.exp(1j * lam * (pts @ nodes.T))
 
-    return _synthesis_evaluator(f, lam, chunk, phase)
+    return _synthesis_evaluator(f, lam, phase)
 
 
-def radial_derivative_evaluator(f: SphereDensity, lam: float, chunk: int = 16384):
+def radial_derivative_evaluator(f: SphereDensity, lam: float):
     """d/dr of the eigenfunction along x/|x|, by differentiating the phase."""
 
     def dphase(pts, nodes):
@@ -185,7 +189,7 @@ def radial_derivative_evaluator(f: SphereDensity, lam: float, chunk: int = 16384
         phase = np.exp(1j * lam * (r[:, None] * dots))
         return 1j * lam * dots * phase
 
-    return _synthesis_evaluator(f, lam, chunk, dphase)
+    return _synthesis_evaluator(f, lam, dphase)
 
 
 def eigenfunction(f: SphereDensity, lam: float, x) -> complex:
@@ -211,26 +215,21 @@ def _fd_laplacian(u, base: np.ndarray, step: float) -> np.ndarray:
     return acc
 
 
-def pde_residual_patch(
-    f: SphereDensity,
-    lam: float,
-    center,
-    half_width: float = 0.4,
-    npts: int = 16,
-    h: float = 0.05,
-) -> float:
+def pde_residual_patch(f: SphereDensity, lam: float, center, npts: int = 16) -> float:
     """sup |(Delta - lambda^2) u| on a patch, by Richardson 4th-order stencils.
 
-    Delta is the positive Laplacian -sum d^2/dx_j^2.  The finite-difference
-    Laplacian is an oracle independent of the quadrature representation.
+    The patch is the npts^n grid on center + [-0.4, 0.4]^n, the stencil steps
+    0.05 and 0.025.  Delta is the positive Laplacian -sum d^2/dx_j^2.  The
+    finite-difference Laplacian is an oracle independent of the quadrature
+    representation.
     """
     n = f.n
     c = np.asarray(center, dtype=float)
-    axes = [np.linspace(-half_width, half_width, npts)] * n
+    axes = [np.linspace(-0.4, 0.4, npts)] * n
     mesh = np.meshgrid(*axes, indexing="ij")
     base = np.stack([m.ravel() for m in mesh], axis=-1) + c
     u = eigenfunction_evaluator(f, lam)
-    lap = (16.0 * _fd_laplacian(u, base, h / 2) - _fd_laplacian(u, base, h)) / 15.0
+    lap = (16.0 * _fd_laplacian(u, base, 0.05 / 2) - _fd_laplacian(u, base, 0.05)) / 15.0
     resid = -lap - lam**2 * u(base)
     return float(np.max(np.abs(resid)))
 
@@ -287,9 +286,10 @@ def _probe_directions(n: int, n_dirs: int) -> np.ndarray:
     return dirs[:: max(1, len(dirs) // n_dirs)]
 
 
-def error_slope(f: SphereDensity, lam: float, radii, n_dirs: int = 4) -> float:
-    """Fitted log-log slope of sup_dirs |u - leading| against radius."""
-    dirs = _probe_directions(f.n, n_dirs)
+def error_slope(f: SphereDensity, lam: float, radii) -> float:
+    """Fitted log-log slope of sup |u - leading| over about 4 directions
+    against radius."""
+    dirs = _probe_directions(f.n, 4)
     u = eigenfunction_evaluator(f, lam)
     errs = []
     for r in radii:
@@ -299,28 +299,19 @@ def error_slope(f: SphereDensity, lam: float, radii, n_dirs: int = 4) -> float:
     return fit_growth_exponent(radii, errs)
 
 
-def threshold_scan(
-    f: SphereDensity,
-    lam: float,
-    r_orders,
-    radii,
-    *,
-    n_ang: int = 48,
-    panel_width: float = 0.5,
-) -> dict:
+def threshold_scan(f: SphereDensity, lam: float, r_orders, radii, *, n_ang: int = 48) -> dict:
     """Truncated-mass growth table of the eigenfunction across spatial orders.
 
     For each order r, masses over the radius ladder are classified: power-law
     exponent fit for r > -1/2 (expected 2r + 1), log-linear fit quality at
-    r = -1/2, boundedness ratio for r < -1/2.
+    r = -1/2, boundedness ratio for r < -1/2.  The masses are those of
+    :func:`~scatcalc.grid.truncated_weighted_mass` on n_ang angles, with its
+    self-check off.
     """
     u = eigenfunction_evaluator(f, lam)
     # one mass call per radius: u is evaluated once for all orders
     by_radius = [
-        truncated_weighted_mass(
-            u, r_orders, R, n=f.n, n_ang=n_ang, panel_width=panel_width, check=False
-        )
-        for R in radii
+        truncated_weighted_mass(u, r_orders, R, n=f.n, n_ang=n_ang, check=False) for R in radii
     ]
     table = {}
     for k, r in enumerate(r_orders):
@@ -329,11 +320,6 @@ def threshold_scan(
         if r > -0.5:
             entry["kind"] = "power"
             entry["exponent"] = fit_growth_exponent(radii, masses)
-            if len(masses) >= 3:
-                # increment fit removes the additive bulk-mass offset
-                mids = [np.sqrt(radii[i] * radii[i + 1]) for i in range(len(masses) - 1)]
-                incs = [masses[i + 1] - masses[i] for i in range(len(masses) - 1)]
-                entry["exponent_incr"] = fit_growth_exponent(mids, incs)
         elif r == -0.5:
             entry["kind"] = "log"
             entry["log_r2"] = fit_log_growth(radii, masses)
@@ -470,15 +456,16 @@ def series_evaluator(exp: ExpansionCoeffs):
     return u
 
 
-def series_residual_slope(exp: ExpansionCoeffs, radii, n_dirs: int = 6, h: float = 0.02):
-    """Fitted decay exponent of |(Delta - lam^2) u_J| via the FD oracle."""
+def series_residual_slope(exp: ExpansionCoeffs, radii):
+    """Fitted decay exponent of |(Delta - lam^2) u_J| via the FD oracle (step
+    0.02, about 6 directions)."""
     n = exp.n
     u = series_evaluator(exp)
-    dirs = _probe_directions(n, n_dirs)
+    dirs = _probe_directions(n, 6)
     vals = []
     for r in radii:
         base = r * dirs
-        resid = -_fd_laplacian(u, base, h) - exp.lam**2 * u(base)
+        resid = -_fd_laplacian(u, base, 0.02) - exp.lam**2 * u(base)
         vals.append(float(np.max(np.abs(resid))))
     return fit_growth_exponent(radii, vals), vals
 
@@ -617,22 +604,18 @@ def free_scattering_matrix(lam: float, f_minus: SphereDensity) -> SphereDensity:
     return SphereDensity(n, f_plus, f_minus.nodes, f_minus.weights, f_minus.degree)
 
 
-def fit_smatrix_phase(
-    lam: float, n: int, R: float = 200.0, direction=None, extra_degree: int = 0
-) -> complex:
+def fit_smatrix_phase(lam: float, n: int, R: float = 200.0, extra_degree: int = 0) -> complex:
     """Measure the S-matrix phase f_+(theta) / f_-(-theta) by oscillation fits.
 
-    Synthesizes an eigenfunction from a reference density and, along theta and
-    along -theta separately, solves the 2x2 system
+    Synthesizes an eigenfunction from a reference density and, along theta =
+    e_1 and along -theta separately, solves the 2x2 system
     u(r) = r^{-(n-1)/2}(e^{i lam r} f_+ + e^{-i lam r} f_-) at r = R, R' for
     the coefficients; the phase is the fitted f_+ at theta over the fitted f_-
     at -theta.  Stability under quadrature refinement (extra_degree) is the
     fixture check, closeness to :data:`FREE_SMATRIX_PHASE` the value check.
     """
-    if direction is None:
-        direction = np.zeros(n)
-        direction[0] = 1.0
-    direction = np.asarray(direction, dtype=float)
+    direction = np.zeros(n)
+    direction[0] = 1.0
     if n == 2:
         dens = sphere_density(2, lambda th: 1.0 + 0.6 * th[:, 0] + 0.3j * th[:, 1])
     else:

@@ -123,12 +123,16 @@ def direction_rule(n: int, count: int):
     return np.roll(nodes, 1, axis=-1), w  # polar axis e_1
 
 
-def _line_rule(support: float, n_t: int = 16):
+def _line_rule(support: float, n_t: int):
     # 4 panels aligned with the plateau structure, n_t Gauss nodes each
     return _flat_panels(-support, support, 4, n_t)
 
 
-def xray_transform(f: Callable, z, omega, phi: LocalizerProfile, n_t: int = 24):
+#: Gauss nodes per panel of the line integrals of xray_transform and backproject.
+_LINE_NODES = 24
+
+
+def xray_transform(f: Callable, z, omega, phi: LocalizerProfile):
     """I_0 f(z, omega) = int f(z + t omega) phi(t) dt by Gauss quadrature.
 
     f is vectorized over (M, n) arrays; z and omega may carry matching batch
@@ -136,22 +140,14 @@ def xray_transform(f: Callable, z, omega, phi: LocalizerProfile, n_t: int = 24):
     """
     z = np.asarray(z, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    t, w = _line_rule(phi.support, n_t)
+    t, w = _line_rule(phi.support, _LINE_NODES)
     pts = z[..., None, :] + t[:, None] * omega[..., None, :]
     batch = pts.shape[:-1]
     vals = np.asarray(f(pts.reshape(-1, pts.shape[-1]))).reshape(batch)
     return np.sum(vals * (w * phi(t)), axis=-1)
 
 
-def backproject(
-    v,
-    phi: LocalizerProfile,
-    directions,
-    dir_weights,
-    *,
-    z_axes=None,
-    n_t: int = 24,
-):
+def backproject(v, phi: LocalizerProfile, directions, dir_weights, *, z_axes=None):
     """Adjoint evaluator L v(y) = int v(y - t omega, omega) phi(t) dt domega.
 
     v is either a callable v(z_points, omega_index) or an array of samples of
@@ -162,7 +158,7 @@ def backproject(
     """
     directions = np.asarray(directions, dtype=float)
     dir_weights = np.asarray(dir_weights, dtype=float)
-    t, wt = _line_rule(phi.support, n_t)
+    t, wt = _line_rule(phi.support, _LINE_NODES)
     wt = wt * phi(t)
 
     if callable(v):
@@ -196,24 +192,18 @@ def backproject(
 
 
 def pairing_gap(
-    f: Callable,
-    v: Callable,
-    phi: LocalizerProfile,
-    n: int,
-    *,
-    box: float = 6.0,
-    n_dirs: int = 64,
-    n_gauss: int = 32,
+    f: Callable, v: Callable, phi: LocalizerProfile, n: int, *, n_dirs: int = 64
 ) -> float:
     """Relative defect of <I_0 f, v> = <f, L v> by tensor Gauss quadrature.
 
+    The tensor rule is 32-point Gauss-Legendre per axis on the box [-6, 6]^n.
     f and v(., omega_index) must be smooth and decayed at the box scale (the
     box must also absorb the +-2 line reach of the localizer); both pairings
     quadrate the same continuum integrals, so the gap then measures
     quadrature error alone.
     """
     dirs, dw = direction_rule(n, n_dirs)
-    ax, axw = _flat_panels(-box, box, 1, n_gauss)
+    ax, axw = _flat_panels(-6.0, 6.0, 1, 32)
     mesh = np.meshgrid(*([ax] * n), indexing="ij")
     Z = np.stack([m.ravel() for m in mesh], axis=-1)
     WZ = np.prod(np.meshgrid(*([axw] * n), indexing="ij"), axis=0).ravel()
@@ -229,21 +219,21 @@ def pairing_gap(
     return abs(lhs - rhs) / scale
 
 
-def normal_kernel_symbol(n: int, phi: LocalizerProfile, xi_grid, *, n_sphere: int = 2048) -> dict:
+def normal_kernel_symbol(n: int, phi: LocalizerProfile, xi_grid) -> dict:
     """Symbol a(|xi|) = int_{S^{n-1}} phi_hat(omega.xi)^2 domega, radially.
 
-    n = 2 uses a dense trapezoid in the circle angle; n = 3 reduces by
+    n = 2 uses a 2048-point trapezoid in the circle angle; n = 3 reduces by
     azimuthal symmetry to 2 pi int_{-1}^{1} phi_hat(|xi| c)^2 dc on a
-    Gauss-Legendre rule.  Values are manifestly positive (integrals of
+    512-point Gauss-Legendre rule.  Values are manifestly positive (integrals of
     squares); the table also reports the |xi|-scaled plateau.
     """
     q = np.asarray(xi_grid, dtype=float)
     if n == 2:
-        om, w = product_sphere_rule(2, 0, n_sphere)
+        om, w = product_sphere_rule(2, 0, 2048)
         vals = phi.phi_hat(np.outer(q, om[:, 0])) ** 2
         a = vals.sum(axis=1) * w[0]
     elif n == 3:
-        c, w = _flat_panels(-1.0, 1.0, 1, min(n_sphere, 512))
+        c, w = _flat_panels(-1.0, 1.0, 1, 512)
         vals = phi.phi_hat(np.outer(q, c)) ** 2
         a = 2.0 * np.pi * vals @ w
     else:
@@ -281,18 +271,17 @@ def cone_ellipticity_check(
     phi: LocalizerProfile,
     *,
     xi_ladder=(5.0, 10.0, 20.0, 40.0, 80.0),
-    n_tilt: int = 13,
 ) -> dict:
     """min over directions of the chi-weighted symbol, per |xi| rung.
 
     The symbol a_chi(xi) = int chi(omega_1) phi_hat(omega.xi)^2 domega is
-    evaluated over a ladder of tilt angles between xihat and the e_1 axis
+    evaluated over a ladder of 13 tilt angles between xihat and the e_1 axis
     (rotational symmetry about e_1 reduces the direction scan to the tilt).
     Reported floors are |xi|-scaled.
     """
-    tilts = np.linspace(0.0, np.pi / 2.0, n_tilt)
+    tilts = np.linspace(0.0, np.pi / 2.0, 13)
     floors = []
-    per_dir = np.empty((len(xi_ladder), n_tilt))
+    per_dir = np.empty((len(xi_ladder), len(tilts)))
     for iq, q in enumerate(xi_ladder):
         n_nodes = int(max(256, 8 * q))
         if n == 2:
@@ -364,31 +353,29 @@ def injectivity_probe(
     n: int,
     *,
     grid_points: int = 24,
-    box: float = 1.0,
     n_dirs: int = 64,
     n_t: int = 16,
-    phi: Optional[LocalizerProfile] = None,
     chi: Optional[ConeCutoff] = None,
     f0: Optional[Callable] = None,
 ) -> dict:
     """sigma_min of the discretized normal operator A = L I_0 plus a solve.
 
-    f lives on a grid_points^n tensor grid over [-box, box]^n (zero outside);
-    I_0 samples line integrals on (z grid) x (direction rule); L backprojects
-    with the same rule; the optional cone cutoff multiplies the direction
-    weights inside L.  Reports sigma_min, the relative reconstruction error
-    for a known bump f0, the matrix itself, and the demo data: the ball
-    points, f0 on them and the reconstruction.
+    f lives on a grid_points^n tensor grid over [-1, 1]^n (zero outside);
+    I_0 samples line integrals against the default profile on (z grid) x
+    (direction rule); L backprojects with the same rule; the optional cone
+    cutoff multiplies the direction weights inside L.  Reports sigma_min, the
+    relative reconstruction error for a known bump f0, the size of the
+    function space, and the demo data: the ball points, f0 on them and the
+    reconstruction.
     """
-    if phi is None:
-        phi = default_profile()
-    axes = tuple(np.linspace(-box, box, grid_points) for _ in range(n))
+    phi = default_profile()
+    axes = tuple(np.linspace(-1.0, 1.0, grid_points) for _ in range(n))
     mesh = np.meshgrid(*axes, indexing="ij")
     Z = np.stack([m.ravel() for m in mesh], axis=-1)
     # restrict the function space to the inscribed ball: the corners of the
     # box are barely sampled by localized lines and contribute spurious
     # near-null high-frequency modes that wander under refinement
-    ball = np.sum(Z**2, axis=-1) <= box**2
+    ball = np.sum(Z**2, axis=-1) <= 1.0
     dirs, dw = direction_rule(n, n_dirs)
     t, wt = _line_rule(phi.support, n_t)
     wt = wt * phi(t)
@@ -404,8 +391,7 @@ def injectivity_probe(
         wchi = dw[k] * (float(chi(np.array([om[0]]))[0]) if chi is not None else 1.0)
         A = A + (wchi * Lk) @ I0k
     A = np.asarray(A.todense())[np.ix_(ball, ball)]
-    sv = svdvals(A)
-    sigma_min, sigma_max = float(sv[-1]), float(sv[0])
+    sigma_min = float(svdvals(A)[-1])
     if f0 is None:
         def f0(p):
             r2 = np.sum(p**2, axis=-1)
@@ -417,10 +403,7 @@ def injectivity_probe(
     err = float(np.linalg.norm(rec - fvec) / max(np.linalg.norm(fvec), 1e-300))
     return {
         "sigma_min": sigma_min,
-        "sigma_max": sigma_max,
         "reconstruction_error": err,
-        "matrix": A,
-        "grid_points": grid_points,
         "dof": int(ball.sum()),
         "points": Z[ball],
         "f0": fvec,

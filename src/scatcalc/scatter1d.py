@@ -47,18 +47,19 @@ __all__ = [
 class Potential1D:
     eval: Callable[[np.ndarray], np.ndarray]
     support_radius: float
-    smoothness: str = "smooth"
 
     def __call__(self, x):
         return np.asarray(self.eval(np.asarray(x, dtype=float)), dtype=float)
 
 
-def potential_from_callable(fn: Callable, scan_limit: float = 60.0, tol: float = 1e-12) -> Potential1D:
-    """Wrap fn with an automatically detected support radius (|V| < tol beyond)."""
-    xs = np.linspace(0.0, scan_limit, 4001)
+def potential_from_callable(fn: Callable) -> Potential1D:
+    """Wrap fn with an automatically detected support radius: the last point
+    of a 4001-point scan of [0, 60] where |V(x)| + |V(-x)| > 1e-12, plus one
+    scan step."""
+    xs, step = np.linspace(0.0, 60.0, 4001, retstep=True)
     vals = np.abs(np.asarray(fn(xs))) + np.abs(np.asarray(fn(-xs)))
-    big = np.nonzero(vals > tol)[0]
-    L = float(xs[big[-1]] + scan_limit / 4000.0) if len(big) else 0.0
+    big = np.nonzero(vals > 1e-12)[0]
+    L = float(xs[big[-1]] + step) if len(big) else 0.0
     return Potential1D(eval=fn, support_radius=L)
 
 
@@ -73,7 +74,7 @@ def square_barrier(height: float, width: float) -> Potential1D:
         x = np.asarray(x, dtype=float)
         return np.where(np.abs(x) <= half, height, 0.0)
 
-    return Potential1D(eval=fn, support_radius=half, smoothness="piecewise")
+    return Potential1D(eval=fn, support_radius=half)
 
 
 def compact_bump(height: float, half_width: float) -> Potential1D:
@@ -112,7 +113,7 @@ class ScatterSolution:
     dpsi: np.ndarray
 
 
-def solve_scatter(V: Potential1D, lam: float, rtol: float = 1e-11, atol: float = 1e-12):
+def solve_scatter(V: Potential1D, lam: float):
     """Reflection/transmission coefficients of V at energy lambda^2.
 
     Integrates backwards from x = +L with the pure transmitted wave (psi'' =
@@ -137,8 +138,8 @@ def solve_scatter(V: Potential1D, lam: float, rtol: float = 1e-11, atol: float =
         (L, -L),
         np.asarray(y0, dtype=complex),
         method="DOP853",
-        rtol=rtol,
-        atol=atol,
+        rtol=1e-11,
+        atol=1e-12,
         dense_output=True,
     )
     if not sol.success:
@@ -192,16 +193,16 @@ def wronskian_drift(sol: ScatterSolution) -> float:
     return float(np.max(np.abs(J - J[0])))
 
 
-def lg_profile(k: int, eps: int, branch: int = +1):
+def lg_profile(k: int, eps: int):
     """Leading Liouville-Green profile for D_x^2 + eps x^k on x > 0.
 
     For eps = -1 the classically allowed side carries the oscillatory
-    |x|^{-k/4} exp(+- 2i |x|^{(k+2)/2}/(k+2)); for eps = +1 the decaying real
+    |x|^{-k/4} exp(+2i |x|^{(k+2)/2}/(k+2)); for eps = +1 the decaying real
     exponential branch is returned.  u, u', u'' are closed forms.
     """
     if eps not in (-1, +1):
         raise ValueError("eps must be +-1")
-    mult = 1j * branch if eps == -1 else -1.0
+    mult = 1j if eps == -1 else -1.0
 
     def parts(x):
         x = np.asarray(x, dtype=float)
@@ -262,7 +263,7 @@ def lg_tail_masses(k: int, cutoffs) -> dict:
     return {"masses": np.cumsum(rungs), "convergent": slope < -1e-6}
 
 
-def symmetry_boundary_term(R: float, k: int = 3) -> complex:
+def symmetry_boundary_term(R: float) -> complex:
     """Integration-by-parts boundary defect of <A u, u> - <u, A u> at radius R.
 
     A = D_x^2 + x^3: the L^2 eigenfunction-like profile is superpolynomially
@@ -270,8 +271,6 @@ def symmetry_boundary_term(R: float, k: int = 3) -> complex:
     boundary contribution [u conj(u') - u' conj(u)] survives only at x = -R,
     where the LG phase makes it modulus-2 to leading order.
     """
-    if k != 3:
-        raise ValueError("the diagnostic is the k = 3 example")
     u, up, _ = lg_profile(3, -1)(np.array([R]))
     # left endpoint x = -R: u(x) = profile(|x|), d/dx = -d/d|x|
     val = u[0] * np.conj(-up[0]) - (-up[0]) * np.conj(u[0])

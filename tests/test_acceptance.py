@@ -452,7 +452,7 @@ def test_14_fails_when_k3_carries_the_k2_amplitude(monkeypatch):
     import scatcalc.scatter1d as sc
 
     real = sc.lg_profile
-    monkeypatch.setattr(sc, "lg_profile", lambda k, eps, branch=1: real(2 if k == 3 else k, eps, branch))
+    monkeypatch.setattr(sc, "lg_profile", lambda k, eps: real(2 if k == 3 else k, eps))
     assert not sc.lg_tail_masses(3, LG_LADDER)["convergent"]
     assert not _criterion_14()[0]
 

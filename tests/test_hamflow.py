@@ -387,6 +387,11 @@ class TestRadialPoints:
             expected = "sink" if p.point.sign > 0 else "source"
             assert p.verdict == expected
 
+    def test_first_derivative_one_dimension_lists_each_point_once(self):
+        # xi has no second slot in one dimension: one fiber point, one seed
+        rep = find_radial_points(d_x1_model(1), resolution=8)
+        assert sorted(p.family for p in rep.points) == ["x1_minus", "x1_plus"]
+
     def test_x_dx_four_configurations(self):
         rep = find_radial_points(x_dx_model())
         got = {(p.family, p.verdict) for p in rep.points}

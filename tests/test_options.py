@@ -1,0 +1,114 @@
+"""Every defaulted parameter of ``scatcalc`` has a caller that sets it.
+
+The source of ``src/scatcalc`` is parsed with ``ast``.  Each parameter with a
+default, of a module-level function or of a method, must be passed,
+by keyword or by position, by at least one call in ``src/``, ``tests/`` or
+``perfbench/``.  A default that no call ever overrides is a configuration that
+no test covers: it belongs inline, as the value it always is.
+
+Calls are matched by name (``f(...)``, ``obj.f(...)``, ``Class(...)`` for
+``__init__``), so two functions that share a name share their callers; that
+only errs towards passing.
+"""
+
+from __future__ import annotations
+
+import ast
+import functools
+from collections import defaultdict
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "scatcalc"
+CALLER_DIRS = ("src", "tests", "perfbench")
+
+#: Kept on purpose although no call sets them: (module, function, parameter).
+ALLOWED = {
+    ("symbols", "parametrix", "n"): "the dimension of the symbol calculus",
+    ("symbols", "poisson_bracket", "n"): "the dimension of the symbol calculus",
+    ("symbols", "classical_limit_consistency", "n"): "the dimension of the symbol calculus",
+    ("bumps", "plateau", "digamma"): "the sharpness of the smoothstep family",
+    ("bumps", "smoothstep_prime", "digamma"): "the sharpness of the smoothstep family",
+    ("helmholtz", "build_poisson_series", "oscillation"): "the incoming step is under test",
+}
+
+
+def _defaulted(args: ast.arguments, skip_self: bool):
+    """(name, position or None) of each parameter with a default."""
+    positional = args.posonlyargs + args.args
+    offset = 1 if skip_self else 0
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i - offset) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _options():
+    """(module, owner, name, callee name, position) of every defaulted parameter."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                for name, pos in _defaulted(node.args, False):
+                    found.append((module, node.name, name, node.name, pos))
+            elif isinstance(node, ast.ClassDef):
+                for meth in node.body:
+                    if not isinstance(meth, ast.FunctionDef):
+                        continue
+                    static = "staticmethod" in {getattr(d, "id", "") for d in meth.decorator_list}
+                    callee = node.name if meth.name == "__init__" else meth.name
+                    for name, pos in _defaulted(meth.args, not static):
+                        found.append((module, f"{node.name}.{meth.name}", name, callee, pos))
+    return found
+
+
+def _callee(call: ast.Call) -> str | None:
+    f = call.func
+    if isinstance(f, ast.Name):
+        return f.id
+    if isinstance(f, ast.Attribute):
+        return f.attr
+    return None
+
+
+def _calls():
+    """Per callee name: the keywords passed and the largest positional count."""
+    keywords = defaultdict(set)
+    n_positional = defaultdict(int)
+    for top in CALLER_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for call in ast.walk(ast.parse(path.read_text())):
+                name = _callee(call) if isinstance(call, ast.Call) else None
+                if name is None:
+                    continue
+                keywords[name].update(k.arg for k in call.keywords if k.arg is not None)
+                plain = [a for a in call.args if not isinstance(a, ast.Starred)]
+                n_positional[name] = max(n_positional[name], len(plain))
+    return keywords, n_positional
+
+
+@functools.cache
+def _unset() -> tuple:
+    keywords, n_positional = _calls()
+    return tuple(sorted(
+        (module, owner, name)
+        for module, owner, name, callee, pos in _options()
+        if name not in keywords[callee] and (pos is None or n_positional[callee] <= pos)
+    ))
+
+
+def test_every_option_has_a_caller():
+    unset = [opt for opt in _unset() if opt not in ALLOWED]
+    assert not unset, "defaulted parameters that no call sets: " + ", ".join(
+        f"{m}.{o}({p})" for m, o, p in unset
+    )
+
+
+@pytest.mark.parametrize("kept", sorted(ALLOWED), ids=lambda k: ".".join(k))
+def test_allowlist_entry_is_still_unset(kept):
+    # an entry that a caller now sets, or that is gone, leaves the allowlist
+    assert kept in _unset()

@@ -203,6 +203,24 @@ class TestCompose:
         xis = np.array([[0.9], [2.0]])
         assert np.allclose(c(xs, xis), a(xs, xis), atol=1e-12)
 
+    def test_x_independent_right_factor_takes_no_xi_derivative(self):
+        # every term with |alpha| > 0 carries d_x^alpha b = 0: only a itself
+        # is evaluated, once per evaluation of the composition
+        calls = []
+
+        def f(x, xi):
+            calls.append(x.shape)
+            return np.exp(-(x**2) - xi**2 / 2)
+
+        a = sym1d(f, (0, 0))
+        b = sym1d(lambda x, xi: xi**2 + 1 + 0 * x, (2, 0), depends_on_x=False)
+        c = compose_expansion(a, b, 3)
+        xs = np.array([[0.4], [-1.0]])
+        xis = np.array([[0.9], [2.0]])
+        got = c(xs, xis)
+        assert len(calls) == 1
+        assert np.array_equal(got, a(xs, xis) * b(xs, xis))
+
     def test_residual_drops_per_term(self):
         # bracket-weight pair at dilated scale: each term of the expansion
         # gains one joint order, and away from the phase-space origin (scale
