@@ -268,7 +268,7 @@ def _run_quantize(v, seed):
 
 def _run_commutant(v, seed):
     from .commutants import (
-        SupportTooWideError,
+        ThresholdOrderError,
         build_propagation_commutant,
         model_inequality_margins,
         radial_commutant_check,
@@ -281,7 +281,7 @@ def _run_commutant(v, seed):
     try:
         radial_commutant_check(v["lambda"], -0.5, v["delta"])
         threshold_rejected = False
-    except SupportTooWideError:
+    except ThresholdOrderError:
         threshold_rejected = True
     spec = make_grid(2, v["L"], v["N"])
     pairs = model_inequality_margins(spec, n_fields=v["fields"], seed=seed)
@@ -442,6 +442,7 @@ def _run_scatter1d(v, seed):
 
 def _run_radon(v, seed):
     from .radon import (
+        ConeCutoff,
         cone_ellipticity_check,
         default_cone,
         default_profile,
@@ -467,7 +468,7 @@ def _run_radon(v, seed):
     plateau_var = float((top.max() - top.min()) / top.mean())
     cone3 = cone_ellipticity_check(3, default_cone(v["cone_width"]), phi, xi_ladder=(5.0, 20.0, 80.0))
     full2 = cone_ellipticity_check(
-        2, type(default_cone())(lambda w: np.ones_like(np.asarray(w, dtype=float))), phi,
+        2, ConeCutoff(lambda w: np.ones_like(np.asarray(w, dtype=float))), phi,
         xi_ladder=(5.0, 20.0, 80.0),
     )
     narrow2 = cone_ellipticity_check(2, default_cone(v["cone_width"]), phi, xi_ladder=(5.0, 20.0, 80.0))

@@ -48,6 +48,7 @@ __all__ = [
     "RadialCommutantReport",
     "DigammaTooSmallError",
     "SupportTooWideError",
+    "ThresholdOrderError",
     "build_propagation_commutant",
     "model_estimate_multipliers",
     "model_inequality_margins",
@@ -61,6 +62,10 @@ class DigammaTooSmallError(ValueError):
 
 class SupportTooWideError(ValueError):
     """Square-root argument loses positivity; shrink delta."""
+
+
+class ThresholdOrderError(ValueError):
+    """Order r = -1/2: the leading commutant term has no sign to exploit."""
 
 
 @dataclass
@@ -250,7 +255,7 @@ def radial_commutant_check(lam: float, r: float, delta: float) -> RadialCommutan
     Exactly at r = -1/2 there is no sign to exploit and the check refuses.
     """
     if r == -0.5:
-        raise SupportTooWideError(
+        raise ThresholdOrderError(
             "2r + 1 = 0: the leading commutant term has no sign at the threshold order"
         )
     below = r < -0.5

@@ -10,8 +10,6 @@ spatial_face(j, sigma)  rho = sigma/x_j, y_m = x_m/x_j (m != j), xi (n,)
 frequency_face(j, sig)  rho = sigma/xi_j, x (n,)           [1D x.D_x model]
 kg_face(sigma)          rho = sigma/t, v = x tau/t + xi, tau, xi
 schrodinger_time_face   rho = sigma/t, y = x/t, tau, xi (n,)
-parabolic_face          rho_b = sigma_x/x_1, s_t = 2 t/x_1 - sigma_xi/xi_1,
-                        vt_m = x_m/x_1 - xi_m/xi_1, rho_f = sigma_xi/xi_1
 
 Rescaled fields on boundary faces use each model's customary normalization
 (a fixed positive multiple of <x><xi> rescalings of H_p, e.g. (2 rho)^{-1} H_p
@@ -86,7 +84,6 @@ class PhasePointChart:
     coords: dict
     axis: Optional[int] = None
     sign: int = 1
-    sign2: int = 1
 
     def __post_init__(self):
         rho_key = _RHO_KEYS.get(self.chart)
@@ -107,7 +104,6 @@ class SymbolHamiltonian:
     """
 
     p: Optional[Symbol]
-    orders: tuple[float, float]
     named_model: Optional[str] = None
     params: dict = field(default_factory=dict)
 
@@ -133,7 +129,7 @@ def helmholtz_model(lam: float, n: int = 2) -> SymbolHamiltonian:
         order=(2.0, 0.0),
         depends_on_x=False,
     )
-    return SymbolHamiltonian(p, (2.0, 0.0), "helmholtz", {"lambda": lam, "dim": n})
+    return SymbolHamiltonian(p, "helmholtz", {"lambda": lam, "dim": n})
 
 
 def klein_gordon_model(mass: float = 1.0) -> SymbolHamiltonian:
@@ -142,7 +138,7 @@ def klein_gordon_model(mass: float = 1.0) -> SymbolHamiltonian:
         order=(2.0, 0.0),
         depends_on_x=False,
     )
-    return SymbolHamiltonian(p, (2.0, 0.0), "klein_gordon", {"mass": mass, "dim": 2})
+    return SymbolHamiltonian(p, "klein_gordon", {"mass": mass, "dim": 2})
 
 
 def wave_model() -> SymbolHamiltonian:
@@ -157,19 +153,19 @@ def schrodinger_model(n: int = 1) -> SymbolHamiltonian:
         order=(2.0, 0.0),
         depends_on_x=False,
     )
-    return SymbolHamiltonian(p, (2.0, 0.0), "schrodinger_free", {"dim": n + 1})
+    return SymbolHamiltonian(p, "schrodinger_free", {"dim": n + 1})
 
 
 def d_x1_model(n: int = 2) -> SymbolHamiltonian:
     p = Symbol(
         eval=lambda x, xi: xi[..., 0] + 0.0 * x[..., 0], order=(1.0, 0.0), depends_on_x=False
     )
-    return SymbolHamiltonian(p, (1.0, 0.0), "d_x1", {"dim": n})
+    return SymbolHamiltonian(p, "d_x1", {"dim": n})
 
 
 def x_dx_model() -> SymbolHamiltonian:
     p = Symbol(eval=lambda x, xi: x[..., 0] * xi[..., 0], order=(1.0, 1.0))
-    return SymbolHamiltonian(p, (1.0, 1.0), "x_dx", {"dim": 1})
+    return SymbolHamiltonian(p, "x_dx", {"dim": 1})
 
 
 @dataclass(frozen=True)
@@ -181,8 +177,7 @@ class _ChartSpec:
     comes first (flat index 0); it is None on the interior.  coords, interior
     and rescale serve the limit oracle: the chart coordinates of an interior
     (x, xi), the interior point over a flat state at a given rho, and the
-    factor turning H_p into the rescaled field.  parabolic_face does not flow:
-    it has two defining functions (rho_b, rho_f) and the engine clamps one.
+    factor turning H_p into the rescaled field.
     """
 
     layout: tuple
@@ -192,7 +187,6 @@ class _ChartSpec:
     char: Optional[Callable] = None  # (H, coords) -> normalized characteristic function
     threshold: Optional[float] = None
     projective: bool = False  # a direction-ray chart whose axis flows may switch
-    flows: bool = True
     coords: Optional[Callable] = None
     interior: Optional[Callable] = None
     rescale: Optional[Callable] = None
@@ -241,13 +235,6 @@ def _schrodinger_time_face(H, pt, s):
     n, sigma = H.dim, pt.sign
     y, xi = s[1:n], s[n + 1 :]
     return np.concatenate([[-sigma * s[0]], sigma * (2.0 * xi - y), [0.0], np.zeros(n - 1)])
-
-
-def _parabolic_face(H, pt, s):
-    csign = pt.sign * pt.sign2
-    f = -2.0 * csign * s
-    f[-1] = 0.0  # rho_f is a flow invariant
-    return f
 
 
 def _helmholtz_char(H, c):
@@ -438,13 +425,6 @@ _SPECS = {
             [[pt.sign / x[0]], x[1:] / x[0], [xi[0]], xi[1:]]
         ),
         interior=_schrodinger_interior, rescale=lambda pt, x: abs(x[0]), scan=_schrodinger_scan,
-    ),
-    ("schrodinger_free", "parabolic_face"): _ChartSpec(
-        (("rho_b", None), ("s_t", None), ("vt", -2), ("rho_f", None)), _parabolic_face,
-        rho="rho_b", transverse=("rho_b", "s_t", "vt"), threshold=-0.5, flows=False,
-        # tau/xi_1^2 + sum (xi/xi_1)^2: vanishing encodes tau = -|xi|^2, and
-        # the chart is built inside the characteristic set
-        char=lambda H, c: float(c["s_t"]) * 0.0,
     ),
     ("d_x1", "interior"): _ChartSpec(
         _INTERIOR, lambda H, pt, s: np.eye(2 * H.dim)[0], rho=None, char=_d_x1_char
@@ -656,7 +636,7 @@ def flow_trajectory(
         raise ValueError("|dt| must be at most 0.01")
     if require_null and abs(char_value(H, start)) > CHAR_TOL:
         raise ValueError("start is not on the characteristic set")
-    spec = _spec(H, start.chart, "flows")
+    spec = _spec(H, start.chart)
     n = H.dim
     steps = int(round(abs(T / dt)))
     sgn = np.sign(T) if T != 0 else 1.0
@@ -681,7 +661,7 @@ def flow_trajectory(
             if u[axis] / np.max(u) < SWITCH_LOW:
                 axis = int(np.argmax(u))
                 s, sign = _transition(s, n, pt.axis, pt.sign, axis)
-        pt = PhasePointChart(pt.chart, _unflatten(spec, s, n), axis, sign, pt.sign2)
+        pt = PhasePointChart(pt.chart, _unflatten(spec, s, n), axis, sign)
         path.append(pt)
     return path
 
@@ -765,7 +745,7 @@ def _newton_polish(H: SymbolHamiltonian, pt: PhasePointChart) -> PhasePointChart
         # keep rho on its half-line
         new[0] = max(new[0], 0.0)
         s[idx] = new
-    return PhasePointChart(pt.chart, _unflatten(spec, s, H.dim), pt.axis, pt.sign, pt.sign2)
+    return PhasePointChart(pt.chart, _unflatten(spec, s, H.dim), pt.axis, pt.sign)
 
 
 def threshold_data(
@@ -809,7 +789,7 @@ def threshold_data(
         )
 
     def at(s):
-        return PhasePointChart(pt.chart, _unflatten(spec, s, H.dim), pt.axis, pt.sign, pt.sign2)
+        return PhasePointChart(pt.chart, _unflatten(spec, s, H.dim), pt.axis, pt.sign)
 
     def log_rate(fn, displace):
         def rate(eps):

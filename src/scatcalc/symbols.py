@@ -387,59 +387,37 @@ def quantize(a: Symbol, spec: GridSpec, mode: str = "left") -> DenseOperator:
     return DenseOperator(spec, matrix, a.order)
 
 
-class TabulatedSymbol(Symbol):
-    """Symbol backed by a table over the (x, xi) grid lattice."""
+@dataclass(frozen=True)
+class TabulatedSymbol:
+    """Symbol values on the (x, xi) grid lattice, read off by symbol_from_kernel."""
 
-    def __init__(self, spec: GridSpec, values: np.ndarray, order):
-        self.spec = spec
-        self.values = values  # shape (N^n, N^n): x-major, xi in fft layout
-        self._xi_stack = np.stack(spec.freq_mesh(), axis=-1).reshape(-1, spec.dimension)
-        super().__init__(eval=self._interp_eval, order=tuple(order))
+    spec: GridSpec
+    values: np.ndarray  # shape (N^n, N^n): x-major, xi in fft layout
 
     def value_table(self) -> np.ndarray:
         return self.values
-
-    def _interp_eval(self, x, xi):
-        # nearest-lattice lookup; the round-trip contracts are stated on grid
-        # points, where this is exact
-        spec = self.spec
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        batch = np.broadcast(x[..., 0], xi[..., 0]).shape
-        xb = np.broadcast_to(x, batch + (spec.dimension,)).reshape(-1, spec.dimension)
-        xib = np.broadcast_to(xi, batch + (spec.dimension,)).reshape(-1, spec.dimension)
-        ix = np.clip(
-            np.rint((xb + spec.half_width) / spec.spacing).astype(int),
-            0,
-            spec.points_per_axis - 1,
-        )
-        x_flat = np.ravel_multi_index(tuple(ix.T), spec.shape)
-        d2 = np.sum((self._xi_stack[None, :, :] - xib[:, None, :]) ** 2, axis=-1)
-        xi_flat = np.argmin(d2, axis=1)
-        return self.values[x_flat, xi_flat].reshape(batch)
 
 
 def symbol_from_kernel(kernel, spec: GridSpec) -> TabulatedSymbol:
     """Left symbol from a kernel: a(x, xi) = int exp(-i w.xi) K(x, x - w) dw.
 
     `kernel` is a DenseOperator or a callable K(x, y) over (..., n) arrays.
-    Kernels must decay below 1e-10 (relative) at the box edge; otherwise
-    the w-integral is visibly truncated and a KernelDecayError is raised.
+    The result holds the values on the (x, xi) grid lattice: a table, not an
+    evaluator.  Kernels must decay below 1e-10 (relative) at the box edge;
+    otherwise the w-integral is visibly truncated and a KernelDecayError is
+    raised.
     """
     if spec.size**2 > TABULATE_MAX_SIZE:
         raise GridBudgetError("grid too large to tabulate a full symbol")
+    pts = spec.points()
     if isinstance(kernel, DenseOperator):
         if kernel.spec != spec:
             raise ValueError("kernel and target grid disagree")
         K = kernel.matrix
-        order = kernel.declared_order
     else:
-        pts = spec.points()
         K = np.asarray(kernel(pts[:, None, :], pts[None, :, :]), dtype=complex)
-        order = (0.0, 0.0)
     n = spec.dimension
     kmax = float(np.max(np.abs(K)))
-    pts = spec.points()
     sep = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=-1)
     edge = sep >= spec.half_width - 2 * spec.spacing
     if kmax > 0 and float(np.max(np.abs(K[edge]))) > 1e-10 * kmax:
@@ -454,7 +432,7 @@ def symbol_from_kernel(kernel, spec: GridSpec) -> TabulatedSymbol:
     xi_stack = np.stack(fmesh, axis=-1).reshape(-1, n)
     phase = np.exp(-1j * (pts @ xi_stack.T))
     vals = spec.spacing**n * phase * tr
-    return TabulatedSymbol(spec, vals, order)
+    return TabulatedSymbol(spec, vals)
 
 
 def compose_expansion(a: Symbol, b: Symbol, N_terms: int, *, n: int = 1) -> Symbol:

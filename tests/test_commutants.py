@@ -1,9 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
+from scatcalc import commutants
+from scatcalc.cli import load_config, run_experiment
 from scatcalc.commutants import (
     DigammaTooSmallError,
     SupportTooWideError,
+    ThresholdOrderError,
     build_propagation_commutant,
     model_estimate_multipliers,
     model_inequality_margins,
@@ -107,8 +112,23 @@ class TestRadialCommutant:
         assert rep.residual_sup < 1e-8
 
     def test_threshold_order_rejected(self):
-        with pytest.raises(SupportTooWideError, match="threshold"):
+        with pytest.raises(ThresholdOrderError, match="threshold"):
             radial_commutant_check(1.0, -0.5, 0.05)
+
+    def test_runner_counts_only_the_threshold_order_error(self, tmp_path, monkeypatch):
+        # a support failure at r = -1/2 is a fault, not a refused threshold order
+        real = commutants.radial_commutant_check
+
+        def wide_at_threshold(lam, r, delta):
+            if r == -0.5:
+                raise SupportTooWideError("square-root argument reaches -1")
+            return real(lam, r, delta)
+
+        monkeypatch.setattr(commutants, "radial_commutant_check", wide_at_threshold)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({}))
+        with pytest.raises(SupportTooWideError):
+            run_experiment(load_config(str(path), "commutant"))
 
     def test_oversized_delta_rejected(self):
         with pytest.raises(SupportTooWideError, match="shrink"):

@@ -93,7 +93,7 @@ class TestHamiltonField:
             eval=lambda x, xi: np.sum(xi**2, axis=-1) - 1.0 + 0.0 * x[..., 0],
             order=(2.0, 0.0),
         )
-        H = SymbolHamiltonian(p, (2.0, 0.0), None, {"dim": 2})
+        H = SymbolHamiltonian(p, None, {"dim": 2})
         dx, dxi = hamilton_field(H, np.array([0.3, 0.4]), np.array([0.6, 0.8]))
         assert np.allclose(dx, [1.2, 1.6], atol=1e-7)
         assert np.allclose(dxi, 0.0, atol=1e-7)
@@ -163,6 +163,59 @@ class TestChartFields:
                 "spatial_face", {"rho": 0.0, "y": y, "xi": xi}, axis=0, sign=1
             )
             assert abs(boundary_chart_field(H, pt)["rho"]) < 1e-9
+
+
+# the named models, at the dimensions they are checked in
+NAMED_MODELS = {
+    "helmholtz-2": lambda: helmholtz_model(1.0, 2),
+    "helmholtz-3": lambda: helmholtz_model(1.0, 3),
+    "klein_gordon": klein_gordon_model,
+    "wave": wave_model,
+    "schrodinger-1": lambda: schrodinger_model(1),
+    "schrodinger-2": lambda: schrodinger_model(2),
+    "d_x1-1": lambda: d_x1_model(1),
+    "d_x1-2": lambda: d_x1_model(2),
+    "x_dx": x_dx_model,
+}
+SIGNED_CHARS = ("helmholtz-2", "helmholtz-3", "d_x1-1", "d_x1-2", "x_dx")
+
+
+class TestClosedFormsAgainstSymbol:
+    """The closed forms of the chart table against each model's own symbol p."""
+
+    @pytest.mark.parametrize("name", sorted(NAMED_MODELS))
+    def test_char_vanishes_at_scanned_radial_points(self, name):
+        H = NAMED_MODELS[name]()
+        points = find_radial_points(H, resolution=5).points
+        assert points
+        assert max(abs(char_value(H, p.point)) for p in points) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(NAMED_MODELS))
+    def test_interior_field_matches_symbol_derivatives(self, name):
+        H = NAMED_MODELS[name]()
+        closed = hamflow._SPECS[(H.named_model, "interior")].field
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            s = 3.0 * rng.standard_normal(2 * H.dim)
+            err = np.max(np.abs(closed(H, None, s) - hamflow._symbol_field(H, None, s)))
+            assert err < 1e-9
+
+    @pytest.mark.parametrize("name", SIGNED_CHARS)
+    def test_interior_char_has_the_sign_of_p(self, name):
+        H = NAMED_MODELS[name]()
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            x, xi = 3.0 * rng.standard_normal((2, H.dim))
+            c = char_value(H, PhasePointChart("interior", {"x": x, "xi": xi}))
+            p = float(np.real(H.p(x[None], xi[None])[0]))
+            assert np.sign(c) == np.sign(p) and abs(c) < 1.0
+
+    def test_every_named_interior_entry_is_checked(self):
+        models = {NAMED_MODELS[name]().named_model for name in NAMED_MODELS}
+        assert models == {m for m, chart in hamflow._SPECS if m and chart == "interior"}
+        signed = {NAMED_MODELS[name]().named_model for name in SIGNED_CHARS}
+        interior = {m: spec for (m, chart), spec in hamflow._SPECS.items() if chart == "interior"}
+        assert signed == {m for m, spec in interior.items() if m and spec.char}
 
 
 class TestChartTransitions:
@@ -285,11 +338,6 @@ class TestFlow:
         assert rows[0]["step"] == 0 and "abs_char" in rows[0]
 
 
-PARABOLIC = PhasePointChart(
-    "parabolic_face", {"rho_b": 0.0, "s_t": 0.3, "vt": np.zeros(0), "rho_f": 0.2}, sign=1
-)
-
-
 class TestErrorTypes:
     H = helmholtz_model(1.0, 2)
     kg_point = PhasePointChart("kg_face", {"rho": 0.0, "v": 0.2, "tau": 1.0, "xi": 0.0}, sign=1)
@@ -304,7 +352,6 @@ class TestErrorTypes:
         "chart, coords",
         [
             ("kg_face", {"rho": -0.1, "v": 0.0, "tau": 1.0, "xi": 0.0}),
-            ("parabolic_face", {"rho_b": -0.1, "s_t": 0.0, "vt": np.zeros(0), "rho_f": 0.1}),
         ],
     )
     def test_negative_defining_coordinate_rejected(self, chart, coords):
@@ -314,14 +361,6 @@ class TestErrorTypes:
     def test_no_helmholtz_field_on_kg_face(self):
         with pytest.raises(NotImplementedError):
             boundary_chart_field(self.H, self.kg_point)
-
-    def test_no_flow_on_parabolic_face(self):
-        with pytest.raises(NotImplementedError):
-            flow_trajectory(schrodinger_model(1), PARABOLIC, 1.0, 0.01)
-
-    def test_parabolic_face_has_no_limit_oracle(self):
-        with pytest.raises(NotImplementedError):
-            chart_field_by_limit(schrodinger_model(1), PARABOLIC)
 
     @pytest.mark.parametrize(
         "fn",
@@ -422,7 +461,7 @@ class TestRadialPoints:
 
         p = Symbol(eval=lambda x, xi: np.sum(xi**2, axis=-1) + 0.0 * x[..., 0], order=(2.0, 0.0))
         with pytest.raises(NotImplementedError):
-            find_radial_points(SymbolHamiltonian(p, (2.0, 0.0), None, {"dim": 2}))
+            find_radial_points(SymbolHamiltonian(p, None, {"dim": 2}))
 
     def test_empty_scan_reports_not_raises(self):
         # the d_x1 scan in a chart family with no zeros stays silent

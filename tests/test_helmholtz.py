@@ -190,6 +190,18 @@ class TestPoissonSeries:
         assert slopes[0] - slopes[1] >= 0.9
         assert slopes[1] - slopes[2] >= 0.9
 
+    def test_n3_residual_slopes_of_spherical_harmonic_seed(self):
+        # seeded with ell = 2 and ell = 1 harmonics, each term gains one power
+        # of r; a_2 closes the series (a_3 = 0), so u_2 is an exact solution
+        radii = np.geomspace(5, 25, 6)
+        for J, expected in ((0, -3.0), (1, -4.0)):
+            s = build_poisson_series({(2, 1): 1.0, (1, 0): 0.3}, J, LAM, 3)
+            slope, _ = series_residual_slope(s, radii)
+            assert slope == pytest.approx(expected, abs=0.1)
+        exact = build_poisson_series({(2, 1): 1.0, (1, 0): 0.3}, 2, LAM, 3)
+        _, vals = series_residual_slope(exact, radii)
+        assert max(vals) < 1e-9
+
     def test_evaluator_leading_amplitude(self):
         s = build_poisson_series({0: 2.0}, 0, LAM, 2)
         u = series_evaluator(s)
