@@ -181,6 +181,9 @@ def _run_radial(v, seed):
     from . import hamflow as hf
 
     name = v["model"]
+    if name == "helmholtz" and v["dim"] == 1:
+        # no transverse slot besides rho: threshold data is undefined
+        raise ConfigError("helmholtz radial needs dim 2 or 3")
     H = _RADIAL_MODELS[name](hf, v)
     rep = hf.find_radial_points(H, resolution=v["resolution"])
     rows = [
@@ -706,14 +709,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.experiment)
+        if args.seed is not None:
+            cfg.seed = args.seed
+        if args.out is not None:
+            cfg.output_dir = args.out
+        report = run_experiment(cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.output_dir = args.out
-    report = run_experiment(cfg)
     try:
         paths = emit_report(report, cfg.output_dir, formats=tuple(args.format.split(",")))
     except OSError as e:

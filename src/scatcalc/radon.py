@@ -11,7 +11,8 @@ sphere integral concentrates on the equator omega . xi = 0 with width ~1/|xi|.
 A direction cutoff chi(omega_1) preserves the positive floor exactly when the
 orthogroup {omega . xihat = 0} always meets {chi > 0}: true for n >= 3 (two
 great circles on S^2 intersect), false for narrow cutoffs in n = 2 (two
-antipodal points miss the allowed arc), and the probe exhibits both.
+antipodal points miss the allowed arc), and the probe exhibits both.  phi_hat
+is read from a Chebyshev table; the Hankel oracle reads phi_tilde, not the table.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.fft import dct
 from scipy.linalg import svdvals
 
 from .bumps import plateau
@@ -46,6 +48,10 @@ def _flat_panels(lo, hi, n_panels: int, order: int):
     return tuple(a.ravel() for a in gauss_panels(lo, hi, n_panels, order))
 
 
+#: phi_hat table: Chebyshev degree on each unit panel [k, k + 1] of u = |s|.
+_HAT_DEGREE = 24
+
+
 @dataclass
 class LocalizerProfile:
     """Line profile phi and its self-convolution phi_tilde = phi * phi.
@@ -53,14 +59,14 @@ class LocalizerProfile:
     Plateau-type profiles converge slowly under single-panel Gauss rules, so
     every integral here uses the composite panels of
     :func:`scatcalc.quadrature.gauss_panels` (aligned with the plateau
-    structure for the fixed-range ones, oscillation-adaptive for phi_hat).
+    structure for the fixed-range ones, a table filled once for phi_hat).
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
     support: float = 2.0
 
     def __post_init__(self):
-        self._hat_cache = (0, None)
+        self._hat_cache = (1, None)
 
     def __call__(self, t):
         return np.asarray(self.phi(np.asarray(t, dtype=float)), dtype=float)
@@ -75,19 +81,33 @@ class LocalizerProfile:
         return np.sum(vals * w, axis=(-2, -1))
 
     def phi_hat(self, s):
-        """Fourier transform int phi(t) exp(-i s t) dt (real and even).
+        """Fourier transform int phi(t) exp(-i s t) dt (real and even), read from a
+        Chebyshev table in u = |s| on [0, top] (top a power of two, raised on demand)."""
+        u = np.abs(np.asarray(s, dtype=float))
+        if not np.all(np.isfinite(u)):
+            raise ValueError("phi_hat needs finite s")
+        top, coef = self._hat_cache
+        if coef is None or u.max(initial=0.0) > top:
+            while top < u.max(initial=0.0):
+                top *= 2
+            top, coef = self._hat_cache = (top, self._hat_table(top))
+        k = np.minimum(u.astype(int), top - 1)
+        x2 = 4.0 * (u - k) - 2.0
+        b1 = b2 = 0.0
+        for c in coef[:0:-1]:  # Clenshaw, highest degree first
+            b1, b2 = c[k] + x2 * b1 - b2, b1
+        return 0.5 * (coef[0][k] + x2 * b1) - b2
 
-        Panels track the oscillation count so the transform stays accurate
-        out to the |xi| ladders of the symbol scans.
-        """
-        s = np.asarray(s, dtype=float)
-        smax = float(np.max(np.abs(s))) if s.size else 0.0
-        n_panels = int(max(4, np.ceil(smax * self.support / np.pi)))
-        if n_panels != self._hat_cache[0]:
-            self._hat_cache = (n_panels, _flat_panels(-self.support, self.support, n_panels, 16))
-        pts, w = self._hat_cache[1]
-        vals = self(pts)
-        return np.sum(vals * w * np.cos(np.multiply.outer(s, pts)), axis=-1)
+    def _hat_table(self, top: int) -> np.ndarray:
+        """Chebyshev coefficients (degree + 1, top) of phi_hat on [k, k + 1]; row 0 is 2 c_0."""
+        n = _HAT_DEGREE + 1
+        u = np.arange(top)[:, None] + 0.5 * (np.cos(np.pi * (np.arange(n) + 0.5) / n) + 1.0)
+        n_panels = int(max(64, np.ceil(2.0 * top * self.support / np.pi)))
+        pts, w = _flat_panels(-self.support, self.support, n_panels, 16)
+        cw = w * self(pts)
+        # one panel at a time, summed pairwise (a BLAS product loses ~1e-14)
+        vals = np.array([(np.cos(np.multiply.outer(uk, pts)) * cw).sum(axis=-1) for uk in u])
+        return dct(vals, type=2).T / n
 
 
 def default_profile() -> LocalizerProfile:
@@ -314,9 +334,10 @@ def cone_ellipticity_check(
 # ---------------------------------------------------------------------------
 
 
-def _interp_matrix(axes, pts) -> sparse.csr_matrix:
-    """Sparse multilinear interpolation matrix: rows evaluate at pts, columns
-    index the tensor grid; queries outside the grid evaluate to zero."""
+def _interp_matrix(axes, pts, line_w) -> sparse.csr_matrix:
+    """Sparse line sums of multilinear interpolation: row i sums line_w[j] times
+    the interpolant at pts[i * len(line_w) + j] (duplicate entries sum in the
+    CSR conversion); columns index the tensor grid; outside queries are zero."""
     n = len(axes)
     sizes = [len(a) for a in axes]
     steps = [a[1] - a[0] for a in axes]
@@ -339,12 +360,13 @@ def _interp_matrix(axes, pts) -> sparse.csr_matrix:
             flat = flat + (idx0[j] + bit) * stride
             stride *= sizes[j]
         keep = inside & (wt != 0)
-        rows.append(np.nonzero(keep)[0])
+        r = np.nonzero(keep)[0]
+        rows.append(r // len(line_w))
         cols.append(flat[keep])
-        vals.append(wt[keep])
+        vals.append(wt[keep] * line_w[r % len(line_w)])
     M = sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(pts), int(np.prod(sizes))),
+        shape=(len(pts) // len(line_w), int(np.prod(sizes))),
     )
     return M.tocsr()
 
@@ -379,15 +401,12 @@ def injectivity_probe(
     dirs, dw = direction_rule(n, n_dirs)
     t, wt = _line_rule(phi.support, n_t)
     wt = wt * phi(t)
-    size = grid_points**n
-    # line weights: row z of W sums the n_t samples of the line through z
-    W = sparse.kron(sparse.eye(size, format="csr"), sparse.csr_matrix(wt[None, :]))
     A = 0
     for k, om in enumerate(dirs):
         pts_f = (Z[:, None, :] + t[:, None] * om[None, None, :]).reshape(-1, n)
-        I0k = W @ _interp_matrix(axes, pts_f)
+        I0k = _interp_matrix(axes, pts_f, wt)
         pts_b = (Z[:, None, :] - t[:, None] * om[None, None, :]).reshape(-1, n)
-        Lk = W @ _interp_matrix(axes, pts_b)
+        Lk = _interp_matrix(axes, pts_b, wt)
         wchi = dw[k] * (float(chi(np.array([om[0]]))[0]) if chi is not None else 1.0)
         A = A + (wchi * Lk) @ I0k
     A = np.asarray(A.todense())[np.ix_(ball, ball)]

@@ -126,6 +126,12 @@ class TestMainExitCodes:
         body = json.loads((tmp_path / "w" / "radial-report.json").read_text())
         assert body["criteria"]["degenerate_gate"] is True
 
+    def test_radial_helmholtz_dim1_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": "helmholtz", "dim": 1})
+        assert main(["radial", "--config", cfg, "--out", str(tmp_path / "h")]) == 2
+        assert "dim" in capsys.readouterr().err
+        assert not (tmp_path / "h").exists()
+
     def test_flow_runner_is_byte_stable(self, tmp_path):
         cfg = write_config(tmp_path, {"trajectories": 3})
         for out in ("a", "b"):
