@@ -126,34 +126,46 @@ def load_config(path, experiment: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _run_flow(v, seed):
-    from .hamflow import PhasePointChart, char_value, flow_trajectory, helmholtz_model
-    from .hamflow import helmholtz_radial_distance, trajectory_rows
+def _flow_starts(H, count: int, seed: int) -> list:
+    """The ``flow`` starts: null spatial-face points at random xi on the sphere
+    |xi| = lambda and random directions, each in its dominant-axis chart."""
+    from .hamflow import PhasePointChart
 
-    lam, n = v["lambda"], v["dim"]
-    H = helmholtz_model(lam, n)
+    lam, n = H.params["lambda"], H.dim
     rng = np.random.default_rng(seed)
-    dists, rho_max, char_max = [], 0.0, 0.0
-    first_rows = None
-    for _ in range(v["trajectories"]):
+    starts = []
+    for _ in range(count):
         xi = rng.standard_normal(n)
         xi *= lam / np.linalg.norm(xi)
         xdir = rng.standard_normal(n)
         xdir /= np.linalg.norm(xdir)
         j = int(np.argmax(np.abs(xdir)))
         others = [m for m in range(n) if m != j]
-        start = PhasePointChart(
+        starts.append(PhasePointChart(
             "spatial_face",
             {"rho": 0.0, "y": xdir[others] / xdir[j], "xi": xi},
             axis=j,
             sign=int(np.sign(xdir[j])),
-        )
-        path = flow_trajectory(H, start, v["time"], v["dt"])
-        dists.append(helmholtz_radial_distance(H, path[-1], "out"))
-        rho_max = max(rho_max, max(abs(float(p.coords["rho"])) for p in path))
-        char_max = max(char_max, max(abs(char_value(H, p)) for p in path))
-        if first_rows is None:
-            first_rows = trajectory_rows(H, path[:: max(1, len(path) // 200)])
+        ))
+    return starts
+
+
+def _run_flow(v, seed):
+    from .hamflow import flow_batch, flow_trajectory, helmholtz_model
+    from .hamflow import helmholtz_radial_distance, trajectory_rows
+
+    H = helmholtz_model(v["lambda"], v["dim"])
+    starts = _flow_starts(H, v["trajectories"], seed)
+    batch = flow_batch(H, starts, v["time"], v["dt"])
+    dists = [helmholtz_radial_distance(H, batch.point(-1, b), "out") for b in range(len(starts))]
+    rho_max = float(np.max(np.abs(batch.states[:, :, 0])))
+    char_max = float(np.max(np.abs(batch.char_values())))
+    # the single-trajectory engine is the reference: it checks the batch and
+    # supplies the exported rows
+    path = flow_trajectory(H, starts[0], v["time"], v["dt"])
+    if not batch.matches(0, path):
+        raise RuntimeError("batched flow departs from flow_trajectory on trajectory 0")
+    first_rows = trajectory_rows(H, path[:: max(1, len(path) // 200)])
     metrics = {
         "max_final_distance_to_out": float(max(dists)),
         "max_rho_on_boundary_paths": rho_max,
@@ -185,6 +197,8 @@ def _run_radial(v, seed):
         # no transverse slot besides rho: threshold data is undefined
         raise ConfigError("helmholtz radial needs dim 2 or 3")
     H = _RADIAL_MODELS[name](hf, v)
+    if H.dim != v["dim"]:
+        raise ConfigError(f"{name} radial has dim {H.dim}, not {v['dim']}")
     rep = hf.find_radial_points(H, resolution=v["resolution"])
     rows = [
         {

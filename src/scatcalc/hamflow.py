@@ -28,8 +28,9 @@ model's entries in table order and raises it for a model with none.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -53,6 +54,8 @@ __all__ = [
     "chart_field_by_limit",
     "chart_transition",
     "flow_trajectory",
+    "FlowBatch",
+    "flow_batch",
     "find_radial_points",
     "classify_radial",
     "threshold_data",
@@ -168,6 +171,30 @@ def x_dx_model() -> SymbolHamiltonian:
     return SymbolHamiltonian(p, "x_dx", {"dim": 1})
 
 
+class _Rows(NamedTuple):
+    """Per-row chart indices of a batch of flat states, shape (B,): axis (int,
+    -1 on a chart without one) and sign (float +-1.0)."""
+
+    axis: np.ndarray
+    sign: np.ndarray
+
+
+def _rows(pts) -> _Rows:
+    """The _Rows of a sequence of chart points."""
+    axis = [-1 if p.axis is None else p.axis for p in pts]
+    return _Rows(np.array(axis, dtype=int), np.array([p.sign for p in pts], dtype=float))
+
+
+@cache
+def _row(axis: int, sign: int) -> _Rows:
+    """The _Rows of one point, cached for the scalar callers (one per field
+    call), so shared and read-only."""
+    rows = _Rows(np.array([axis]), np.array([float(sign)]))
+    for a in rows:
+        a.flags.writeable = False
+    return rows
+
+
 @dataclass(frozen=True)
 class _ChartSpec:
     """What one (model, chart) pair means; every flow and radial routine reads it.
@@ -181,10 +208,12 @@ class _ChartSpec:
     """
 
     layout: tuple
-    field: Callable  # (H, pt, s) -> field at flat state s; pt gives axis and signs
+    field: Callable  # (H, rows, S) -> fields at the flat states S (B, d); see _Rows
     rho: Optional[str] = "rho"
     transverse: tuple = ()  # slots of the radial linearization, rho first
-    char: Optional[Callable] = None  # (H, coords) -> normalized characteristic function
+    # (H, coords) -> normalized characteristic function, elementwise over
+    # coords of one point or over the columns of a batch (see _columns)
+    char: Optional[Callable] = None
     threshold: Optional[float] = None
     projective: bool = False  # a direction-ray chart whose axis flows may switch
     coords: Optional[Callable] = None
@@ -193,76 +222,95 @@ class _ChartSpec:
     scan: Optional[Callable] = None  # (H, resolution) -> radial candidates (pt, family, tau, mu)
 
 
-def _symbol_field(H, pt, s):
+def _symbol_field(H, rows, s):
     """Hamilton field of an arbitrary real symbol, by symbol differentiation."""
     n = H.dim
-    x, xi = s[None, :n], s[None, n:]
-    f = np.empty(2 * n)
+    x, xi = s[..., :n], s[..., n:]
+    f = np.empty(s.shape)
     z = (0,) * n
     for j in range(n):
         e = tuple(1 if i == j else 0 for i in range(n))
-        f[j] = np.real(symbol_derivative(H.p, z, e, x, xi)[0])
-        f[n + j] = -np.real(symbol_derivative(H.p, e, z, x, xi)[0])
+        f[..., j] = np.real(symbol_derivative(H.p, z, e, x, xi))
+        f[..., n + j] = -np.real(symbol_derivative(H.p, e, z, x, xi))
     return f
 
 
-def _helmholtz_spatial(H, pt, s):
+def _pad(head, s):
+    """head followed by zeros up to the shape of s: a field whose tail slots stay put."""
+    out = np.zeros_like(s)
+    out[..., : head.shape[-1]] = head
+    return out
+
+
+@cache
+def _order(n: int) -> np.ndarray:
+    """Row j: axis j, then the other axes in increasing order; shape (n, n), read-only."""
+    order = np.array([[j] + [m for m in range(n) if m != j] for j in range(n)])
+    order.flags.writeable = False
+    return order
+
+
+def _helmholtz_spatial(H, rows, S):
     # (2 rho)^{-1} H_p for p = |xi|^2 - lambda^2
-    n, j, sigma = H.dim, pt.axis, pt.sign
-    rho, y, xi = s[0], s[1:n], s[n:]
-    others = [m for m in range(n) if m != j]
-    return np.concatenate([[-sigma * xi[j] * rho], sigma * (xi[others] - y * xi[j]), np.zeros(n)])
+    n, sigma = H.dim, rows.sign
+    xi = S[:, n:][np.arange(len(S))[:, None], _order(n)[rows.axis]]  # xi_j, then the others
+    F = np.zeros(S.shape)
+    F[:, 0] = -sigma * xi[:, 0] * S[:, 0]
+    F[:, 1:n] = sigma[:, None] * (xi[:, 1:] - S[:, 1:n] * xi[:, :1])
+    return F
 
 
-def _d_x1_spatial(H, pt, s):
+def _d_x1_spatial(H, rows, S):
     # rho^{-1} <x> H_p for p = xi_1
-    n, j, sigma = H.dim, pt.axis, pt.sign
-    rho, y = s[0], s[1:n]
-    ind = np.array([1.0 if m == 0 else 0.0 for m in range(n) if m != j])
-    drho = -sigma * (1.0 if j == 0 else 0.0) * rho
-    dy = sigma * (ind - (y if j == 0 else 0.0 * y))
-    return np.concatenate([[drho], dy, np.zeros(n)])
+    n, sigma = H.dim, rows.sign
+    on_x1 = np.where(rows.axis == 0, 1.0, 0.0)
+    ind = np.where(_order(n)[rows.axis, 1:] == 0, 1.0, 0.0)
+    F = np.zeros(S.shape)
+    F[:, 0] = -sigma * on_x1 * S[:, 0]
+    F[:, 1:n] = sigma[:, None] * (ind - S[:, 1:n] * on_x1[:, None])
+    return F
 
 
-def _kg_face(H, pt, s):
+def _kg_face(H, rows, S):
     # rho = sigma/t; the familiar -2 tau (rho d_rho + v d_v) form is the
     # future-cap chart sigma = +1
-    c = -2.0 * pt.sign * s[2]
-    return np.array([c * s[0], c * s[1], 0.0, 0.0])
+    c = -2.0 * rows.sign * S[:, 2]
+    return _pad(np.stack([c * S[:, 0], c * S[:, 1]], axis=1), S)
 
 
-def _schrodinger_time_face(H, pt, s):
-    n, sigma = H.dim, pt.sign
-    y, xi = s[1:n], s[n + 1 :]
-    return np.concatenate([[-sigma * s[0]], sigma * (2.0 * xi - y), [0.0], np.zeros(n - 1)])
+def _schrodinger_time_face(H, rows, S):
+    n, sigma = H.dim, rows.sign
+    y, xi = S[:, 1:n], S[:, n + 1 :]
+    drho = -sigma * S[:, 0]
+    return _pad(np.concatenate([drho[:, None], sigma[:, None] * (2.0 * xi - y)], 1), S)
 
 
 def _helmholtz_char(H, c):
     lam = H.params["lambda"]
-    q = float(np.sum(np.asarray(c["xi"], dtype=float) ** 2))
+    q = np.sum(np.asarray(c["xi"], dtype=float) ** 2, axis=-1)
     return (q - lam**2) / (q + lam**2)
 
 
 def _kg_char(H, c):
     m = H.params["mass"]
-    tau, xi = float(c["tau"]), float(c["xi"])
+    tau, xi = np.asarray(c["tau"], dtype=float), np.asarray(c["xi"], dtype=float)
     return (tau**2 - xi**2 - m**2) / (tau**2 + xi**2 + m**2 + 1.0)
 
 
 def _schrodinger_char(H, c):
-    tau = float(c["tau"])
-    q = float(np.sum(np.asarray(c["xi"], dtype=float) ** 2))
-    return (tau + q) / (1.0 + abs(tau) + q)
+    tau = np.asarray(c["tau"], dtype=float)
+    q = np.sum(np.asarray(c["xi"], dtype=float) ** 2, axis=-1)
+    return (tau + q) / (1.0 + np.abs(tau) + q)
 
 
 def _d_x1_char(H, c):
     xi = np.asarray(c["xi"], dtype=float)
-    return float(xi[0] / np.sqrt(1.0 + np.sum(xi**2)))
+    return xi[..., 0] / np.sqrt(1.0 + np.sum(xi**2, axis=-1))
 
 
 def _x_dx_char(H, c):
-    x, xi = c["x"], c["xi"]
-    return float(x[0] * xi[0] / np.sqrt((1 + x[0] ** 2) * (1 + xi[0] ** 2)))
+    x, xi = np.asarray(c["x"], dtype=float), np.asarray(c["xi"], dtype=float)
+    return x[..., 0] * xi[..., 0] / np.sqrt((1 + x[..., 0] ** 2) * (1 + xi[..., 0] ** 2))
 
 
 def _unit(v):
@@ -275,7 +323,7 @@ def _spatial_coords(pt, H, x, xi):
 
 
 def _spatial_interior(pt, H, s, rho):
-    return _direction(s, H.dim, pt.axis) * (pt.sign / rho), s[H.dim :].copy()
+    return _direction(s[None], H.dim, [pt.axis])[0] * (pt.sign / rho), s[H.dim :].copy()
 
 
 def _kg_interior(pt, H, s, rho):
@@ -393,8 +441,8 @@ _SPATIAL = (("rho", None), ("y", -1), ("xi", 0))
 _SPECS = {
     (None, "interior"): _ChartSpec(_INTERIOR, _symbol_field, rho=None),
     ("helmholtz", "interior"): _ChartSpec(
-        _INTERIOR, lambda H, pt, s: np.concatenate([2.0 * s[H.dim :], np.zeros(H.dim)]),
-        rho=None, char=_helmholtz_char,
+        _INTERIOR, lambda H, rows, s: _pad(2.0 * s[..., H.dim :], s), rho=None,
+        char=_helmholtz_char,
     ),
     ("helmholtz", "spatial_face"): _ChartSpec(
         _SPATIAL, _helmholtz_spatial, transverse=("rho", "y"), char=_helmholtz_char,
@@ -402,7 +450,8 @@ _SPECS = {
         rescale=lambda pt, x: abs(x[pt.axis]) / 2.0, scan=_helmholtz_scan,
     ),
     ("klein_gordon", "interior"): _ChartSpec(
-        _INTERIOR, lambda H, pt, s: np.array([2.0 * s[2], -2.0 * s[3], 0.0, 0.0]), rho=None
+        _INTERIOR, lambda H, rows, s: _pad(np.stack([2.0 * s[..., 2], -2.0 * s[..., 3]], -1), s),
+        rho=None,
     ),
     ("klein_gordon", "kg_face"): _ChartSpec(
         (("rho", None), ("v", None), ("tau", None), ("xi", None)), _kg_face,
@@ -415,7 +464,9 @@ _SPECS = {
     # position slots (t, x_1..x_n), frequency slots (tau, xi_1..xi_n)
     ("schrodinger_free", "interior"): _ChartSpec(
         _INTERIOR,
-        lambda H, pt, s: np.concatenate([[1.0], 2.0 * s[H.dim + 1 :], np.zeros(H.dim)]),
+        lambda H, rows, s: _pad(
+            np.concatenate([np.ones_like(s[..., :1]), 2.0 * s[..., H.dim + 1 :]], -1), s
+        ),
         rho=None,
     ),
     ("schrodinger_free", "schrodinger_time_face"): _ChartSpec(
@@ -427,7 +478,8 @@ _SPECS = {
         interior=_schrodinger_interior, rescale=lambda pt, x: abs(x[0]), scan=_schrodinger_scan,
     ),
     ("d_x1", "interior"): _ChartSpec(
-        _INTERIOR, lambda H, pt, s: np.eye(2 * H.dim)[0], rho=None, char=_d_x1_char
+        _INTERIOR, lambda H, rows, s: _pad(np.ones_like(s[..., :1]), s), rho=None,
+        char=_d_x1_char,
     ),
     ("d_x1", "spatial_face"): _ChartSpec(
         _SPATIAL, _d_x1_spatial, transverse=("rho", "y"), char=_d_x1_char, projective=True,
@@ -435,21 +487,21 @@ _SPECS = {
         scan=_d_x1_scan,
     ),
     ("x_dx", "interior"): _ChartSpec(
-        _INTERIOR, lambda H, pt, s: np.concatenate([s[: H.dim], -s[H.dim :]]),
+        _INTERIOR, lambda H, rows, s: np.concatenate([s[..., : H.dim], -s[..., H.dim :]], -1),
         rho=None, char=_x_dx_char,
     ),
     # one dimension: the spatial chart has no y slot, and the fiber variable
     # moves under the flow, so it is transverse
     ("x_dx", "spatial_face"): _ChartSpec(
-        (("rho", None), ("xi", None)), lambda H, pt, s: -s, transverse=("rho", "xi"),
-        char=lambda H, c: _unit(float(c["xi"])),
+        (("rho", None), ("xi", None)), lambda H, rows, s: -s, transverse=("rho", "xi"),
+        char=lambda H, c: _unit(np.asarray(c["xi"], dtype=float)),
         coords=_spatial_coords, interior=_spatial_interior, rescale=lambda pt, x: 1.0,
         scan=_x_dx_scan("spatial_face", "xi", "spatial"),
     ),
     # the Euler field rho d_rho + x d_x
     ("x_dx", "frequency_face"): _ChartSpec(
-        (("rho", None), ("x", None)), lambda H, pt, s: s.copy(), transverse=("rho", "x"),
-        char=lambda H, c: _unit(float(c["x"])),
+        (("rho", None), ("x", None)), lambda H, rows, s: s.copy(), transverse=("rho", "x"),
+        char=lambda H, c: _unit(np.asarray(c["x"], dtype=float)),
         coords=lambda pt, H, x, xi: np.concatenate([[pt.sign / xi[0]], x]),
         interior=lambda pt, H, s, rho: (s[1:2].copy(), np.array([pt.sign / rho])),
         rescale=lambda pt, x: 1.0, scan=_x_dx_scan("frequency_face", "x", "frequency"),
@@ -487,12 +539,24 @@ def _unflatten(spec: _ChartSpec, s: np.ndarray, n: int) -> dict:
     return {k: float(s[a]) if scalar else s[a:b] for k, (a, b, scalar) in _slots(spec, n).items()}
 
 
-def _field(spec: _ChartSpec, H, pt: PhasePointChart, s: np.ndarray) -> np.ndarray:
-    """The table's field at s, refusing one that leaves the boundary at rho = 0."""
-    f = spec.field(H, pt, s)
-    if spec.rho and s[0] == 0.0 and abs(f[0]) > TANGENCY_TOL:
+def _columns(spec: _ChartSpec, S: np.ndarray, n: int) -> dict:
+    """Coords dict over flat states S (..., d): a column view per slot."""
+    slots = _slots(spec, n).items()
+    return {k: S[..., a] if scalar else S[..., a:b] for k, (a, b, scalar) in slots}
+
+
+def _fields(spec: _ChartSpec, H, rows: _Rows, S: np.ndarray) -> np.ndarray:
+    """The table's field at each row of S, refusing one that leaves the boundary at rho = 0."""
+    F = spec.field(H, rows, S)
+    if spec.rho and np.count_nonzero((S[:, 0] == 0.0) & (np.abs(F[:, 0]) > TANGENCY_TOL)):
         raise RuntimeError("rescaled field is not tangent to the boundary")
-    return f
+    return F
+
+
+def _field(spec: _ChartSpec, H, pt: Optional[PhasePointChart], s: np.ndarray) -> np.ndarray:
+    """The table's field at one flat state s: :func:`_fields` on a batch of one."""
+    rows = _row(-1, 1) if pt is None else _row(-1 if pt.axis is None else pt.axis, pt.sign)
+    return _fields(spec, H, rows, s[None])[0]
 
 
 def _flat_field(H: SymbolHamiltonian, pt: PhasePointChart) -> np.ndarray:
@@ -501,22 +565,30 @@ def _flat_field(H: SymbolHamiltonian, pt: PhasePointChart) -> np.ndarray:
     return _field(spec, H, pt, _flatten(spec, pt))
 
 
-def _direction(s: np.ndarray, n: int, axis: int) -> np.ndarray:
-    """Direction ray of a projective spatial chart: 1 on axis, y elsewhere."""
-    u = np.empty(n)
-    u[axis] = 1.0
-    u[[m for m in range(n) if m != axis]] = s[1:n]
-    return u
+def _direction(S: np.ndarray, n: int, axis) -> np.ndarray:
+    """Direction rays (B, n) of projective spatial states S (B, d): 1 on each
+    row's axis, y elsewhere."""
+    U = np.empty((len(S), n))
+    ones = np.ones((len(S), 1))
+    U[np.arange(len(S))[:, None], _order(n)[axis]] = np.concatenate([ones, S[:, 1:n]], 1)
+    return U
 
 
-def _transition(s: np.ndarray, n: int, axis: int, sign: int, new_axis: int):
-    """Flat state and sign of the projective chart with dominant axis new_axis."""
-    u = _direction(s, n, axis)
-    if u[new_axis] == 0.0:
+def _transition(S: np.ndarray, n: int, axis, sign, new_axis):
+    """Flat states and signs of the projective charts with dominant axes new_axis."""
+    U = _direction(S, n, axis)[np.arange(len(S))[:, None], _order(n)[new_axis]]  # lead first
+    lead = U[:, 0]
+    if np.any(lead == 0.0):
         raise ValueError("target chart is invalid: vanishing dominant component")
-    new_rho = s[0] * abs(1.0 / u[new_axis])
-    new_y = u[[m for m in range(n) if m != new_axis]] / u[new_axis]
-    return np.concatenate([[new_rho], new_y, s[n:]]), int(np.sign(u[new_axis])) * sign
+    new_rho = S[:, 0] * np.abs(1.0 / lead)
+    new_S = np.concatenate([new_rho[:, None], U[:, 1:] / U[:, :1], S[:, n:]], 1)
+    return new_S, np.sign(lead) * sign
+
+
+def _transition1(s: np.ndarray, n: int, axis: int, sign: int, new_axis: int):
+    """:func:`_transition` on one flat state: (state, int sign)."""
+    S, signs = _transition(s[None], n, [axis], [sign], [new_axis])
+    return S[0], int(signs[0])
 
 
 def _transverse(H: SymbolHamiltonian, pt: PhasePointChart):
@@ -558,13 +630,13 @@ def hamilton_field(H: SymbolHamiltonian, x: np.ndarray, xi: np.ndarray):
     """(dx/dt, dxi/dt) = (dp/dxi, -dp/dx) at an interior point."""
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    f = _spec(H, "interior").field(H, None, np.concatenate([x, xi]))
+    f = _field(_spec(H, "interior"), H, None, np.concatenate([x, xi]))
     return f[: len(x)], f[len(x) :]
 
 
 def char_value(H: SymbolHamiltonian, pt: PhasePointChart) -> float:
     """Normalized characteristic function; zero on Char(P), bounded on charts."""
-    return _spec(H, pt.chart, "char").char(H, pt.coords)
+    return float(_spec(H, pt.chart, "char").char(H, pt.coords))
 
 
 def boundary_chart_field(H: SymbolHamiltonian, pt: PhasePointChart) -> dict:
@@ -610,7 +682,7 @@ def chart_transition(pt: PhasePointChart, H: SymbolHamiltonian, new_axis: int) -
     spec = _SPECS.get((H.named_model, pt.chart))
     if spec is None or not spec.projective:
         raise ValueError("chart_transition applies to projective spatial_face points")
-    s, sign = _transition(_flatten(spec, pt), H.dim, pt.axis, pt.sign, new_axis)
+    s, sign = _transition1(_flatten(spec, pt), H.dim, pt.axis, pt.sign, new_axis)
     return PhasePointChart(pt.chart, _unflatten(spec, s, H.dim), axis=new_axis, sign=sign)
 
 
@@ -657,13 +729,100 @@ def flow_trajectory(
         s = clamp(s + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
         axis, sign = pt.axis, pt.sign
         if spec.projective:
-            u = np.abs(_direction(s, n, axis))
+            u = np.abs(_direction(s[None], n, [axis])[0])
             if u[axis] / np.max(u) < SWITCH_LOW:
                 axis = int(np.argmax(u))
-                s, sign = _transition(s, n, pt.axis, pt.sign, axis)
+                s, sign = _transition1(s, n, pt.axis, pt.sign, axis)
         pt = PhasePointChart(pt.chart, _unflatten(spec, s, n), axis, sign)
         path.append(pt)
     return path
+
+
+@dataclass(frozen=True)
+class FlowBatch:
+    """B trajectories of one chart as arrays: states (steps + 1, B, d) in the
+    chart's flat layout, axes and signs (steps + 1, B, int8); axis -1 where the
+    chart has none."""
+
+    H: SymbolHamiltonian
+    chart: str
+    states: np.ndarray
+    axes: np.ndarray
+    signs: np.ndarray
+
+    def point(self, step: int, b: int) -> PhasePointChart:
+        """Row b at the given step as a chart point."""
+        axis, sign = int(self.axes[step, b]), int(self.signs[step, b])
+        coords = _unflatten(_spec(self.H, self.chart), self.states[step, b], self.H.dim)
+        return PhasePointChart(self.chart, coords, None if axis < 0 else axis, sign)
+
+    def char_values(self) -> np.ndarray:
+        """:func:`char_value` at every state, shape (steps + 1, B), taken in
+        blocks of about 256 steps so that its temporaries stay small."""
+        spec, n = _spec(self.H, self.chart, "char"), self.H.dim
+        blocks = np.array_split(self.states, max(1, len(self.states) // 256))
+        return np.concatenate([spec.char(self.H, _columns(spec, S, n)) for S in blocks])
+
+    def matches(self, b: int, path) -> bool:
+        """Whether row b is the trajectory path bit for bit: every state, axis and sign."""
+        spec, rows = _spec(self.H, self.chart), _rows(path)
+        return (
+            all(p.chart == self.chart for p in path)
+            and np.array_equal(self.states[:, b], [_flatten(spec, p) for p in path])
+            and np.array_equal(self.axes[:, b], rows.axis)
+            and np.array_equal(self.signs[:, b], rows.sign)
+        )
+
+
+def flow_batch(H: SymbolHamiltonian, starts, T: float, dt: float) -> FlowBatch:
+    """:func:`flow_trajectory` from every start at once, on one (B, d) flat state.
+
+    The starts share a chart; each row keeps its own axis and sign.  A step
+    applies the same fields, clamp and SWITCH_LOW transition as
+    flow_trajectory, elementwise over the rows, so row b is
+    ``flow_trajectory(H, starts[b], T, dt)`` bit for bit.  Bad input raises
+    the same errors.
+    """
+    if abs(dt) > 0.01:
+        raise ValueError("|dt| must be at most 0.01")
+    if any(abs(char_value(H, p)) > CHAR_TOL for p in starts):
+        raise ValueError("start is not on the characteristic set")
+    chart = starts[0].chart
+    if any(p.chart != chart for p in starts):
+        raise ValueError("the starts of a batch must share one chart")
+    spec = _spec(H, chart)
+    n = H.dim
+    steps = int(round(abs(T / dt)))
+    h = (np.sign(T) if T != 0 else 1.0) * abs(dt)
+
+    def clamp(V):
+        if spec.rho:
+            V[V[:, 0] < 0.0, 0] = 0.0
+        return V
+
+    S, rows = np.array([_flatten(spec, p) for p in starts]), _rows(starts)
+    every = np.arange(len(S))
+    states = np.empty((steps + 1,) + S.shape)
+    axes = np.empty((steps + 1, len(S)), dtype=np.int8)
+    signs = np.empty_like(axes)
+    states[0], axes[0], signs[0] = S, rows.axis, rows.sign
+    for i in range(1, steps + 1):
+        k1 = _fields(spec, H, rows, S)
+        k2 = _fields(spec, H, rows, clamp(S + h / 2 * k1))
+        k3 = _fields(spec, H, rows, clamp(S + h / 2 * k2))
+        k4 = _fields(spec, H, rows, clamp(S + h * k3))
+        S = clamp(S + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+        if spec.projective:
+            U = np.abs(_direction(S, n, rows.axis))
+            switch = U[every, rows.axis] / np.max(U, axis=1) < SWITCH_LOW
+            if switch.any():
+                new_axis = np.argmax(U[switch], axis=1)
+                S[switch], rows.sign[switch] = _transition(
+                    S[switch], n, rows.axis[switch], rows.sign[switch], new_axis
+                )
+                rows.axis[switch] = new_axis
+        states[i], axes[i], signs[i] = S, rows.axis, rows.sign
+    return FlowBatch(H, chart, states, axes, signs)
 
 
 def classify_radial(H: SymbolHamiltonian, pt: PhasePointChart):

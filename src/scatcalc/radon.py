@@ -264,25 +264,27 @@ def normal_kernel_symbol(n: int, phi: LocalizerProfile, xi_grid) -> dict:
 def normal_symbol_hankel(n: int, phi: LocalizerProfile, xi_grid) -> np.ndarray:
     """Oracle: the same symbol as the radial Fourier transform of the kernel
     K(w) = 2 phi_tilde(|w|) |w|^{-(n-1)} (the singular weight cancels against
-    the Jacobian, leaving smooth integrals of phi_tilde against J_0 / sin)."""
+    the Jacobian, leaving smooth integrals of phi_tilde against J_0 / sin).
+
+    Each q gets its own radial rule on [0, 2 support]: max(8, ceil(q / 2))
+    panels per unit length, so a value does not depend on the rest of the grid
+    and the panels stay aligned with the integer breakpoints of phi_tilde."""
     from scipy.special import j0
 
-    q = np.asarray(xi_grid, dtype=float)
-    qmax = float(np.max(q)) if q.size else 1.0
-    n_panels = int(max(8, np.ceil(qmax * phi.support)))
-    rho, wr = _flat_panels(0.0, 2.0 * phi.support, n_panels, 12)
-    pt = phi.phi_tilde(rho)
-    if n == 2:
-        return 4.0 * np.pi * np.array([np.sum(wr * pt * j0(qq * rho)) for qq in q])
-    if n == 3:
-        out = []
-        for qq in q:
-            if qq == 0:
-                out.append(8.0 * np.pi * np.sum(wr * pt))
-            else:
-                out.append(8.0 * np.pi / qq * np.sum(wr * pt * np.sin(qq * rho) / rho))
-        return np.array(out)
-    raise ValueError("n must be 2 or 3")
+    if n not in (2, 3):
+        raise ValueError("n must be 2 or 3")
+    out = []
+    for qq in np.asarray(xi_grid, dtype=float):
+        n_panels = int(np.ceil(2.0 * phi.support)) * max(8, int(np.ceil(qq / 2.0)))
+        rho, wr = _flat_panels(0.0, 2.0 * phi.support, n_panels, 12)
+        pt = phi.phi_tilde(rho)
+        if n == 2:
+            out.append(4.0 * np.pi * np.sum(wr * pt * j0(qq * rho)))
+        elif qq == 0:
+            out.append(8.0 * np.pi * np.sum(wr * pt))
+        else:
+            out.append(8.0 * np.pi / qq * np.sum(wr * pt * np.sin(qq * rho) / rho))
+    return np.array(out)
 
 
 def cone_ellipticity_check(

@@ -132,6 +132,14 @@ class TestMainExitCodes:
         assert "dim" in capsys.readouterr().err
         assert not (tmp_path / "h").exists()
 
+    @pytest.mark.parametrize("model, dim", [("klein_gordon", 3), ("wave", 1), ("x_dx", 2)])
+    def test_radial_fixed_dim_model_rejects_other_dim(self, tmp_path, capsys, model, dim):
+        # these models live in one dimension each; a dim they ignore is a config error
+        cfg = write_config(tmp_path, {"model": model, "dim": dim})
+        assert main(["radial", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
+        assert "dim" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
     def test_flow_runner_is_byte_stable(self, tmp_path):
         cfg = write_config(tmp_path, {"trajectories": 3})
         for out in ("a", "b"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scatcalc import hamflow
+from scatcalc.cli import _flow_starts
 from scatcalc.hamflow import (
     PhasePointChart,
     ThresholdDegeneracyError,
@@ -538,3 +539,142 @@ class TestThresholdData:
         pt = PhasePointChart("kg_face", {"rho": 0.0, "v": 0.0, "tau": 1.0, "xi": 0.0}, sign=1)
         b0, b1, th = threshold_data(H, pt)
         assert b0 < 0 and b1 < 0 and th == -0.5
+
+
+def _flow_case(dim, seed):
+    """The 50 starts of the ``flow`` experiment at lambda = 1."""
+    H = helmholtz_model(1.0, dim)
+    return H, _flow_starts(H, 50, seed)
+
+
+class TestFlowBatch:
+    """The batched engine against flow_trajectory, row by row and bit for bit."""
+
+    # one reference trajectory costs about 0.2 s, so T = -20 runs at dim 2 only
+    @pytest.mark.parametrize("dim, T", [(2, 20.0), (3, 20.0), (2, -20.0)])
+    def test_flow_starts_reproduce_reference(self, dim, T):
+        H, starts = _flow_case(dim, 0)
+        batch = hamflow.flow_batch(H, starts, T, 0.01)
+        assert batch.states.shape == (2001, 50, 2 * dim)
+        for b, start in enumerate(starts):
+            assert batch.matches(b, flow_trajectory(H, start, T, 0.01)), b
+
+    def test_d_x1_batch_switches_charts(self):
+        # in the x2-dominant chart y = x1/x2 grows at unit rate, so every row
+        # hands over to the x1 chart; rho > 0 rows carry the rescaling of rho
+        H = d_x1_model(2)
+        starts = [
+            _spatial(rho, [y], [0.0, xi2], 1, sign)
+            for rho, y, xi2, sign in [(0.0, 0.2, 0.5, 1), (0.1, -0.9, -1.0, 1),
+                                      (0.05, 0.6, 0.3, -1), (0.0, -0.3, 0.0, -1)]
+        ]
+        batch = hamflow.flow_batch(H, starts, 6.0, 0.01)
+        assert set(batch.axes[-1]) == {0} and set(batch.axes[0]) == {1}
+        assert np.any(batch.states[:, :, 0] > 0)
+        for b, start in enumerate(starts):
+            assert batch.matches(b, flow_trajectory(H, start, 6.0, 0.01)), b
+
+    def test_kg_face_batch(self):
+        H = klein_gordon_model(1.0)
+        starts = [
+            PhasePointChart("kg_face", {"rho": rho, "v": v, "tau": tsheet * np.hypot(xi, 1.0),
+                                        "xi": xi}, sign=sign)
+            for rho, v, xi, tsheet, sign in [(0.0, 0.3, 0.5, 1, 1), (0.2, -0.4, -1.0, 1, -1),
+                                             (0.1, 0.7, 0.2, -1, 1), (0.0, -0.1, 1.5, -1, -1)]
+        ]
+        batch = hamflow.flow_batch(H, starts, 3.0, 0.01)
+        assert set(batch.axes.ravel()) == {-1}
+        for b, start in enumerate(starts):
+            path = flow_trajectory(H, start, 3.0, 0.01)
+            assert batch.matches(b, path), b
+            assert batch.point(-1, b) == path[-1]
+
+    def test_a_changed_row_does_not_match(self):
+        H, starts = _flow_case(2, 0)
+        batch = hamflow.flow_batch(H, starts[:2], 1.0, 0.01)
+        assert not batch.matches(0, flow_trajectory(H, starts[1], 1.0, 0.01))
+        assert not batch.matches(0, flow_trajectory(H, starts[0], 0.5, 0.01))
+
+    def test_large_step_rejected(self):
+        H, starts = _flow_case(2, 0)
+        with pytest.raises(ValueError):
+            hamflow.flow_batch(H, starts, 1.0, 0.02)
+
+    def test_off_characteristic_start_rejected(self):
+        H, starts = _flow_case(2, 0)
+        bad = _spatial(0.0, [0.3], [1.6, 1.2], 0, 1)
+        with pytest.raises(ValueError):
+            hamflow.flow_batch(H, starts[:3] + [bad], 1.0, 0.01)
+
+    def test_non_tangent_field_rejected(self, monkeypatch):
+        key = ("helmholtz", "spatial_face")
+        bad = dataclasses.replace(hamflow._SPECS[key], field=lambda H, rows, S: np.ones_like(S))
+        monkeypatch.setitem(hamflow._SPECS, key, bad)
+        H, starts = _flow_case(2, 0)
+        with pytest.raises(RuntimeError, match="not tangent"):
+            hamflow.flow_batch(H, starts, 1.0, 0.01)
+
+
+def _exact_boundary_flow(H, starts, T, dt):
+    """Endpoints of the Helmholtz spatial-face flow, propagated exactly per step.
+
+    At frozen xi the chart field is linear: over a step h, rho <- rho e^{-sigma
+    xi_j h} and y <- y* + (y - y*) e^{-sigma xi_j h} with y* = xi_others / xi_j.
+    After each step the SWITCH_LOW rule moves a row to the chart of its
+    dominant direction component.  Nothing here reads the chart table or the
+    transition of hamflow.  Returns (flat states, axes, signs) of the last step.
+    """
+    n = H.dim
+    h = np.sign(T) * dt
+    rho = np.array([float(p.coords["rho"]) for p in starts])
+    y = np.array([np.atleast_1d(p.coords["y"]) for p in starts], dtype=float)
+    xi = np.array([p.coords["xi"] for p in starts], dtype=float)
+    axis = np.array([p.axis for p in starts])
+    sign = np.array([p.sign for p in starts])
+    rows = np.arange(len(starts))
+    for _ in range(int(round(abs(T / dt)))):
+        others = np.array([[m for m in range(n) if m != j] for j in axis])
+        xi_j = xi[rows, axis]
+        decay = np.exp(-sign * xi_j * h)
+        y_star = xi[rows[:, None], others] / xi_j[:, None]
+        rho = rho * decay
+        y = y_star + (y - y_star) * decay[:, None]
+        ray = np.ones((len(starts), n))  # direction ray: 1 on the axis, y elsewhere
+        ray[rows[:, None], others] = y
+        ratio = np.abs(ray[rows, axis]) / np.max(np.abs(ray), 1)
+        for b in np.flatnonzero(ratio < hamflow.SWITCH_LOW):
+            k = int(np.argmax(np.abs(ray[b])))
+            rho[b] /= abs(ray[b, k])
+            y[b] = np.delete(ray[b], k) / ray[b, k]
+            sign[b] *= int(np.sign(ray[b, k]))
+            axis[b] = k
+    return np.column_stack([rho, y, xi]), axis, sign
+
+
+def _rk4_departure_from_exact(dim, seed):
+    """Largest endpoint gap between the batched RK4 flow and the exact flow
+    over the 50 ``flow`` starts (inf when a row ends in another chart)."""
+    H, starts = _flow_case(dim, seed)
+    batch = hamflow.flow_batch(H, starts, 20.0, 0.01)
+    states, axis, sign = _exact_boundary_flow(H, starts, 20.0, 0.01)
+    if not (np.array_equal(batch.axes[-1], axis) and np.array_equal(batch.signs[-1], sign)):
+        return np.inf
+    return float(np.max(np.abs(batch.states[-1] - states)))
+
+
+class TestExactBoundaryFlow:
+    """RK4 on the Helmholtz spatial face against the closed-form flow."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 15])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rk4_endpoints_match_exact_flow(self, dim, seed):
+        assert _rk4_departure_from_exact(dim, seed) < 1e-9
+
+    def test_switches_are_exercised(self):
+        H, starts = _flow_case(2, 0)
+        _, axis, _ = _exact_boundary_flow(H, starts, 20.0, 0.01)
+        assert np.any(axis != [p.axis for p in starts])
+
+    def test_fails_without_chart_transition(self, monkeypatch):
+        monkeypatch.setattr(hamflow, "_transition", lambda S, n, axis, sign, new_axis: (S, sign))
+        assert not _rk4_departure_from_exact(2, 0) < 1e-9

@@ -211,6 +211,12 @@ class TestNormalSymbol:
             oracle = normal_symbol_hankel(n, PHI, self.qs)
             assert np.max(np.abs(oracle - tab["symbol"]) / tab["symbol"]) < 1e-7
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_hankel_oracle_value_does_not_depend_on_the_grid(self, n):
+        alone = normal_symbol_hankel(n, PHI, [5.0])[0]
+        ladder = normal_symbol_hankel(n, PHI, [5.0, 20.0, 80.0])[0]
+        assert abs(alone - ladder) <= 1e-13 * abs(ladder)
+
     def test_dc_value_is_kernel_mass(self):
         # a(0) = |S^{n-1}| (int phi)^2
         intphi, _ = quad(lambda t: PHI(np.array([t]))[0], -2, 2, limit=200)
