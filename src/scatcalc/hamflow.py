@@ -171,26 +171,28 @@ def x_dx_model() -> SymbolHamiltonian:
     return SymbolHamiltonian(p, "x_dx", {"dim": 1})
 
 
+def _take(n: int, axis) -> tuple:
+    """Fancy index of B axis-first orders: X[_take(n, axis)] lists row b of
+    X (B, n) from axis[b], then the other axes in increasing order."""
+    return np.arange(len(axis))[:, None], _order(n)[axis]
+
+
 class _Rows(NamedTuple):
     """Per-row chart indices of a batch of flat states, shape (B,): axis (int,
-    -1 on a chart without one) and sign (float +-1.0)."""
+    -1 on a chart without one), sign (float +-1.0) and take, the
+    :func:`_take` of the axes, built once and kept in step with them."""
 
     axis: np.ndarray
     sign: np.ndarray
-
-
-def _rows(pts) -> _Rows:
-    """The _Rows of a sequence of chart points."""
-    axis = [-1 if p.axis is None else p.axis for p in pts]
-    return _Rows(np.array(axis, dtype=int), np.array([p.sign for p in pts], dtype=float))
+    take: tuple
 
 
 @cache
-def _row(axis: int, sign: int) -> _Rows:
+def _row(axis: int, sign: int, n: int) -> _Rows:
     """The _Rows of one point, cached for the scalar callers (one per field
     call), so shared and read-only."""
-    rows = _Rows(np.array([axis]), np.array([float(sign)]))
-    for a in rows:
+    rows = _Rows(np.array([axis]), np.array([float(sign)]), _take(n, [axis]))
+    for a in (rows.axis, rows.sign, *rows.take):
         a.flags.writeable = False
     return rows
 
@@ -253,7 +255,7 @@ def _order(n: int) -> np.ndarray:
 def _helmholtz_spatial(H, rows, S):
     # (2 rho)^{-1} H_p for p = |xi|^2 - lambda^2
     n, sigma = H.dim, rows.sign
-    xi = S[:, n:][np.arange(len(S))[:, None], _order(n)[rows.axis]]  # xi_j, then the others
+    xi = S[:, n:][rows.take]  # xi_j, then the others
     F = np.zeros(S.shape)
     F[:, 0] = -sigma * xi[:, 0] * S[:, 0]
     F[:, 1:n] = sigma[:, None] * (xi[:, 1:] - S[:, 1:n] * xi[:, :1])
@@ -264,7 +266,7 @@ def _d_x1_spatial(H, rows, S):
     # rho^{-1} <x> H_p for p = xi_1
     n, sigma = H.dim, rows.sign
     on_x1 = np.where(rows.axis == 0, 1.0, 0.0)
-    ind = np.where(_order(n)[rows.axis, 1:] == 0, 1.0, 0.0)
+    ind = np.where(rows.take[1][:, 1:] == 0, 1.0, 0.0)
     F = np.zeros(S.shape)
     F[:, 0] = -sigma * on_x1 * S[:, 0]
     F[:, 1:n] = sigma[:, None] * (ind - S[:, 1:n] * on_x1[:, None])
@@ -323,7 +325,8 @@ def _spatial_coords(pt, H, x, xi):
 
 
 def _spatial_interior(pt, H, s, rho):
-    return _direction(s[None], H.dim, [pt.axis])[0] * (pt.sign / rho), s[H.dim :].copy()
+    ray = _direction(s[None], H.dim, _take(H.dim, [pt.axis]))[0]
+    return ray * (pt.sign / rho), s[H.dim :].copy()
 
 
 def _kg_interior(pt, H, s, rho):
@@ -555,7 +558,8 @@ def _fields(spec: _ChartSpec, H, rows: _Rows, S: np.ndarray) -> np.ndarray:
 
 def _field(spec: _ChartSpec, H, pt: Optional[PhasePointChart], s: np.ndarray) -> np.ndarray:
     """The table's field at one flat state s: :func:`_fields` on a batch of one."""
-    rows = _row(-1, 1) if pt is None else _row(-1 if pt.axis is None else pt.axis, pt.sign)
+    axis = -1 if pt is None or pt.axis is None else pt.axis
+    rows = _row(axis, 1 if pt is None else pt.sign, H.dim)
     return _fields(spec, H, rows, s[None])[0]
 
 
@@ -565,30 +569,23 @@ def _flat_field(H: SymbolHamiltonian, pt: PhasePointChart) -> np.ndarray:
     return _field(spec, H, pt, _flatten(spec, pt))
 
 
-def _direction(S: np.ndarray, n: int, axis) -> np.ndarray:
-    """Direction rays (B, n) of projective spatial states S (B, d): 1 on each
-    row's axis, y elsewhere."""
+def _direction(S: np.ndarray, n: int, take) -> np.ndarray:
+    """Direction rays (B, n) of projective spatial states S (B, d) whose axes
+    have the :func:`_take` take: 1 on each row's axis, y elsewhere."""
     U = np.empty((len(S), n))
-    ones = np.ones((len(S), 1))
-    U[np.arange(len(S))[:, None], _order(n)[axis]] = np.concatenate([ones, S[:, 1:n]], 1)
+    U[take] = np.concatenate([np.ones((len(S), 1)), S[:, 1:n]], 1)
     return U
 
 
 def _transition(S: np.ndarray, n: int, axis, sign, new_axis):
     """Flat states and signs of the projective charts with dominant axes new_axis."""
-    U = _direction(S, n, axis)[np.arange(len(S))[:, None], _order(n)[new_axis]]  # lead first
+    U = _direction(S, n, _take(n, axis))[_take(n, new_axis)]  # lead first
     lead = U[:, 0]
     if np.any(lead == 0.0):
         raise ValueError("target chart is invalid: vanishing dominant component")
     new_rho = S[:, 0] * np.abs(1.0 / lead)
     new_S = np.concatenate([new_rho[:, None], U[:, 1:] / U[:, :1], S[:, n:]], 1)
     return new_S, np.sign(lead) * sign
-
-
-def _transition1(s: np.ndarray, n: int, axis: int, sign: int, new_axis: int):
-    """:func:`_transition` on one flat state: (state, int sign)."""
-    S, signs = _transition(s[None], n, [axis], [sign], [new_axis])
-    return S[0], int(signs[0])
 
 
 def _transverse(H: SymbolHamiltonian, pt: PhasePointChart):
@@ -682,8 +679,8 @@ def chart_transition(pt: PhasePointChart, H: SymbolHamiltonian, new_axis: int) -
     spec = _SPECS.get((H.named_model, pt.chart))
     if spec is None or not spec.projective:
         raise ValueError("chart_transition applies to projective spatial_face points")
-    s, sign = _transition1(_flatten(spec, pt), H.dim, pt.axis, pt.sign, new_axis)
-    return PhasePointChart(pt.chart, _unflatten(spec, s, H.dim), axis=new_axis, sign=sign)
+    S, signs = _transition(_flatten(spec, pt)[None], H.dim, [pt.axis], [pt.sign], [new_axis])
+    return PhasePointChart(pt.chart, _unflatten(spec, S[0], H.dim), new_axis, int(signs[0]))
 
 
 # chart-switch hysteresis: leave a chart once the dominant ratio drops below
@@ -693,56 +690,19 @@ SWITCH_LOW = 0.45
 
 
 def flow_trajectory(
-    H: SymbolHamiltonian,
-    start: PhasePointChart,
-    T: float,
-    dt: float,
-    *,
-    require_null: bool = True,
+    H: SymbolHamiltonian, start: PhasePointChart, T: float, dt: float
 ) -> list[PhasePointChart]:
-    """Fixed-step RK4 bicharacteristic flow with automatic chart switching.
-
-    Stages run on the chart's flat state, with rho clamped to its half-line.
-    """
-    if abs(dt) > 0.01:
-        raise ValueError("|dt| must be at most 0.01")
-    if require_null and abs(char_value(H, start)) > CHAR_TOL:
-        raise ValueError("start is not on the characteristic set")
-    spec = _spec(H, start.chart)
-    n = H.dim
-    steps = int(round(abs(T / dt)))
-    sgn = np.sign(T) if T != 0 else 1.0
-    h = sgn * abs(dt)
-
-    def clamp(v):
-        if spec.rho:
-            v[0] = max(v[0], 0.0)
-        return v
-
-    pt, s = start, _flatten(spec, start)
-    path = [start]
-    for _ in range(steps):
-        k1 = _field(spec, H, pt, s)
-        k2 = _field(spec, H, pt, clamp(s + h / 2 * k1))
-        k3 = _field(spec, H, pt, clamp(s + h / 2 * k2))
-        k4 = _field(spec, H, pt, clamp(s + h * k3))
-        s = clamp(s + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
-        axis, sign = pt.axis, pt.sign
-        if spec.projective:
-            u = np.abs(_direction(s[None], n, [axis])[0])
-            if u[axis] / np.max(u) < SWITCH_LOW:
-                axis = int(np.argmax(u))
-                s, sign = _transition1(s, n, pt.axis, pt.sign, axis)
-        pt = PhasePointChart(pt.chart, _unflatten(spec, s, n), axis, sign)
-        path.append(pt)
-    return path
+    """Fixed-step RK4 bicharacteristic flow with automatic chart switching from
+    one start: :func:`flow_batch` on ``[start]``, read back as chart points."""
+    batch = flow_batch(H, [start], T, dt)
+    return [batch.point(i, 0) for i in range(len(batch.states))]
 
 
 @dataclass(frozen=True)
 class FlowBatch:
-    """B trajectories of one chart as arrays: states (steps + 1, B, d) in the
-    chart's flat layout, axes and signs (steps + 1, B, int8); axis -1 where the
-    chart has none."""
+    """B trajectories of one chart as arrays, the result of :func:`flow_batch`:
+    states (steps + 1, B, d) in the chart's flat layout, axes and signs
+    (steps + 1, B, int8); axis -1 where the chart has none."""
 
     H: SymbolHamiltonian
     chart: str
@@ -763,25 +723,14 @@ class FlowBatch:
         blocks = np.array_split(self.states, max(1, len(self.states) // 256))
         return np.concatenate([spec.char(self.H, _columns(spec, S, n)) for S in blocks])
 
-    def matches(self, b: int, path) -> bool:
-        """Whether row b is the trajectory path bit for bit: every state, axis and sign."""
-        spec, rows = _spec(self.H, self.chart), _rows(path)
-        return (
-            all(p.chart == self.chart for p in path)
-            and np.array_equal(self.states[:, b], [_flatten(spec, p) for p in path])
-            and np.array_equal(self.axes[:, b], rows.axis)
-            and np.array_equal(self.signs[:, b], rows.sign)
-        )
-
 
 def flow_batch(H: SymbolHamiltonian, starts, T: float, dt: float) -> FlowBatch:
-    """:func:`flow_trajectory` from every start at once, on one (B, d) flat state.
+    """Fixed-step RK4 bicharacteristic flow with automatic chart switching from
+    every start at once, on one (B, d) flat state.
 
-    The starts share a chart; each row keeps its own axis and sign.  A step
-    applies the same fields, clamp and SWITCH_LOW transition as
-    flow_trajectory, elementwise over the rows, so row b is
-    ``flow_trajectory(H, starts[b], T, dt)`` bit for bit.  Bad input raises
-    the same errors.
+    The starts share a chart and lie on the characteristic set; each row keeps
+    its own axis and sign.  Stages run on the chart's flat states with rho
+    clamped to its half-line, elementwise, so a row does not depend on the others.
     """
     if abs(dt) > 0.01:
         raise ValueError("|dt| must be at most 0.01")
@@ -800,8 +749,9 @@ def flow_batch(H: SymbolHamiltonian, starts, T: float, dt: float) -> FlowBatch:
             V[V[:, 0] < 0.0, 0] = 0.0
         return V
 
-    S, rows = np.array([_flatten(spec, p) for p in starts]), _rows(starts)
-    every = np.arange(len(S))
+    S = np.array([_flatten(spec, p) for p in starts])
+    axis = np.array([-1 if p.axis is None else p.axis for p in starts])
+    rows = _Rows(axis, np.array([p.sign for p in starts], dtype=float), _take(n, axis))
     states = np.empty((steps + 1,) + S.shape)
     axes = np.empty((steps + 1, len(S)), dtype=np.int8)
     signs = np.empty_like(axes)
@@ -813,14 +763,15 @@ def flow_batch(H: SymbolHamiltonian, starts, T: float, dt: float) -> FlowBatch:
         k4 = _fields(spec, H, rows, clamp(S + h * k3))
         S = clamp(S + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
         if spec.projective:
-            U = np.abs(_direction(S, n, rows.axis))
-            switch = U[every, rows.axis] / np.max(U, axis=1) < SWITCH_LOW
+            U = np.abs(_direction(S, n, rows.take))
+            switch = 1.0 / np.max(U, axis=1) < SWITCH_LOW  # the ray is 1 on the axis
             if switch.any():
                 new_axis = np.argmax(U[switch], axis=1)
                 S[switch], rows.sign[switch] = _transition(
                     S[switch], n, rows.axis[switch], rows.sign[switch], new_axis
                 )
                 rows.axis[switch] = new_axis
+                rows.take[1][switch] = _order(n)[new_axis]
         states[i], axes[i], signs[i] = S, rows.axis, rows.sign
     return FlowBatch(H, chart, states, axes, signs)
 

@@ -50,6 +50,9 @@ def _flat_panels(lo, hi, n_panels: int, order: int):
 
 #: phi_hat table: Chebyshev degree on each unit panel [k, k + 1] of u = |s|.
 _HAT_DEGREE = 24
+#: phi_hat table: largest top (it covers |s| <= 100, every caller here); the
+#: rare |s| past it is summed directly, since the table fill costs O(top^2).
+_HAT_TOP = 128
 
 
 @dataclass
@@ -57,9 +60,8 @@ class LocalizerProfile:
     """Line profile phi and its self-convolution phi_tilde = phi * phi.
 
     Plateau-type profiles converge slowly under single-panel Gauss rules, so
-    every integral here uses the composite panels of
-    :func:`scatcalc.quadrature.gauss_panels` (aligned with the plateau
-    structure for the fixed-range ones, a table filled once for phi_hat).
+    every integral here uses :func:`scatcalc.quadrature.gauss_panels`, aligned
+    with the plateau structure or, for phi_hat, filled once into a table.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -82,32 +84,42 @@ class LocalizerProfile:
 
     def phi_hat(self, s):
         """Fourier transform int phi(t) exp(-i s t) dt (real and even), read from a
-        Chebyshev table in u = |s| on [0, top] (top a power of two, raised on demand)."""
+        Chebyshev table in u = |s| on [0, top] (top a power of two, raised on demand
+        up to _HAT_TOP); u past _HAT_TOP is summed directly."""
         u = np.abs(np.asarray(s, dtype=float))
         if not np.all(np.isfinite(u)):
             raise ValueError("phi_hat needs finite s")
+        far = u > _HAT_TOP
+        near = np.where(far, 0.0, u)
         top, coef = self._hat_cache
-        if coef is None or u.max(initial=0.0) > top:
-            while top < u.max(initial=0.0):
+        if coef is None or near.max(initial=0.0) > top:
+            while top < near.max(initial=0.0):
                 top *= 2
             top, coef = self._hat_cache = (top, self._hat_table(top))
-        k = np.minimum(u.astype(int), top - 1)
-        x2 = 4.0 * (u - k) - 2.0
+        k = np.minimum(near.astype(int), top - 1)
+        x2 = 4.0 * (near - k) - 2.0
         b1 = b2 = 0.0
         for c in coef[:0:-1]:  # Clenshaw, highest degree first
             b1, b2 = c[k] + x2 * b1 - b2, b1
-        return 0.5 * (coef[0][k] + x2 * b1) - b2
+        out = np.asarray(0.5 * (coef[0][k] + x2 * b1) - b2)
+        if far.any():
+            out[far] = self._hat_sums(u[far][:, None], u.max())[:, 0]
+        return out[()]
 
     def _hat_table(self, top: int) -> np.ndarray:
         """Chebyshev coefficients (degree + 1, top) of phi_hat on [k, k + 1]; row 0 is 2 c_0."""
         n = _HAT_DEGREE + 1
         u = np.arange(top)[:, None] + 0.5 * (np.cos(np.pi * (np.arange(n) + 0.5) / n) + 1.0)
-        n_panels = int(max(64, np.ceil(2.0 * top * self.support / np.pi)))
+        return dct(self._hat_sums(u, top), type=2).T / n
+
+    def _hat_sums(self, u: np.ndarray, reach: float) -> np.ndarray:
+        """phi_hat at every entry of u (rows, m) by composite Gauss quadrature, with
+        panels fine enough for |s| <= reach."""
+        n_panels = int(max(64, np.ceil(2.0 * reach * self.support / np.pi)))
         pts, w = _flat_panels(-self.support, self.support, n_panels, 16)
         cw = w * self(pts)
-        # one panel at a time, summed pairwise (a BLAS product loses ~1e-14)
-        vals = np.array([(np.cos(np.multiply.outer(uk, pts)) * cw).sum(axis=-1) for uk in u])
-        return dct(vals, type=2).T / n
+        # one row at a time, summed pairwise (a BLAS product loses ~1e-14)
+        return np.array([(np.cos(np.multiply.outer(uk, pts)) * cw).sum(axis=-1) for uk in u])
 
 
 def default_profile() -> LocalizerProfile:

@@ -96,6 +96,15 @@ class TestPhiHatTable:
         prof.phi_hat(np.array([100.0]))
         assert abs(prof.phi_hat(0.0) - 3.0) < 1e-14
 
+    def test_past_the_table_cap(self):
+        # |s| above the cap is summed directly; the table stops at the cap
+        prof = default_profile()
+        s = np.array([1000.0, 250.5, 3.0])
+        got = prof.phi_hat(s)
+        assert np.max(np.abs(got - direct_phi_hat(s))) < 1e-12
+        assert prof._hat_cache[0] <= 128
+        assert prof.phi_hat(-1000.0) == got[0]
+
     def test_even_bit_for_bit(self):
         assert np.array_equal(PHI.phi_hat(-self.s), PHI.phi_hat(self.s))
 
