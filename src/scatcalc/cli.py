@@ -352,10 +352,23 @@ def _run_helmholtz(v, seed):
 
 
 def _run_threshold(v, seed):
-    from .helmholtz import sphere_density, threshold_scan
+    from .grid import QuadratureError, truncated_weighted_mass
+    from .helmholtz import eigenfunction_evaluator, sphere_density, threshold_scan
 
+    lam, orders, radii = v["lambda"], v["orders"], v["radii"]
     f = sphere_density(2, lambda th: 1.0 + 0.45 * th[:, 0] + 0.2j * th[:, 1])
-    table = threshold_scan(f, v["lambda"], v["orders"], v["radii"])
+    table = threshold_scan(f, lam, orders, radii)
+    # the Parseval masses at the first radius against dense plane-wave
+    # synthesis (48 angles are exact here: |u|^2 has degree 2 on each shell)
+    dense = truncated_weighted_mass(
+        eigenfunction_evaluator(f, lam), orders, radii[0], n=2, n_ang=48, check=False
+    )
+    for r, ref in zip(orders, dense):
+        mass = table[float(r)]["masses"][0]
+        if abs(mass - ref) > 1e-10 * abs(ref):
+            raise QuadratureError(
+                f"order {r}: coefficient mass {mass!r} vs synthesized {ref!r} at R = {radii[0]}"
+            )
     rows, metrics, criteria = [], {}, {}
     for r, entry in table.items():
         row = {"order": r, "kind": entry["kind"]}
@@ -369,6 +382,7 @@ def _run_threshold(v, seed):
             criteria["log_at_threshold"] = entry["log_r2"] > 0.99
         else:
             row["ratio"] = entry["ratio"]
+            row["ratio_radii"] = entry["ratio_radii"]
             metrics[f"bounded_ratio_r{r}"] = entry["ratio"]
             criteria[f"bounded_r{r}"] = entry["ratio"] < 1.05
         rows.append(row)

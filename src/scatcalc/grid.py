@@ -34,6 +34,7 @@ __all__ = [
     "parseval_defect",
     "sobolev_norm",
     "var_sobolev_norm",
+    "radial_weighted_mass",
     "truncated_weighted_mass",
     "fit_growth_exponent",
     "fit_log_growth",
@@ -47,7 +48,7 @@ MAX_TOTAL_POINTS = 2**24
 #: constant-order consistency tolerance.
 FLOOR_WEIGHT = 1e-7
 
-#: Gauss-Legendre nodes per radial panel of :func:`truncated_weighted_mass`;
+#: Gauss-Legendre nodes per radial panel of :func:`radial_weighted_mass`;
 #: its self-check reruns with four more.
 MASS_GL_ORDER = 8
 
@@ -296,6 +297,48 @@ def var_sobolev_norm(u: GridField, ord: SobolevOrder) -> float:
     return float(np.sqrt(Au.l2_norm() ** 2 + (FLOOR_WEIGHT * floor) ** 2))
 
 
+def radial_weighted_mass(
+    shell: Callable[[np.ndarray], np.ndarray],
+    orders: Sequence[float],
+    R: float,
+    *,
+    n: int,
+    tol: float = 1e-8,
+    check: bool = True,
+) -> list[float]:
+    """integral_0^R <rho>^{2r} rho^{n-1} shell(rho) drho for each order r.
+
+    shell maps radii (K,) to the sphere integrals int_{S^{n-1}} |u(rho w)|^2 dw
+    at those radii.  Composite Gauss-Legendre panels of width 0.5 (at most)
+    and order :data:`MASS_GL_ORDER`.  When `check` is set, the masses are
+    recomputed with four more nodes per panel and a :class:`QuadratureError`
+    is raised on a relative disagreement beyond tol.
+    """
+    if R < 1:
+        raise ValueError("R must be at least 1")
+    vals = _radial_once(shell, orders, R, n, MASS_GL_ORDER)
+    if check:
+        refs = _radial_once(shell, orders, R, n, MASS_GL_ORDER + 4)
+        for val, ref in zip(vals, refs):
+            scale = max(abs(ref), 1e-300)
+            if abs(val - ref) / scale > tol:
+                raise QuadratureError(
+                    f"radial quadrature not converged: {val!r} vs {ref!r} at order {MASS_GL_ORDER}"
+                )
+    return vals
+
+
+def _radial_once(shell, orders, R, n, gl_order) -> list:
+    n_panels = max(1, int(np.ceil(R / 0.5)))  # radial panels at most 0.5 wide
+    radii, rw = (a.ravel() for a in gauss_panels(0.0, R, n_panels, gl_order))
+    ang = shell(radii)
+    masses = []
+    for r in orders:
+        wgt = (1.0 + radii**2) ** r * radii ** (n - 1)
+        masses.append(float(np.sum(rw * wgt * ang)))
+    return masses
+
+
 def truncated_weighted_mass(
     u: Callable[[np.ndarray], np.ndarray],
     r: float | Sequence[float],
@@ -308,42 +351,22 @@ def truncated_weighted_mass(
 ) -> float | list[float]:
     """integral_{|x| <= R} <x>^{2r} |u|^2 dx by radial x angular quadrature.
 
-    u must be vectorized over (M, n) point arrays.  Composite Gauss-Legendre
-    panels of width 0.5 (at most) and order :data:`MASS_GL_ORDER` in the
-    radius, a trapezoidal/product rule on the sphere.  r is one
-    order (a float comes back) or a sequence of orders (a list of masses comes
-    back, one per order, from a single evaluation of u on the nodes).  When
-    `check` is set, each result is compared against a higher-order radial rule
-    and a :class:`QuadratureError` is raised on disagreement beyond tol.
+    u must be vectorized over (M, n) point arrays.  The radial rule and its
+    self-check are those of :func:`radial_weighted_mass`; each sphere integral
+    is the trapezoidal/product rule on n_ang angles.  r is one order (a float
+    comes back) or a sequence of orders (a list of masses comes back, one per
+    order, from a single evaluation of u on the nodes of each radial rule).
     """
-    if R < 1:
-        raise ValueError("R must be at least 1")
-    orders = list(r) if np.ndim(r) else [r]
-    vals = _mass_once(u, orders, R, n, n_ang, MASS_GL_ORDER)
-    if check:
-        refs = _mass_once(u, orders, R, n, n_ang, MASS_GL_ORDER + 4)
-        for val, ref in zip(vals, refs):
-            scale = max(abs(ref), 1e-300)
-            if abs(val - ref) / scale > tol:
-                raise QuadratureError(
-                    f"radial quadrature not converged: {val!r} vs {ref!r} at order {MASS_GL_ORDER}"
-                )
-    return vals if np.ndim(r) else vals[0]
-
-
-def _mass_once(u, orders, R, n, n_ang, gl_order) -> list:
-    n_panels = max(1, int(np.ceil(R / 0.5)))  # radial panels at most 0.5 wide
-    radii, rw = (a.ravel() for a in gauss_panels(0.0, R, n_panels, gl_order))
     theta, tw = product_sphere_rule(n, max(4, n_ang // 2), n_ang)
-    pts = radii[:, None, None] * theta[None, :, :]
-    M = pts.shape[0] * pts.shape[1]
-    vals = np.asarray(u(pts.reshape(M, n))).reshape(len(radii), len(tw))
-    ang = np.abs(vals) ** 2 @ tw
-    masses = []
-    for r in orders:
-        wgt = (1.0 + radii**2) ** r * radii ** (n - 1)
-        masses.append(float(np.sum(rw * wgt * ang)))
-    return masses
+
+    def shell(radii):
+        pts = radii[:, None, None] * theta[None, :, :]
+        vals = np.asarray(u(pts.reshape(-1, n))).reshape(len(radii), len(tw))
+        return np.abs(vals) ** 2 @ tw
+
+    orders = list(r) if np.ndim(r) else [r]
+    masses = radial_weighted_mass(shell, orders, R, n=n, tol=tol, check=check)
+    return masses if np.ndim(r) else masses[0]
 
 
 def fit_growth_exponent(radii, masses) -> float:

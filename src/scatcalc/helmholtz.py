@@ -7,9 +7,19 @@ Eigenfunctions are synthesized from a density g on the unit sphere as
 by the product sphere rule of :mod:`scatcalc.quadrature` (trapezoid on S^1,
 Gauss-Legendre x uniform on S^2), with the node count auto-raised to track
 the sampling requirement ~ 2 lambda |x| per great circle.  Large-|x|
-asymptotics, incoming/outgoing coefficients, the boundary pairing,
-threshold-decay scans, the outgoing/incoming formal series recursion, and the
-(free) scattering matrix all read off this one representation.
+asymptotics, incoming/outgoing coefficients, the boundary pairing, the
+outgoing/incoming formal series recursion, and the (free) scattering matrix
+all read off this one representation.
+
+Threshold-decay scans read the density's harmonic power spectrum instead.
+By Jacobi-Anger (n = 2) and Rayleigh (n = 3), with orthonormal harmonic
+coefficients a_lm of g and c_n = (2 pi)^{-n} lambda^{n-1} |S^{n-1}|,
+
+    int_{S^{n-1}} |u(r w)|^2 dw = c_n^2 sum_l p_l b_l(lambda r)^2,
+
+p_l = sum_m |a_lm|^2, b_l = J_l (n = 2) or j_l (n = 3): Parseval on each
+shell, with no angular quadrature and no synthesis.  The spectrum's degree is
+tail-checked (:func:`harmonic_power`).
 """
 
 from __future__ import annotations
@@ -19,7 +29,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import fit_growth_exponent, fit_log_growth, truncated_weighted_mass
+from scipy.special import jv, sph_harm_y, spherical_jn
+
+from .grid import QuadratureError, fit_growth_exponent, fit_log_growth, radial_weighted_mass
 from .quadrature import product_sphere_rule
 
 __all__ = [
@@ -37,6 +49,7 @@ __all__ = [
     "stationary_phase_leading",
     "asymptotic_profile",
     "error_slope",
+    "harmonic_power",
     "threshold_scan",
     "series_obstruction",
     "poisson_series_step",
@@ -62,11 +75,16 @@ class PowerMismatchError(ValueError):
         self.obstruction = obstruction
 
 
+def _rule_sizes(degree: int) -> tuple[int, int]:
+    """(polar, azimuth) node counts of the degree-`degree` sphere rule."""
+    return max((degree + 2) // 2, 4), max(degree + 1, 8)
+
+
 def sphere_rule(n: int, degree: int):
     """Product quadrature on S^{n-1} exact for harmonics up to `degree`."""
     if n not in (2, 3):
         raise ValueError("sphere dimension n must be 2 or 3")
-    return product_sphere_rule(n, max((degree + 2) // 2, 4), max(degree + 1, 8))
+    return product_sphere_rule(n, *_rule_sizes(degree))
 
 
 @dataclass
@@ -115,8 +133,6 @@ def quadrature_harmonic_defect(dens: SphereDensity, max_degree: Optional[int] = 
         for k in range(1, deg + 1):
             worst = max(worst, abs(complex(np.sum(w * np.exp(1j * k * ang)))))
     else:
-        from scipy.special import sph_harm_y
-
         th = np.arccos(np.clip(nodes[:, 2], -1, 1))
         ph = np.arctan2(nodes[:, 1], nodes[:, 0])
         for ell in range(1, deg + 1):
@@ -299,20 +315,83 @@ def error_slope(f: SphereDensity, lam: float, radii) -> float:
     return fit_growth_exponent(radii, errs)
 
 
-def threshold_scan(f: SphereDensity, lam: float, r_orders, radii, *, n_ang: int = 48) -> dict:
+#: Share of a density's harmonic power that the top half of the resolved
+#: degrees may carry; degrees with a smaller share are dropped.
+SPECTRUM_TAIL = 1e-28
+
+#: Sphere-rule degree past which :func:`harmonic_power` gives up, per n.
+_MAX_SPECTRUM_DEGREE = {2: 4096, 3: 256}
+
+
+def _power_spectrum(f: SphereDensity, degree: int) -> np.ndarray:
+    """p_l for l <= degree // 2 by the degree-`degree` sphere rule, which
+    integrates g conj(Y_lm) exactly when g has degree at most degree // 2."""
+    nodes, w = sphere_rule(f.n, degree)
+    gw = w * f(nodes)
+    top = degree // 2
+    if f.n == 2:
+        # trapezoid on uniform angles: a DFT; a_k = sum w g e^{-ik phi} / sqrt(2 pi)
+        p = np.abs(np.fft.fft(gw)) ** 2 / (2.0 * np.pi)
+        power = p[: top + 1].copy()
+        power[1:] += p[: -top - 1 : -1]  # k and -k both count toward l = |k|
+        return power
+    n_polar, n_azimuth = _rule_sizes(degree)
+    # azimuthal DFT per polar ring, then Y_lm(theta, 0) in the polar angle
+    G = np.fft.fft(gw.reshape(n_polar, n_azimuth), axis=1)
+    theta = np.arccos(nodes[::n_azimuth, 2])
+    power = np.empty(top + 1)
+    for ell in range(top + 1):
+        m = np.arange(-ell, ell + 1)
+        ylm = sph_harm_y(ell, m[:, None], theta[None, :], 0.0)
+        power[ell] = np.sum(np.abs(np.sum(np.conj(ylm) * G[:, m].T, axis=1)) ** 2)
+    return power
+
+
+def harmonic_power(f: SphereDensity) -> tuple[np.ndarray, np.ndarray]:
+    """(degrees, p_l): the harmonic power spectrum of the density.
+
+    p_l = sum_m |a_lm|^2 over orthonormal harmonics: e^{ik phi} / sqrt(2 pi)
+    on S^1 (k and -k both count toward l = |k|), ``sph_harm_y`` on S^2.  The
+    sphere rule starts at `f.degree` and doubles until the top half of the
+    resolved degrees carries at most :data:`SPECTRUM_TAIL` of the power;
+    past :data:`_MAX_SPECTRUM_DEGREE` a :class:`QuadratureError` is raised.
+    Only the degrees whose power exceeds that share come back.
+    """
+    degree = f.degree
+    while True:
+        power = _power_spectrum(f, degree)
+        floor = SPECTRUM_TAIL * power.sum()
+        if power[len(power) // 2 + 1 :].sum() <= floor:
+            keep = np.flatnonzero(power > floor)
+            return keep, power[keep]
+        degree *= 2
+        if degree > _MAX_SPECTRUM_DEGREE[f.n]:
+            raise QuadratureError(
+                f"harmonic power of the density still has a tail share above "
+                f"{SPECTRUM_TAIL:g} at sphere-rule degree {degree // 2}"
+            )
+
+
+def threshold_scan(f: SphereDensity, lam: float, r_orders, radii) -> dict:
     """Truncated-mass growth table of the eigenfunction across spatial orders.
 
     For each order r, masses over the radius ladder are classified: power-law
     exponent fit for r > -1/2 (expected 2r + 1), log-linear fit quality at
-    r = -1/2, boundedness ratio for r < -1/2.  The masses are those of
-    :func:`~scatcalc.grid.truncated_weighted_mass` on n_ang angles, with its
-    self-check off.
+    r = -1/2, boundedness ratio for r < -1/2.  Each mass is
+    :func:`~scatcalc.grid.radial_weighted_mass`, with its self-check, on the
+    shell integrals c_n^2 sum_l p_l b_l(lam r)^2 of the tail-checked spectrum
+    of :func:`harmonic_power` (Parseval; see the module docstring).
     """
-    u = eigenfunction_evaluator(f, lam)
-    # one mass call per radius: u is evaluated once for all orders
-    by_radius = [
-        truncated_weighted_mass(u, r_orders, R, n=f.n, n_ang=n_ang, check=False) for R in radii
-    ]
+    n = f.n
+    degrees, power = harmonic_power(f)
+    area = 2.0 * np.pi if n == 2 else 4.0 * np.pi
+    c_n = (2.0 * np.pi) ** (-n) * lam ** (n - 1) * area
+    bessel = jv if n == 2 else spherical_jn
+
+    def shell(rho):
+        return c_n**2 * (power @ bessel(degrees[:, None], lam * rho[None, :]) ** 2)
+
+    by_radius = [radial_weighted_mass(shell, r_orders, R, n=n) for R in radii]
     table = {}
     for k, r in enumerate(r_orders):
         masses = [m[k] for m in by_radius]
@@ -328,8 +407,9 @@ def threshold_scan(f: SphereDensity, lam: float, r_orders, radii, *, n_ang: int 
             # the top mass over the mass two rungs below it (over the first
             # rung on a ladder of fewer than three radii), where the tail
             # dominates the trend
-            base = masses[-3] if len(masses) >= 3 else masses[0]
-            entry["ratio"] = masses[-1] / base
+            base = -3 if len(masses) >= 3 else 0
+            entry["ratio"] = masses[-1] / masses[base]
+            entry["ratio_radii"] = [float(radii[base]), float(radii[-1])]
         table[float(r)] = entry
     return table
 
@@ -428,8 +508,6 @@ def _angular_eval(n: int, coeffs: dict, xhat: np.ndarray) -> np.ndarray:
         for k, c in coeffs.items():
             out += c * np.exp(1j * k * th)
         return out
-    from scipy.special import sph_harm_y
-
     th = np.arccos(np.clip(xhat[:, 2], -1, 1))
     ph = np.arctan2(xhat[:, 1], xhat[:, 0])
     out = np.zeros(len(xhat), dtype=complex)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from scatcalc.grid import QuadratureError, truncated_weighted_mass
 from scatcalc.helmholtz import (
     FREE_SMATRIX_PHASE,
     PowerMismatchError,
@@ -13,6 +14,7 @@ from scatcalc.helmholtz import (
     error_slope,
     fit_smatrix_phase,
     free_scattering_matrix,
+    harmonic_power,
     pde_residual_patch,
     poisson_series_step,
     quadrature_harmonic_defect,
@@ -129,13 +131,74 @@ class TestProfiles:
         )
 
 
+def skewed_density(n):
+    # degree 2 with a_1 != a_-1 on S^1: Parseval has to count both signs of k
+    return sphere_density(
+        n, lambda th: 1.0 + 0.45 * th[:, 0] + 0.2j * th[:, 1] + 0.3 * th[:, 0] * th[:, 1]
+    )
+
+
+def dense_masses(f, lam, orders, R, n_ang):
+    # the oracle: plane-wave synthesis of u on the shells of the same radial rule
+    u = eigenfunction_evaluator(f, lam)
+    return truncated_weighted_mass(u, orders, R, n=f.n, n_ang=n_ang, check=False)
+
+
 class TestThresholdScan:
+    ORDERS = [-0.75, -0.5, 0.0]
+
     def test_trichotomy_small_ladder(self):
         f = smooth_density_2d()
-        table = threshold_scan(f, LAM, [-0.75, -0.5, 0.0], [100.0, 200.0, 400.0], n_ang=32)
+        table = threshold_scan(f, LAM, self.ORDERS, [100.0, 200.0, 400.0])
         assert table[0.0]["exponent"] == pytest.approx(1.0, abs=0.05)
         assert table[-0.5]["log_r2"] > 0.99
         assert table[-0.75]["ratio"] < 1.05
+        assert table[-0.75]["ratio_radii"] == [100.0, 400.0]
+
+    def test_power_spectrum_closed_form(self):
+        # 1 + 0.45 cos + 0.2i sin = sqrt(2 pi) (Y_0 + 0.325 Y_1 + 0.125 Y_-1)
+        degrees, power = harmonic_power(
+            sphere_density(2, lambda th: 1.0 + 0.45 * th[:, 0] + 0.2j * th[:, 1])
+        )
+        assert degrees.tolist() == [0, 1]
+        assert power == pytest.approx(2 * np.pi * np.array([1.0, 0.325**2 + 0.125**2]), rel=1e-14)
+        # x_3 = sqrt(4 pi / 3) Y_10 on S^2
+        degrees, power = harmonic_power(sphere_density(3, lambda th: 2.0 + th[:, 2]))
+        assert degrees.tolist() == [0, 1]
+        assert power == pytest.approx([16 * np.pi, 4 * np.pi / 3], rel=1e-14)
+
+    @pytest.mark.parametrize("R", [5.0, 10.0])
+    def test_parseval_against_synthesis_n2(self, R):
+        f = skewed_density(2)
+        table = threshold_scan(f, 1.7, self.ORDERS, [R / 2, R])
+        dense = dense_masses(f, 1.7, self.ORDERS, R, n_ang=64)
+        for r, ref in zip(self.ORDERS, dense):
+            assert table[r]["masses"][-1] == pytest.approx(ref, rel=1e-12)
+
+    def test_parseval_against_synthesis_n3(self):
+        f = skewed_density(3)
+        table = threshold_scan(f, 1.7, self.ORDERS, [1.0, 3.0])
+        dense = dense_masses(f, 1.7, self.ORDERS, 3.0, n_ang=16)
+        for r, ref in zip(self.ORDERS, dense):
+            assert table[r]["masses"][-1] == pytest.approx(ref, rel=1e-12)
+
+    def test_narrow_bump_beats_fixed_angles(self):
+        # at lam R = 250 the Fresnel scale (lam R)^{-1/2} = 0.06 resolves the
+        # bump of width 0.1, so |u|^2 on the shells carries its high harmonics:
+        # 512 angles still integrate them exactly, 48 do not
+        def bump(th):
+            return np.exp(-((np.arctan2(th[:, 1], th[:, 0]) / 0.1) ** 2))
+
+        f = sphere_density(2, bump, degree=512)
+        mass = threshold_scan(f, 50.0, [0.0], [4.0, 5.0])[0.0]["masses"][-1]
+        fine, coarse = (dense_masses(f, 50.0, 0.0, 5.0, n_ang=k) for k in (512, 48))
+        assert mass == pytest.approx(fine, rel=1e-10)
+        assert abs(coarse - mass) > 1e-6 * mass
+
+    def test_discontinuous_density_fails_tail_check(self):
+        f = sphere_density(2, lambda th: np.sign(th[:, 0]))
+        with pytest.raises(QuadratureError, match="tail"):
+            threshold_scan(f, LAM, self.ORDERS, [5.0, 10.0])
 
 
 class TestPoissonSeries:
