@@ -361,7 +361,7 @@ def _run_threshold(v, seed):
     # the Parseval masses at the first radius against dense plane-wave
     # synthesis (48 angles are exact here: |u|^2 has degree 2 on each shell)
     dense = truncated_weighted_mass(
-        eigenfunction_evaluator(f, lam), orders, radii[0], n=2, n_ang=48, check=False
+        eigenfunction_evaluator(f, lam), orders, radii[0], n=2, lam=lam, n_ang=48, check=False
     )
     for r, ref in zip(orders, dense):
         mass = table[float(r)]["masses"][0]

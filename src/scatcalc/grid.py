@@ -303,22 +303,25 @@ def radial_weighted_mass(
     R: float,
     *,
     n: int,
+    lam: float,
     tol: float = 1e-8,
     check: bool = True,
 ) -> list[float]:
     """integral_0^R <rho>^{2r} rho^{n-1} shell(rho) drho for each order r.
 
     shell maps radii (K,) to the sphere integrals int_{S^{n-1}} |u(rho w)|^2 dw
-    at those radii.  Composite Gauss-Legendre panels of width 0.5 (at most)
-    and order :data:`MASS_GL_ORDER`.  When `check` is set, the masses are
-    recomputed with four more nodes per panel and a :class:`QuadratureError`
-    is raised on a relative disagreement beyond tol.
+    at those radii; u oscillates at wavenumber lam (1 if it does not).
+    Composite Gauss-Legendre panels of order :data:`MASS_GL_ORDER`, at most
+    min(0.5, 4 / lam) wide (0.5 for every lam <= 8).  When `check` is set, the
+    masses are recomputed with four more nodes per panel and a
+    :class:`QuadratureError` is raised on a relative disagreement beyond tol.
     """
-    if R < 1:
-        raise ValueError("R must be at least 1")
-    vals = _radial_once(shell, orders, R, n, MASS_GL_ORDER)
+    if R < 1 or not lam > 0:
+        raise ValueError("R must be at least 1 and lam positive")
+    n_panels = max(1, int(np.ceil(R / min(0.5, 4.0 / lam))))
+    vals = _radial_once(shell, orders, R, n, n_panels, MASS_GL_ORDER)
     if check:
-        refs = _radial_once(shell, orders, R, n, MASS_GL_ORDER + 4)
+        refs = _radial_once(shell, orders, R, n, n_panels, MASS_GL_ORDER + 4)
         for val, ref in zip(vals, refs):
             scale = max(abs(ref), 1e-300)
             if abs(val - ref) / scale > tol:
@@ -328,8 +331,7 @@ def radial_weighted_mass(
     return vals
 
 
-def _radial_once(shell, orders, R, n, gl_order) -> list:
-    n_panels = max(1, int(np.ceil(R / 0.5)))  # radial panels at most 0.5 wide
+def _radial_once(shell, orders, R, n, n_panels, gl_order) -> list:
     radii, rw = (a.ravel() for a in gauss_panels(0.0, R, n_panels, gl_order))
     ang = shell(radii)
     masses = []
@@ -345,14 +347,16 @@ def truncated_weighted_mass(
     R: float,
     *,
     n: int,
+    lam: float,
     n_ang: int = 64,
     tol: float = 1e-8,
     check: bool = True,
 ) -> float | list[float]:
     """integral_{|x| <= R} <x>^{2r} |u|^2 dx by radial x angular quadrature.
 
-    u must be vectorized over (M, n) point arrays.  The radial rule and its
-    self-check are those of :func:`radial_weighted_mass`; each sphere integral
+    u must be vectorized over (M, n) point arrays and oscillate at wavenumber
+    lam.  The radial rule and its self-check are those of
+    :func:`radial_weighted_mass`; each sphere integral
     is the trapezoidal/product rule on n_ang angles.  r is one order (a float
     comes back) or a sequence of orders (a list of masses comes back, one per
     order, from a single evaluation of u on the nodes of each radial rule).
@@ -365,7 +369,7 @@ def truncated_weighted_mass(
         return np.abs(vals) ** 2 @ tw
 
     orders = list(r) if np.ndim(r) else [r]
-    masses = radial_weighted_mass(shell, orders, R, n=n, tol=tol, check=check)
+    masses = radial_weighted_mass(shell, orders, R, n=n, lam=lam, tol=tol, check=check)
     return masses if np.ndim(r) else masses[0]
 
 

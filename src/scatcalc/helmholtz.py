@@ -391,7 +391,7 @@ def threshold_scan(f: SphereDensity, lam: float, r_orders, radii) -> dict:
     def shell(rho):
         return c_n**2 * (power @ bessel(degrees[:, None], lam * rho[None, :]) ** 2)
 
-    by_radius = [radial_weighted_mass(shell, r_orders, R, n=n) for R in radii]
+    by_radius = [radial_weighted_mass(shell, r_orders, R, n=n, lam=lam) for R in radii]
     table = {}
     for k, r in enumerate(r_orders):
         masses = [m[k] for m in by_radius]

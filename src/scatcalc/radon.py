@@ -13,10 +13,13 @@ orthogroup {omega . xihat = 0} always meets {chi > 0}: true for n >= 3 (two
 great circles on S^2 intersect), false for narrow cutoffs in n = 2 (two
 antipodal points miss the allowed arc), and the probe exhibits both.  phi_hat
 is read from a Chebyshev table; the Hankel oracle reads phi_tilde, not the table.
+Since phi is even and the line rule symmetric, L integrates along the lines of
+I_0, so `backproject` and `injectivity_probe` build each line integral once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -48,6 +51,21 @@ def _flat_panels(lo, hi, n_panels: int, order: int):
     return tuple(a.ravel() for a in gauss_panels(lo, hi, n_panels, order))
 
 
+#: The profile vanishes for |t| > _SUPPORT.
+_SUPPORT = 2.0
+#: Gauss nodes per panel of the line integrals of xray_transform and backproject.
+_LINE_NODES = 24
+
+
+@functools.cache
+def _line_rule(n_t: int):
+    """4 Gauss panels of n_t nodes on [-_SUPPORT, _SUPPORT], aligned with the plateau;
+    t is exactly antisymmetric and w exactly symmetric.  Cached, so read-only."""
+    t, w = _flat_panels(-_SUPPORT, _SUPPORT, 4, n_t)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 #: phi_hat table: Chebyshev degree on each unit panel [k, k + 1] of u = |s|.
 _HAT_DEGREE = 24
 #: phi_hat table: largest top (it covers |s| <= 100, every caller here); the
@@ -59,15 +77,20 @@ _HAT_TOP = 128
 class LocalizerProfile:
     """Line profile phi and its self-convolution phi_tilde = phi * phi.
 
+    phi vanishes for |t| > 2 and must be even (checked to rounding on the line
+    rule's nodes, else ValueError): evenness lets L reuse the lines of I_0.
+
     Plateau-type profiles converge slowly under single-panel Gauss rules, so
     every integral here uses :func:`scatcalc.quadrature.gauss_panels`, aligned
     with the plateau structure or, for phi_hat, filled once into a table.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
-    support: float = 2.0
 
     def __post_init__(self):
+        vals = self(_line_rule(_LINE_NODES)[0])
+        if np.max(np.abs(vals - vals[::-1])) > 1e-12 * np.max(np.abs(vals)):
+            raise ValueError("the line profile phi must be even")
         self._hat_cache = (1, None)
 
     def __call__(self, t):
@@ -76,8 +99,8 @@ class LocalizerProfile:
     def phi_tilde(self, s):
         """(phi * phi)(s) by composite Gauss quadrature over the overlap."""
         s = np.asarray(s, dtype=float)
-        lo = np.maximum(-self.support, s - self.support)
-        hi = np.minimum(self.support, s + self.support)
+        lo = np.maximum(-_SUPPORT, s - _SUPPORT)
+        hi = np.minimum(_SUPPORT, s + _SUPPORT)
         pts, w = gauss_panels(lo, hi, 8, 16)
         vals = self(pts) * self(s[..., None, None] - pts)
         return np.sum(vals * w, axis=(-2, -1))
@@ -115,8 +138,8 @@ class LocalizerProfile:
     def _hat_sums(self, u: np.ndarray, reach: float) -> np.ndarray:
         """phi_hat at every entry of u (rows, m) by composite Gauss quadrature, with
         panels fine enough for |s| <= reach."""
-        n_panels = int(max(64, np.ceil(2.0 * reach * self.support / np.pi)))
-        pts, w = _flat_panels(-self.support, self.support, n_panels, 16)
+        n_panels = int(max(64, np.ceil(2.0 * reach * _SUPPORT / np.pi)))
+        pts, w = _flat_panels(-_SUPPORT, _SUPPORT, n_panels, 16)
         cw = w * self(pts)
         # one row at a time, summed pairwise (a BLAS product loses ~1e-14)
         return np.array([(np.cos(np.multiply.outer(uk, pts)) * cw).sum(axis=-1) for uk in u])
@@ -155,70 +178,39 @@ def direction_rule(n: int, count: int):
     return np.roll(nodes, 1, axis=-1), w  # polar axis e_1
 
 
-def _line_rule(support: float, n_t: int):
-    # 4 panels aligned with the plateau structure, n_t Gauss nodes each
-    return _flat_panels(-support, support, 4, n_t)
-
-
-#: Gauss nodes per panel of the line integrals of xray_transform and backproject.
-_LINE_NODES = 24
-
-
 def xray_transform(f: Callable, z, omega, phi: LocalizerProfile):
     """I_0 f(z, omega) = int f(z + t omega) phi(t) dt by Gauss quadrature.
 
     f is vectorized over (M, n) arrays; z and omega may carry matching batch
     dimensions (..., n).
     """
-    z = np.asarray(z, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    t, w = _line_rule(phi.support, _LINE_NODES)
+    z, omega = np.asarray(z, dtype=float), np.asarray(omega, dtype=float)
+    t, w = _line_rule(_LINE_NODES)
     pts = z[..., None, :] + t[:, None] * omega[..., None, :]
-    batch = pts.shape[:-1]
-    vals = np.asarray(f(pts.reshape(-1, pts.shape[-1]))).reshape(batch)
-    return np.sum(vals * (w * phi(t)), axis=-1)
+    return np.asarray(f(pts.reshape(-1, pts.shape[-1]))).reshape(pts.shape[:-1]) @ (w * phi(t))
 
 
-def backproject(v, phi: LocalizerProfile, directions, dir_weights, *, z_axes=None):
+def backproject(v: Callable, phi: LocalizerProfile, directions, dir_weights):
     """Adjoint evaluator L v(y) = int v(y - t omega, omega) phi(t) dt domega.
 
-    v is either a callable v(z_points, omega_index) or an array of samples of
-    shape (len(z1), ..., len(zn), n_dirs) over the tensor grid `z_axes`, in
-    which case a cubic interpolant (zero outside the grid) is used per
-    direction; out-of-range queries are treated as zero, consistent with
-    compactly supported data.
+    v is a callable v(z_points, omega_index).  phi is even and the line rule
+    symmetric, so each line integral is the one of :func:`xray_transform`:
+    the same nodes and weights, and the same points y + t omega.
     """
-    directions = np.asarray(directions, dtype=float)
-    dir_weights = np.asarray(dir_weights, dtype=float)
-    t, wt = _line_rule(phi.support, _LINE_NODES)
-    wt = wt * phi(t)
-
-    if callable(v):
-        v_of = v
-    else:
-        from scipy.interpolate import RegularGridInterpolator
-
-        interps = []
-        for k in range(v.shape[-1]):
-            interps.append(
-                RegularGridInterpolator(
-                    z_axes, v[..., k], method="cubic", bounds_error=False, fill_value=0.0
-                )
-            )
-
-        def v_of(pts, k):
-            return interps[k](pts)
+    t, w = _line_rule(_LINE_NODES)
+    tw = w * phi(t)
+    lines = list(enumerate(zip(np.asarray(directions, dtype=float), dir_weights)))
 
     def Lv(y):
         y = np.asarray(y, dtype=float)
-        single = y.ndim == 1
-        ys = y[None, :] if single else y
-        out = np.zeros(len(ys), dtype=complex)
-        for k, (om, wk) in enumerate(zip(directions, dir_weights)):
-            pts = ys[:, None, :] - t[:, None] * om[None, None, :]
-            vals = np.asarray(v_of(pts.reshape(-1, ys.shape[-1]), k)).reshape(len(ys), len(t))
-            out += wk * (vals @ wt)
-        return out[0] if single else out
+        out = 0.0
+        # inline, not a helper call per direction: the last direction's points
+        # stay allocated, so the heap is not trimmed and refaulted each time
+        for k, (om, wk) in lines:
+            pts = y[..., None, :] + t[:, None] * om
+            vals = np.asarray(v(pts.reshape(-1, y.shape[-1]), k)).reshape(pts.shape[:-1])
+            out = out + wk * (vals @ tw)
+        return out
 
     return Lv
 
@@ -242,7 +234,7 @@ def pairing_gap(
     # evaluate both sides sharing the direction rule
     lhs = 0.0 + 0j
     for k, (om, wk) in enumerate(zip(dirs, dw)):
-        If = xray_transform(f, Z, np.broadcast_to(om, Z.shape), phi)
+        If = xray_transform(f, Z, om, phi)
         vv = np.asarray(v(Z, k))
         lhs += wk * np.sum(WZ * If * np.conj(vv))
     Lv = backproject(v, phi, dirs, dw)
@@ -278,7 +270,7 @@ def normal_symbol_hankel(n: int, phi: LocalizerProfile, xi_grid) -> np.ndarray:
     K(w) = 2 phi_tilde(|w|) |w|^{-(n-1)} (the singular weight cancels against
     the Jacobian, leaving smooth integrals of phi_tilde against J_0 / sin).
 
-    Each q gets its own radial rule on [0, 2 support]: max(8, ceil(q / 2))
+    Each q gets its own radial rule on [0, 2 _SUPPORT]: max(8, ceil(q / 2))
     panels per unit length, so a value does not depend on the rest of the grid
     and the panels stay aligned with the integer breakpoints of phi_tilde."""
     from scipy.special import j0
@@ -287,8 +279,8 @@ def normal_symbol_hankel(n: int, phi: LocalizerProfile, xi_grid) -> np.ndarray:
         raise ValueError("n must be 2 or 3")
     out = []
     for qq in np.asarray(xi_grid, dtype=float):
-        n_panels = int(np.ceil(2.0 * phi.support)) * max(8, int(np.ceil(qq / 2.0)))
-        rho, wr = _flat_panels(0.0, 2.0 * phi.support, n_panels, 12)
+        n_panels = int(np.ceil(2.0 * _SUPPORT)) * max(8, int(np.ceil(qq / 2.0)))
+        rho, wr = _flat_panels(0.0, 2.0 * _SUPPORT, n_panels, 12)
         pt = phi.phi_tilde(rho)
         if n == 2:
             out.append(4.0 * np.pi * np.sum(wr * pt * j0(qq * rho)))
@@ -314,26 +306,20 @@ def cone_ellipticity_check(
     Reported floors are |xi|-scaled.
     """
     tilts = np.linspace(0.0, np.pi / 2.0, 13)
+    xihats = np.zeros((len(tilts), n))
+    xihats[:, 0], xihats[:, 1] = np.cos(tilts), np.sin(tilts)
     floors = []
     per_dir = np.empty((len(xi_ladder), len(tilts)))
     for iq, q in enumerate(xi_ladder):
-        n_nodes = int(max(256, 8 * q))
         if n == 2:
-            om, wgt = product_sphere_rule(2, 0, n_nodes)
-            om1 = om[:, 0]
-            for it, tl in enumerate(tilts):
-                xihat = np.array([np.cos(tl), np.sin(tl)])
-                dots = om1 * xihat[0] + om[:, 1] * xihat[1]
-                per_dir[iq, it] = np.sum(chi(om1) * phi.phi_hat(q * dots) ** 2) * wgt[0]
+            om, wgt = product_sphere_rule(2, 0, int(max(256, 8 * q)))
         else:
             m = max(64, int(2 * q))
             om, wgt = product_sphere_rule(3, m, m)
             om = np.roll(om, 1, axis=-1)  # polar axis e_1
-            chiv = chi(om[:, 0])
-            for it, tl in enumerate(tilts):
-                xihat = np.array([np.cos(tl), np.sin(tl), 0.0])
-                dots = om @ xihat
-                per_dir[iq, it] = np.sum(wgt * chiv * phi.phi_hat(q * dots) ** 2)
+        wchi = wgt * chi(om[:, 0])
+        for it, xihat in enumerate(xihats):
+            per_dir[iq, it] = np.sum(wchi * phi.phi_hat(q * (om @ xihat)) ** 2)
         floors.append(float(np.min(per_dir[iq]) * q))
     return {
         "xi": list(xi_ladder),
@@ -352,35 +338,33 @@ def _interp_matrix(axes, pts, line_w) -> sparse.csr_matrix:
     """Sparse line sums of multilinear interpolation: row i sums line_w[j] times
     the interpolant at pts[i * len(line_w) + j] (duplicate entries sum in the
     CSR conversion); columns index the tensor grid; outside queries are zero."""
-    n = len(axes)
+    n, m = len(axes), len(line_w)
     sizes = [len(a) for a in axes]
-    steps = [a[1] - a[0] for a in axes]
-    idx0, frac, inside = [], [], np.ones(len(pts), dtype=bool)
-    for j, a in enumerate(axes):
-        u = (pts[:, j] - a[0]) / steps[j]
-        i0 = np.floor(u).astype(int)
-        inside &= (i0 >= 0) & (i0 <= sizes[j] - 2)
-        i0c = np.clip(i0, 0, sizes[j] - 2)
-        idx0.append(i0c)
-        frac.append(u - i0c)
+    u = [(pts[:, j] - a[0]) / (a[1] - a[0]) for j, a in enumerate(axes)]
+    idx0 = [np.floor(uj).astype(int) for uj in u]
+    inside = np.ones(len(pts), dtype=bool)
+    for j in range(n):
+        inside &= (idx0[j] >= 0) & (idx0[j] <= sizes[j] - 2)
+    r = np.nonzero(inside)[0]  # the rest read zero: drop them before the corners
+    idx0 = [i[r] for i in idx0]
+    frac = [uj[r] - i for uj, i in zip(u, idx0)]
     rows, cols, vals = [], [], []
     for corner in range(2**n):
-        wt = np.ones(len(pts))
-        flat = np.zeros(len(pts), dtype=int)
+        wt = np.ones(len(r))
+        flat = np.zeros(len(r), dtype=int)
         stride = 1
         for j in reversed(range(n)):
             bit = (corner >> j) & 1
             wt = wt * (frac[j] if bit else (1.0 - frac[j]))
             flat = flat + (idx0[j] + bit) * stride
             stride *= sizes[j]
-        keep = inside & (wt != 0)
-        r = np.nonzero(keep)[0]
-        rows.append(r // len(line_w))
+        keep = wt != 0
+        rows.append(r[keep] // m)
         cols.append(flat[keep])
-        vals.append(wt[keep] * line_w[r % len(line_w)])
+        vals.append(wt[keep] * line_w[r[keep] % m])
     M = sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(pts) // len(line_w), int(np.prod(sizes))),
+        shape=(len(pts) // m, int(np.prod(sizes))),
     )
     return M.tocsr()
 
@@ -396,13 +380,13 @@ def injectivity_probe(
 ) -> dict:
     """sigma_min of the discretized normal operator A = L I_0 plus a solve.
 
-    f lives on a grid_points^n tensor grid over [-1, 1]^n (zero outside);
-    I_0 samples line integrals against the default profile on (z grid) x
-    (direction rule); L backprojects with the same rule; the optional cone
-    cutoff multiplies the direction weights inside L.  Reports sigma_min, the
-    relative reconstruction error for a known bump f0, the size of the
-    function space, and the demo data: the ball points, f0 on them and the
-    reconstruction.
+    f lives on a grid_points^n tensor grid over [-1, 1]^n (zero outside); the
+    sparse I0k interpolates the line integrals along z + t omega_k.  L's lines
+    z - t omega_k are the same (even phi, symmetric rule), so
+    A = sum_k w_k chi(omega_k) I0k I0k, the optional cone cutoff chi weighting L.
+    Reports sigma_min, the relative reconstruction error for a known bump f0,
+    the size of the function space, and the demo data: the ball points, f0 on
+    them and the reconstruction.
     """
     phi = default_profile()
     axes = tuple(np.linspace(-1.0, 1.0, grid_points) for _ in range(n))
@@ -413,17 +397,15 @@ def injectivity_probe(
     # near-null high-frequency modes that wander under refinement
     ball = np.sum(Z**2, axis=-1) <= 1.0
     dirs, dw = direction_rule(n, n_dirs)
-    t, wt = _line_rule(phi.support, n_t)
+    t, wt = _line_rule(n_t)
     wt = wt * phi(t)
-    A = 0
+    A = np.zeros((len(Z), len(Z)))  # every product is nearly dense: sum them densely
     for k, om in enumerate(dirs):
-        pts_f = (Z[:, None, :] + t[:, None] * om[None, None, :]).reshape(-1, n)
-        I0k = _interp_matrix(axes, pts_f, wt)
-        pts_b = (Z[:, None, :] - t[:, None] * om[None, None, :]).reshape(-1, n)
-        Lk = _interp_matrix(axes, pts_b, wt)
+        pts = (Z[:, None, :] + t[:, None] * om[None, None, :]).reshape(-1, n)
+        I0k = _interp_matrix(axes, pts, wt)
         wchi = dw[k] * (float(chi(np.array([om[0]]))[0]) if chi is not None else 1.0)
-        A = A + (wchi * Lk) @ I0k
-    A = np.asarray(A.todense())[np.ix_(ball, ball)]
+        A += ((wchi * I0k) @ I0k).toarray()
+    A = A[np.ix_(ball, ball)]
     sigma_min = float(svdvals(A)[-1])
     if f0 is None:
         def f0(p):

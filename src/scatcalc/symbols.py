@@ -18,7 +18,7 @@ constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
@@ -71,17 +71,15 @@ class Symbol:
     """Evaluator a(x, xi) with declared order (m, l).
 
     eval takes arrays of shape (..., n) for x and xi (mutually broadcastable)
-    and returns a complex array of the broadcast batch shape.  Analytic
-    derivatives may be registered in `derivs` under multi-index pairs
-    (alpha, beta); everything else falls back to scale-aware central finite
-    differences.  `depends_on_x` / `depends_on_xi` short-circuit derivatives of
+    and returns a complex array of the broadcast batch shape.  Derivatives are
+    scale-aware central finite differences (:func:`symbol_derivative`).
+    `depends_on_x` / `depends_on_xi` short-circuit derivatives of
     genuinely one-sided symbols to exact zeros, which keeps composition
     expansions of Fourier multipliers exact.
     """
 
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
     order: tuple[float, float]
-    derivs: dict = field(default_factory=dict)
     depends_on_x: bool = True
     depends_on_xi: bool = True
 
@@ -141,7 +139,8 @@ def _partial(fn, slot: str, j: int, x, xi, total_order: int):
 
 
 def symbol_derivative(a: Symbol, alpha, beta, x, xi):
-    """partial_x^alpha partial_xi^beta a, analytic when registered, else FD.
+    """partial_x^alpha partial_xi^beta a by nested finite differences (exact zeros
+    where a does not depend on x or on xi).
 
     Note this returns plain partial derivatives; D = -i * partial factors are
     applied by the callers that need them.
@@ -151,8 +150,6 @@ def symbol_derivative(a: Symbol, alpha, beta, x, xi):
     xi = np.asarray(xi, dtype=float)
     if sum(alpha) == 0 and sum(beta) == 0:
         return a(x, xi)
-    if (alpha, beta) in a.derivs:
-        return np.asarray(a.derivs[(alpha, beta)](x, xi))
     if sum(alpha) > 0 and not a.depends_on_x:
         return np.zeros(np.broadcast(x[..., 0], xi[..., 0]).shape, dtype=complex)
     if sum(beta) > 0 and not a.depends_on_xi:

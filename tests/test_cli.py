@@ -158,6 +158,8 @@ class TestMainExitCodes:
             ("radon", {"grid_points": 8, "directions": 16}),
             # no transverse slot besides rho: threshold data is undefined
             ("radial", {"model": "d_x1", "dim": 1}),
+            # radial panels sized from lambda; 0.5-wide ones failed the self-check
+            ("threshold", {"lambda": 10.0, "radii": [20.0, 40.0, 60.0, 80.0]}),
         ],
     )
     def test_runner_passes_and_is_byte_stable(self, tmp_path, experiment, body):

@@ -187,26 +187,26 @@ class TestTruncatedMass:
         u = shell_profile(-0.5)
         radii = [50.0, 100.0, 200.0, 400.0]
         for r in (-0.25, 0.0):
-            masses = [truncated_weighted_mass(u, r, R, n=2, check=False) for R in radii]
+            masses = [truncated_weighted_mass(u, r, R, n=2, lam=1.0, check=False) for R in radii]
             assert fit_growth_exponent(radii, masses) == pytest.approx(2 * r + 1, abs=0.05)
 
     def test_mass_against_radial_oracle(self):
         # n = 2: mass = 2 pi int_0^R (1 + r^2)^{r_ord} dr for |u|^2 = 1/r
         u = shell_profile(-0.5)
-        val = truncated_weighted_mass(u, -0.75, 100.0, n=2)
+        val = truncated_weighted_mass(u, -0.75, 100.0, n=2, lam=1.0)
         oracle, _ = quad(lambda rr: (1 + rr**2) ** -0.75, 0, 100.0, limit=300)
         assert val == pytest.approx(2 * np.pi * oracle, rel=1e-9)
 
     def test_log_case(self):
         u = shell_profile(-0.5)
         radii = [50.0, 100.0, 200.0, 400.0]
-        masses = [truncated_weighted_mass(u, -0.5, R, n=2, check=False) for R in radii]
+        masses = [truncated_weighted_mass(u, -0.5, R, n=2, lam=1.0, check=False) for R in radii]
         assert fit_log_growth(radii, masses) > 0.99
 
     def test_convergent_case(self):
         u = shell_profile(-0.5)
-        m100 = truncated_weighted_mass(u, -0.75, 100.0, n=2, check=False)
-        m400 = truncated_weighted_mass(u, -0.75, 400.0, n=2, check=False)
+        m100 = truncated_weighted_mass(u, -0.75, 100.0, n=2, lam=1.0, check=False)
+        m400 = truncated_weighted_mass(u, -0.75, 400.0, n=2, lam=1.0, check=False)
         assert m400 / m100 < 1.05
 
     def test_compact_support_constant_beyond(self):
@@ -214,13 +214,15 @@ class TestTruncatedMass:
             r2 = np.sum(pts**2, axis=-1)
             return np.where(r2 < 4.0, np.exp(-r2), 0.0)
 
-        vals = [truncated_weighted_mass(u, 0.7, R, n=2) for R in (5.0, 10.0, 20.0)]
+        vals = [truncated_weighted_mass(u, 0.7, R, n=2, lam=1.0) for R in (5.0, 10.0, 20.0)]
         assert vals[0] == pytest.approx(vals[1], rel=1e-12)
         assert vals[1] == pytest.approx(vals[2], rel=1e-12)
 
     def test_monotone_in_radius(self):
         u = shell_profile(-0.5)
-        masses = [truncated_weighted_mass(u, 0.0, R, n=2, check=False) for R in (10, 20, 40)]
+        masses = [
+            truncated_weighted_mass(u, 0.0, R, n=2, lam=1.0, check=False) for R in (10, 20, 40)
+        ]
         assert masses[0] < masses[1] < masses[2]
 
     def test_nonconvergence_flagged(self):
@@ -231,7 +233,7 @@ class TestTruncatedMass:
             return rng.standard_normal(len(pts))
 
         with pytest.raises(QuadratureError):
-            truncated_weighted_mass(noisy, 0.0, 10.0, n=1, tol=1e-10)
+            truncated_weighted_mass(noisy, 0.0, 10.0, n=1, lam=1.0, tol=1e-10)
 
     def test_order_sequence_matches_single_orders(self):
         # one evaluation of u serves every order, with the same values
@@ -243,10 +245,10 @@ class TestTruncatedMass:
             return base(pts)
 
         orders = [-0.75, -0.5, 0.0]
-        many = truncated_weighted_mass(u, orders, 40.0, n=2)
+        many = truncated_weighted_mass(u, orders, 40.0, n=2, lam=1.0)
         assert len(calls) == 2  # the rule and its higher-order check
-        assert many == [truncated_weighted_mass(base, r, 40.0, n=2) for r in orders]
+        assert many == [truncated_weighted_mass(base, r, 40.0, n=2, lam=1.0) for r in orders]
 
     def test_small_radius_rejected(self):
         with pytest.raises(ValueError):
-            truncated_weighted_mass(shell_profile(-0.5), 0.0, 0.5, n=2)
+            truncated_weighted_mass(shell_profile(-0.5), 0.0, 0.5, n=2, lam=1.0)

@@ -141,7 +141,7 @@ def skewed_density(n):
 def dense_masses(f, lam, orders, R, n_ang):
     # the oracle: plane-wave synthesis of u on the shells of the same radial rule
     u = eigenfunction_evaluator(f, lam)
-    return truncated_weighted_mass(u, orders, R, n=f.n, n_ang=n_ang, check=False)
+    return truncated_weighted_mass(u, orders, R, n=f.n, lam=lam, n_ang=n_ang, check=False)
 
 
 class TestThresholdScan:
@@ -155,6 +155,15 @@ class TestThresholdScan:
         assert table[-0.75]["ratio"] < 1.05
         assert table[-0.75]["ratio_radii"] == [100.0, 400.0]
 
+    @pytest.mark.parametrize("lam", [10.0, 20.0, 40.0])
+    def test_trichotomy_at_high_lambda(self, lam):
+        # the radial panels shrink with the wavelength, so the self-checked
+        # rule converges; with 0.5-wide panels it refused lam >= 10
+        table = threshold_scan(smooth_density_2d(), lam, self.ORDERS, [50.0, 100.0, 200.0, 400.0])
+        assert table[0.0]["exponent"] == pytest.approx(1.0, abs=1e-3)
+        assert table[-0.5]["log_r2"] > 0.9999
+        assert table[-0.75]["ratio"] < 1.05
+
     def test_power_spectrum_closed_form(self):
         # 1 + 0.45 cos + 0.2i sin = sqrt(2 pi) (Y_0 + 0.325 Y_1 + 0.125 Y_-1)
         degrees, power = harmonic_power(
@@ -167,11 +176,14 @@ class TestThresholdScan:
         assert degrees.tolist() == [0, 1]
         assert power == pytest.approx([16 * np.pi, 4 * np.pi / 3], rel=1e-14)
 
-    @pytest.mark.parametrize("R", [5.0, 10.0])
-    def test_parseval_against_synthesis_n2(self, R):
+    # lam = 20 has radial panels narrower than 0.5
+    @pytest.mark.parametrize(
+        "lam,R", [(1.7, 5.0), (1.7, 10.0), (20.0, 5.0)], ids=["5.0", "10.0", "lam20-5.0"]
+    )
+    def test_parseval_against_synthesis_n2(self, lam, R):
         f = skewed_density(2)
-        table = threshold_scan(f, 1.7, self.ORDERS, [R / 2, R])
-        dense = dense_masses(f, 1.7, self.ORDERS, R, n_ang=64)
+        table = threshold_scan(f, lam, self.ORDERS, [R / 2, R])
+        dense = dense_masses(f, lam, self.ORDERS, R, n_ang=64)
         for r, ref in zip(self.ORDERS, dense):
             assert table[r]["masses"][-1] == pytest.approx(ref, rel=1e-12)
 
@@ -185,13 +197,14 @@ class TestThresholdScan:
     def test_narrow_bump_beats_fixed_angles(self):
         # at lam R = 250 the Fresnel scale (lam R)^{-1/2} = 0.06 resolves the
         # bump of width 0.1, so |u|^2 on the shells carries its high harmonics:
-        # 512 angles still integrate them exactly, 48 do not
+        # 256 angles still integrate them exactly (the bump's harmonics past
+        # degree 128 are below 1e-17 of its degree-0 one), 48 do not
         def bump(th):
             return np.exp(-((np.arctan2(th[:, 1], th[:, 0]) / 0.1) ** 2))
 
         f = sphere_density(2, bump, degree=512)
         mass = threshold_scan(f, 50.0, [0.0], [4.0, 5.0])[0.0]["masses"][-1]
-        fine, coarse = (dense_masses(f, 50.0, 0.0, 5.0, n_ang=k) for k in (512, 48))
+        fine, coarse = (dense_masses(f, 50.0, 0.0, 5.0, n_ang=k) for k in (256, 48))
         assert mass == pytest.approx(fine, rel=1e-10)
         assert abs(coarse - mass) > 1e-6 * mass
 

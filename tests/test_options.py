@@ -1,10 +1,11 @@
 """Every defaulted parameter of ``scatcalc`` has a caller that sets it.
 
 The source of ``src/scatcalc`` is parsed with ``ast``.  Each parameter with a
-default, of a module-level function or of a method, must be passed,
-by keyword or by position, by at least one call in ``src/``, ``tests/`` or
-``perfbench/``.  A default that no call ever overrides is a configuration that
-no test covers: it belongs inline, as the value it always is.
+default, of a module-level function, of a method or of the ``__init__`` of a
+dataclass (an init field with a default), must be passed, by keyword or by
+position, by at least one call in ``src/``, ``tests/`` or ``perfbench/``.  A
+default that no call ever overrides is a configuration that no test covers:
+it belongs inline, as the value it always is.
 
 Calls are matched by name (``f(...)``, ``obj.f(...)``, ``Class(...)`` for
 ``__init__``), so two functions that share a name share their callers; that
@@ -15,7 +16,9 @@ from __future__ import annotations
 
 import ast
 import functools
+import importlib
 from collections import defaultdict
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -45,6 +48,17 @@ def _defaulted(args: ast.arguments, skip_self: bool):
     return out
 
 
+def _field_options(module: str):
+    """(class, field, position or None) of each dataclass init field with a default."""
+    mod = importlib.import_module(f"scatcalc.{module}".removesuffix(".__init__"))
+    for cls in vars(mod).values():
+        if isinstance(cls, type) and is_dataclass(cls) and cls.__module__ == mod.__name__:
+            init = [f for f in fields(cls) if f.init]
+            for pos, f in enumerate(init):
+                if f.default is not MISSING or f.default_factory is not MISSING:
+                    yield cls.__name__, f.name, None if f.kw_only else pos
+
+
 def _options():
     """(module, owner, name, callee name, position) of every defaulted parameter."""
     found = []
@@ -63,6 +77,8 @@ def _options():
                     callee = node.name if meth.name == "__init__" else meth.name
                     for name, pos in _defaulted(meth.args, not static):
                         found.append((module, f"{node.name}.{meth.name}", name, callee, pos))
+        for cls, name, pos in _field_options(module):
+            found.append((module, cls, name, cls, pos))
     return found
 
 

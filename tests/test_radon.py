@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import svdvals
 
+from scatcalc.bumps import plateau
 from scatcalc.radon import (
     ConeCutoff,
+    LocalizerProfile,
+    _interp_matrix,
+    _line_rule,
     backproject,
     cone_ellipticity_check,
     default_cone,
@@ -49,6 +54,12 @@ class TestProfile:
     def test_phi_hat_squared_nonnegative_transform(self):
         s = np.linspace(-30, 30, 121)
         assert np.all(PHI.phi_hat(s) ** 2 >= 0)
+
+    def test_non_even_profile_rejected(self):
+        # backproject and injectivity_probe reuse the lines z + t omega of I_0
+        # for the lines z - t omega of L, which only an even profile allows
+        with pytest.raises(ValueError, match="even"):
+            LocalizerProfile(phi=lambda t: plateau(t - 0.1, 1.0, 2.0))
 
     def test_cone_validation(self):
         with pytest.raises(ValueError):
@@ -187,17 +198,20 @@ class TestBackprojection:
         oracle, _ = quad(lambda t: PHI(np.array([t]))[0], -2, 2, limit=200)
         assert np.allclose(vals, oracle * 2 * np.pi, rtol=1e-8)
 
-    def test_sampled_data_support_propagates(self):
-        # data concentrated at one (z, omega) backprojects into a tube
-        axes = (np.linspace(-3, 3, 61), np.linspace(-3, 3, 61))
+    def test_data_support_propagates(self):
+        # data concentrated near one (z, omega) backprojects into a tube of
+        # half-length 2 (the reach of phi) along omega
         dirs, dw = direction_rule(2, 8)
-        v = np.zeros((61, 61, len(dirs)))
-        v[30, 30, 0] = 1.0
-        Lv = backproject(v, PHI, dirs, dw, z_axes=axes)
-        on_line = abs(complex(Lv(1.5 * dirs[0])))
-        off_line = abs(complex(Lv(2.5 * np.array([-dirs[0][1], dirs[0][0]]))))
-        assert on_line > 0
-        assert off_line == 0.0
+
+        def v(p, k):
+            bump = np.clip(1.0 - np.sum(p**2, axis=-1) / 0.04, 0.0, None)
+            return bump if k == 0 else np.zeros(len(p))
+
+        Lv = backproject(v, PHI, dirs, dw)
+        assert abs(Lv(1.5 * dirs[0])) > 0
+        assert abs(Lv(-1.5 * dirs[0])) > 0
+        assert Lv(2.5 * dirs[0]) == 0.0
+        assert Lv(2.5 * np.array([-dirs[0][1], dirs[0][0]])) == 0.0
 
 
 class TestNormalSymbol:
@@ -259,22 +273,53 @@ class TestConeEllipticity:
         assert narrow["scaled_floor"][-1] < 1e-3 * full["scaled_floor"][-1]
 
 
+def two_matrix_sigma_min(n, grid_points, n_dirs, n_t, chi=None):
+    """sigma_min of sum_k w_k chi_k L_k I0_k on the probe's ball, with L_k built
+    from its own lines z - t omega instead of reusing I0_k."""
+    axes = tuple(np.linspace(-1.0, 1.0, grid_points) for _ in range(n))
+    Z = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    ball = np.sum(Z**2, axis=-1) <= 1.0
+    dirs, dw = direction_rule(n, n_dirs)
+    t, w = _line_rule(n_t)
+    wt = w * PHI(t)
+    A = 0
+    for om, wk in zip(dirs, dw):
+        I0k = _interp_matrix(axes, (Z[:, None, :] + t[:, None] * om).reshape(-1, n), wt)
+        Lk = _interp_matrix(axes, (Z[:, None, :] - t[:, None] * om).reshape(-1, n), wt)
+        A = A + (wk * (float(chi(np.array([om[0]]))[0]) if chi else 1.0) * Lk) @ I0k
+    return float(svdvals(A.toarray()[np.ix_(ball, ball)])[-1])
+
+
 class TestInjectivity:
-    def test_sigma_min_positive_and_stable(self):
-        r24 = injectivity_probe(2, grid_points=24)
+    CONE3 = dict(grid_points=10, n_dirs=60, n_t=12)  # the 3-D probe of criterion 15
+
+    @pytest.fixture(scope="class")
+    def r24(self):
+        return injectivity_probe(2, grid_points=24)
+
+    @pytest.fixture(scope="class")
+    def cone3(self):
+        return injectivity_probe(3, chi=default_cone(0.3), **self.CONE3)
+
+    def test_sigma_min_positive_and_stable(self, r24):
         r30 = injectivity_probe(2, grid_points=30)
         assert r24["sigma_min"] > 0
         assert 0.7 < r30["sigma_min"] / r24["sigma_min"] < 1.3
 
-    def test_reconstruction(self):
-        rep = injectivity_probe(2, grid_points=24)
-        assert rep["reconstruction_error"] < 1e-3
+    def test_reconstruction(self, r24):
+        assert r24["reconstruction_error"] < 1e-3
 
     def test_zero_function_reconstructs_to_zero(self):
         rep = injectivity_probe(2, grid_points=16, f0=lambda p: np.zeros(len(p)))
         assert rep["reconstruction_error"] == 0.0
 
-    def test_n3_with_cone_still_injective(self):
-        rep = injectivity_probe(3, grid_points=10, n_dirs=60, n_t=12, chi=default_cone(0.3))
-        assert rep["sigma_min"] > 0
-        assert rep["reconstruction_error"] < 1e-3
+    def test_n3_with_cone_still_injective(self, cone3):
+        assert cone3["sigma_min"] > 0
+        assert cone3["reconstruction_error"] < 1e-3
+
+    def test_one_matrix_per_direction_matches_two(self, r24, cone3):
+        # phi is even and the line rule symmetric, so L_k is I0_k itself
+        two = two_matrix_sigma_min(2, 24, 64, 16)
+        assert abs(r24["sigma_min"] - two) <= 1e-12 * two
+        two = two_matrix_sigma_min(3, chi=default_cone(0.3), **self.CONE3)
+        assert abs(cone3["sigma_min"] - two) <= 1e-12 * two
