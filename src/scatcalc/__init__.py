@@ -2,7 +2,8 @@
 
 Submodules
 ----------
-quadrature  the product sphere rule and composite Gauss-Legendre panels
+quadrature  the product sphere rule, composite Gauss-Legendre panels, the central
+            difference and one Richardson step
 grid        truncated grids, FFTs, weighted (and variable-order) Sobolev norms
 symbols     symbol classes, quantization, composition, parametrices
 hamflow     compactified-phase-space charts, bicharacteristic flow, radial sets

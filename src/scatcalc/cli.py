@@ -5,7 +5,8 @@
 
 Experiments: flow, radial, quantize-check, commutant, helmholtz, threshold,
 pairing, scatter1d, radon, var-order.  Configs are strict JSON objects (all
-violations are reported at once, unknown keys get a nearest-name suggestion);
+violations are reported at once, unknown keys get a nearest-name suggestion,
+NaN and infinities are refused, and every list key has a range check);
 reports are byte-stable for a fixed (config, seed): floats are serialized
 with 17 significant digits and wall time stays out of the report files.
 
@@ -29,6 +30,8 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
+
+from .symbols import QUANTIZE_MAX_N
 
 __all__ = ["ExperimentConfig", "RunReport", "load_config", "run_experiment", "emit_report", "main"]
 
@@ -67,6 +70,11 @@ def _even(x):
     return x % 2 == 0 and x >= 8
 
 
+def _numbers(least: int, check):
+    """Range check of a list key: at least ``least`` numbers, each passing ``check``."""
+    return lambda v: len(v) >= least and all(type(x) in (int, float) and check(x) for x in v)
+
+
 _COMMON = {
     "seed": (int, 0, None),
     "output_dir": (str, ".", None),
@@ -100,6 +108,11 @@ def load_config(path, experiment: str) -> ExperimentConfig:
             continue
         typ, _, check = schema[key]
         val = spec_val
+        try:
+            json.dumps(val, allow_nan=False)  # json reads NaN and Infinity; refuse them
+        except ValueError:
+            problems.append(f"key {key!r} must be finite (got {val!r})")
+            continue
         if typ is float and isinstance(val, int):
             val = float(val)
         if not isinstance(val, typ):
@@ -578,7 +591,7 @@ _EXPERIMENTS = {
     }),
     "quantize-check": (_run_quantize, {
         "L": (float, 20.0, _positive),
-        "N": (int, 128, _even),
+        "N": (int, 128, lambda v: _even(v) and v <= QUANTIZE_MAX_N[1]),
     }),
     "commutant": (_run_commutant, {
         "s0": (float, 1.0, _positive),
@@ -594,25 +607,26 @@ _EXPERIMENTS = {
     }),
     "helmholtz": (_run_helmholtz, {
         "lambda": (float, 1.0, _positive),
-        "dims": (list, [2, 3], None),
+        "dims": (list, [2, 3], _numbers(1, lambda n: type(n) is int and n in (2, 3))),
         "r_min": (float, 20.0, _positive),
         "r_max": (float, 200.0, _positive),
-        "n_radii": (int, 16, _positive),
+        "n_radii": (int, 16, lambda v: v >= 2),  # a slope needs two radii
     }),
     "threshold": (_run_threshold, {
         "lambda": (float, 1.0, _positive),
-        "orders": (list, [-0.75, -0.5, 0.0], None),
-        "radii": (list, [50.0, 100.0, 200.0, 400.0], None),
+        "orders": (list, [-0.75, -0.5, 0.0], _numbers(1, lambda r: True)),
+        "radii": (list, [50.0, 100.0, 200.0, 400.0], _numbers(2, lambda r: r >= 1)),
     }),
     "pairing": (_run_pairing, {
         "lambda": (float, 1.0, _positive),
-        "radii": (list, [100.0, 200.0, 400.0], None),
+        # a reversed ladder is legal: it fails gap_decreasing
+        "radii": (list, [100.0, 200.0, 400.0], _numbers(2, _positive)),
     }),
     "scatter1d": (_run_scatter1d, {
         "potential": (str, "free", lambda v: v in _POTENTIALS),
         "height": (float, 2.0, None),
         "width": (float, 1.0, _positive),
-        "lambdas": (list, [0.5, 0.8, 1.1, 1.4, 1.7, 2.0, 2.3, 2.6, 2.9, 3.2], None),
+        "lambdas": (list, [0.5, 0.8, 1.1, 1.4, 1.7, 2.0, 2.3, 2.6, 2.9, 3.2], _numbers(1, _positive)),
     }),
     "radon": (_run_radon, {
         "dim": (int, 2, lambda v: v in (2, 3)),
@@ -622,7 +636,7 @@ _EXPERIMENTS = {
     }),
     "var-order": (_run_var_order, {
         "L": (float, 12.0, _positive),
-        "N": (int, 96, _even),
+        "N": (int, 96, lambda v: _even(v) and v <= QUANTIZE_MAX_N[1]),
         "s": (float, 0.0, None),
         "r_const": (float, -1.0, None),
     }),

@@ -42,6 +42,7 @@ from .bumps import (
     sqrt_chi0_over_t2,
 )
 from .grid import GridField, GridSpec, spectral_transform
+from .quadrature import central, richardson
 
 __all__ = [
     "CommutantBundle",
@@ -159,11 +160,7 @@ def build_propagation_commutant(
 
     # flow derivative by Richardson-extrapolated central differences in z1
     h = 1e-4 * (1.0 + np.abs(Z1))
-
-    def dz1_a(hvec):
-        return (a_fn(Z1 + hvec, Z2) - a_fn(Z1 - hvec, Z2)) / (2.0 * hvec)
-
-    Hpa = (4.0 * dz1_a(h / 2) - dz1_a(h)) / 3.0
+    Hpa = richardson(lambda hv: central(lambda t: a_fn(Z1 + t, Z2), hv), h, 2)
     resid = Hpa + p1_fn(Z1, Z2) * a_fn(Z1, Z2) + b_fn(Z1, Z2) ** 2 + a_fn(Z1, Z2) ** 2 - e_fn(Z1, Z2)
     residual_sup = float(np.max(np.abs(resid)))
     outside_turn_on = np.abs(Z1) > eps
@@ -307,9 +304,7 @@ def radial_commutant_check(lam: float, r: float, delta: float) -> RadialCommutan
         return a_of(R + t * Frho, V + t * Fv, XI1, XI2)
 
     tstep = 1e-4 / (1.0 + np.abs(XI1))
-    d1 = (a_along(tstep) - a_along(-tstep)) / (2 * tstep)
-    d2 = (a_along(tstep / 2) - a_along(-tstep / 2)) / tstep
-    Hpa = R * ((4.0 * d2 - d1) / 3.0)
+    Hpa = R * richardson(lambda h: central(a_along, h), tstep, 2)
 
     avals = a_of(R, V, XI1, XI2)
     if below:

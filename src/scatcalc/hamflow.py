@@ -34,6 +34,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .quadrature import central, richardson
 from .symbols import Symbol, symbol_derivative
 
 __all__ = [
@@ -614,13 +615,7 @@ def _transverse_field(spec, H, pt, s, idx, vec):
 
 def _jacobian(g, base: np.ndarray, step: float) -> np.ndarray:
     """Central-difference Jacobian of g at base."""
-    m = len(base)
-    jac = np.empty((m, m))
-    for k in range(m):
-        e = np.zeros(m)
-        e[k] = step
-        jac[:, k] = (g(base + e) - g(base - e)) / (2 * step)
-    return jac
+    return np.column_stack([central(lambda t: g(base + t * e), step) for e in np.eye(len(base))])
 
 
 def hamilton_field(H: SymbolHamiltonian, x: np.ndarray, xi: np.ndarray):
@@ -659,15 +654,11 @@ def chart_field_by_limit(H: SymbolHamiltonian, pt: PhasePointChart) -> np.ndarra
     def at_rho(rho):
         x, xi = spec.interior(pt, H, s, rho)
         dx, dxi = hamilton_field(H, x, xi)
-        w = spec.rescale(pt, x)
         eps = 1e-6 / max(1.0, float(np.max(np.abs(dx))) + float(np.max(np.abs(dxi))))
-        fwd = spec.coords(pt, H, x + eps * dx, xi + eps * dxi)
-        bwd = spec.coords(pt, H, x - eps * dx, xi - eps * dxi)
-        return w * (fwd - bwd) / (2.0 * eps)
+        along = central(lambda t: spec.coords(pt, H, x + t * dx, xi + t * dxi), eps)
+        return spec.rescale(pt, x) * along
 
-    f1 = at_rho(1e-3)
-    f2 = at_rho(1e-3 / 2.0)
-    return 2.0 * f2 - f1
+    return richardson(at_rho, 1e-3, 1)
 
 
 def chart_transition(pt: PhasePointChart, H: SymbolHamiltonian, new_axis: int) -> PhasePointChart:
@@ -858,19 +849,17 @@ def _newton_polish(H: SymbolHamiltonian, pt: PhasePointChart) -> PhasePointChart
     return PhasePointChart(pt.chart, _unflatten(spec, s, H.dim), pt.axis, pt.sign)
 
 
-def threshold_data(
-    H: SymbolHamiltonian,
-    pt: PhasePointChart,
-    rho_fn: Optional[Callable[[PhasePointChart], float]] = None,
-):
+def threshold_data(H: SymbolHamiltonian, pt: PhasePointChart):
     """(beta_0, beta_1, threshold_order) at a nondegenerate radial point.
 
-    beta_0 and beta_1 are the logarithmic derivatives of the boundary defining
-    function and of the quadratic defining function of the radial set along
-    the rescaled flow, fitted at two probe scales.  They are chart-scale
-    quantities; their common sign and the ratio beta_1/beta_0 are invariant.
-    ThresholdDegeneracyError is raised at a degenerate point, on a chart with
-    no transverse slot besides rho, and when the two lack a common sign.
+    beta_0 and beta_1 are the logarithmic derivatives along the rescaled flow
+    of the boundary defining function rho (flat slot 0) and of the quadratic
+    defining function of the radial set (the squared distance of the other
+    transverse slots from the point), fitted at two probe scales.  They are
+    chart-scale quantities; their common sign and the ratio beta_1/beta_0 are
+    invariant.  ThresholdDegeneracyError is raised at a degenerate point, on a
+    chart with no transverse slot besides rho, and when the two lack a common
+    sign.
     """
     verdict, eigs = classify_radial(H, pt)
     if verdict == "degenerate":
@@ -883,23 +872,7 @@ def threshold_data(
         raise ThresholdDegeneracyError(
             "the chart has no transverse slot besides rho, so beta_1 is undefined"
         )
-    if rho_fn is None:
-        rho_fn = lambda q: float(q.coords[spec.rho])  # noqa: E731
-    # quadratic defining function of the radial set within the chart:
-    # squared distance of the non-rho transverse coords from the point
-    keys = spec.transverse[1:]
-    center = {k: np.atleast_1d(np.asarray(pt.coords[k], float)).copy() for k in keys}
-
-    def varrho_fn(q):
-        return float(
-            sum(
-                np.sum((np.atleast_1d(np.asarray(q.coords[k], float)) - center[k]) ** 2)
-                for k in keys
-            )
-        )
-
-    def at(s):
-        return PhasePointChart(pt.chart, _unflatten(spec, s, H.dim), pt.axis, pt.sign)
+    rest = idx[1:]
 
     def log_rate(fn, displace):
         def rate(eps):
@@ -908,14 +881,15 @@ def threshold_data(
             # central difference along the flow; the defining functions are
             # linear/quadratic so a generous step avoids cancellation
             step = 1e-2 * eps / (1.0 + float(np.max(np.abs(f))))
-            sf, sb = s.copy(), s.copy()
-            sf[idx] = s[idx] + step * f
-            sb[idx] = s[idx] - step * f
-            return (fn(at(sf)) - fn(at(sb))) / (2 * step) / fn(at(s))
 
-        r1 = rate(1e-3)
-        r2 = rate(1e-3 / 2)
-        return 2 * r2 - r1
+            def along(t):
+                q = s.copy()
+                q[idx] = s[idx] + t * f
+                return fn(q)
+
+            return central(along, step) / fn(s)
+
+        return richardson(rate, 1e-3, 1)
 
     def displace_rho(eps):
         s = s0.copy()
@@ -924,11 +898,11 @@ def threshold_data(
 
     def displace_trans(eps):
         s = s0.copy()
-        s[idx[1:]] = s[idx[1:]] + eps
+        s[rest] = s[rest] + eps
         return s
 
-    beta0 = float(log_rate(rho_fn, displace_rho))
-    beta1 = float(log_rate(varrho_fn, displace_trans))
+    beta0 = float(log_rate(lambda q: q[0], displace_rho))
+    beta1 = float(log_rate(lambda q: np.sum((q[rest] - s0[rest]) ** 2), displace_trans))
     if beta0 * beta1 <= 0:
         raise ThresholdDegeneracyError("beta_0 and beta_1 do not share a strict sign")
     return beta0, beta1, spec.threshold

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import jv, sph_harm_y, spherical_jn
 
 from .grid import QuadratureError, fit_growth_exponent, fit_log_growth, radial_weighted_mass
-from .quadrature import product_sphere_rule
+from .quadrature import product_sphere_rule, richardson
 
 __all__ = [
     "SphereDensity",
@@ -245,7 +245,7 @@ def pde_residual_patch(f: SphereDensity, lam: float, center, npts: int = 16) -> 
     mesh = np.meshgrid(*axes, indexing="ij")
     base = np.stack([m.ravel() for m in mesh], axis=-1) + c
     u = eigenfunction_evaluator(f, lam)
-    lap = (16.0 * _fd_laplacian(u, base, 0.05 / 2) - _fd_laplacian(u, base, 0.05)) / 15.0
+    lap = richardson(lambda h: _fd_laplacian(u, base, h), 0.05, 4)
     resid = -lap - lam**2 * u(base)
     return float(np.max(np.abs(resid)))
 

@@ -1,10 +1,13 @@
-"""The two quadrature rules behind the sphere and interval integrals of scatcalc.
+"""The numerical rules of scatcalc: two for integration, two for differentiation.
 
 ``product_sphere_rule`` integrates over the unit sphere S^{n-1}: the two
 points +-1 for n = 1, the uniform trapezoid in the angle on S^1, and
 Gauss-Legendre in cos(theta) times a uniform azimuth on S^2 (polar axis e_3).
 ``gauss_panels`` is the composite Gauss-Legendre rule on equal panels of an
 interval, with array endpoints broadcasting to a batch of intervals.
+``central`` is the central difference and ``richardson`` one Richardson step,
+removing the h^p error term of an estimate d(h) by halving h; scatcalc writes
+no central difference or Richardson step outside these two.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = ["product_sphere_rule", "gauss_panels"]
+__all__ = ["product_sphere_rule", "gauss_panels", "central", "richardson"]
 
 
 def product_sphere_rule(n: int, n_polar: int, n_azimuth: int, offset: float = 0.0):
@@ -53,3 +56,13 @@ def gauss_panels(lo, hi, n_panels: int, order: int):
     mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
     half = 0.5 * (edges[..., 1:] - edges[..., :-1])
     return mid[..., None] + half[..., None] * x, half[..., None] * w
+
+
+def central(f, h):
+    """(f(h) - f(-h)) / (2 h): the derivative at 0 of f, with error O(h^2)."""
+    return (f(h) - f(-h)) / (2.0 * h)
+
+
+def richardson(d, h, p: int):
+    """(2^p d(h/2) - d(h)) / (2^p - 1): one Richardson step on d(h) = d + c h^p + ..."""
+    return (2.0**p * d(h / 2) - d(h)) / (2.0**p - 1)

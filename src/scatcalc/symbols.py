@@ -26,6 +26,7 @@ import numpy as np
 from scipy.linalg import svdvals
 
 from .grid import GridBudgetError, GridField, GridSpec, SobolevOrder
+from .quadrature import central, richardson
 
 __all__ = [
     "Symbol",
@@ -110,34 +111,6 @@ def symbol_scale(a: Symbol, c: complex) -> Symbol:
     )
 
 
-def _fd_step(total_order: int) -> float:
-    # Central differences with one Richardson pass; the step balances the
-    # truncation error against rounding noise that grows with the order.
-    return max(1e-4, _EPS ** (1.0 / (2 + total_order)))
-
-
-def _partial(fn, slot: str, j: int, x, xi, total_order: int):
-    """Scale-aware Richardson-extrapolated central difference in one variable."""
-    base = x if slot == "x" else xi
-    rel = _fd_step(total_order)
-
-    def shift(h):
-        b = np.array(base, dtype=float, copy=True)
-        b[..., j] = b[..., j] + h
-        return (b, xi) if slot == "x" else (x, b)
-
-    scale = rel * (1.0 + np.abs(base[..., j]))
-
-    def central(hvec):
-        xp, xip = shift(hvec)
-        xm, xim = shift(-hvec)
-        return (fn(xp, xip) - fn(xm, xim)) / (2.0 * hvec)
-
-    d1 = central(scale)
-    d2 = central(0.5 * scale)
-    return (4.0 * d2 - d1) / 3.0
-
-
 def symbol_derivative(a: Symbol, alpha, beta, x, xi):
     """partial_x^alpha partial_xi^beta a by nested finite differences (exact zeros
     where a does not depend on x or on xi).
@@ -150,22 +123,27 @@ def symbol_derivative(a: Symbol, alpha, beta, x, xi):
     xi = np.asarray(xi, dtype=float)
     if sum(alpha) == 0 and sum(beta) == 0:
         return a(x, xi)
-    if sum(alpha) > 0 and not a.depends_on_x:
+    if (sum(alpha) > 0 and not a.depends_on_x) or (sum(beta) > 0 and not a.depends_on_xi):
         return np.zeros(np.broadcast(x[..., 0], xi[..., 0]).shape, dtype=complex)
-    if sum(beta) > 0 and not a.depends_on_xi:
-        return np.zeros(np.broadcast(x[..., 0], xi[..., 0]).shape, dtype=complex)
-    total = sum(alpha) + sum(beta)
-    if sum(alpha) > 0:
-        j = next(i for i, v in enumerate(alpha) if v > 0)
-        rest = tuple(v - (1 if i == j else 0) for i, v in enumerate(alpha))
-        return _partial(
-            lambda xx, xxi: symbol_derivative(a, rest, beta, xx, xxi), "x", j, x, xi, total
-        )
-    j = next(i for i, v in enumerate(beta) if v > 0)
-    rest = tuple(v - (1 if i == j else 0) for i, v in enumerate(beta))
-    return _partial(
-        lambda xx, xxi: symbol_derivative(a, alpha, rest, xx, xxi), "xi", j, x, xi, total
-    )
+    # peel one derivative off the first nonzero slot, x before xi
+    in_x = sum(alpha) > 0
+    multi = alpha if in_x else beta
+    j = next(i for i, v in enumerate(multi) if v > 0)
+    rest = tuple(v - (1 if i == j else 0) for i, v in enumerate(multi))
+    base = x if in_x else xi
+
+    def shifted(h):
+        b = base.copy()
+        b[..., j] = b[..., j] + h
+        if in_x:
+            return symbol_derivative(a, rest, beta, b, xi)
+        return symbol_derivative(a, alpha, rest, x, b)
+
+    # central differences with one Richardson pass, scale-aware; the step
+    # balances the truncation error against rounding noise that grows with
+    # the order
+    step = max(1e-4, _EPS ** (1.0 / (2 + sum(alpha) + sum(beta))))
+    return richardson(lambda h: central(shifted, h), step * (1.0 + np.abs(base[..., j])), 2)
 
 
 def _multi_indices(n: int, max_total: int):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from scatcalc import cli
 from scatcalc.cli import ConfigError, emit_report, load_config, main, run_experiment
 
 
@@ -39,6 +40,16 @@ class TestLoadConfig:
     def test_name_outside_constructor_table(self, tmp_path, experiment, body):
         with pytest.raises(ConfigError, match="range check"):
             load_config(write_config(tmp_path, body), experiment)
+
+    def test_every_list_key_has_a_range_check(self):
+        # a list key without one lets [] or a bad element reach the runner
+        unchecked = [
+            (experiment, key)
+            for experiment, (_, schema) in cli._EXPERIMENTS.items()
+            for key, (typ, _, check) in schema.items()
+            if typ is list and check is None
+        ]
+        assert unchecked == []
 
     def test_parse_error(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -101,6 +112,35 @@ class TestMainExitCodes:
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
         assert main(["scatter1d", "--config", cfg, "--out", str(blocker / "sub")]) == 3
+
+    @pytest.mark.parametrize(
+        "experiment,body,key",
+        [
+            # vacuous passes: no criterion at all
+            ("threshold", {"orders": []}, "orders"),
+            ("helmholtz", {"dims": []}, "dims"),
+            ("helmholtz", {"n_radii": 1}, "n_radii"),  # a slope fitted to one radius
+            # tracebacks inside the runners
+            ("threshold", {"radii": []}, "radii"),
+            ("threshold", {"radii": ["a", 100.0]}, "radii"),
+            ("threshold", {"radii": [0.5, 100.0, 200.0]}, "radii"),
+            ("pairing", {"radii": []}, "radii"),
+            ("helmholtz", {"dims": [4]}, "dims"),
+            ("scatter1d", {"lambdas": []}, "lambdas"),
+            ("scatter1d", {"lambdas": [-1.0]}, "lambdas"),
+            # past the dense quantization budget
+            ("quantize-check", {"N": 512}, "N"),
+            ("var-order", {"N": 512}, "N"),
+            # json reads NaN and Infinity; the barrier solve used to hang on NaN
+            ("radial", {"lambda": float("inf")}, "lambda"),
+            ("scatter1d", {"potential": "square_barrier", "height": float("nan")}, "height"),
+        ],
+    )
+    def test_bad_config_is_two_and_writes_nothing(self, tmp_path, capsys, experiment, body, key):
+        cfg = write_config(tmp_path, body)
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_quantize_check_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"N": 96, "L": 18.0})

@@ -496,14 +496,6 @@ class TestThresholdData:
         assert b0i > 0 > b0o
         assert b1i / b0i == pytest.approx(b1o / b0o, abs=1e-6)
 
-    def test_ratio_invariant_under_rho_rescaling(self):
-        p = self.out_point()
-        b0, _, _ = threshold_data(self.H, p.point)
-        b0c, _, _ = threshold_data(
-            self.H, p.point, rho_fn=lambda q: 3.7 * float(q.coords["rho"])
-        )
-        assert b0c == pytest.approx(b0, abs=1e-9)
-
     def test_chart_independence_of_ratio(self):
         # the same radial point seen in two overlapping charts
         H = helmholtz_model(1.0, 2)

@@ -6,6 +6,7 @@ from scatcalc.grid import QuadratureError, truncated_weighted_mass
 from scatcalc.helmholtz import (
     FREE_SMATRIX_PHASE,
     PowerMismatchError,
+    SphereDensity,
     asymptotic_profile,
     boundary_pairing_check,
     build_poisson_series,
@@ -203,8 +204,15 @@ class TestThresholdScan:
             return np.exp(-((np.arctan2(th[:, 1], th[:, 0]) / 0.1) ** 2))
 
         f = sphere_density(2, bump, degree=512)
-        mass = threshold_scan(f, 50.0, [0.0], [4.0, 5.0])[0.0]["masses"][-1]
-        fine, coarse = (dense_masses(f, 50.0, 0.0, 5.0, n_ang=k) for k in (256, 48))
+        # each radius has its own rule, so the first rung only has to be cheap
+        mass = threshold_scan(f, 50.0, [0.0], [1.0, 5.0])[0.0]["masses"][-1]
+        # the oracle sums the plane waves of the degree-520 rule (the one the
+        # evaluator raises f to at lam R = 250) where the bump exceeds 1e-16:
+        # the 420 dropped terms move u by under 1e-17, far below the 1e-10 asked
+        full = f.with_degree(520)
+        on = bump(full.nodes) > 1e-16
+        support = SphereDensity(2, bump, full.nodes[on], full.weights[on], full.degree)
+        fine, coarse = (dense_masses(support, 50.0, 0.0, 5.0, n_ang=k) for k in (256, 48))
         assert mass == pytest.approx(fine, rel=1e-10)
         assert abs(coarse - mass) > 1e-6 * mass
 

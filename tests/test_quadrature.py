@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scatcalc.helmholtz import SphereDensity, quadrature_harmonic_defect
-from scatcalc.quadrature import gauss_panels, product_sphere_rule
+from scatcalc.quadrature import central, gauss_panels, product_sphere_rule, richardson
 
 
 def harmonic_defect(n, nodes, w, degree):
@@ -83,3 +83,36 @@ class TestGaussPanels:
         x, w = gauss_panels(-1.0, 1.0, 1, 16)
         ref_x, ref_w = np.polynomial.legendre.leggauss(16)
         assert np.array_equal(x.ravel(), ref_x) and np.array_equal(w.ravel(), ref_w)
+
+
+def sin_at(x0):
+    return lambda t: np.sin(x0 + t)
+
+
+class TestDifferenceRules:
+    X0 = 0.3
+
+    def errors(self, rule, steps):
+        return np.array([abs(rule(h) - np.cos(self.X0)) for h in steps])
+
+    def test_central_error_falls_fourfold_per_halving(self):
+        err = self.errors(lambda h: central(sin_at(self.X0), h), [0.1, 0.05, 0.025])
+        np.testing.assert_allclose(err[:-1] / err[1:], 4.0, rtol=0.01)
+
+    def test_richardson_over_central_falls_sixteenfold_per_halving(self):
+        def rule(h):
+            return richardson(lambda s: central(sin_at(self.X0), s), h, 2)
+
+        err = self.errors(rule, [0.2, 0.1, 0.05])
+        np.testing.assert_allclose(err[:-1] / err[1:], 16.0, rtol=0.01)
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_richardson_removes_the_h_to_the_p_term_exactly(self, p):
+        # dyadic values: every operation below is exact in binary
+        assert richardson(lambda h: 3.0 + 0.75 * h**p, 0.5, p) == 3.0
+
+    def test_array_steps_act_elementwise(self):
+        x0 = np.array([-1.0, 0.3, 2.0])
+        h = 1e-3 * (1.0 + np.abs(x0))
+        got = richardson(lambda s: central(sin_at(x0), s), h, 2)
+        np.testing.assert_allclose(got, np.cos(x0), rtol=0, atol=1e-12)
