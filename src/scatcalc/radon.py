@@ -14,7 +14,9 @@ great circles on S^2 intersect), false for narrow cutoffs in n = 2 (two
 antipodal points miss the allowed arc), and the probe exhibits both.  phi_hat
 is read from a Chebyshev table; the Hankel oracle reads phi_tilde, not the table.
 Since phi is even and the line rule symmetric, L integrates along the lines of
-I_0, so `backproject` and `injectivity_probe` build each line integral once.
+I_0, so `backproject` and `injectivity_probe` build each line integral once;
+the lines along omega and -omega are the same too, so the probe builds one line
+matrix per antipodal pair, and it assembles A on the ball only.
 """
 
 from __future__ import annotations
@@ -170,7 +172,10 @@ def default_cone(width: float = 0.3) -> ConeCutoff:
 
 
 def direction_rule(n: int, count: int):
-    """Direction quadrature: `count` angles on S^1, a product grid on S^2."""
+    """Direction quadrature: `count` angles on S^1, a product grid on S^2.
+
+    The rule is closed under omega -> -omega for an even `count` on S^1 and for
+    an even azimuth count on S^2 (the Gauss polar nodes are symmetric)."""
     if n == 2:
         return product_sphere_rule(2, 0, count, offset=0.5)
     nc = max(4, int(np.sqrt(count / 2)))
@@ -337,17 +342,18 @@ def cone_ellipticity_check(
 def _interp_matrix(axes, pts, line_w) -> sparse.csr_matrix:
     """Sparse line sums of multilinear interpolation: row i sums line_w[j] times
     the interpolant at pts[i * len(line_w) + j] (duplicate entries sum in the
-    CSR conversion); columns index the tensor grid; outside queries are zero."""
+    CSR conversion); columns index the tensor grid; outside queries are zero,
+    and a query on an upper face reads the last cell at fraction 1 (to rounding)."""
     n, m = len(axes), len(line_w)
     sizes = [len(a) for a in axes]
     u = [(pts[:, j] - a[0]) / (a[1] - a[0]) for j, a in enumerate(axes)]
-    idx0 = [np.floor(uj).astype(int) for uj in u]
     inside = np.ones(len(pts), dtype=bool)
-    for j in range(n):
-        inside &= (idx0[j] >= 0) & (idx0[j] <= sizes[j] - 2)
+    for j, a in enumerate(axes):  # test the faces on pts: u rounds past them
+        inside &= (pts[:, j] >= a[0]) & (pts[:, j] <= a[-1])
     r = np.nonzero(inside)[0]  # the rest read zero: drop them before the corners
-    idx0 = [i[r] for i in idx0]
-    frac = [uj[r] - i for uj, i in zip(u, idx0)]
+    u = [uj[r] for uj in u]
+    idx0 = [np.minimum(np.floor(uj).astype(int), size - 2) for uj, size in zip(u, sizes)]
+    frac = [uj - i for uj, i in zip(u, idx0)]
     rows, cols, vals = [], [], []
     for corner in range(2**n):
         wt = np.ones(len(r))
@@ -383,7 +389,11 @@ def injectivity_probe(
     f lives on a grid_points^n tensor grid over [-1, 1]^n (zero outside); the
     sparse I0k interpolates the line integrals along z + t omega_k.  L's lines
     z - t omega_k are the same (even phi, symmetric rule), so
-    A = sum_k w_k chi(omega_k) I0k I0k, the optional cone cutoff chi weighting L.
+    A = sum_k c_k I0k I0k with c_k = w_k chi(omega_k), the optional cone cutoff
+    chi weighting L.  The lines along -omega_k are those along omega_k, so a
+    direction and its antipode in the rule share one I0k, weighted by the sum
+    of their c_k; and only the ball block
+    A[ball, ball] = sum_k c_k I0k[ball, :] I0k[:, ball] is assembled.
     Reports sigma_min, the relative reconstruction error for a known bump f0,
     the size of the function space, and the demo data: the ball points, f0 on
     them and the reconstruction.
@@ -396,16 +406,23 @@ def injectivity_probe(
     # box are barely sampled by localized lines and contribute spurious
     # near-null high-frequency modes that wander under refinement
     ball = np.sum(Z**2, axis=-1) <= 1.0
+    dof = int(ball.sum())
     dirs, dw = direction_rule(n, n_dirs)
+    c = dw * (chi(dirs[:, 0]) if chi is not None else 1.0)
+    # the antipode -omega_k of each direction, if the rule has one
+    gap = np.linalg.norm(dirs[:, None, :] + dirs[None, :, :], axis=-1)
+    anti = np.argmin(gap, axis=1)
+    paired = gap[np.arange(len(dirs)), anti] <= 1e-12
     t, wt = _line_rule(n_t)
     wt = wt * phi(t)
-    A = np.zeros((len(Z), len(Z)))  # every product is nearly dense: sum them densely
+    A = np.zeros((dof, dof))  # every product is nearly dense: sum them densely
     for k, om in enumerate(dirs):
+        if paired[k] and anti[k] < k:
+            continue  # built with its antipode
         pts = (Z[:, None, :] + t[:, None] * om[None, None, :]).reshape(-1, n)
         I0k = _interp_matrix(axes, pts, wt)
-        wchi = dw[k] * (float(chi(np.array([om[0]]))[0]) if chi is not None else 1.0)
-        A += ((wchi * I0k) @ I0k).toarray()
-    A = A[np.ix_(ball, ball)]
+        ck = c[k] + c[anti[k]] if paired[k] else c[k]
+        A += ((ck * I0k[ball]) @ I0k[:, ball]).toarray()
     sigma_min = float(svdvals(A)[-1])
     if f0 is None:
         def f0(p):
@@ -419,7 +436,7 @@ def injectivity_probe(
     return {
         "sigma_min": sigma_min,
         "reconstruction_error": err,
-        "dof": int(ball.sum()),
+        "dof": dof,
         "points": Z[ball],
         "f0": fvec,
         "reconstruction": rec,

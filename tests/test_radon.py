@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import svdvals
 
+from scatcalc import radon
 from scatcalc.bumps import plateau
 from scatcalc.radon import (
     ConeCutoff,
@@ -273,6 +274,25 @@ class TestConeEllipticity:
         assert narrow["scaled_floor"][-1] < 1e-3 * full["scaled_floor"][-1]
 
 
+class TestInterpMatrix:
+    def test_linear_function_is_exact_on_every_face(self):
+        g = np.linspace(-1.0, 1.0, 24)
+        grid = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+        s = np.array([-1.0, -0.37, 0.2, 0.999999999, 1.0])
+        faces = np.concatenate(
+            [np.stack([np.full_like(s, e), s], axis=-1) for e in (-1.0, 1.0)]
+            + [np.stack([s, np.full_like(s, e)], axis=-1) for e in (-1.0, 1.0)]
+        )
+        past = np.array([[1.0 + 1e-9, 0.3], [0.3, -1.0 - 1e-9]])
+
+        def f(p):
+            return 100.0 + 300.0 * p[:, 0] + 200.0 * p[:, 1]
+
+        read = _interp_matrix((g, g), np.concatenate([faces, past]), np.ones(1)) @ f(grid)
+        assert np.max(np.abs(read[: len(faces)] - f(faces))) < 1e-12
+        assert np.all(read[len(faces):] == 0.0)
+
+
 def two_matrix_sigma_min(n, grid_points, n_dirs, n_t, chi=None):
     """sigma_min of sum_k w_k chi_k L_k I0_k on the probe's ball, with L_k built
     from its own lines z - t omega instead of reusing I0_k."""
@@ -317,9 +337,32 @@ class TestInjectivity:
         assert cone3["sigma_min"] > 0
         assert cone3["reconstruction_error"] < 1e-3
 
-    def test_one_matrix_per_direction_matches_two(self, r24, cone3):
+    @pytest.mark.parametrize(
+        "n, kw, fixture",
+        [
+            (2, dict(grid_points=24, n_dirs=64, n_t=16), "r24"),
+            (3, dict(CONE3, chi=default_cone(0.3)), "cone3"),
+            # an odd count on S^1: no direction has an antipode
+            (2, dict(grid_points=16, n_dirs=63, n_t=16), None),
+            # chi is not even, so an antipodal pair weighs c_k + c_k', not 2 c_k
+            (3, dict(CONE3, chi=ConeCutoff(lambda w: 0.75 + 0.25 * w)), None),
+        ],
+        ids=["2d", "3d-cone", "2d-odd-count", "3d-noneven-cutoff"],
+    )
+    def test_one_matrix_per_direction_matches_two(self, request, n, kw, fixture):
         # phi is even and the line rule symmetric, so L_k is I0_k itself
-        two = two_matrix_sigma_min(2, 24, 64, 16)
-        assert abs(r24["sigma_min"] - two) <= 1e-12 * two
-        two = two_matrix_sigma_min(3, chi=default_cone(0.3), **self.CONE3)
-        assert abs(cone3["sigma_min"] - two) <= 1e-12 * two
+        probe = request.getfixturevalue(fixture) if fixture else injectivity_probe(n, **kw)
+        two = two_matrix_sigma_min(n, **kw)
+        assert abs(probe["sigma_min"] - two) <= 1e-12 * two
+
+    @pytest.mark.parametrize("n, n_dirs, builds", [(2, 64, 32), (2, 63, 63), (3, 60, 30)])
+    def test_one_line_matrix_per_antipodal_pair(self, monkeypatch, n, n_dirs, builds):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _interp_matrix(*args)
+
+        monkeypatch.setattr(radon, "_interp_matrix", counted)
+        injectivity_probe(n, grid_points=8, n_dirs=n_dirs)
+        assert len(calls) == builds
