@@ -555,7 +555,7 @@ def _run_var_order(v, seed):
         return -amp * (1.0 + xi / np.sqrt(1.0 + xi**2))
 
     a = sym1d(lambda x, xi: (1.0 + x**2) ** (0.5 * ell(x, xi)), (0.0, 0.0))
-    rep = conormal_seminorm(a, 1, n=1)
+    rep = conormal_seminorm(a, 1)
     spec = make_grid(1, v["L"], v["N"])
     xs = spec.axis()
     u = GridField(spec, np.exp(-((xs - 1.0) ** 2) / 2.0) * (1.0 + 0.2j))

@@ -405,11 +405,8 @@ def _kg_scan(H, resolution):
     m = H.params["mass"]
     for xi in np.linspace(-2.0, 2.0, 2 * resolution + 1):
         for tsheet in (+1, -1):
+            # v = 0 stays in the t-dominant chart: |x1/t| = |xi/tau| <= 1
             tau = tsheet * np.sqrt(xi**2 + m**2)
-            # interior requirement: x1/t = (v - xi)/tau must stay in the
-            # t-dominant chart, which holds near the timelike caps
-            if tau != 0.0 and abs((0.0 - xi) / tau) > 1.5:
-                continue
             sheet = "tau+" if tau > 0 else ("tau-" if tau < 0 else "tau0")
             coords = {"rho": 0.0, "v": 0.0, "tau": tau, "xi": xi}
             for sigma in (+1, -1):

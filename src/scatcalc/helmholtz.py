@@ -168,10 +168,7 @@ def _synthesis_evaluator(f: SphereDensity, lam: float, kernel):
         if pts.ndim == 1:
             return synth(pts[None, :])[0]
         rmax = float(np.sqrt(np.max(np.sum(pts**2, axis=-1)))) if len(pts) else 0.0
-        need = _required_degree(lam, rmax)
-        if need > state["dens"].degree:
-            state["dens"] = state["dens"].with_degree(need)
-        dens = state["dens"]
+        dens = state["dens"] = state["dens"].with_degree(_required_degree(lam, rmax))
         gw = dens(dens.nodes) * dens.weights
         pref = (2.0 * np.pi) ** (-n) * lam ** (n - 1)
         out = np.empty(len(pts), dtype=complex)

@@ -5,7 +5,10 @@ shape (..., n), with declared bi-order (m, l): differentiation in x is expected
 to gain a factor <x>^{-1} and differentiation in xi a factor <xi>^{-1}, both
 measured by :func:`conormal_seminorm` on a logarithmically spaced probe set.
 
-Quantization is the left (standard) one,
+The symbol calculus is one-dimensional, (x, xi) in R x R: composition
+expansions, Poisson brackets, seminorms and parametrices take 1-D symbols
+(built with :func:`sym1d`).  Quantization is 1-D or 2-D; it is the left
+(standard) one,
 
     (Op a) u(x) = (2 pi)^{-n} int exp(i x.xi) a(x, xi) u_hat(xi) d xi,
 
@@ -146,50 +149,20 @@ def symbol_derivative(a: Symbol, alpha, beta, x, xi):
     return richardson(lambda h: central(shifted, h), step * (1.0 + np.abs(base[..., j])), 2)
 
 
-def _multi_indices(n: int, max_total: int):
-    for combo in product(range(max_total + 1), repeat=n):
-        if sum(combo) <= max_total:
-            yield combo
-
-
-def _directions(n: int) -> np.ndarray:
-    if n == 1:
-        return np.array([[1.0], [-1.0]])
-    if n == 2:
-        th = np.pi / 4 * np.arange(8)
-        return np.stack([np.cos(th), np.sin(th)], axis=-1)
-    axes = np.concatenate([np.eye(3), -np.eye(3)])
-    diag = np.array(list(product([1.0, -1.0], repeat=3))) / np.sqrt(3.0)
-    return np.concatenate([axes, diag])
-
-
 #: |x| and |xi| scales of the probe lattice.
 _PROBE_SCALES = (0.0, 1.0, 4.0, 16.0, 64.0, 256.0, 1024.0)
 
 
-def probe_lattice(n: int):
-    """Logarithmic (scale x direction) probe lattice in x and xi jointly.
+def probe_lattice():
+    """Logarithmic probe lattice in (x, xi): every pair of signed scales.
 
-    Returns (X, XI, x_scale, xi_scale) with X, XI of shape (P, n).  Conormal
+    Returns (X, XI, x_scale, xi_scale) with X, XI of shape (P, 1).  Conormal
     estimates are scale-wise statements, so log spacing is the right stress.
     """
-    dirs = _directions(n)
-    xs, xis, sx_out, sxi_out = [], [], [], []
-    for sx, sxi in product(_PROBE_SCALES, _PROBE_SCALES):
-        dx = dirs if sx > 0 else dirs[:1]
-        dxi = dirs if sxi > 0 else dirs[:1]
-        for u in dx:
-            for v in dxi:
-                xs.append(sx * u)
-                xis.append(sxi * v)
-                sx_out.append(sx)
-                sxi_out.append(sxi)
-    return (
-        np.array(xs),
-        np.array(xis),
-        np.array(sx_out),
-        np.array(sxi_out),
-    )
+    pos = np.array(_PROBE_SCALES[1:])
+    signed = np.concatenate([-pos[::-1], [0.0], pos])
+    X, XI = (g.ravel() for g in np.meshgrid(signed, signed, indexing="ij"))
+    return X[:, None], XI[:, None], np.abs(X), np.abs(XI)
 
 
 @dataclass
@@ -205,8 +178,8 @@ class SeminormReport:
 _GROWTH_FLAG_RATIO = 1.25
 
 
-def conormal_seminorm(a: Symbol, k: int, *, n: int = 1) -> SeminormReport:
-    """Weighted derivative sups sup |<x>^{-l+|al|} <xi>^{-m+|be|} D^al D^be a|.
+def conormal_seminorm(a: Symbol, k: int) -> SeminormReport:
+    """Weighted derivative sups sup |<x>^{-l+al} <xi>^{-m+be} D_x^al D_xi^be a|.
 
     Evaluated on the log-spaced probe lattice; the maxima at |x| (or |xi|)
     scale 1024 over those at scale 64 measure divergence across scales, so
@@ -216,16 +189,16 @@ def conormal_seminorm(a: Symbol, k: int, *, n: int = 1) -> SeminormReport:
     if k > 4:
         raise ValueError("derivative budget k must be at most 4")
     m, l = a.order
-    X, XI, sx, sxi = probe_lattice(n)
-    xw = np.sqrt(1.0 + np.sum(X**2, axis=-1))
-    xiw = np.sqrt(1.0 + np.sum(XI**2, axis=-1))
+    X, XI, sx, sxi = probe_lattice()
+    xw = np.sqrt(1.0 + sx**2)
+    xiw = np.sqrt(1.0 + sxi**2)
     top, below = _PROBE_SCALES[-1], _PROBE_SCALES[-3]
     per_idx: dict = {}
     drifts = []  # (sup at the top scale, sup two scales below), along x and along xi
-    for alpha in _multi_indices(n, k):
-        for beta in _multi_indices(n, k - sum(alpha)):
-            d = symbol_derivative(a, alpha, beta, X, XI)
-            w = xw ** (-l + sum(alpha)) * xiw ** (-m + sum(beta)) * np.abs(d)
+    for alpha in range(k + 1):
+        for beta in range(k - alpha + 1):
+            d = symbol_derivative(a, (alpha,), (beta,), X, XI)
+            w = xw ** (-l + alpha) * xiw ** (-m + beta) * np.abs(d)
             per_idx[(alpha, beta)] = float(np.max(w))
             for s in (sx, sxi):
                 drifts.append((float(np.max(w[s == top])), float(np.max(w[s == below]))))
@@ -239,7 +212,7 @@ def conormal_seminorm(a: Symbol, k: int, *, n: int = 1) -> SeminormReport:
     )
 
 
-def classical_limit_consistency(a: Symbol, *, n: int = 1) -> float:
+def classical_limit_consistency(a: Symbol) -> float:
     """Relative drift of the normalized symbol along rays, scale 256 vs 1024.
 
     Classical symbols have boundary limits in every direction, so their drift
@@ -247,22 +220,16 @@ def classical_limit_consistency(a: Symbol, *, n: int = 1) -> float:
     5 percent Richardson budget).
     """
     m, l = a.order
-    dirs = _directions(n)
     worst = 0.0
-    for sx, sxi in product([256.0, 0.0], [256.0, 0.0]):
-        if sx == 0 and sxi == 0:
-            continue
-        for u in dirs:
-            for v in dirs:
-                vals = []
-                for fac in (1.0, 4.0):
-                    x = (sx * fac) * u[None, :]
-                    xi = (sxi * fac) * v[None, :]
-                    xw = math.sqrt(1.0 + np.sum(x**2))
-                    xiw = math.sqrt(1.0 + np.sum(xi**2))
-                    vals.append(complex(a(x, xi)[0]) * xw ** (-l) * xiw ** (-m))
-                scale = max(abs(vals[0]), abs(vals[1]), 1e-300)
-                worst = max(worst, abs(vals[0] - vals[1]) / scale)
+    for sx, sxi in ((256.0, 256.0), (256.0, 0.0), (0.0, 256.0)):
+        for u, v in product((1.0, -1.0), repeat=2):
+            vals = []
+            for fac in (1.0, 4.0):
+                x, xi = sx * fac * u, sxi * fac * v
+                val = complex(a(np.array([[x]]), np.array([[xi]]))[0])
+                vals.append(val * math.sqrt(1.0 + x**2) ** (-l) * math.sqrt(1.0 + xi**2) ** (-m))
+            scale = max(abs(vals[0]), abs(vals[1]), 1e-300)
+            worst = max(worst, abs(vals[0] - vals[1]) / scale)
     return worst
 
 
@@ -410,26 +377,24 @@ def symbol_from_kernel(kernel, spec: GridSpec) -> TabulatedSymbol:
     return TabulatedSymbol(spec, vals)
 
 
-def compose_expansion(a: Symbol, b: Symbol, N_terms: int, *, n: int = 1) -> Symbol:
-    """Truncated composition symbol sum_{|al| < N} (D_xi^al a)(d_x^al b)/al!.
+def compose_expansion(a: Symbol, b: Symbol, N_terms: int) -> Symbol:
+    """Truncated composition symbol sum_{j < N} (-i)^j/j! (d_xi^j a)(d_x^j b).
 
     Exact whenever the expansion terminates (polynomial frequency dependence
     against polynomial spatial dependence); otherwise the truncation improves
     by one joint order per term.  When b does not depend on x or a does not
-    depend on xi, every term with |al| > 0 is exactly zero and is left out.
+    depend on xi, every term with j > 0 is exactly zero and is left out.
     """
     if N_terms > 4:
         raise ValueError("N_terms capped at 4")
     top = N_terms - 1 if b.depends_on_x and a.depends_on_xi else 0
-    alphas = list(_multi_indices(n, top))
 
     def ev(x, xi):
         out = None
-        for al in alphas:
-            da = symbol_derivative(a, (0,) * n, al, x, xi)
-            db = symbol_derivative(b, al, (0,) * n, x, xi)
-            coeff = (-1j) ** sum(al) / math.prod(math.factorial(v) for v in al)
-            term = coeff * da * db
+        for j in range(top + 1):
+            da = symbol_derivative(a, (0,), (j,), x, xi)
+            db = symbol_derivative(b, (j,), (0,), x, xi)
+            term = (-1j) ** j / math.factorial(j) * da * db
             out = term if out is None else out + term
         return out
 
@@ -441,18 +406,14 @@ def compose_expansion(a: Symbol, b: Symbol, N_terms: int, *, n: int = 1) -> Symb
     )
 
 
-def poisson_bracket(a: Symbol, b: Symbol, *, n: int = 1) -> Symbol:
-    """{a, b} = sum_j d_xi_j a d_x_j b - d_x_j a d_xi_j b."""
+def poisson_bracket(a: Symbol, b: Symbol) -> Symbol:
+    """{a, b} = d_xi a d_x b - d_x a d_xi b."""
 
     def ev(x, xi):
-        out = None
-        for j in range(n):
-            e = tuple(1 if i == j else 0 for i in range(n))
-            z = (0,) * n
-            term = symbol_derivative(a, z, e, x, xi) * symbol_derivative(b, e, z, x, xi)
-            term = term - symbol_derivative(a, e, z, x, xi) * symbol_derivative(b, z, e, x, xi)
-            out = term if out is None else out + term
-        return out
+        return (
+            symbol_derivative(a, (0,), (1,), x, xi) * symbol_derivative(b, (1,), (0,), x, xi)
+            - symbol_derivative(a, (1,), (0,), x, xi) * symbol_derivative(b, (0,), (1,), x, xi)
+        )
 
     return Symbol(
         eval=ev,
@@ -469,13 +430,13 @@ def _normalized_modulus(a: Symbol, x, xi):
     return np.abs(a(x, xi)) * xw ** (-l) * xiw ** (-m)
 
 
-def ellipticity_floor(a: Symbol, *, n: int = 1) -> float:
+def ellipticity_floor(a: Symbol) -> float:
     """inf of <xi>^{-m} <x>^{-l} |a| over the probe lattice."""
-    X, XI, _, _ = probe_lattice(n)
+    X, XI, _, _ = probe_lattice()
     return float(np.min(_normalized_modulus(a, X, XI)))
 
 
-def parametrix(a: Symbol, N_terms: int, *, n: int = 1, expansion_order: int = 3) -> Symbol:
+def parametrix(a: Symbol, N_terms: int, *, expansion_order: int = 3) -> Symbol:
     """Neumann-series parametrix symbol B_N = b0 (1 + r + ... + r^N).
 
     b0 inverts the symbol where its normalized modulus is comfortably above
@@ -489,7 +450,7 @@ def parametrix(a: Symbol, N_terms: int, *, n: int = 1, expansion_order: int = 3)
     symbol of the Laplacian alone does not qualify (it vanishes at xi = 0 over
     spatial infinity) while xi^2 + 1 does.
     """
-    floor = ellipticity_floor(a, n=n)
+    floor = ellipticity_floor(a)
     if floor <= ELLIPTICITY_FLOOR:
         raise NotScEllipticError(
             f"normalized symbol modulus reaches {floor:.3e}: not totally elliptic "
@@ -518,14 +479,14 @@ def parametrix(a: Symbol, N_terms: int, *, n: int = 1, expansion_order: int = 3)
         depends_on_x=False,
         depends_on_xi=False,
     )
-    ab = compose_expansion(a, b0, expansion_order, n=n)
+    ab = compose_expansion(a, b0, expansion_order)
     r1 = symbol_sum(one, symbol_scale(ab, -1.0))
     acc = one
     term = one
     for _ in range(N_terms):
-        term = compose_expansion(term, r1, expansion_order, n=n)
+        term = compose_expansion(term, r1, expansion_order)
         acc = symbol_sum(acc, term)
-    out = compose_expansion(b0, acc, expansion_order, n=n)
+    out = compose_expansion(b0, acc, expansion_order)
     out.order = (-m, -l)
     return out
 

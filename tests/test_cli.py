@@ -147,6 +147,29 @@ class TestMainExitCodes:
         code = main(["quantize-check", "--config", cfg, "--out", str(tmp_path / "q")])
         assert code == 0
 
+    def test_seed_flag_matches_config_seed(self, tmp_path):
+        flag = write_config(tmp_path, {}, "plain.json")
+        argv = ["quantize-check", "--config", flag, "--out", str(tmp_path / "a"), "--seed", "7"]
+        assert main(argv) == 0
+        keyed = write_config(tmp_path, {"seed": 7}, "seeded.json")
+        assert main(["quantize-check", "--config", keyed, "--out", str(tmp_path / "b")]) == 0
+        a = (tmp_path / "a" / "quantize-check-report.json").read_bytes()
+        assert json.loads(a)["parameters"]["seed"] == 7
+        assert a == (tmp_path / "b" / "quantize-check-report.json").read_bytes()
+
+    def test_int_for_float_key_is_the_float(self, tmp_path):
+        for out, L in (("int", 20), ("float", 20.0)):
+            cfg = write_config(tmp_path, {"L": L}, f"{out}.json")
+            assert main(["quantize-check", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        a = (tmp_path / "int" / "quantize-check-report.json").read_bytes()
+        assert a == (tmp_path / "float" / "quantize-check-report.json").read_bytes()
+
+    def test_non_object_body_is_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, [])
+        assert main(["quantize-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_var_order_passes(self, tmp_path):
         cfg = write_config(tmp_path, {"N": 64, "L": 10.0})
         code = main(["var-order", "--config", cfg, "--out", str(tmp_path / "v")])

@@ -29,9 +29,6 @@ CALLER_DIRS = ("src", "tests", "perfbench")
 
 #: Kept on purpose although no call sets them: (module, function, parameter).
 ALLOWED = {
-    ("symbols", "parametrix", "n"): "the dimension of the symbol calculus",
-    ("symbols", "poisson_bracket", "n"): "the dimension of the symbol calculus",
-    ("symbols", "classical_limit_consistency", "n"): "the dimension of the symbol calculus",
     ("bumps", "plateau", "digamma"): "the sharpness of the smoothstep family",
     ("bumps", "smoothstep_prime", "digamma"): "the sharpness of the smoothstep family",
     ("helmholtz", "build_poisson_series", "oscillation"): "the incoming step is under test",

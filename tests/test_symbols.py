@@ -12,6 +12,7 @@ from scatcalc.symbols import (
     operator_norm_estimate,
     parametrix,
     poisson_bracket,
+    probe_lattice,
     quantize,
     sym1d,
     symbol_from_kernel,
@@ -37,6 +38,24 @@ def one_symbol():
 
 
 class TestSeminorm:
+    def test_probe_lattice_is_signed_scale_pairs(self):
+        # every (|x|, |xi|) scale pair with both signs, scale 0 taken once
+        from itertools import product
+
+        from scatcalc.symbols import _PROBE_SCALES
+
+        expected = {
+            (sx * u, sxi * v, sx, sxi)
+            for sx, sxi in product(_PROBE_SCALES, repeat=2)
+            for u in ((1.0, -1.0) if sx > 0 else (1.0,))
+            for v in ((1.0, -1.0) if sxi > 0 else (1.0,))
+        }
+        X, XI, sx, sxi = probe_lattice()
+        assert X.shape == XI.shape == (169, 1)
+        points = list(zip(X[:, 0], XI[:, 0], sx, sxi))
+        assert len(set(points)) == len(points)
+        assert set(points) == expected
+
     def test_weight_symbol_bounded(self):
         # <xi>^{-1} in its own class: per-index values bounded by small constants
         a = sym1d(lambda x, xi: (1 + xi**2) ** -0.5 + 0 * x, (-1, 0))
@@ -46,16 +65,16 @@ class TestSeminorm:
         assert rep.value == max(rep.per_multiindex.values())
         # analytic oracle for the first xi-derivative entry:
         # <xi>^{1+1} |d_xi <xi>^{-1}| = |xi|/<xi>, sup 1 approached on probes
-        fd = rep.per_multiindex[((0,), (1,))]
+        fd = rep.per_multiindex[(0, 1)]
         assert fd == pytest.approx(1.0, abs=1e-3)
         # and the zeroth entry is exactly the normalized sup = 1
-        assert rep.per_multiindex[((0,), (0,))] == pytest.approx(1.0, abs=1e-12)
+        assert rep.per_multiindex[(0, 0)] == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_symbol(self):
         rep = conormal_seminorm(one_symbol(), 2)
         assert rep.value == pytest.approx(1.0)
         nonzero = [k for k, v in rep.per_multiindex.items() if v > 1e-7]
-        assert nonzero == [((0,), (0,))]
+        assert nonzero == [(0, 0)]
 
     def test_log_loss_flagged(self):
         # <x>^{l(x,xi)} with a genuinely variable order, tested in S^{0,0}:
