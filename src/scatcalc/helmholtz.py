@@ -6,7 +6,15 @@ Eigenfunctions are synthesized from a density g on the unit sphere as
 
 by the product sphere rule of :mod:`scatcalc.quadrature` (trapezoid on S^1,
 Gauss-Legendre x uniform on S^2), with the node count auto-raised to track
-the sampling requirement ~ 2 lambda |x| per great circle.  Large-|x|
+the sampling requirement ~ 2 lambda |x| per great circle.  A raised rule has
+odd degree and is closed under theta -> -theta, so the sum runs over
+antipodal node pairs: with G_+- = (g w)(+-theta) and a = lambda x.theta,
+
+    u(x) = c sum_pairs [cos(a) (G_+ + G_-) + i sin(a) (G_+ - G_-)],
+
+one cosine and one sine per pair, summed in blocks of about 2^16 terms
+(points x pairs) that stay in cache.  A node set not closed under the
+antipodal map is summed by the same kernel with G_- = 0.  Large-|x|
 asymptotics, incoming/outgoing coefficients, the boundary pairing, the
 outgoing/incoming formal series recursion, and the (free) scattering matrix
 all read off this one representation.
@@ -25,6 +33,7 @@ tail-checked (:func:`harmonic_power`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -80,11 +89,23 @@ def _rule_sizes(degree: int) -> tuple[int, int]:
     return max((degree + 2) // 2, 4), max(degree + 1, 8)
 
 
+@lru_cache(maxsize=32)
 def sphere_rule(n: int, degree: int):
-    """Product quadrature on S^{n-1} exact for harmonics up to `degree`."""
+    """Product quadrature on S^{n-1} exact for harmonics up to `degree`.
+
+    An odd degree has an even azimuth count K, and its rule is closed under
+    theta -> -theta exactly: node (ring P-1-i, azimuth k+K/2) is set to the
+    negation of node (i, k).  Cached per (n, degree), so read-only.
+    """
     if n not in (2, 3):
         raise ValueError("sphere dimension n must be 2 or 3")
-    return product_sphere_rule(n, *_rule_sizes(degree))
+    n_polar, n_azimuth = _rule_sizes(degree)
+    nodes, w = product_sphere_rule(n, n_polar, n_azimuth)
+    if degree % 2:
+        grid = nodes.reshape(-1, n_azimuth, n)
+        grid[:, n_azimuth // 2 :] = -grid[::-1, : n_azimuth // 2]
+    nodes.flags.writeable = w.flags.writeable = False
+    return nodes, w
 
 
 @dataclass
@@ -101,8 +122,12 @@ class SphereDensity:
         return np.asarray(self.eval(np.asarray(theta, dtype=float)), dtype=complex)
 
     def with_degree(self, degree: int) -> "SphereDensity":
+        """This density on a rule of at least `degree`: itself when its rule
+        suffices, else on the smallest odd degree >= `degree`, whose rule is
+        antipodally closed (:func:`sphere_rule`)."""
         if degree <= self.degree:
             return self
+        degree |= 1
         nodes, w = sphere_rule(self.n, degree)
         return SphereDensity(self.n, self.eval, nodes, w, degree)
 
@@ -152,55 +177,87 @@ def _required_degree(lam: float, rmax: float) -> int:
     return int(4 + 2 * np.ceil(lam * rmax)) + 16
 
 
-#: Points per block of the plane-wave sum: bounds its (points, nodes) temporaries.
-_SYNTH_CHUNK = 16384
+#: Terms (points x node pairs) per block of the plane-wave sum: its (points,
+#: pairs) temporaries stay in cache.
+_SYNTH_TERMS = 1 << 16
+
+
+def _fold(dens: SphereDensity):
+    """(nodes, even, odd) of the plane-wave sum over `dens`: the `plus` node of
+    each antipodal pair, and the (real, imaginary) columns of G_+ + G_- and of
+    i (G_+ - G_-), G_+- = (g w)(+-theta).  The pairs are found (one
+    ``np.array_equal``) when the nodes are the antipodally closed rule of
+    `dens.degree`; otherwise every node is a `plus` node and G_- = 0."""
+    gw = dens(dens.nodes) * dens.weights
+    plus, gm = np.arange(len(gw)), 0.0
+    n_rings, n_azimuth = _rule_sizes(dens.degree)
+    n_rings = 1 if dens.n == 2 else n_rings
+    if n_azimuth % 2 == 0 and len(gw) == n_rings * n_azimuth:
+        idx, half = plus.reshape(n_rings, n_azimuth), n_azimuth // 2
+        p, m = idx[:, :half].ravel(), idx[::-1, half:].ravel()
+        if np.array_equal(dens.nodes[m], -dens.nodes[p]):
+            plus, gm = p, gw[m]
+    gp = gw[plus]
+    columns = [np.stack([s.real, s.imag], -1) for s in (gp + gm, 1j * (gp - gm))]
+    return (dens.nodes[plus], *columns)
 
 
 def _synthesis_evaluator(f: SphereDensity, lam: float, kernel):
-    """Chunked plane-wave sum pref * kernel(points, nodes) @ (g * weights) over
-    (M, n) or (n,) points, raising the density's sphere rule to the largest
-    radius it is asked for."""
+    """Plane-wave sum over (M, n) or (n,) points, raising the density's sphere
+    rule to the largest radius it is asked for.
+
+    kernel(points, nodes) returns the real (even, odd) parts of the summand
+    under theta -> -theta at the `plus` nodes of :func:`_fold`; the sum is
+    pref * [even @ (G_+ + G_-) + i odd @ (G_+ - G_-)] with G_+- = (g w)(+-theta),
+    in blocks of about :data:`_SYNTH_TERMS` terms.
+    """
+    if not lam > 0:
+        raise ValueError("lambda must be positive")
     n = f.n
-    state = {"dens": f}
+    pref = (2.0 * np.pi) ** (-n) * lam ** (n - 1)
+    state = {"dens": f, "folded": None}
 
     def synth(points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             return synth(pts[None, :])[0]
         rmax = float(np.sqrt(np.max(np.sum(pts**2, axis=-1)))) if len(pts) else 0.0
-        dens = state["dens"] = state["dens"].with_degree(_required_degree(lam, rmax))
-        gw = dens(dens.nodes) * dens.weights
-        pref = (2.0 * np.pi) ** (-n) * lam ** (n - 1)
-        out = np.empty(len(pts), dtype=complex)
-        for lo in range(0, len(pts), _SYNTH_CHUNK):
-            hi = min(len(pts), lo + _SYNTH_CHUNK)
-            out[lo:hi] = pref * (kernel(pts[lo:hi], dens.nodes) @ gw)
-        return out
+        dens = state["dens"].with_degree(_required_degree(lam, rmax))
+        if state["folded"] is None or dens is not state["dens"]:
+            # once per rule, so that each block is two real GEMMs
+            state["dens"], state["folded"] = dens, _fold(dens)
+        nodes, even, odd = state["folded"]
+        step = max(1, _SYNTH_TERMS // len(nodes))
+        out = np.empty((len(pts), 2))  # (real, imaginary) rows, read as complex
+        for lo in range(0, len(pts), step):
+            e, o = kernel(pts[lo : lo + step], nodes)
+            out[lo : lo + step] = e @ even + o @ odd
+        return pref * out.view(complex)[:, 0]
 
     return synth
 
 
 def eigenfunction_evaluator(f: SphereDensity, lam: float):
     """Vectorized evaluator of the eigenfunction over (M, n) point arrays."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
 
     def phase(pts, nodes):
-        return np.exp(1j * lam * (pts @ nodes.T))
+        a = (lam * pts) @ nodes.T
+        return np.cos(a), np.sin(a)
 
     return _synthesis_evaluator(f, lam, phase)
 
 
 def radial_derivative_evaluator(f: SphereDensity, lam: float):
-    """d/dr of the eigenfunction along x/|x|, by differentiating the phase."""
+    """d/dr of the eigenfunction along x/|x|, by differentiating the phase;
+    ValueError at x = 0, where x/|x| is undefined."""
 
     def dphase(pts, nodes):
         r = np.sqrt(np.sum(pts**2, axis=-1))
-        dots = (pts / r[:, None]) @ nodes.T
-        # exp before the product, so its two (M, K) complex temporaries are
-        # not alive together with 1j * lam * dots (a third at peak)
-        phase = np.exp(1j * lam * (r[:, None] * dots))
-        return 1j * lam * dots * phase
+        if np.any(r == 0):
+            raise ValueError("the radial derivative is undefined at x = 0")
+        ld = lam * ((pts / r[:, None]) @ nodes.T)  # lambda xhat.theta
+        a = r[:, None] * ld
+        return -ld * np.sin(a), ld * np.cos(a)
 
     return _synthesis_evaluator(f, lam, dphase)
 

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from scatcalc.grid import QuadratureError, truncated_weighted_mass
@@ -19,6 +22,7 @@ from scatcalc.helmholtz import (
     pde_residual_patch,
     poisson_series_step,
     quadrature_harmonic_defect,
+    radial_derivative_evaluator,
     rotate_density,
     series_evaluator,
     series_obstruction,
@@ -29,6 +33,8 @@ from scatcalc.helmholtz import (
     stationary_phase_leading,
     threshold_scan,
 )
+from scatcalc.helmholtz import _probe_directions, _required_degree, _rule_sizes
+from scatcalc.quadrature import product_sphere_rule
 
 LAM = 1.0
 
@@ -71,6 +77,117 @@ class TestEigenfunction:
             f = sphere_density(3, lambda th: 1.0 + 0.3 * th[:, 2])
             center = [0.4, 0.1, -0.2]
         assert pde_residual_patch(f, LAM, center, npts=6) < 1e-8
+
+
+def generic_density(n, degree):
+    # no symmetry under theta -> -theta, so G_+ + G_- and G_+ - G_- differ
+    a, b, c = (0, 1, 0) if n == 2 else (2, 0, 1)
+    return sphere_density(
+        n, lambda th: 1.0 + 0.5 * th[:, a] + 0.2j * th[:, b] + 0.3 * th[:, c] ** 2, degree
+    )
+
+
+def direct_sums(dens, lam, pts):
+    """The oracle: u and d_r u as plain sums pref sum g w e^{i lam x.theta}
+    over every node, and the scale pref sum |g w|."""
+    pref = (2 * np.pi) ** -dens.n * lam ** (dens.n - 1)
+    gw = dens(dens.nodes) * dens.weights
+    r = np.linalg.norm(pts, axis=-1)
+    dots = (pts / r[:, None]) @ dens.nodes.T
+    waves = np.exp(1j * lam * r[:, None] * dots)
+    return pref * (waves @ gw), pref * ((1j * lam * dots * waves) @ gw), pref * np.sum(np.abs(gw))
+
+
+class TestFoldedSynthesis:
+    LAM = 1.7
+
+    def points(self, n, lam_r):
+        rng = np.random.default_rng(3)
+        dirs = rng.standard_normal((9, n))
+        return lam_r / self.LAM * dirs / np.linalg.norm(dirs, axis=-1)[:, None]
+
+    def assert_matches_direct_sum(self, dens, pts):
+        u, du, scale = direct_sums(dens, self.LAM, pts)
+        assert np.max(np.abs(eigenfunction_evaluator(dens, self.LAM)(pts) - u)) < 1e-13 * scale
+        assert np.max(np.abs(radial_derivative_evaluator(dens, self.LAM)(pts) - du)) < 1e-13 * scale
+
+    @pytest.mark.parametrize("lam_r", [5.0, 50.0, 200.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_antipodal_pairs_match_direct_sum(self, n, lam_r):
+        # an odd-degree rule (antipodally closed) past the one these points
+        # need, so the evaluator sums over exactly its nodes
+        dens = generic_density(n, _required_degree(self.LAM, 1.01 * lam_r / self.LAM) | 1)
+        self.assert_matches_direct_sum(dens, self.points(n, lam_r))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_unclosed_node_set_matches_direct_sum(self, n):
+        full = generic_density(n, _required_degree(self.LAM, 51.0 / self.LAM) | 1)
+        keep = full.nodes[:, 0] > -0.3
+        dens = SphereDensity(n, full.eval, full.nodes[keep], full.weights[keep], full.degree)
+        self.assert_matches_direct_sum(dens, self.points(n, 50.0))
+
+    @pytest.mark.parametrize("evaluator", [eigenfunction_evaluator, radial_derivative_evaluator])
+    def test_dense_shells_stay_in_cache_sized_blocks(self, evaluator):
+        # the threshold runner's cross-check: 800 shells x 48 angles to R = 50
+        f = sphere_density(2, lambda th: 1.0 + 0.45 * th[:, 0] + 0.2j * th[:, 1])
+        ang = 2 * np.pi * np.arange(48) / 48
+        rho = np.linspace(50.0 / 800, 50.0, 800)
+        pts = (rho[:, None, None] * np.stack([np.cos(ang), np.sin(ang)], -1)).reshape(-1, 2)
+        u = evaluator(f, 1.0)
+        tracemalloc.start()
+        try:
+            u(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pts) == 38400
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("evaluator", [eigenfunction_evaluator, radial_derivative_evaluator])
+    @pytest.mark.parametrize("lam", [-1.0, 0.0])
+    def test_nonpositive_lambda_rejected(self, evaluator, lam):
+        with pytest.raises(ValueError, match="lambda"):
+            evaluator(smooth_density_2d(), lam)
+
+    def test_radial_derivative_rejects_origin(self):
+        du = radial_derivative_evaluator(smooth_density_2d(), LAM)
+        with pytest.raises(ValueError, match="x = 0"):
+            du(np.zeros(2))
+        with pytest.raises(ValueError, match="x = 0"):
+            du(np.array([[3.0, 0.0], [0.0, 0.0]]))
+
+
+class TestSphereRule:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_raised_rule_is_antipodal_and_read_only(self, n):
+        dens = sphere_density(n, lambda th: np.ones(len(th))).with_degree(120)
+        assert dens.degree == 121
+        n_polar, n_azimuth = _rule_sizes(121)
+        grid = dens.nodes.reshape(-1, n_azimuth, n)
+        assert len(grid) == (1 if n == 2 else n_polar) and n_azimuth % 2 == 0
+        # node (ring P-1-i, azimuth k+K/2) is exactly -(node (i, k))
+        np.testing.assert_array_equal(grid[::-1, n_azimuth // 2 :], -grid[:, : n_azimuth // 2])
+        assert not dens.nodes.flags.writeable and not dens.weights.flags.writeable
+        with pytest.raises(ValueError):
+            dens.nodes[0, 0] = 0.0
+
+    @pytest.mark.parametrize("degree", [2, 8, 48, 64, 120, 520])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_even_degree_is_the_product_rule(self, n, degree):
+        nodes, w = sphere_rule(n, degree)
+        ref_nodes, ref_w = product_sphere_rule(n, *_rule_sizes(degree))
+        np.testing.assert_array_equal(nodes, ref_nodes)
+        np.testing.assert_array_equal(w, ref_w)
+
+    def test_probe_directions_unchanged(self):
+        # the degree-8 rule: 9 azimuths (5 Gauss rings on S^2), strides 2 and 11
+        phi = 2.0 * np.pi * np.arange(0, 9, 2) / 9
+        np.testing.assert_array_equal(_probe_directions(2, 4), np.stack([np.cos(phi), np.sin(phi)], -1))
+        c = leggauss(5)[0]
+        s = np.sqrt(1.0 - c**2)
+        expected = np.stack([s * np.cos(phi), s * np.sin(phi), c], -1)
+        np.testing.assert_array_equal(_probe_directions(3, 4), expected)
+
 
 
 class TestStationaryPhase:
@@ -206,9 +323,9 @@ class TestThresholdScan:
         f = sphere_density(2, bump, degree=512)
         # each radius has its own rule, so the first rung only has to be cheap
         mass = threshold_scan(f, 50.0, [0.0], [1.0, 5.0])[0.0]["masses"][-1]
-        # the oracle sums the plane waves of the degree-520 rule (the one the
+        # the oracle sums the plane waves of the degree-521 rule (the one the
         # evaluator raises f to at lam R = 250) where the bump exceeds 1e-16:
-        # the 420 dropped terms move u by under 1e-17, far below the 1e-10 asked
+        # the 421 dropped terms move u by under 1e-17, far below the 1e-10 asked
         full = f.with_degree(520)
         on = bump(full.nodes) > 1e-16
         support = SphereDensity(2, bump, full.nodes[on], full.weights[on], full.degree)
