@@ -339,6 +339,8 @@ def _run_helmholtz(v, seed):
         stationary_phase_leading,
     )
 
+    if not v["r_max"] > v["r_min"]:  # a slope needs two abscissae
+        raise ConfigError(f"key 'r_max' must exceed r_min (got {v['r_max']!r} <= {v['r_min']!r})")
     radii = np.geomspace(v["r_min"], v["r_max"], v["n_radii"])
     metrics, criteria, rows = {}, {}, []
     for n in v["dims"]:
@@ -404,12 +406,11 @@ def _run_threshold(v, seed):
 
 def _run_pairing(v, seed):
     from .helmholtz import (
-        asymptotic_profile,
         boundary_pairing_check,
         build_poisson_series,
+        profile_pairing,
         solution_from_series,
         sphere_density,
-        sphere_rule,
     )
 
     lam = v["lambda"]
@@ -420,16 +421,12 @@ def _run_pairing(v, seed):
     for R in v["radii"]:
         _, _, gap = boundary_pairing_check(f1, sol2, lam, float(R))
         gaps.append(gap)
-    prof = asymptotic_profile(f1, lam)
-    nodes, w = sphere_rule(2, 64)
-    rhs_self = 2j * lam * (
-        np.sum(w * np.abs(prof.f_plus(nodes)) ** 2) - np.sum(w * np.abs(prof.f_minus(nodes)) ** 2)
-    )
-    metrics = {"final_gap": gaps[-1], "self_pairing_rhs": abs(complex(rhs_self))}
+    rhs_self = abs(profile_pairing(f1, f1, lam))
+    metrics = {"final_gap": gaps[-1], "self_pairing_rhs": rhs_self}
     criteria = {
         "gap_below_10pct": gaps[-1] < 0.10,
         "gap_decreasing": all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1)),
-        "self_pairing_zero": abs(complex(rhs_self)) < 1e-6,
+        "self_pairing_zero": rhs_self < 1e-6,
     }
     rows = [{"R": float(R), "gap": g} for R, g in zip(v["radii"], gaps)]
     return metrics, criteria, {"pairing": rows}
@@ -615,7 +612,9 @@ _EXPERIMENTS = {
     "threshold": (_run_threshold, {
         "lambda": (float, 1.0, _positive),
         "orders": (list, [-0.75, -0.5, 0.0], _numbers(1, lambda r: True)),
-        "radii": (list, [50.0, 100.0, 200.0, 400.0], _numbers(2, lambda r: r >= 1)),
+        # strictly increasing: a flat or reversed ladder passes or fails by chance
+        "radii": (list, [50.0, 100.0, 200.0, 400.0],
+                  lambda v: _numbers(2, lambda r: r >= 1)(v) and v == sorted(set(v))),
     }),
     "pairing": (_run_pairing, {
         "lambda": (float, 1.0, _positive),
@@ -764,7 +763,8 @@ def main(argv=None) -> int:
         return 3
     for name, ok in sorted(report.criteria.items()):
         print(f"[{'PASS' if ok else 'FAIL'}] {report.experiment}: {name}")
-    print(f"report: {paths[0]}  (wall {report.wall_time_s:.2f}s)", file=sys.stderr)
+    where = paths[0] if paths else cfg.output_dir  # a run without tables writes no csv
+    print(f"report: {where}  (wall {report.wall_time_s:.2f}s)", file=sys.stderr)
     return 0 if report.passed else 1
 
 

@@ -14,10 +14,14 @@ antipodal node pairs: with G_+- = (g w)(+-theta) and a = lambda x.theta,
 
 one cosine and one sine per pair, summed in blocks of about 2^16 terms
 (points x pairs) that stay in cache.  A node set not closed under the
-antipodal map is summed by the same kernel with G_- = 0.  Large-|x|
-asymptotics, incoming/outgoing coefficients, the boundary pairing, the
-outgoing/incoming formal series recursion, and the (free) scattering matrix
-all read off this one representation.
+antipodal map is summed by the same kernel with G_- = 0.
+
+The far field u ~ r^{-(n-1)/2} (e^{i lambda r} f_+ + e^{-i lambda r} f_-) is
+read off this representation once: :func:`asymptotic_profile` gives
+f_+-(theta) = c_+- g(+-theta), and the leading term, the profile form of the
+boundary pairing (:func:`profile_pairing`) and the free scattering matrix all
+take f_+- or c_+- from there.  The outgoing/incoming formal series is summed,
+with its radial derivative, in one pass over its terms.
 
 Threshold-decay scans read the density's harmonic power spectrum instead.
 By Jacobi-Anger (n = 2) and Rayleigh (n = 3), with orthonormal harmonic
@@ -32,7 +36,7 @@ tail-checked (:func:`harmonic_power`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -53,7 +57,6 @@ __all__ = [
     "quadrature_harmonic_defect",
     "eigenfunction_evaluator",
     "radial_derivative_evaluator",
-    "eigenfunction",
     "pde_residual_patch",
     "stationary_phase_leading",
     "asymptotic_profile",
@@ -68,6 +71,7 @@ __all__ = [
     "ScatteringSolution",
     "solution_from_density",
     "solution_from_series",
+    "profile_pairing",
     "boundary_pairing_check",
     "free_scattering_matrix",
     "FREE_SMATRIX_PHASE",
@@ -150,27 +154,25 @@ def quadrature_harmonic_defect(dens: SphereDensity, max_degree: Optional[int] = 
     """
     n = dens.n
     deg = dens.degree if max_degree is None else max_degree
-    nodes, w = dens.nodes, dens.weights
     area = 2.0 * np.pi if n == 2 else 4.0 * np.pi
-    worst = abs(float(np.sum(w)) - area)
+    worst = abs(float(np.sum(dens.weights)) - area)
     if n == 2:
-        ang = np.arctan2(nodes[:, 1], nodes[:, 0])
-        for k in range(1, deg + 1):
-            worst = max(worst, abs(complex(np.sum(w * np.exp(1j * k * ang)))))
+        keys = range(1, deg + 1)
     else:
-        th = np.arccos(np.clip(nodes[:, 2], -1, 1))
-        ph = np.arctan2(nodes[:, 1], nodes[:, 0])
-        for ell in range(1, deg + 1):
-            for m in (0, min(ell, 1), ell):
-                vals = sph_harm_y(ell, m, th, ph)
-                worst = max(worst, abs(complex(np.sum(w * vals))))
+        keys = [(ell, m) for ell in range(1, deg + 1) for m in (0, min(ell, 1), ell)]
+    for key in keys:
+        vals = _angular_eval(n, {key: 1.0}, dens.nodes)
+        worst = max(worst, abs(complex(np.sum(dens.weights * vals))))
     return worst
 
 
-def _far_field_constant(n: int, lam: float) -> float:
-    """(2 pi)^{-n} lam^{n-1} (2 pi / lam)^{(n-1)/2}: synthesis prefactor times
-    the stationary-phase factor of each of the directions theta = +-xhat."""
-    return (2.0 * np.pi) ** (-n) * lam ** (n - 1) * (2.0 * np.pi / lam) ** ((n - 1) / 2)
+def _far_field_constants(n: int, lam: float) -> tuple[complex, complex]:
+    """(c_+, c_-), c_+- = (2 pi)^{-n} lam^{n-1} (2 pi / lam)^{(n-1)/2}
+    e^{-+i pi (n-1)/4}: synthesis prefactor times the stationary-phase factor
+    of the direction theta = +-xhat, of Hessian signature -+(n-1)."""
+    pref = (2.0 * np.pi) ** (-n) * lam ** (n - 1) * (2.0 * np.pi / lam) ** ((n - 1) / 2)
+    quarter = np.pi * (n - 1) / 4.0
+    return pref * np.exp(-1j * quarter), pref * np.exp(1j * quarter)
 
 
 def _required_degree(lam: float, rmax: float) -> int:
@@ -262,11 +264,6 @@ def radial_derivative_evaluator(f: SphereDensity, lam: float):
     return _synthesis_evaluator(f, lam, dphase)
 
 
-def eigenfunction(f: SphereDensity, lam: float, x) -> complex:
-    """Pointwise value u(x); see :func:`eigenfunction_evaluator` for batches."""
-    return complex(eigenfunction_evaluator(f, lam)(np.asarray(x, dtype=float)[None, :])[0])
-
-
 def _fd_laplacian(u, base: np.ndarray, step: float) -> np.ndarray:
     """sum_j d^2 u / dx_j^2 at the (M, n) points base, by the 4th-order
     five-point stencil per axis (minus the positive Laplacian)."""
@@ -305,27 +302,18 @@ def pde_residual_patch(f: SphereDensity, lam: float, center, npts: int = 16) -> 
 
 
 def stationary_phase_leading(f: SphereDensity, lam: float, x) -> np.ndarray:
-    """Leading large-|x| term: spherical waves with amplitudes g(+-xhat).
-
-    (2 pi)^{-n} lam^{n-1} (2 pi / (lam |x|))^{(n-1)/2} *
-    [ e^{i(lam|x| - pi(n-1)/4)} g(xhat) + e^{-i(lam|x| - pi(n-1)/4)} g(-xhat) ],
-    the two stationary directions theta = +-xhat contributing Hessian
-    signature -(n-1) and +(n-1) respectively.
-    """
+    """Leading large-|x| term r^{-(n-1)/2} (e^{i lam r} f_+(xhat) + e^{-i lam r}
+    f_-(xhat)), r = |x|, with f_+- from :func:`asymptotic_profile`: spherical
+    waves with amplitudes g(+-xhat)."""
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     if single:
         pts = pts[None, :]
-    n = f.n
+    prof = asymptotic_profile(f, lam)
     r = np.sqrt(np.sum(pts**2, axis=-1))
     xhat = pts / r[:, None]
-    pref = _far_field_constant(n, lam)
-    phase = lam * r - np.pi * (n - 1) / 4.0
-    out = (
-        pref
-        * (np.exp(1j * phase) * f(xhat) + np.exp(-1j * phase) * f(-xhat))
-        / r ** ((n - 1) / 2)
-    )
+    waves = np.exp(1j * lam * r) * prof.f_plus(xhat) + np.exp(-1j * lam * r) * prof.f_minus(xhat)
+    out = waves / r ** ((f.n - 1) / 2)
     return out[0] if single else out
 
 
@@ -340,13 +328,11 @@ def asymptotic_profile(f: SphereDensity, lam: float) -> AsymptoticProfile:
     """Outgoing/incoming coefficients read off analytically from the density.
 
     In u ~ r^{-(n-1)/2} (e^{i lam r} f_+ + e^{-i lam r} f_-), the coefficients
-    are phase rotations of g(+-theta) with the stationary-phase constant."""
-    n = f.n
-    pref = _far_field_constant(n, lam)
-    cp = pref * np.exp(-1j * np.pi * (n - 1) / 4.0)
-    cm = pref * np.exp(1j * np.pi * (n - 1) / 4.0)
-    fp = SphereDensity(n, lambda th: cp * f(th), f.nodes, f.weights, f.degree)
-    fm = SphereDensity(n, lambda th: cm * f(-np.asarray(th)), f.nodes, f.weights, f.degree)
+    are f_+-(theta) = c_+- g(+-theta), the stationary-phase constants of
+    :func:`_far_field_constants`."""
+    cp, cm = _far_field_constants(f.n, lam)
+    fp = replace(f, eval=lambda th: cp * f(th))
+    fm = replace(f, eval=lambda th: cm * f(-th))
     return AsymptoticProfile(fp, fm, lam)
 
 
@@ -555,37 +541,43 @@ def build_poisson_series(
 
 
 def _angular_eval(n: int, coeffs: dict, xhat: np.ndarray) -> np.ndarray:
+    """sum c Y_key(xhat) over {key: c}: e^{ik phi} on S^1, ``sph_harm_y`` on S^2."""
     xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-    if n == 2:
-        th = np.arctan2(xhat[:, 1], xhat[:, 0])
-        out = np.zeros(len(xhat), dtype=complex)
-        for k, c in coeffs.items():
-            out += c * np.exp(1j * k * th)
-        return out
-    th = np.arccos(np.clip(xhat[:, 2], -1, 1))
     ph = np.arctan2(xhat[:, 1], xhat[:, 0])
+    if n == 2:
+        harmonics = (np.exp(1j * k * ph) for k in coeffs)
+    else:
+        th = np.arccos(np.clip(xhat[:, 2], -1, 1))
+        harmonics = (sph_harm_y(ell, m, th, ph) for ell, m in coeffs)
     out = np.zeros(len(xhat), dtype=complex)
-    for (ell, m), c in coeffs.items():
-        out += c * sph_harm_y(ell, m, th, ph)
+    for c, y in zip(coeffs.values(), harmonics):
+        out += c * y
     return out
+
+
+def _series_sums(exp: ExpansionCoeffs, points) -> tuple[np.ndarray, np.ndarray]:
+    """(u, d_r u) of the truncated series at (M, n) points, from one pass over
+    its terms e^{s i lam r} r^{-mu_j} a_j(xhat), mu_j = (n-1)/2 + j; the radial
+    derivative is exact term by term."""
+    s = _OSCILLATION_SIGN[exp.oscillation]
+    nu = (exp.n - 1) / 2.0
+    pts = np.asarray(points, dtype=float)
+    r = np.sqrt(np.sum(pts**2, axis=-1))
+    xhat = pts / r[:, None]
+    u = np.zeros(len(pts), dtype=complex)
+    du = np.zeros(len(pts), dtype=complex)
+    for j, coeffs in enumerate(exp.terms):
+        mu = nu + j
+        decay, ang = r ** (-mu), _angular_eval(exp.n, coeffs, xhat)
+        u += decay * ang
+        du += (s * 1j * exp.lam - mu / r) * decay * ang
+    osc = np.exp(s * 1j * exp.lam * r)
+    return osc * u, du * osc
 
 
 def series_evaluator(exp: ExpansionCoeffs):
     """Pointwise evaluator of the truncated series on (M, n) arrays."""
-    s = _OSCILLATION_SIGN[exp.oscillation]
-    nu = (exp.n - 1) / 2.0
-
-    def u(points):
-        pts = np.asarray(points, dtype=float)
-        r = np.sqrt(np.sum(pts**2, axis=-1))
-        xhat = pts / r[:, None]
-        osc = np.exp(s * 1j * exp.lam * r)
-        out = np.zeros(len(pts), dtype=complex)
-        for j, coeffs in enumerate(exp.terms):
-            out += r ** (-(nu + j)) * _angular_eval(exp.n, coeffs, xhat)
-        return osc * out
-
-    return u
+    return lambda points: _series_sums(exp, points)[0]
 
 
 def series_residual_slope(exp: ExpansionCoeffs, radii):
@@ -643,50 +635,49 @@ def solution_from_series(exp: ExpansionCoeffs) -> ScatteringSolution:
     Its PDE defect O(r^{-(n-1)/2 - J - 2}) is far below the O(1/R) pairing
     convergence, and its radial derivative is exact term-by-term.
     """
-    s = _OSCILLATION_SIGN[exp.oscillation]
-    u = series_evaluator(exp)
-    nu = (exp.n - 1) / 2.0
-
     def du(points):
-        pts = np.asarray(points, dtype=float)
-        r = np.sqrt(np.sum(pts**2, axis=-1))
-        xhat = pts / r[:, None]
-        out = np.zeros(len(pts), dtype=complex)
-        for j, coeffs in enumerate(exp.terms):
-            mu = nu + j
-            ang = _angular_eval(exp.n, coeffs, xhat)
-            out += (s * 1j * exp.lam - mu / r) * r ** (-mu) * ang
-        return out * np.exp(s * 1j * exp.lam * r)
+        return _series_sums(exp, points)[1]
 
     def leading(points):
-        pts = np.asarray(points, dtype=float)
-        return _angular_eval(exp.n, exp.terms[0], pts)
+        return _angular_eval(exp.n, exp.terms[0], points)
 
     def zero(points):
         return np.zeros(len(np.atleast_2d(points)), dtype=complex)
 
     fp = leading if exp.oscillation == "outgoing" else zero
     fm = zero if exp.oscillation == "outgoing" else leading
-    return ScatteringSolution(exp.n, exp.lam, u, du, fp, fm)
+    return ScatteringSolution(exp.n, exp.lam, series_evaluator(exp), du, fp, fm)
+
+
+def _as_solution(sol, lam: float) -> ScatteringSolution:
+    """A density promoted to its eigenfunction's solution; a solution as is."""
+    return solution_from_density(sol, lam) if isinstance(sol, SphereDensity) else sol
+
+
+def profile_pairing(sol1, sol2, lam: float) -> complex:
+    """2 i lam int (f1+ conj(f2+) - f1- conj(f2-)) on the degree-64 sphere rule:
+    the profile form of the boundary pairing.  Densities are promoted to
+    solutions."""
+    sol1, sol2 = _as_solution(sol1, lam), _as_solution(sol2, lam)
+    qn, qw = sphere_rule(sol1.n, 64)
+    plus = np.asarray(sol1.f_plus(qn)) * np.conj(np.asarray(sol2.f_plus(qn)))
+    minus = np.asarray(sol1.f_minus(qn)) * np.conj(np.asarray(sol2.f_minus(qn)))
+    return 2j * lam * complex(np.sum(qw * (plus - minus)))
 
 
 def boundary_pairing_check(sol1, sol2, lam: float, R: float):
     """(lhs(R), rhs, gap): Green's-identity boundary term vs the profile form.
 
     lhs(R) = - oint_{|x|=R} (u1 dr conj(u2) - (dr u1) conj(u2)) dS converges to
-    rhs = 2 i lam int (f1+ conj(f2+) - f1- conj(f2-)); the oscillatory cross
-    terms cancel exactly in the Wronskian-type combination, so the gap decays
-    at the rate of the subleading far-field corrections.  Densities are
-    promoted to solutions; pass series solutions for one-sided data.  The gap
-    is relative to |rhs| when that is nonzero, absolute otherwise.
+    rhs = :func:`profile_pairing`; the oscillatory cross terms cancel exactly
+    in the Wronskian-type combination, so the gap decays at the rate of the
+    subleading far-field corrections.  Densities are promoted to solutions;
+    pass series solutions for one-sided data.  The gap is relative to |rhs|
+    when that is nonzero, absolute otherwise.
     """
-    if isinstance(sol1, SphereDensity):
-        sol1 = solution_from_density(sol1, lam)
-    if isinstance(sol2, SphereDensity):
-        sol2 = solution_from_density(sol2, lam)
+    sol1, sol2 = _as_solution(sol1, lam), _as_solution(sol2, lam)
     n = sol1.n
-    deg = _required_degree(lam, R)
-    nodes, w = sphere_rule(n, deg)
+    nodes, w = sphere_rule(n, _required_degree(lam, R))
     pts = R * nodes
     u1 = sol1.evaluate(pts)
     u2 = sol2.evaluate(pts)
@@ -694,16 +685,7 @@ def boundary_pairing_check(sol1, sol2, lam: float, R: float):
     du2 = sol2.radial_derivative(pts)
     integrand = u1 * np.conj(du2) - du1 * np.conj(u2)
     lhs = -complex(np.sum(w * integrand)) * R ** (n - 1)
-    qn, qw = sphere_rule(n, 64)
-    rhs = 2j * lam * complex(
-        np.sum(
-            qw
-            * (
-                np.asarray(sol1.f_plus(qn)) * np.conj(np.asarray(sol2.f_plus(qn)))
-                - np.asarray(sol1.f_minus(qn)) * np.conj(np.asarray(sol2.f_minus(qn)))
-            )
-        )
-    )
+    rhs = profile_pairing(sol1, sol2, lam)
     scale = abs(rhs) if abs(rhs) > 1e-12 else 1.0
     return lhs, rhs, abs(lhs - rhs) / scale
 
@@ -722,18 +704,12 @@ def free_scattering_matrix(lam: float, f_minus: SphereDensity) -> SphereDensity:
     times a dimension-dependent phase (a regression fixture, not a value the
     theory pins to a printed constant).
     """
-    n = f_minus.n
-    pref = _far_field_constant(n, lam)
-    cm = pref * np.exp(1j * np.pi * (n - 1) / 4.0)
-    cp = pref * np.exp(-1j * np.pi * (n - 1) / 4.0)
+    cp, cm = _far_field_constants(f_minus.n, lam)
 
     def g(theta):
-        return f_minus(-np.asarray(theta)) / cm
+        return f_minus(-theta) / cm
 
-    def f_plus(theta):
-        return cp * g(theta)
-
-    return SphereDensity(n, f_plus, f_minus.nodes, f_minus.weights, f_minus.degree)
+    return replace(f_minus, eval=lambda th: cp * g(th))
 
 
 def fit_smatrix_phase(lam: float, n: int, R: float = 200.0, extra_degree: int = 0) -> complex:
@@ -771,8 +747,4 @@ def fit_smatrix_phase(lam: float, n: int, R: float = 200.0, extra_degree: int = 
 def rotate_density(f: SphereDensity, Rmat: np.ndarray) -> SphereDensity:
     """Pullback of the density under a rotation: (R.f)(theta) = f(R^T theta)."""
     Rmat = np.asarray(Rmat, dtype=float)
-
-    def ev(theta):
-        return f(np.asarray(theta) @ Rmat)
-
-    return SphereDensity(f.n, ev, f.nodes, f.weights, f.degree)
+    return replace(f, eval=lambda th: f(th @ Rmat))

@@ -193,6 +193,22 @@ def wronskian_drift(sol: ScatterSolution) -> float:
     return float(np.max(np.abs(J - J[0])))
 
 
+def _lg_log_derivatives(k: int, eps: int):
+    """(mult, x -> (u'/u, (u'/u)')) of the Liouville-Green profile of
+    D_x^2 + eps x^k: u'/u = -k/(4x) + mult x^{k/2}, with mult = i for eps = -1
+    and -1 for eps = +1.  ValueError for any other eps."""
+    if eps not in (-1, +1):
+        raise ValueError("eps must be +-1")
+    mult = 1j if eps == -1 else -1.0
+
+    def log_derivatives(x):
+        l1 = -k / (4.0 * x) + mult * x ** (k / 2.0)
+        dl1 = k / (4.0 * x**2) + mult * (k / 2.0) * x ** (k / 2.0 - 1.0)
+        return l1, dl1
+
+    return mult, log_derivatives
+
+
 def lg_profile(k: int, eps: int):
     """Leading Liouville-Green profile for D_x^2 + eps x^k on x > 0.
 
@@ -200,18 +216,14 @@ def lg_profile(k: int, eps: int):
     |x|^{-k/4} exp(+2i |x|^{(k+2)/2}/(k+2)); for eps = +1 the decaying real
     exponential branch is returned.  u, u', u'' are closed forms.
     """
-    if eps not in (-1, +1):
-        raise ValueError("eps must be +-1")
-    mult = 1j if eps == -1 else -1.0
+    mult, log_derivatives = _lg_log_derivatives(k, eps)
 
     def parts(x):
         x = np.asarray(x, dtype=float)
         amp = x ** (-k / 4.0)
         theta = 2.0 * x ** ((k + 2) / 2.0) / (k + 2)
         u = amp * np.exp(mult * theta)
-        # logarithmic derivatives: u'/u = -k/(4x) + mult x^{k/2}
-        l1 = -k / (4.0 * x) + mult * x ** (k / 2.0)
-        dl1 = k / (4.0 * x**2) + mult * (k / 2.0) * x ** (k / 2.0 - 1.0)
+        l1, dl1 = log_derivatives(x)
         up = u * l1
         upp = u * (dl1 + l1**2)
         return u, up, upp
@@ -231,9 +243,7 @@ def lg_profile_residual(k: int, eps: int, lam: complex, x_range) -> dict:
     if k < 2:
         raise ValueError("k must be at least 2")
     xs = np.geomspace(x_range[0], x_range[1], 25)
-    mult = 1j if eps == -1 else -1.0
-    l1 = -k / (4.0 * xs) + mult * xs ** (k / 2.0)
-    dl1 = k / (4.0 * xs**2) + mult * (k / 2.0) * xs ** (k / 2.0 - 1.0)
+    l1, dl1 = _lg_log_derivatives(k, eps)[1](xs)
     resid_over_u = -(dl1 + l1**2) + eps * xs**k - lam
     rel = np.abs(resid_over_u) / xs**k
     slope = fit_growth_exponent(xs, rel)

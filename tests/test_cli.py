@@ -134,6 +134,11 @@ class TestMainExitCodes:
             # json reads NaN and Infinity; the barrier solve used to hang on NaN
             ("radial", {"lambda": float("inf")}, "lambda"),
             ("scatter1d", {"potential": "square_barrier", "height": float("nan")}, "height"),
+            # degenerate ladders: a flat one fits a slope to one abscissa or
+            # passes vacuously, a reversed one inverts the bounded ratio
+            ("helmholtz", {"r_min": 50.0, "r_max": 50.0}, "r_max"),
+            ("threshold", {"radii": [50.0, 50.0, 50.0]}, "radii"),
+            ("threshold", {"radii": [400.0, 200.0, 100.0, 50.0]}, "radii"),
         ],
     )
     def test_bad_config_is_two_and_writes_nothing(self, tmp_path, capsys, experiment, body, key):
@@ -169,6 +174,18 @@ class TestMainExitCodes:
         assert main(["quantize-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "JSON object" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "experiment,body",
+        [("quantize-check", {"N": 96, "L": 18.0}), ("commutant", {"N": 32, "fields": 4}),
+         ("var-order", {"N": 64, "L": 10.0})],
+    )
+    def test_csv_without_tables_passes(self, tmp_path, capsys, experiment, body):
+        # no table, so no file: the output directory stands in for the report
+        cfg = write_config(tmp_path, body)
+        argv = [experiment, "--config", cfg, "--out", str(tmp_path / "c"), "--format", "csv"]
+        assert main(argv) == 0
+        assert f"report: {tmp_path / 'c'}" in capsys.readouterr().err
 
     def test_var_order_passes(self, tmp_path):
         cfg = write_config(tmp_path, {"N": 64, "L": 10.0})

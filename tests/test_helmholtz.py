@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.special import jv
 
 from scatcalc.grid import QuadratureError, truncated_weighted_mass
 from scatcalc.helmholtz import (
@@ -13,7 +14,6 @@ from scatcalc.helmholtz import (
     asymptotic_profile,
     boundary_pairing_check,
     build_poisson_series,
-    eigenfunction,
     eigenfunction_evaluator,
     error_slope,
     fit_smatrix_phase,
@@ -58,13 +58,13 @@ class TestEigenfunction:
         r = np.linalg.norm(x)
         oracle, _ = quad(lambda c: np.cos(LAM * r * c), -1.0, 1.0)
         expected = (2 * np.pi) ** -3 * LAM**2 * 2 * np.pi * oracle
-        assert eigenfunction(f, LAM, x) == pytest.approx(expected, rel=1e-12)
+        assert eigenfunction_evaluator(f, LAM)(x) == pytest.approx(expected, rel=1e-12)
 
     def test_value_at_origin(self):
         f = smooth_density_2d()
         nodes, w = sphere_rule(2, 64)
         integral = np.sum(w * f(nodes))
-        assert eigenfunction(f, LAM, np.zeros(2)) == pytest.approx(
+        assert eigenfunction_evaluator(f, LAM)(np.zeros(2)) == pytest.approx(
             (2 * np.pi) ** -2 * integral, rel=1e-12
         )
 
@@ -234,19 +234,31 @@ class TestProfiles:
         prof = asymptotic_profile(smooth_density_2d(), LAM)
         assert prof.f_plus.l2_norm() == pytest.approx(prof.f_minus.l2_norm(), rel=1e-12)
 
-    def test_leading_term_matches_profile_form(self):
-        f = smooth_density_2d()
-        prof = asymptotic_profile(f, LAM)
-        x = np.array([80.0, 11.0])
-        r = np.linalg.norm(x)
-        xhat = (x / r)[None, :]
-        recon = r ** -0.5 * (
-            np.exp(1j * LAM * r) * prof.f_plus(xhat)[0]
-            + np.exp(-1j * LAM * r) * prof.f_minus(xhat)[0]
-        )
-        assert complex(recon) == pytest.approx(
-            complex(np.atleast_1d(stationary_phase_leading(f, LAM, x))[0]), rel=1e-12
-        )
+
+class TestLeadingTermOracles:
+    """Closed forms of the leading term that read neither far-field formula."""
+
+    def test_constant_density_n3_is_exact(self):
+        # g == 1: u = lam sin(lam r) / (2 pi^2 r), and the two stationary
+        # points reproduce it exactly
+        lam = 1.3
+        f = sphere_density(3, lambda th: np.ones(len(th)))
+        direction = np.array([0.48, -0.6, 0.64])
+        r = np.array([0.7, 3.0, 20.0, 150.0, 1000.0])
+        lead = stationary_phase_leading(f, lam, r[:, None] * direction)
+        envelope = lam / (2 * np.pi**2 * r)
+        assert np.max(np.abs(lead - envelope * np.sin(lam * r)) / envelope) < 1e-13
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_fourier_mode_n2_tracks_bessel(self, k):
+        # g = e^{ik phi}: u = (lam / 2 pi) i^k J_k(lam r) e^{ik phi}, and the
+        # leading term misses it by O(r^{-3/2}); odd k see the antipode in f_-
+        lam, phi = 1.3, 0.4
+        f = sphere_density(2, lambda th: np.exp(1j * k * np.arctan2(th[:, 1], th[:, 0])))
+        r = np.array([50.0, 100.0, 200.0, 400.0]) / lam
+        x = r[:, None] * np.array([np.cos(phi), np.sin(phi)])
+        exact = lam / (2 * np.pi) * 1j**k * jv(k, lam * r) * np.exp(1j * k * phi)
+        assert np.max(r**1.5 * np.abs(stationary_phase_leading(f, lam, x) - exact)) < 0.5
 
 
 def skewed_density(n):

@@ -94,6 +94,14 @@ class TestLGProfiles:
         rep = lg_profile_residual(k, eps, 0.7, LG_RANGES[k])
         assert rep["slope"] <= -0.9
 
+    @pytest.mark.parametrize("eps", [0, 2])
+    def test_sign_other_than_plus_minus_one_rejected(self, eps):
+        # the residual used to fit a slope of -+6e-6 to these
+        with pytest.raises(ValueError, match="eps"):
+            lg_profile(4, eps)
+        with pytest.raises(ValueError, match="eps"):
+            lg_profile_residual(4, eps, 0.7, (10.0, 1000.0))
+
     def test_k4_oscillatory_tail_convergent(self):
         rep = lg_tail_masses(4, [100.0, 200.0, 400.0])
         assert rep["convergent"]
