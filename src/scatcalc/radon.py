@@ -12,11 +12,13 @@ A direction cutoff chi(omega_1) preserves the positive floor exactly when the
 orthogroup {omega . xihat = 0} always meets {chi > 0}: true for n >= 3 (two
 great circles on S^2 intersect), false for narrow cutoffs in n = 2 (two
 antipodal points miss the allowed arc), and the probe exhibits both.  phi_hat
-is read from a Chebyshev table; the Hankel oracle reads phi_tilde, not the table.
+is read from a Chebyshev table, filled by angle addition on half a Gauss rule
+(phi is even); the Hankel oracle reads phi_tilde, not the table.
 Since phi is even and the line rule symmetric, L integrates along the lines of
 I_0, so `backproject` and `injectivity_probe` build each line integral once;
 the lines along omega and -omega are the same too, so the probe builds one line
-matrix per antipodal pair, and it assembles A on the ball only.
+matrix and `pairing_gap` one I_0 f per antipodal pair, and the probe assembles
+A on the ball only.
 """
 
 from __future__ import annotations
@@ -68,6 +70,11 @@ def _line_rule(n_t: int):
     return t, w
 
 
+def _hat_panels(reach: float) -> int:
+    """Panels on [-_SUPPORT, _SUPPORT] of the phi_hat rule for |s| <= reach."""
+    return int(max(64, np.ceil(2.0 * reach * _SUPPORT / np.pi)))
+
+
 #: phi_hat table: Chebyshev degree on each unit panel [k, k + 1] of u = |s|.
 _HAT_DEGREE = 24
 #: phi_hat table: largest top (it covers |s| <= 100, every caller here); the
@@ -110,7 +117,8 @@ class LocalizerProfile:
     def phi_hat(self, s):
         """Fourier transform int phi(t) exp(-i s t) dt (real and even), read from a
         Chebyshev table in u = |s| on [0, top] (top a power of two, raised on demand
-        up to _HAT_TOP); u past _HAT_TOP is summed directly."""
+        up to _HAT_TOP, each fill one `_hat_table`); u past _HAT_TOP is summed directly
+        by `_hat_sums`."""
         u = np.abs(np.asarray(s, dtype=float))
         if not np.all(np.isfinite(u)):
             raise ValueError("phi_hat needs finite s")
@@ -132,18 +140,23 @@ class LocalizerProfile:
         return out[()]
 
     def _hat_table(self, top: int) -> np.ndarray:
-        """Chebyshev coefficients (degree + 1, top) of phi_hat on [k, k + 1]; row 0 is 2 c_0."""
+        """Chebyshev coefficients (degree + 1, top) of phi_hat on [k, k + 1]; row 0 is 2 c_0.
+        phi is even: phi_hat(k + x) = 2 int_0^2 phi(t) (cos kt cos xt - sin kt sin xt) dt on
+        the half of `_hat_sums`'s rule at reach top, its panels rounded up to even."""
         n = _HAT_DEGREE + 1
-        u = np.arange(top)[:, None] + 0.5 * (np.cos(np.pi * (np.arange(n) + 0.5) / n) + 1.0)
-        return dct(self._hat_sums(u, top), type=2).T / n
+        x = 0.5 * (np.cos(np.pi * (np.arange(n) + 0.5) / n) + 1.0)
+        t, w = _flat_panels(0.0, _SUPPORT, (_hat_panels(top) + 1) // 2, 16)
+        kt, xt = np.multiply.outer(np.arange(top), t), np.multiply.outer(x, t)
+        cw = 2.0 * w * self(t)
+        vals = (np.cos(kt) * cw) @ np.cos(xt).T - (np.sin(kt) * cw) @ np.sin(xt).T
+        return dct(vals, type=2).T / n
 
     def _hat_sums(self, u: np.ndarray, reach: float) -> np.ndarray:
         """phi_hat at every entry of u (rows, m) by composite Gauss quadrature, with
-        panels fine enough for |s| <= reach."""
-        n_panels = int(max(64, np.ceil(2.0 * reach * _SUPPORT / np.pi)))
-        pts, w = _flat_panels(-_SUPPORT, _SUPPORT, n_panels, 16)
+        panels fine enough for |s| <= reach (for |s| past _HAT_TOP, and the table's oracle)."""
+        pts, w = _flat_panels(-_SUPPORT, _SUPPORT, _hat_panels(reach), 16)
         cw = w * self(pts)
-        # one row at a time, summed pairwise (a BLAS product loses ~1e-14)
+        # one row at a time, summed pairwise (the table's BLAS sums are within 2.6e-15)
         return np.array([(np.cos(np.multiply.outer(uk, pts)) * cw).sum(axis=-1) for uk in u])
 
 
@@ -181,6 +194,15 @@ def direction_rule(n: int, count: int):
     nc = max(4, int(np.sqrt(count / 2)))
     nodes, w = product_sphere_rule(3, nc, max(8, count // nc), offset=0.5)
     return np.roll(nodes, 1, axis=-1), w  # polar axis e_1
+
+
+def _antipode_pairs(dirs) -> list:
+    """Each direction once: (k, k') with k < k' where node k' is within 1e-12 of
+    -omega_k, else (k,).  The lines z + t omega of a pair are the same points."""
+    gap = np.linalg.norm(dirs[:, None, :] + dirs[None, :, :], axis=-1)
+    anti = np.argmin(gap, axis=1)
+    return [(k, int(j)) if gap[k, j] <= 1e-12 else (k,) for k, j in enumerate(anti)
+            if j > k or gap[k, j] > 1e-12]
 
 
 def xray_transform(f: Callable, z, omega, phi: LocalizerProfile):
@@ -236,12 +258,11 @@ def pairing_gap(
     mesh = np.meshgrid(*([ax] * n), indexing="ij")
     Z = np.stack([m.ravel() for m in mesh], axis=-1)
     WZ = np.prod(np.meshgrid(*([axw] * n), indexing="ij"), axis=0).ravel()
-    # evaluate both sides sharing the direction rule
+    # both sides share the direction rule; I_0 f is the same along -omega_k
     lhs = 0.0 + 0j
-    for k, (om, wk) in enumerate(zip(dirs, dw)):
-        If = xray_transform(f, Z, om, phi)
-        vv = np.asarray(v(Z, k))
-        lhs += wk * np.sum(WZ * If * np.conj(vv))
+    for pair in _antipode_pairs(dirs):
+        cv = sum(dw[k] * np.conj(np.asarray(v(Z, k))) for k in pair)
+        lhs += np.sum(WZ * xray_transform(f, Z, dirs[pair[0]], phi) * cv)
     Lv = backproject(v, phi, dirs, dw)
     rhs = np.sum(WZ * np.asarray(f(Z)) * np.conj(Lv(Z)))
     scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -409,20 +430,13 @@ def injectivity_probe(
     dof = int(ball.sum())
     dirs, dw = direction_rule(n, n_dirs)
     c = dw * (chi(dirs[:, 0]) if chi is not None else 1.0)
-    # the antipode -omega_k of each direction, if the rule has one
-    gap = np.linalg.norm(dirs[:, None, :] + dirs[None, :, :], axis=-1)
-    anti = np.argmin(gap, axis=1)
-    paired = gap[np.arange(len(dirs)), anti] <= 1e-12
     t, wt = _line_rule(n_t)
     wt = wt * phi(t)
     A = np.zeros((dof, dof))  # every product is nearly dense: sum them densely
-    for k, om in enumerate(dirs):
-        if paired[k] and anti[k] < k:
-            continue  # built with its antipode
-        pts = (Z[:, None, :] + t[:, None] * om[None, None, :]).reshape(-1, n)
+    for pair in _antipode_pairs(dirs):
+        pts = (Z[:, None, :] + t[:, None] * dirs[pair[0]]).reshape(-1, n)
         I0k = _interp_matrix(axes, pts, wt)
-        ck = c[k] + c[anti[k]] if paired[k] else c[k]
-        A += ((ck * I0k[ball]) @ I0k[:, ball]).toarray()
+        A += ((c[list(pair)].sum() * I0k[ball]) @ I0k[:, ball]).toarray()
     sigma_min = float(svdvals(A)[-1])
     if f0 is None:
         def f0(p):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.fft import idct
 from scipy.integrate import quad
 from scipy.linalg import svdvals
 
@@ -8,6 +9,7 @@ from scatcalc.bumps import plateau
 from scatcalc.radon import (
     ConeCutoff,
     LocalizerProfile,
+    _flat_panels,
     _interp_matrix,
     _line_rule,
     backproject,
@@ -120,6 +122,16 @@ class TestPhiHatTable:
     def test_even_bit_for_bit(self):
         assert np.array_equal(PHI.phi_hat(-self.s), PHI.phi_hat(self.s))
 
+    @pytest.mark.parametrize("top", [1, 2, 128])
+    def test_table_matches_direct_sums_at_its_nodes(self, top):
+        # angle addition on the half rule, by matrix products, against the full
+        # rule summed one node at a time
+        n = radon._HAT_DEGREE + 1
+        u = np.arange(top)[:, None] + 0.5 * (np.cos(np.pi * (np.arange(n) + 0.5) / n) + 1.0)
+        vals = idct(PHI._hat_table(top).T * n, type=2)
+        assert vals.shape == (top, n)
+        assert np.max(np.abs(vals - PHI._hat_sums(u, top))) <= 1e-13
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -191,6 +203,49 @@ class TestBackprojection:
 
             worst = max(worst, pairing_gap(f, v, PHI, 2, n_dirs=24))
         assert worst < 1e-6
+
+    @staticmethod
+    def f(p):
+        return np.exp(-np.sum((p - np.array([0.2, -0.1])) ** 2, axis=-1))
+
+    @staticmethod
+    def v(p, k):
+        # v(., k) differs from v(., k') at an antipodal pair, and is complex
+        c = 0.3 * np.array([np.cos(k), np.sin(k)])
+        return np.exp(-0.7 * np.sum((p - c) ** 2, axis=-1)) * (1.0 + 0.5j * np.sin(0.3 * k))
+
+    @pytest.mark.parametrize("n_dirs, calls", [(32, 16), (63, 63)])
+    def test_one_xray_per_antipodal_pair(self, monkeypatch, n_dirs, calls):
+        made = []
+
+        def counted(*args):
+            made.append(1)
+            return xray_transform(*args)
+
+        monkeypatch.setattr(radon, "xray_transform", counted)
+        assert pairing_gap(self.f, self.v, PHI, 2, n_dirs=n_dirs) < 1e-6
+        assert len(made) == calls
+
+    @pytest.mark.parametrize("n_dirs", [32, 63])
+    def test_folded_lhs_matches_unfolded_sum(self, monkeypatch, n_dirs):
+        # <I_0 f, v> summed over every direction, I_0 f computed for each
+        dirs, dw = direction_rule(2, n_dirs)
+        ax, axw = _flat_panels(-6.0, 6.0, 1, 32)  # the box rule of pairing_gap
+        Z = np.stack([m.ravel() for m in np.meshgrid(ax, ax, indexing="ij")], axis=-1)
+        WZ = np.outer(axw, axw).ravel()
+        lhs = sum(
+            wk * np.sum(WZ * xray_transform(self.f, Z, om, PHI) * np.conj(self.v(Z, k)))
+            for k, (om, wk) in enumerate(zip(dirs, dw))
+        )
+        # a constant L v whose <f, L v> is that sum: the gap is then the relative
+        # defect of the folded lhs against it
+        ratio = lhs / np.sum(WZ * self.f(Z))
+
+        def constant_backprojection(*args):
+            return lambda y: np.full(len(y), np.conj(ratio))
+
+        monkeypatch.setattr(radon, "backproject", constant_backprojection)
+        assert pairing_gap(self.f, self.v, PHI, 2, n_dirs=n_dirs) <= 1e-12
 
     def test_constant_data_backprojects_to_constant(self):
         dirs, dw = direction_rule(2, 16)
