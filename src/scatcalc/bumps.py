@@ -65,11 +65,11 @@ def sqrt_chi0_over_t2(t, digamma: float = 1.0):
     return out
 
 
-def smoothstep(u, digamma: float = 1.0):
+def smoothstep(u):
     """Monotone C-infinity step: 0 for u <= 0, 1 for u >= 1."""
     u = np.asarray(u, dtype=float)
-    f = chi0(u, digamma)
-    g = chi0(1.0 - u, digamma)
+    f = chi0(u)
+    g = chi0(1.0 - u)
     out = np.zeros_like(u)
     mid = (u > 0) & (u < 1)
     out[mid] = f[mid] / (f[mid] + g[mid])
@@ -77,24 +77,24 @@ def smoothstep(u, digamma: float = 1.0):
     return out
 
 
-def smoothstep_prime(u, digamma: float = 1.0):
+def smoothstep_prime(u):
     """Derivative of :func:`smoothstep`; supported in (0, 1)."""
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
     mid = (u > 0) & (u < 1)
     um = u[mid]
-    f, g = chi0(um, digamma), chi0(1.0 - um, digamma)
-    fp, gp = chi0_prime(um, digamma), chi0_prime(1.0 - um, digamma)
+    f, g = chi0(um), chi0(1.0 - um)
+    fp, gp = chi0_prime(um), chi0_prime(1.0 - um)
     out[mid] = (fp * g + f * gp) / (f + g) ** 2
     return out
 
 
-def plateau(t, inner: float, outer: float, digamma: float = 1.0):
+def plateau(t, inner: float, outer: float):
     """Even bump: 1 for |t| <= inner, 0 for |t| >= outer, monotone between."""
     if not outer > inner >= 0:
         raise ValueError("need 0 <= inner < outer")
     t = np.asarray(t, dtype=float)
-    return 1.0 - smoothstep((np.abs(t) - inner) / (outer - inner), digamma)
+    return 1.0 - smoothstep((np.abs(t) - inner) / (outer - inner))
 
 
 #: Composite Gauss-Legendre mesh of the cumulative integral in FlatSquareCutoff.

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .symbols import QUANTIZE_MAX_N
+from .grid import QUANTIZE_MAX_N
 
 __all__ = ["ExperimentConfig", "RunReport", "load_config", "run_experiment", "emit_report", "main"]
 
@@ -490,6 +490,9 @@ def _run_radon(v, seed):
         pairing_gap,
     )
 
+    if v["dim"] == 3 and v["grid_points"] > 16:
+        # the probe's dense SVD grows like grid_points^6: 1,736 unknowns at 16, 6,272 at 24
+        raise ConfigError(f"radon dim 3 needs grid_points <= 16 (got {v['grid_points']})")
     phi = default_profile()
     rng = np.random.default_rng(seed)
     shift = rng.uniform(-0.2, 0.2, size=2)
@@ -557,7 +560,7 @@ def _run_var_order(v, seed):
     xs = spec.axis()
     u = GridField(spec, np.exp(-((xs - 1.0) ** 2) / 2.0) * (1.0 + 0.2j))
     rc = v["r_const"]
-    const_var = SobolevOrder(s=v["s"], variable_r=lambda x, xi: rc + 0.0 * x[..., 0] * xi[..., 0])
+    const_var = SobolevOrder(s=v["s"], r=lambda x, xi: rc + 0.0 * x[..., 0] * xi[..., 0])
     nvar = var_sobolev_norm(u, const_var)
     nfix = sobolev_norm(u, SobolevOrder(s=v["s"], r=rc))
     rel = abs(nvar - nfix) / nfix
@@ -588,7 +591,7 @@ _EXPERIMENTS = {
     }),
     "quantize-check": (_run_quantize, {
         "L": (float, 20.0, _positive),
-        "N": (int, 128, lambda v: _even(v) and v <= QUANTIZE_MAX_N[1]),
+        "N": (int, 128, lambda v: _even(v) and v <= QUANTIZE_MAX_N),
     }),
     "commutant": (_run_commutant, {
         "s0": (float, 1.0, _positive),
@@ -635,7 +638,7 @@ _EXPERIMENTS = {
     }),
     "var-order": (_run_var_order, {
         "L": (float, 12.0, _positive),
-        "N": (int, 96, lambda v: _even(v) and v <= QUANTIZE_MAX_N[1]),
+        "N": (int, 96, lambda v: _even(v) and v <= QUANTIZE_MAX_N),
         "s": (float, 0.0, None),
         "r_const": (float, -1.0, None),
     }),

@@ -215,8 +215,8 @@ def model_inequality_margins(spec: GridSpec, n_fields: int = 20, seed: int = 0):
     for _ in range(n_fields):
         coef = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
         u = GridField(spec, np.fft.ifftn(coef * damp))
-        uh = spectral_transform(u, "forward")
-        f = spectral_transform(type(uh)(spec, uh.values * K1), "inverse")
+        uh = spectral_transform(u)
+        f = spectral_transform(type(uh)(spec, uh.values * K1))
         lhs = float(np.sum(b * np.abs(u.values) ** 2).real * h2)
         rhs = float(
             2.0 * np.sum(e * np.abs(u.values) ** 2).real * h2

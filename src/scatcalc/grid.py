@@ -15,7 +15,7 @@ error rather than a modeling choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 MAX_TOTAL_POINTS = 2**24
+
+#: Largest points_per_axis of a dense operator (dense operators are 1-D); the
+#: CLI bounds its N keys by it without importing the symbol calculus.
+QUANTIZE_MAX_N = 256
 
 #: Relative weight of the fixed-order floor term inside the variable-order
 #: norm.  The floor only guards definiteness of the norm (the quantized weight
@@ -112,10 +116,6 @@ class GridSpec:
     def freq_mesh(self) -> list[np.ndarray]:
         return np.meshgrid(*([self.freq_axis()] * self.dimension), indexing="ij")
 
-    def points(self) -> np.ndarray:
-        """All grid points as an (N^n, n) array."""
-        return np.stack([m.ravel() for m in self.mesh()], axis=-1)
-
     def _alt_signs(self) -> np.ndarray:
         """(-1)^k per axis in fft layout, as an n-dim outer product.
 
@@ -131,7 +131,9 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class GridField:
+class _Field:
+    """Finite values on the grid's N^n lattice; l2_norm sums them with the cell measure."""
+
     spec: GridSpec
     values: np.ndarray
 
@@ -139,48 +141,34 @@ class GridField:
         if self.values.shape != self.spec.shape:
             raise ValueError(f"values shape {self.values.shape} != grid shape {self.spec.shape}")
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("field contains non-finite entries")
+            raise ValueError(f"{type(self).__name__} contains non-finite entries")
 
     def l2_norm(self) -> float:
-        h = self.spec.spacing
-        return float(np.sqrt(h**self.spec.dimension * np.sum(np.abs(self.values) ** 2)))
+        return float(np.sqrt(self._cell**self.spec.dimension * np.sum(np.abs(self.values) ** 2)))
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    spec: GridSpec
-    values: np.ndarray
+class GridField(_Field):
+    _cell = property(lambda self: self.spec.spacing)
 
-    def __post_init__(self):
-        if self.values.shape != self.spec.shape:
-            raise ValueError(f"values shape {self.values.shape} != grid shape {self.spec.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("spectrum contains non-finite entries")
 
-    def l2_norm(self) -> float:
-        dxi = self.spec.freq_spacing
-        return float(np.sqrt(dxi**self.spec.dimension * np.sum(np.abs(self.values) ** 2)))
+class SpectralField(_Field):
+    _cell = property(lambda self: self.spec.freq_spacing)
 
 
 @dataclass(frozen=True)
 class SobolevOrder:
     """Differential order s and spatial order r, the latter possibly variable.
 
-    A variable spatial order is an evaluator r(x, xi) -> real, vectorized over
-    trailing-(..., n) position and frequency arrays, bounded on the grid.
+    A variable spatial order is a callable r(x, xi) -> real, vectorized over
+    trailing-(..., 1) position and frequency arrays, bounded on the grid.
     """
 
     s: float
-    r: Optional[float] = None
-    variable_r: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self):
-        if (self.r is None) == (self.variable_r is None):
-            raise ValueError("exactly one of r and variable_r must be given")
+    r: float | Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     @property
     def is_variable(self) -> bool:
-        return self.variable_r is not None
+        return callable(self.r)
 
 
 def make_grid(n: int, L: float, N: int) -> GridSpec:
@@ -196,33 +184,26 @@ def field_from_function(spec: GridSpec, fn: Callable[..., np.ndarray]) -> GridFi
     return GridField(spec, np.broadcast_to(vals, spec.shape).copy())
 
 
-def spectral_transform(u, direction: str = "forward"):
+def spectral_transform(u):
     """Discrete realization of the continuum Fourier transform pair.
 
-    forward: GridField -> SpectralField, u_hat(xi) = h^n sum exp(-i x.xi) u(x)
-    inverse: SpectralField -> GridField with the (2 pi)^{-n} factor.
+    GridField -> SpectralField, u_hat(xi) = h^n sum exp(-i x.xi) u(x);
+    SpectralField -> GridField, the inverse with the (2 pi)^{-n} factor.
     """
-    if direction == "forward":
-        if not isinstance(u, GridField):
-            raise TypeError("forward transform expects a GridField")
+    if isinstance(u, GridField):
         spec = u.spec
-        signs = spec._alt_signs()
-        vals = spec.spacing**spec.dimension * signs * np.fft.fftn(u.values)
+        vals = spec.spacing**spec.dimension * spec._alt_signs() * np.fft.fftn(u.values)
         return SpectralField(spec, vals)
-    if direction == "inverse":
-        if not isinstance(u, SpectralField):
-            raise TypeError("inverse transform expects a SpectralField")
+    if isinstance(u, SpectralField):
         spec = u.spec
-        signs = spec._alt_signs()
         norm = (spec.freq_spacing / (2.0 * np.pi)) ** spec.dimension * spec.size
-        vals = norm * np.fft.ifftn(signs * u.values)
-        return GridField(spec, vals)
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+        return GridField(spec, norm * np.fft.ifftn(spec._alt_signs() * u.values))
+    raise TypeError(f"spectral_transform expects a GridField or a SpectralField, got {type(u).__name__}")
 
 
 def parseval_defect(u: GridField) -> float:
     """Relative defect of ||u||^2 - (2 pi)^{-n} ||u_hat||^2."""
-    uh = spectral_transform(u, "forward")
+    uh = spectral_transform(u)
     a = u.l2_norm() ** 2
     b = (2.0 * np.pi) ** (-u.spec.dimension) * uh.l2_norm() ** 2
     return abs(a - b) / a if a > 0 else abs(b)
@@ -247,7 +228,7 @@ def sobolev_norm(u: GridField, ord: SobolevOrder) -> float:
     spec = u.spec
     xw = _jbracket(spec.mesh()) ** ord.r
     v = GridField(spec, u.values * xw)
-    vh = spectral_transform(v, "forward")
+    vh = spectral_transform(v)
     xiw = _jbracket(spec.freq_mesh()) ** ord.s
     n = spec.dimension
     total = (2.0 * np.pi) ** (-n) * spec.freq_spacing**n * np.sum(
@@ -264,36 +245,29 @@ def var_sobolev_norm(u: GridField, ord: SobolevOrder) -> float:
     the :func:`sobolev_norm` ordering.  The fixed-order floor term
     Lambda = <D>^s <x>^Lfloor (Lfloor = min r - 1) enters with weight
     :data:`FLOOR_WEIGHT`; it guards strict positivity without perturbing the
-    constant-order agreement.
+    constant-order agreement.  Variable orders are one-dimensional, as dense
+    quantization is: another dimension raises :class:`GridBudgetError`.
     """
     from .symbols import Symbol, quantize  # deferred: symbols builds on grid
 
     if not ord.is_variable:
         return sobolev_norm(u, ord)
     spec = u.spec
-    pts = spec.points()
-    sub = spec.freq_axis()[:: max(1, spec.points_per_axis // 16)]
-    fmesh = np.meshgrid(*([sub] * spec.dimension), indexing="ij")
-    fpts = np.stack([m.ravel() for m in fmesh], axis=-1)
-    rflat = np.asarray(
-        ord.variable_r(pts[:, None, :], fpts[None, :, :]), dtype=float
-    ).ravel()
+    x = spec.axis()[:, None]
+    sub = spec.freq_axis()[:: max(1, spec.points_per_axis // 16), None]
+    rflat = np.asarray(ord.r(x[:, None, :], sub[None, :, :]), dtype=float).ravel()
     if not np.all(np.isfinite(rflat)):
         raise ValueError("variable order is unbounded on the grid")
     floor_order = float(np.floor(rflat.min())) - 1.0
 
-    s = ord.s
-    var_r = ord.variable_r
-
     def weight_symbol(x, xi):
-        xb = _jbracket([x[..., j] for j in range(spec.dimension)])
-        xib = _jbracket([xi[..., j] for j in range(spec.dimension)])
-        return xib**s * xb ** np.asarray(var_r(x, xi), dtype=float)
+        xb, xib = np.sqrt(1.0 + x[..., 0] ** 2), np.sqrt(1.0 + xi[..., 0] ** 2)
+        return xib**ord.s * xb ** np.asarray(ord.r(x, xi), dtype=float)
 
-    a = Symbol(eval=weight_symbol, order=(s, float(rflat.max())))
+    a = Symbol(eval=weight_symbol, order=(ord.s, float(rflat.max())))
     A = quantize(a, spec, mode="right")
     Au = A.apply(u)
-    floor = sobolev_norm(u, SobolevOrder(s=s, r=floor_order))
+    floor = sobolev_norm(u, SobolevOrder(s=ord.s, r=floor_order))
     return float(np.sqrt(Au.l2_norm() ** 2 + (FLOOR_WEIGHT * floor) ** 2))
 
 

@@ -108,7 +108,6 @@ class ScatterCoeffs:
 @dataclass
 class ScatterSolution:
     coeffs: ScatterCoeffs
-    xs: np.ndarray
     psi: np.ndarray
     dpsi: np.ndarray
 
@@ -127,7 +126,7 @@ def solve_scatter(V: Potential1D, lam: float):
     if V.support_radius == 0.0:
         xs = np.linspace(-1.0, 1.0, 9)
         psi = np.exp(1j * lam * xs)
-        return ScatterSolution(ScatterCoeffs(lam, 0.0 + 0j, 1.0 + 0j), xs, psi, 1j * lam * psi)
+        return ScatterSolution(ScatterCoeffs(lam, 0.0 + 0j, 1.0 + 0j), psi, 1j * lam * psi)
 
     def rhs(x, y):
         return [y[1], (V(np.array([x]))[0] - lam**2) * y[0]]
@@ -150,9 +149,8 @@ def solve_scatter(V: Potential1D, lam: float):
     beta = (1j * lam * psiL - dpsiL) * np.exp(-1j * lam * L) / (2j * lam)
     r = beta / alpha
     t = 1.0 / alpha
-    xs = np.linspace(-L, L, 257)
-    path = sol.sol(xs) / alpha
-    return ScatterSolution(ScatterCoeffs(lam, complex(r), complex(t)), xs, path[0], path[1])
+    path = sol.sol(np.linspace(-L, L, 257)) / alpha
+    return ScatterSolution(ScatterCoeffs(lam, complex(r), complex(t)), path[0], path[1])
 
 
 def square_barrier_coeffs(height: float, width: float, lam: float) -> ScatterCoeffs:

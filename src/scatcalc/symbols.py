@@ -7,10 +7,10 @@ measured by :func:`conormal_seminorm` on a logarithmically spaced probe set.
 
 The symbol calculus is one-dimensional, (x, xi) in R x R: composition
 expansions, Poisson brackets, seminorms and parametrices take 1-D symbols
-(built with :func:`sym1d`).  Quantization is 1-D or 2-D; it is the left
-(standard) one,
+(built with :func:`sym1d`), and so are the dense operators.  Quantization is
+the left (standard) one,
 
-    (Op a) u(x) = (2 pi)^{-n} int exp(i x.xi) a(x, xi) u_hat(xi) d xi,
+    (Op a) u(x) = (2 pi)^{-1} int exp(i x xi) a(x, xi) u_hat(xi) d xi,
 
 realized as a dense kernel matrix on a :class:`~scatcalc.grid.GridSpec`.  The
 grid is a stand-in for the continuum: all operator-norm statements in this
@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import svdvals
 
-from .grid import GridBudgetError, GridField, GridSpec, SobolevOrder
+from .grid import QUANTIZE_MAX_N, GridBudgetError, GridField, GridSpec, SobolevOrder
 from .quadrature import central, richardson
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 
-QUANTIZE_MAX_N = {1: 256, 2: 64}
 TABULATE_MAX_SIZE = 2**22
 
 #: Floor below which the normalized symbol modulus disqualifies a symbol from
@@ -237,8 +236,9 @@ def classical_limit_consistency(a: Symbol) -> float:
 class DenseOperator:
     """Kernel-sampled matrix realization of a quantized symbol.
 
-    matrix[i, j] approximates the Schwartz kernel K(x_i, y_j); applying to a
-    field carries the h^n quadrature measure, so Op(1) acts as the identity.
+    matrix[i, j] approximates the Schwartz kernel K(x_i, y_j) on a 1-D grid;
+    applying to a field carries the h quadrature measure, so Op(1) acts as the
+    identity.
     """
 
     spec: GridSpec
@@ -246,12 +246,13 @@ class DenseOperator:
     declared_order: tuple[float, float]
 
     def __post_init__(self):
+        _require_1d(self.spec)
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("operator kernel contains non-finite entries")
 
     @property
     def measure(self) -> float:
-        return self.spec.spacing**self.spec.dimension
+        return self.spec.spacing
 
     def as_l2_matrix(self) -> np.ndarray:
         """Matrix of the operator on grid value-vectors (measure included)."""
@@ -260,8 +261,7 @@ class DenseOperator:
     def apply(self, u: GridField) -> GridField:
         if u.spec != self.spec:
             raise ValueError("field and operator live on different grids")
-        out = self.as_l2_matrix() @ u.values.ravel()
-        return GridField(self.spec, out.reshape(self.spec.shape))
+        return GridField(self.spec, self.as_l2_matrix() @ u.values)
 
     def compose(self, other: "DenseOperator") -> "DenseOperator":
         if other.spec != self.spec:
@@ -274,26 +274,20 @@ class DenseOperator:
         return DenseOperator(self.spec, kern, order)
 
 
+def _require_1d(spec: GridSpec):
+    if spec.dimension != 1:
+        raise GridBudgetError(f"dense operators are one-dimensional, got n = {spec.dimension}")
+
+
 def identity_operator(spec: GridSpec) -> DenseOperator:
-    n = spec.size
-    return DenseOperator(spec, np.eye(n, dtype=complex) / spec.spacing**spec.dimension, (0.0, 0.0))
-
-
-def _check_quantize_budget(spec: GridSpec):
-    limit = QUANTIZE_MAX_N.get(spec.dimension)
-    if limit is None:
-        raise GridBudgetError("dense quantization supports n = 1 or 2 only")
-    if spec.points_per_axis > limit:
-        raise GridBudgetError(
-            f"N = {spec.points_per_axis} exceeds dense budget {limit} for n = {spec.dimension}"
-        )
+    return DenseOperator(spec, np.eye(spec.points_per_axis, dtype=complex) / spec.spacing, (0.0, 0.0))
 
 
 def quantize(a: Symbol, spec: GridSpec, mode: str = "left") -> DenseOperator:
     """Dense kernel of Op_L(a) (or Op_R(a)): the standard quantization.
 
-    K(x, y) = (2 pi)^{-n} sum_xi exp(i (x - y).xi) a(x, xi) dxi, assembled one
-    x-row at a time by an FFT in xi.  Right quantization is obtained from
+    K(x, y) = (2 pi)^{-1} sum_xi exp(i (x - y) xi) a(x, xi) dxi, assembled by
+    an FFT in xi along each x-row.  Right quantization is obtained from
     Op_R(a) = Op_L(conj a)^*; it is what the variable-order norm uses to match
     the <D>^s <x>^r operator ordering.
     """
@@ -308,25 +302,16 @@ def quantize(a: Symbol, spec: GridSpec, mode: str = "left") -> DenseOperator:
         return DenseOperator(spec, left.matrix.conj().T, a.order)
     if mode != "left":
         raise ValueError("mode must be 'left' or 'right'")
-    _check_quantize_budget(spec)
-    n = spec.dimension
-    pts = spec.points()
-    fmesh = spec.freq_mesh()
-    xi_stack = np.stack(fmesh, axis=-1).reshape(-1, n)
-    signs = spec._alt_signs().ravel()
-    pref = (2.0 * np.pi) ** (-n) * spec.freq_spacing**n
-    size = spec.size
-    matrix = np.empty((size, size), dtype=complex)
-    chunk = max(1, int(2**22 // size))
-    for lo in range(0, size, chunk):
-        hi = min(size, lo + chunk)
-        x_blk = pts[lo:hi]
-        sym = a(x_blk[:, None, :], xi_stack[None, :, :])
-        phase = np.exp(1j * (x_blk @ xi_stack.T))
-        rows = (sym * phase * signs[None, :]).reshape((hi - lo,) + spec.shape)
-        rows = np.fft.fftn(rows, axes=tuple(range(1, n + 1)))
-        matrix[lo:hi] = pref * rows.reshape(hi - lo, size)
-    return DenseOperator(spec, matrix, a.order)
+    _require_1d(spec)
+    if spec.size > QUANTIZE_MAX_N:
+        raise GridBudgetError(f"N = {spec.size} exceeds dense budget {QUANTIZE_MAX_N}")
+    x, xi = spec.axis()[:, None], spec.freq_axis()
+    sym = a(x[:, :, None], xi[None, :, None])
+    # a named phase keeps sym * phase in that order: numpy's in-place reuse
+    # of a temporary would swap the factors and move the complex product's last bit
+    phase = np.exp(1j * (x * xi))
+    rows = np.fft.fft(sym * phase * spec._alt_signs(), axis=1)
+    return DenseOperator(spec, (2.0 * np.pi) ** -1 * spec.freq_spacing * rows, a.order)
 
 
 @dataclass(frozen=True)
@@ -334,47 +319,40 @@ class TabulatedSymbol:
     """Symbol values on the (x, xi) grid lattice, read off by symbol_from_kernel."""
 
     spec: GridSpec
-    values: np.ndarray  # shape (N^n, N^n): x-major, xi in fft layout
+    values: np.ndarray  # shape (N, N): x-major, xi in fft layout
 
     def value_table(self) -> np.ndarray:
         return self.values
 
 
 def symbol_from_kernel(kernel, spec: GridSpec) -> TabulatedSymbol:
-    """Left symbol from a kernel: a(x, xi) = int exp(-i w.xi) K(x, x - w) dw.
+    """Left symbol from a kernel: a(x, xi) = int exp(-i w xi) K(x, x - w) dw.
 
-    `kernel` is a DenseOperator or a callable K(x, y) over (..., n) arrays.
+    `kernel` is a DenseOperator or a callable K(x, y) over (..., 1) arrays.
     The result holds the values on the (x, xi) grid lattice: a table, not an
     evaluator.  Kernels must decay below 1e-10 (relative) at the box edge;
     otherwise the w-integral is visibly truncated and a KernelDecayError is
     raised.
     """
+    _require_1d(spec)
     if spec.size**2 > TABULATE_MAX_SIZE:
         raise GridBudgetError("grid too large to tabulate a full symbol")
-    pts = spec.points()
+    x = spec.axis()
     if isinstance(kernel, DenseOperator):
         if kernel.spec != spec:
             raise ValueError("kernel and target grid disagree")
         K = kernel.matrix
     else:
-        K = np.asarray(kernel(pts[:, None, :], pts[None, :, :]), dtype=complex)
-    n = spec.dimension
+        K = np.asarray(kernel(x[:, None, None], x[None, :, None]), dtype=complex)
     kmax = float(np.max(np.abs(K)))
-    sep = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=-1)
-    edge = sep >= spec.half_width - 2 * spec.spacing
+    edge = np.abs(x[:, None] - x[None, :]) >= spec.half_width - 2 * spec.spacing
     if kmax > 0 and float(np.max(np.abs(K[edge]))) > 1e-10 * kmax:
         raise KernelDecayError("kernel does not decay at the box edge; symbol read-off invalid")
-    # sum_y K(x, y) exp(+i y.xi) via an inverse FFT per x-row, then strip the
-    # exp(-i x.xi) factor
-    signs = spec._alt_signs().ravel()
-    rows = K.reshape((spec.size,) + spec.shape)
-    tr = np.fft.ifftn(rows, axes=tuple(range(1, n + 1))).reshape(spec.size, spec.size)
-    tr = tr * signs[None, :] * spec.size
-    fmesh = spec.freq_mesh()
-    xi_stack = np.stack(fmesh, axis=-1).reshape(-1, n)
-    phase = np.exp(-1j * (pts @ xi_stack.T))
-    vals = spec.spacing**n * phase * tr
-    return TabulatedSymbol(spec, vals)
+    # sum_y K(x, y) exp(+i y xi) via an inverse FFT per x-row, then strip the
+    # exp(-i x xi) factor
+    tr = np.fft.ifft(K, axis=1) * spec._alt_signs() * spec.size
+    phase = np.exp(-1j * (x[:, None] * spec.freq_axis()))
+    return TabulatedSymbol(spec, spec.spacing * phase * tr)
 
 
 def compose_expansion(a: Symbol, b: Symbol, N_terms: int) -> Symbol:
@@ -495,13 +473,10 @@ def _weight_matrices(spec: GridSpec, order: SobolevOrder):
     """Dense matrix of <D>^s <x>^r and of its inverse on value-vectors."""
     if order.is_variable:
         raise ValueError("operator norms take constant orders")
-    n = spec.dimension
-    size = spec.size
-    dft = np.fft.fftn(np.eye(size).reshape((size,) + spec.shape), axes=tuple(range(1, n + 1)))
-    dft = dft.reshape(size, size).T
-    idft = dft.conj().T / size
-    xiw = np.sqrt(1.0 + sum(m**2 for m in spec.freq_mesh())).ravel()
-    xw = np.sqrt(1.0 + sum(m**2 for m in spec.mesh())).ravel()
+    dft = np.fft.fft(np.eye(spec.size), axis=1).T
+    idft = dft.conj().T / spec.size
+    xiw = np.sqrt(1.0 + spec.freq_axis() ** 2)
+    xw = np.sqrt(1.0 + spec.axis() ** 2)
     W = idft @ (xiw[:, None] ** order.s * dft) @ np.diag(xw**order.r)
     Winv = np.diag(xw**-order.r) @ idft @ (xiw[:, None] ** -order.s * dft)
     return W, Winv

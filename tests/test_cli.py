@@ -220,6 +220,14 @@ class TestMainExitCodes:
         assert "dim" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("body", [{"dim": 3}, {"dim": 3, "grid_points": 17}])
+    def test_radon_dim3_above_16_points_is_config_error(self, tmp_path, capsys, body):
+        # the 3-D probe's dense SVD: 1,736 unknowns at 16 points, 6,272 at the default 24
+        cfg = write_config(tmp_path, body)
+        assert main(["radon", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "grid_points" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_flow_runner_is_byte_stable(self, tmp_path):
         cfg = write_config(tmp_path, {"trajectories": 3})
         for out in ("a", "b"):

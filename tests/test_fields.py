@@ -24,9 +24,7 @@ PACKAGE = ROOT / "src" / "scatcalc"
 READER_DIRS = ("src", "tests", "perfbench")
 
 #: Kept on purpose although nothing reads them: (module, class, field).
-ALLOWED = {
-    ("scatter1d", "ScatterSolution", "xs"): "the abscissae of psi and dpsi",
-}
+ALLOWED: dict = {}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

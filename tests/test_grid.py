@@ -50,7 +50,7 @@ class TestTransforms:
 
     def test_gaussian_pair_against_quadrature(self):
         u = field_from_function(self.spec, lambda x: np.exp(-(x**2) / 2))
-        uh = spectral_transform(u, "forward")
+        uh = spectral_transform(u)
         # oracle: direct quadrature of int exp(-x^2/2) cos(x xi) dx
         for k in (0, 3, 17, 101):
             xi = self.spec.freq_axis()[k]
@@ -60,7 +60,7 @@ class TestTransforms:
     def test_spike_has_constant_modulus_spectrum(self):
         vals = np.zeros(self.spec.shape, dtype=complex)
         vals[31] = 1.0
-        uh = spectral_transform(GridField(self.spec, vals), "forward")
+        uh = spectral_transform(GridField(self.spec, vals))
         mods = np.abs(uh.values)
         assert np.allclose(mods, mods[0], rtol=1e-12)
 
@@ -68,7 +68,7 @@ class TestTransforms:
         rng = np.random.default_rng(0)
         vals = rng.standard_normal(self.spec.shape) + 1j * rng.standard_normal(self.spec.shape)
         u = GridField(self.spec, vals)
-        back = spectral_transform(spectral_transform(u, "forward"), "inverse")
+        back = spectral_transform(spectral_transform(u))
         assert np.max(np.abs(back.values - vals)) / np.max(np.abs(vals)) < 1e-12
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 32), (3, 16)])
@@ -80,9 +80,10 @@ class TestTransforms:
             assert parseval_defect(GridField(spec, vals)) < 1e-10
 
     def test_type_mismatch(self):
+        # the direction comes from the field type; bare values have none
         u = field_from_function(self.spec, lambda x: np.exp(-(x**2)))
         with pytest.raises(TypeError):
-            spectral_transform(u, "inverse")
+            spectral_transform(u.values)
 
 
 class TestSobolevNorm:
@@ -126,7 +127,7 @@ class TestSobolevNorm:
     def test_variable_order_rejected(self):
         u = field_from_function(self.spec, lambda x: np.exp(-(x**2)))
         with pytest.raises(ValueError):
-            sobolev_norm(u, SobolevOrder(0, variable_r=lambda x, xi: 0.0 * x[..., 0]))
+            sobolev_norm(u, SobolevOrder(0, r=lambda x, xi: 0.0 * x[..., 0]))
 
 
 class TestVarSobolevNorm:
@@ -138,7 +139,7 @@ class TestVarSobolevNorm:
     @pytest.mark.parametrize("s", [0.0, 1.0])
     def test_constant_order_consistency(self, s):
         u = self.gaussian()
-        ordv = SobolevOrder(s=s, variable_r=lambda x, xi: -1.0 + 0.0 * x[..., 0] * xi[..., 0])
+        ordv = SobolevOrder(s=s, r=lambda x, xi: -1.0 + 0.0 * x[..., 0] * xi[..., 0])
         nv = var_sobolev_norm(u, ordv)
         nf = sobolev_norm(u, SobolevOrder(s=s, r=-1.0))
         assert abs(nv - nf) / nf < 1e-6
@@ -153,13 +154,13 @@ class TestVarSobolevNorm:
         def rvar(x, xi):
             return eps * np.tanh(-4.0 * x[..., 0]) + 0.0 * xi[..., 0]
 
-        nv = var_sobolev_norm(u, SobolevOrder(s=0.0, variable_r=rvar))
+        nv = var_sobolev_norm(u, SobolevOrder(s=0.0, r=rvar))
         nf = sobolev_norm(u, SobolevOrder(s=0.0, r=eps))
         assert abs(nv - nf) / nf < 0.02
 
     def test_zero_field(self):
         u = GridField(self.spec, np.zeros(self.spec.shape, dtype=complex))
-        assert var_sobolev_norm(u, SobolevOrder(0, variable_r=lambda x, xi: 0.0 * x[..., 0])) == 0.0
+        assert var_sobolev_norm(u, SobolevOrder(0, r=lambda x, xi: 0.0 * x[..., 0])) == 0.0
 
     def test_unbounded_order_rejected(self):
         u = self.gaussian()
@@ -169,7 +170,7 @@ class TestVarSobolevNorm:
                 return 1.0 / (0.0 * x[..., 0] + 0.0 * xi[..., 0])
 
         with pytest.raises(ValueError, match="unbounded"):
-            var_sobolev_norm(u, SobolevOrder(0, variable_r=bad))
+            var_sobolev_norm(u, SobolevOrder(0, r=bad))
 
 
 def shell_profile(r_amp):

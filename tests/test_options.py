@@ -29,8 +29,6 @@ CALLER_DIRS = ("src", "tests", "perfbench")
 
 #: Kept on purpose although no call sets them: (module, function, parameter).
 ALLOWED = {
-    ("bumps", "plateau", "digamma"): "the sharpness of the smoothstep family",
-    ("bumps", "smoothstep_prime", "digamma"): "the sharpness of the smoothstep family",
     ("helmholtz", "build_poisson_series", "oscillation"): "the incoming step is under test",
 }
 

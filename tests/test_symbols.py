@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
-from scatcalc.grid import GridBudgetError, SobolevOrder, field_from_function, make_grid
+from scatcalc.grid import (
+    GridBudgetError,
+    GridField,
+    SobolevOrder,
+    field_from_function,
+    make_grid,
+    var_sobolev_norm,
+)
 from scatcalc.symbols import (
+    DenseOperator,
     KernelDecayError,
     NotScEllipticError,
+    Symbol,
     classical_limit_consistency,
     compose_expansion,
     conormal_seminorm,
@@ -110,10 +119,8 @@ class TestQuantize:
 
         D = quantize(xi_symbol(), SPEC)
         u = field_from_function(SPEC, lambda x: np.exp(3j * x) * np.exp(-(x**2) / 8))
-        uh = spectral_transform(u, "forward")
-        oracle = spectral_transform(
-            type(uh)(SPEC, uh.values * SPEC.freq_axis()), "inverse"
-        )
+        uh = spectral_transform(u)
+        oracle = spectral_transform(type(uh)(SPEC, uh.values * SPEC.freq_axis()))
         assert np.max(np.abs(D.apply(u).values - oracle.values)) < 1e-8
 
     def test_op_xi_action_on_modulated_bump(self):
@@ -143,32 +150,32 @@ class TestQuantize:
     def test_budget(self):
         with pytest.raises(GridBudgetError):
             quantize(one_symbol(), make_grid(1, 20.0, 512))
-        with pytest.raises(GridBudgetError):
-            quantize(one_symbol(), make_grid(2, 10.0, 128))
 
-    def test_two_dimensional_assembly(self):
-        from scatcalc.symbols import Symbol
 
-        spec = make_grid(2, 8.0, 24)
-        one2 = Symbol(
-            eval=lambda x, xi: np.ones(np.broadcast(x[..., 0], xi[..., 0]).shape, dtype=complex),
-            order=(0, 0),
-            depends_on_x=False,
-            depends_on_xi=False,
-        )
-        I = quantize(one2, spec)
-        assert np.max(np.abs(I.as_l2_matrix() - np.eye(spec.size))) < 1e-10
-        # frequency multiplier acts along the right axis: Op(xi_2) = -i d/dy
-        m2 = Symbol(
-            eval=lambda x, xi: xi[..., 1] + 0.0 * x[..., 0], order=(1, 0), depends_on_x=False
-        )
-        D2 = quantize(m2, spec)
-        u = field_from_function(spec, lambda x, y: np.exp(1j * y) * np.exp(-(x**2 + y**2) / 4))
-        out = D2.apply(u).values
-        X, Y = spec.mesh()
-        expected = (1.0 + 0.5j * Y) * u.values
-        # limited by the modulated Gaussian's spectral tail at the grid Nyquist
-        assert np.max(np.abs(out - expected)) < 1e-4
+SPEC_2D = make_grid(2, 8.0, 8)
+
+
+def _never_evaluated(x, xi):
+    raise AssertionError("the symbol was evaluated on a 2-D grid")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: quantize(Symbol(eval=_never_evaluated, order=(0, 0)), SPEC_2D),
+        lambda: DenseOperator(SPEC_2D, np.eye(SPEC_2D.size), (0.0, 0.0)),
+        lambda: symbol_from_kernel(lambda x, y: np.exp(-np.sum((x - y) ** 2, axis=-1)), SPEC_2D),
+        lambda: var_sobolev_norm(
+            GridField(SPEC_2D, np.zeros(SPEC_2D.shape, dtype=complex)),
+            SobolevOrder(0, lambda x, xi: 0.0 * x[..., 0]),
+        ),
+    ],
+    ids=["quantize", "DenseOperator", "symbol_from_kernel", "var_sobolev_norm"],
+)
+def test_dense_operators_refuse_other_dimensions(entry):
+    # each 1-D entry point would return a wrong 1-D answer on a 2-D grid
+    with pytest.raises(GridBudgetError, match="one-dimensional"):
+        entry()
 
 
 class TestSymbolFromKernel:
