@@ -40,19 +40,19 @@ def chi0(t, digamma: float = 1.0):
     return out
 
 
-def chi0_prime(t, digamma: float = 1.0):
-    """Derivative digamma * chi0(t) / t**2, extended by 0 through t = 0."""
+def chi0_prime(t):
+    """Derivative chi0(t) / t**2 of chi0 at digamma 1, extended by 0 through t = 0."""
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     pos = t > 0
     tp = t[pos]
-    out[pos] = digamma * np.exp(-digamma / tp) / tp**2
+    out[pos] = np.exp(-1.0 / tp) / tp**2
     return out
 
 
-def sqrt_chi0(t, digamma: float = 1.0):
-    """Smooth square root exp(-digamma/(2t)) of chi0."""
-    return chi0(t, 0.5 * digamma)
+def sqrt_chi0(t):
+    """Smooth square root exp(-1/(2t)) of chi0 at digamma 1."""
+    return chi0(t, 0.5)
 
 
 def sqrt_chi0_over_t2(t, digamma: float = 1.0):
@@ -117,7 +117,6 @@ class FlatSquareCutoff:
 
     t1: float
     t2: float
-    digamma: float = 1.0
     _edges: np.ndarray = field(init=False, repr=False)
     _prefix: np.ndarray = field(init=False, repr=False)
     _norm: float = field(init=False, repr=False)
@@ -134,12 +133,10 @@ class FlatSquareCutoff:
         self._prefix = np.concatenate([[0.0], np.cumsum(per_panel)])
         self._norm = self._prefix[-1]
         if not (np.isfinite(self._norm) and self._norm > 0):
-            raise ValueError(f"eta**2 integrates to {float(self._norm)}; widen [t1, t2] or lower digamma")
+            raise ValueError(f"eta**2 integrates to {float(self._norm)}; widen [t1, t2]")
 
     def _eta2_raw(self, t):
-        return chi0(np.asarray(t) - self.t1, self.digamma) * chi0(
-            self.t2 - np.asarray(t), self.digamma
-        )
+        return chi0(np.asarray(t) - self.t1) * chi0(self.t2 - np.asarray(t))
 
     def _cumulative(self, t):
         """Integral of the unnormalized eta**2 from t1 to t, vectorized."""
@@ -157,9 +154,7 @@ class FlatSquareCutoff:
     def eta(self, t):
         """Smooth closed form with eta**2 = -2 psi' psi."""
         t = np.asarray(t, dtype=float)
-        return np.sqrt(1.0 / self._norm) * sqrt_chi0(t - self.t1, self.digamma) * sqrt_chi0(
-            self.t2 - t, self.digamma
-        )
+        return np.sqrt(1.0 / self._norm) * sqrt_chi0(t - self.t1) * sqrt_chi0(self.t2 - t)
 
     def psi(self, t):
         t = np.asarray(t, dtype=float)

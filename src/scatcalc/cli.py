@@ -376,8 +376,8 @@ def _run_threshold(v, seed):
     # the Parseval masses at the first radius against dense plane-wave
     # synthesis (48 angles are exact here: |u|^2 has degree 2 on each shell)
     dense = truncated_weighted_mass(
-        eigenfunction_evaluator(f, lam), orders, radii[0], n=2, lam=lam, n_ang=48, check=False
-    )
+        eigenfunction_evaluator(f, lam), orders, radii[:1], n=2, lam=lam, n_ang=48, check=False
+    )[0]
     for r, ref in zip(orders, dense):
         mass = table[float(r)]["masses"][0]
         if abs(mass - ref) > 1e-10 * abs(ref):

@@ -89,21 +89,20 @@ def build_propagation_commutant(
     s0: float,
     eps: float,
     digamma: Optional[float] = None,
-    orders: tuple[float, float] = (0.0, 0.0),
+    r: float = 0.0,
     p1: Optional[Callable] = None,
 ) -> CommutantBundle:
     """Commutant bundle on a flow-box chart (z1, z') with H_p = d/dz1.
 
     The turn-on chi1 switches on over [-eps, eps], the turn-off is the flat
     exponential ending at T = s0 + eps, and psi localizes |z'| <= 2 eps.  For
-    orders (s, r) the spatial weight w = (1 + z1^2 + z'^2)^r multiplies a, and
+    the spatial order r the weight w = (1 + z1^2 + z'^2)^r multiplies a, and
     the construction literally replaces p1 by p1 + w^{-1} d_z1 w (the
-    frequency weight is constant on a chart at fixed finite frequency, so the
-    s order drops out).  If digamma is omitted it is set to 10x the sup of the
+    frequency weight is constant on a chart at fixed finite frequency, so no
+    frequency order enters).  If digamma is omitted it is set to 10x the sup of the
     competing terms and escalated by 4x up to three times.
     """
     T = s0 + eps
-    _, r = orders
     p1_fn = p1 if p1 is not None else (lambda z1, z2: np.zeros_like(z1))
 
     def w(z1, z2):
@@ -291,9 +290,6 @@ def radial_commutant_check(lam: float, r: float, delta: float) -> RadialCommutan
 
     b = R ** (-r) * phi(pbar(XI1, XI2)) * cut.psi(V**2) * np.sqrt(np.clip(arg, 0.0, None))
     e = R ** (-r) * phi(pbar(XI1, XI2)) * np.sqrt(np.abs(beta1) * V**2) * cut.eta(V**2)
-    # H_p pbar = 0 for the flat model (xi is frozen along the chart flow), so
-    # the h-term carries zero weight; it is kept for the identity's shape
-    h = 0.0 * R
 
     # directional derivative of a along the chart field (drho, dv) =
     # (beta0 rho, beta1 v / 2 * 2) ... namely (-xi1 rho, -xi1 v)
@@ -308,9 +304,9 @@ def radial_commutant_check(lam: float, r: float, delta: float) -> RadialCommutan
 
     avals = a_of(R, V, XI1, XI2)
     if below:
-        rhs = -2.0 * delta * R ** (2 * r + 2) * avals**2 - b**2 + e**2 + h
+        rhs = -2.0 * delta * R ** (2 * r + 2) * avals**2 - b**2 + e**2
     else:
-        rhs = 2.0 * delta * R ** (2 * r + 2) * avals**2 + b**2 + e**2 + h
+        rhs = 2.0 * delta * R ** (2 * r + 2) * avals**2 + b**2 + e**2
     residual = float(np.max(np.abs(Hpa - rhs)))
 
     near = (R <= 0.1) & (np.abs(V) <= 0.05) & (np.abs(pbar(XI1, XI2)) <= 0.05)

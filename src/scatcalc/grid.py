@@ -55,6 +55,8 @@ FLOOR_WEIGHT = 1e-7
 #: Gauss-Legendre nodes per radial panel of :func:`radial_weighted_mass`;
 #: its self-check reruns with four more.
 MASS_GL_ORDER = 8
+#: Relative disagreement of the two radial rules that fails the self-check.
+MASS_TOL = 1e-8
 
 
 class GridBudgetError(ValueError):
@@ -274,77 +276,71 @@ def var_sobolev_norm(u: GridField, ord: SobolevOrder) -> float:
 def radial_weighted_mass(
     shell: Callable[[np.ndarray], np.ndarray],
     orders: Sequence[float],
-    R: float,
+    radii: Sequence[float],
     *,
     n: int,
     lam: float,
-    tol: float = 1e-8,
     check: bool = True,
-) -> list[float]:
-    """integral_0^R <rho>^{2r} rho^{n-1} shell(rho) drho for each order r.
+) -> np.ndarray:
+    """masses[k, j] = int_0^R <rho>^{2r} rho^{n-1} shell(rho) drho at R = radii[k], r = orders[j].
 
     shell maps radii (K,) to the sphere integrals int_{S^{n-1}} |u(rho w)|^2 dw
-    at those radii; u oscillates at wavenumber lam (1 if it does not).
-    Composite Gauss-Legendre panels of order :data:`MASS_GL_ORDER`, at most
-    min(0.5, 4 / lam) wide (0.5 for every lam <= 8).  When `check` is set, the
-    masses are recomputed with four more nodes per panel and a
-    :class:`QuadratureError` is raised on a relative disagreement beyond tol.
+    at those radii; u oscillates at wavenumber lam (1 if it does not).  One
+    composite Gauss-Legendre rule of order :data:`MASS_GL_ORDER` covers the
+    increasing ladder: each gap between consecutive radii (0 to radii[0]
+    first) is cut into panels at most min(0.5, 4 / lam) wide (0.5 for every
+    lam <= 8), and the mass at a radius sums the nodes below it.  When `check`
+    is set, the masses are recomputed with four more nodes per panel and a
+    :class:`QuadratureError` is raised on a relative disagreement beyond
+    :data:`MASS_TOL`.
     """
-    if R < 1 or not lam > 0:
-        raise ValueError("R must be at least 1 and lam positive")
-    n_panels = max(1, int(np.ceil(R / min(0.5, 4.0 / lam))))
-    vals = _radial_once(shell, orders, R, n, n_panels, MASS_GL_ORDER)
+    edges = np.concatenate([[0.0], radii])
+    if edges[1] < 1 or np.any(np.diff(edges) <= 0) or not lam > 0:
+        raise ValueError("radii must increase from at least 1 and lam be positive")
+    panels = np.ceil(np.diff(edges) / min(0.5, 4.0 / lam)).astype(int)
+    masses = _radial_once(shell, orders, edges, panels, n, MASS_GL_ORDER)
     if check:
-        refs = _radial_once(shell, orders, R, n, n_panels, MASS_GL_ORDER + 4)
-        for val, ref in zip(vals, refs):
-            scale = max(abs(ref), 1e-300)
-            if abs(val - ref) / scale > tol:
-                raise QuadratureError(
-                    f"radial quadrature not converged: {val!r} vs {ref!r} at order {MASS_GL_ORDER}"
-                )
-    return vals
-
-
-def _radial_once(shell, orders, R, n, n_panels, gl_order) -> list:
-    radii, rw = (a.ravel() for a in gauss_panels(0.0, R, n_panels, gl_order))
-    ang = shell(radii)
-    masses = []
-    for r in orders:
-        wgt = (1.0 + radii**2) ** r * radii ** (n - 1)
-        masses.append(float(np.sum(rw * wgt * ang)))
+        refs = _radial_once(shell, orders, edges, panels, n, MASS_GL_ORDER + 4)
+        if np.any(np.abs(masses - refs) > MASS_TOL * np.abs(refs)):
+            raise QuadratureError(
+                f"radial quadrature not converged at order {MASS_GL_ORDER}: {masses} vs {refs}"
+            )
     return masses
+
+
+def _radial_once(shell, orders, edges, panels, n, gl_order) -> np.ndarray:
+    rungs = [gauss_panels(a, b, p, gl_order) for a, b, p in zip(edges[:-1], edges[1:], panels)]
+    rho, rw = (np.concatenate([a.ravel() for a in arrs]) for arrs in zip(*rungs))
+    ang = shell(rho)
+    terms = np.array([rw * ((1.0 + rho**2) ** r * rho ** (n - 1)) * ang for r in orders])
+    return np.array([np.sum(terms[:, :m], axis=1) for m in np.cumsum(panels) * gl_order])
 
 
 def truncated_weighted_mass(
     u: Callable[[np.ndarray], np.ndarray],
-    r: float | Sequence[float],
-    R: float,
+    orders: Sequence[float],
+    radii: Sequence[float],
     *,
     n: int,
     lam: float,
     n_ang: int = 64,
-    tol: float = 1e-8,
     check: bool = True,
-) -> float | list[float]:
-    """integral_{|x| <= R} <x>^{2r} |u|^2 dx by radial x angular quadrature.
+) -> np.ndarray:
+    """masses[k, j] = int_{|x| <= radii[k]} <x>^{2 orders[j]} |u|^2 dx by radial x angular rules.
 
     u must be vectorized over (M, n) point arrays and oscillate at wavenumber
-    lam.  The radial rule and its self-check are those of
-    :func:`radial_weighted_mass`; each sphere integral
-    is the trapezoidal/product rule on n_ang angles.  r is one order (a float
-    comes back) or a sequence of orders (a list of masses comes back, one per
-    order, from a single evaluation of u on the nodes of each radial rule).
+    lam.  The radial rule over the ladder and its self-check are those of
+    :func:`radial_weighted_mass`, so u is evaluated once on the nodes of each
+    rule; each sphere integral is the trapezoidal/product rule on n_ang angles.
     """
     theta, tw = product_sphere_rule(n, max(4, n_ang // 2), n_ang)
 
-    def shell(radii):
-        pts = radii[:, None, None] * theta[None, :, :]
-        vals = np.asarray(u(pts.reshape(-1, n))).reshape(len(radii), len(tw))
+    def shell(rho):
+        pts = rho[:, None, None] * theta[None, :, :]
+        vals = np.asarray(u(pts.reshape(-1, n))).reshape(len(rho), len(tw))
         return np.abs(vals) ** 2 @ tw
 
-    orders = list(r) if np.ndim(r) else [r]
-    masses = radial_weighted_mass(shell, orders, R, n=n, lam=lam, tol=tol, check=check)
-    return masses if np.ndim(r) else masses[0]
+    return radial_weighted_mass(shell, orders, radii, n=n, lam=lam, check=check)
 
 
 def fit_growth_exponent(radii, masses) -> float:

@@ -145,21 +145,20 @@ def sphere_density(n: int, fn: Callable, degree: int = 48) -> SphereDensity:
     return SphereDensity(n, fn, nodes, w, degree)
 
 
-def quadrature_harmonic_defect(dens: SphereDensity, max_degree: Optional[int] = None) -> float:
+def quadrature_harmonic_defect(dens: SphereDensity) -> float:
     """Worst error integrating low harmonics with the attached quadrature.
 
     Spherical harmonics of positive degree integrate to zero; defect is the
-    max absolute error across degrees up to max_degree (default the declared
-    degree), plus the area error at degree zero.
+    max absolute error across degrees up to the declared degree, plus the
+    area error at degree zero.
     """
-    n = dens.n
-    deg = dens.degree if max_degree is None else max_degree
+    n, degrees = dens.n, range(1, dens.degree + 1)
     area = 2.0 * np.pi if n == 2 else 4.0 * np.pi
     worst = abs(float(np.sum(dens.weights)) - area)
     if n == 2:
-        keys = range(1, deg + 1)
+        keys = degrees
     else:
-        keys = [(ell, m) for ell in range(1, deg + 1) for m in (0, min(ell, 1), ell)]
+        keys = [(ell, m) for ell in degrees for m in (0, min(ell, 1), ell)]
     for key in keys:
         vals = _angular_eval(n, {key: 1.0}, dens.nodes)
         worst = max(worst, abs(complex(np.sum(dens.weights * vals))))
@@ -282,17 +281,17 @@ def _fd_laplacian(u, base: np.ndarray, step: float) -> np.ndarray:
     return acc
 
 
-def pde_residual_patch(f: SphereDensity, lam: float, center, npts: int = 16) -> float:
+def pde_residual_patch(f: SphereDensity, lam: float, center) -> float:
     """sup |(Delta - lambda^2) u| on a patch, by Richardson 4th-order stencils.
 
-    The patch is the npts^n grid on center + [-0.4, 0.4]^n, the stencil steps
+    The patch is the 6^n grid on center + [-0.4, 0.4]^n, the stencil steps
     0.05 and 0.025.  Delta is the positive Laplacian -sum d^2/dx_j^2.  The
     finite-difference Laplacian is an oracle independent of the quadrature
     representation.
     """
     n = f.n
     c = np.asarray(center, dtype=float)
-    axes = [np.linspace(-0.4, 0.4, npts)] * n
+    axes = [np.linspace(-0.4, 0.4, 6)] * n
     mesh = np.meshgrid(*axes, indexing="ij")
     base = np.stack([m.ravel() for m in mesh], axis=-1) + c
     u = eigenfunction_evaluator(f, lam)
@@ -417,10 +416,11 @@ def threshold_scan(f: SphereDensity, lam: float, r_orders, radii) -> dict:
 
     For each order r, masses over the radius ladder are classified: power-law
     exponent fit for r > -1/2 (expected 2r + 1), log-linear fit quality at
-    r = -1/2, boundedness ratio for r < -1/2.  Each mass is
-    :func:`~scatcalc.grid.radial_weighted_mass`, with its self-check, on the
-    shell integrals c_n^2 sum_l p_l b_l(lam r)^2 of the tail-checked spectrum
-    of :func:`harmonic_power` (Parseval; see the module docstring).
+    r = -1/2, boundedness ratio for r < -1/2.  The masses are one
+    :func:`~scatcalc.grid.radial_weighted_mass` over the whole ladder, with its
+    self-check, on the shell integrals c_n^2 sum_l p_l b_l(lam r)^2 of the
+    tail-checked spectrum of :func:`harmonic_power` (Parseval; see the module
+    docstring).
     """
     n = f.n
     degrees, power = harmonic_power(f)
@@ -431,10 +431,10 @@ def threshold_scan(f: SphereDensity, lam: float, r_orders, radii) -> dict:
     def shell(rho):
         return c_n**2 * (power @ bessel(degrees[:, None], lam * rho[None, :]) ** 2)
 
-    by_radius = [radial_weighted_mass(shell, r_orders, R, n=n, lam=lam) for R in radii]
+    by_radius = radial_weighted_mass(shell, r_orders, radii, n=n, lam=lam)
     table = {}
-    for k, r in enumerate(r_orders):
-        masses = [m[k] for m in by_radius]
+    for j, r in enumerate(r_orders):
+        masses = by_radius[:, j].tolist()
         entry = {"radii": list(radii), "masses": masses}
         if r > -0.5:
             entry["kind"] = "power"
@@ -712,15 +712,16 @@ def free_scattering_matrix(lam: float, f_minus: SphereDensity) -> SphereDensity:
     return replace(f_minus, eval=lambda th: cp * g(th))
 
 
-def fit_smatrix_phase(lam: float, n: int, R: float = 200.0, extra_degree: int = 0) -> complex:
+def fit_smatrix_phase(lam: float, n: int, extra_degree: int = 0) -> complex:
     """Measure the S-matrix phase f_+(theta) / f_-(-theta) by oscillation fits.
 
     Synthesizes an eigenfunction from a reference density and, along theta =
     e_1 and along -theta separately, solves the 2x2 system
-    u(r) = r^{-(n-1)/2}(e^{i lam r} f_+ + e^{-i lam r} f_-) at r = R, R' for
-    the coefficients; the phase is the fitted f_+ at theta over the fitted f_-
-    at -theta.  Stability under quadrature refinement (extra_degree) is the
-    fixture check, closeness to :data:`FREE_SMATRIX_PHASE` the value check.
+    u(r) = r^{-(n-1)/2}(e^{i lam r} f_+ + e^{-i lam r} f_-) at r = 200 and
+    200 + pi/(4 lam) for the coefficients; the phase is the fitted f_+ at theta
+    over the fitted f_- at -theta.  Stability under quadrature refinement
+    (extra_degree) is the fixture check, closeness to
+    :data:`FREE_SMATRIX_PHASE` the value check.
     """
     direction = np.zeros(n)
     direction[0] = 1.0
@@ -728,10 +729,10 @@ def fit_smatrix_phase(lam: float, n: int, R: float = 200.0, extra_degree: int = 
         dens = sphere_density(2, lambda th: 1.0 + 0.6 * th[:, 0] + 0.3j * th[:, 1])
     else:
         dens = sphere_density(3, lambda th: 1.0 + 0.5 * th[:, 2] + 0.25j * th[:, 0])
+    r1, r2 = 200.0, 200.0 + np.pi / (4 * lam)
     if extra_degree:
-        dens = dens.with_degree(_required_degree(lam, R) + extra_degree)
+        dens = dens.with_degree(_required_degree(lam, r1) + extra_degree)
     u = eigenfunction_evaluator(dens, lam)
-    r1, r2 = R, R + np.pi / (4 * lam)
     nu = (n - 1) / 2.0
     A = np.array(
         [

@@ -77,8 +77,8 @@ def _hat_panels(reach: float) -> int:
 
 #: phi_hat table: Chebyshev degree on each unit panel [k, k + 1] of u = |s|.
 _HAT_DEGREE = 24
-#: phi_hat table: largest top (it covers |s| <= 100, every caller here); the
-#: rare |s| past it is summed directly, since the table fill costs O(top^2).
+#: phi_hat table: its reach (|s| <= 100 is every caller here), filled on first use;
+#: the rare |s| past it is summed directly, since the fill costs O(top^2).
 _HAT_TOP = 128
 
 
@@ -100,7 +100,6 @@ class LocalizerProfile:
         vals = self(_line_rule(_LINE_NODES)[0])
         if np.max(np.abs(vals - vals[::-1])) > 1e-12 * np.max(np.abs(vals)):
             raise ValueError("the line profile phi must be even")
-        self._hat_cache = (1, None)
 
     def __call__(self, t):
         return np.asarray(self.phi(np.asarray(t, dtype=float)), dtype=float)
@@ -115,21 +114,16 @@ class LocalizerProfile:
         return np.sum(vals * w, axis=(-2, -1))
 
     def phi_hat(self, s):
-        """Fourier transform int phi(t) exp(-i s t) dt (real and even), read from a
-        Chebyshev table in u = |s| on [0, top] (top a power of two, raised on demand
-        up to _HAT_TOP, each fill one `_hat_table`); u past _HAT_TOP is summed directly
-        by `_hat_sums`."""
+        """Fourier transform int phi(t) exp(-i s t) dt (real and even), read from the
+        Chebyshev table `_hat_coef` in u = |s| on [0, _HAT_TOP]; u past _HAT_TOP is
+        summed directly by `_hat_sums`."""
         u = np.abs(np.asarray(s, dtype=float))
         if not np.all(np.isfinite(u)):
             raise ValueError("phi_hat needs finite s")
         far = u > _HAT_TOP
         near = np.where(far, 0.0, u)
-        top, coef = self._hat_cache
-        if coef is None or near.max(initial=0.0) > top:
-            while top < near.max(initial=0.0):
-                top *= 2
-            top, coef = self._hat_cache = (top, self._hat_table(top))
-        k = np.minimum(near.astype(int), top - 1)
+        coef = self._hat_coef
+        k = np.minimum(near.astype(int), _HAT_TOP - 1)
         x2 = 4.0 * (near - k) - 2.0
         b1 = b2 = 0.0
         for c in coef[:0:-1]:  # Clenshaw, highest degree first
@@ -138,6 +132,10 @@ class LocalizerProfile:
         if far.any():
             out[far] = self._hat_sums(u[far][:, None], u.max())[:, 0]
         return out[()]
+
+    @functools.cached_property
+    def _hat_coef(self) -> np.ndarray:
+        return self._hat_table(_HAT_TOP)
 
     def _hat_table(self, top: int) -> np.ndarray:
         """Chebyshev coefficients (degree + 1, top) of phi_hat on [k, k + 1]; row 0 is 2 c_0.
@@ -403,7 +401,6 @@ def injectivity_probe(
     n_dirs: int = 64,
     n_t: int = 16,
     chi: Optional[ConeCutoff] = None,
-    f0: Optional[Callable] = None,
 ) -> dict:
     """sigma_min of the discretized normal operator A = L I_0 plus a solve.
 
@@ -415,9 +412,10 @@ def injectivity_probe(
     direction and its antipode in the rule share one I0k, weighted by the sum
     of their c_k; and only the ball block
     A[ball, ball] = sum_k c_k I0k[ball, :] I0k[:, ball] is assembled.
-    Reports sigma_min, the relative reconstruction error for a known bump f0,
-    the size of the function space, and the demo data: the ball points, f0 on
-    them and the reconstruction.
+    Reports sigma_min, the relative reconstruction error for the bump
+    f0 = exp(-6 |z|^2) (1 - |z|^2) on the ball, the size of the function
+    space, and the demo data: the ball points, f0 on them and the
+    reconstruction.
     """
     phi = default_profile()
     axes = tuple(np.linspace(-1.0, 1.0, grid_points) for _ in range(n))
@@ -438,15 +436,11 @@ def injectivity_probe(
         I0k = _interp_matrix(axes, pts, wt)
         A += ((c[list(pair)].sum() * I0k[ball]) @ I0k[:, ball]).toarray()
     sigma_min = float(svdvals(A)[-1])
-    if f0 is None:
-        def f0(p):
-            r2 = np.sum(p**2, axis=-1)
-            return np.exp(-6.0 * r2) * (1.0 - np.clip(r2, 0, 1))
-
-    fvec = np.asarray(f0(Z[ball]), dtype=float)
+    r2 = np.sum(Z[ball] ** 2, axis=-1)
+    fvec = np.exp(-6.0 * r2) * (1.0 - np.clip(r2, 0, 1))
     rhs = A @ fvec
     rec = np.linalg.solve(A, rhs)
-    err = float(np.linalg.norm(rec - fvec) / max(np.linalg.norm(fvec), 1e-300))
+    err = float(np.linalg.norm(rec - fvec) / np.linalg.norm(fvec))
     return {
         "sigma_min": sigma_min,
         "reconstruction_error": err,

@@ -306,8 +306,8 @@ def _criterion_11_phase_fits(lam):
 
     fits = {}
     for n in (2, 3):
-        p1 = fit_smatrix_phase(lam, n, R=200.0)
-        p2 = fit_smatrix_phase(lam, n, R=200.0, extra_degree=256)
+        p1 = fit_smatrix_phase(lam, n)
+        p2 = fit_smatrix_phase(lam, n, extra_degree=256)
         fits[n] = (p1, abs(p1 - p2), abs(p1 - FREE_SMATRIX_PHASE[n]))
     return fits
 

@@ -21,11 +21,11 @@ def test_chi0_basic_values():
 
 
 def test_chi0_derivative_identity():
-    # chi0' = digamma chi0 / t^2, checked against finite differences
+    # chi0' = chi0 / t^2 at digamma 1, checked against finite differences
     t = np.linspace(0.3, 3.0, 40)
     h = 1e-6
-    fd = (chi0(t + h, 1.5) - chi0(t - h, 1.5)) / (2 * h)
-    assert np.allclose(fd, chi0_prime(t, 1.5), rtol=1e-7, atol=1e-12)
+    fd = (chi0(t + h) - chi0(t - h)) / (2 * h)
+    assert np.allclose(fd, chi0_prime(t), rtol=1e-7, atol=1e-12)
 
 
 def test_sqrt_chi0_over_t2_squares_back():
@@ -81,7 +81,7 @@ class TestFlatSquareCutoff:
             FlatSquareCutoff(1.0, 0.5)
 
     def test_underflowing_normalisation_rejected(self):
-        # eta**2 underflows to 0 on every node of a short interval at large
-        # digamma; the cutoff would be NaN, so construction must fail
+        # eta**2 underflows to 0 on every node of a short enough interval; the
+        # cutoff would be NaN, so construction must fail
         with pytest.raises(ValueError, match="integrates to 0"):
-            FlatSquareCutoff(0.01, 0.04, digamma=10.0)
+            FlatSquareCutoff(0.01, 0.011)

@@ -41,9 +41,9 @@ class TestFlowBoxCommutant:
             )
 
     def test_general_orders_substitution(self):
-        cb = build_propagation_commutant(1.0, 0.25, orders=(1.0, -0.7))
+        cb = build_propagation_commutant(1.0, 0.25, r=-0.7)
         assert cb.residual_sup < 1e-8
-        cb2 = build_propagation_commutant(1.0, 0.25, orders=(0.0, 1.3))
+        cb2 = build_propagation_commutant(1.0, 0.25, r=1.3)
         assert cb2.residual_sup < 1e-8
 
     def test_nonzero_p1_folded_in(self):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import jv
 
 from scatcalc.grid import (
     GridBudgetError,
+    MASS_TOL,
     GridField,
     QuadratureError,
     SobolevOrder,
@@ -12,6 +14,7 @@ from scatcalc.grid import (
     fit_log_growth,
     make_grid,
     parseval_defect,
+    radial_weighted_mass,
     sobolev_norm,
     spectral_transform,
     truncated_weighted_mass,
@@ -183,31 +186,31 @@ def shell_profile(r_amp):
 
 
 class TestTruncatedMass:
+    LADDER = [50.0, 100.0, 200.0, 400.0]
+
     def test_shell_growth_exponents(self):
         # invariant: fitted exponent equals 2r + 1 within 0.05 for r in {-1/4, 0}
-        u = shell_profile(-0.5)
-        radii = [50.0, 100.0, 200.0, 400.0]
-        for r in (-0.25, 0.0):
-            masses = [truncated_weighted_mass(u, r, R, n=2, lam=1.0, check=False) for R in radii]
-            assert fit_growth_exponent(radii, masses) == pytest.approx(2 * r + 1, abs=0.05)
+        orders = [-0.25, 0.0]
+        masses = truncated_weighted_mass(
+            shell_profile(-0.5), orders, self.LADDER, n=2, lam=1.0, check=False
+        )
+        for col, r in zip(masses.T, orders):
+            assert fit_growth_exponent(self.LADDER, col) == pytest.approx(2 * r + 1, abs=0.05)
 
     def test_mass_against_radial_oracle(self):
         # n = 2: mass = 2 pi int_0^R (1 + r^2)^{r_ord} dr for |u|^2 = 1/r
-        u = shell_profile(-0.5)
-        val = truncated_weighted_mass(u, -0.75, 100.0, n=2, lam=1.0)
+        [[val]] = truncated_weighted_mass(shell_profile(-0.5), [-0.75], [100.0], n=2, lam=1.0)
         oracle, _ = quad(lambda rr: (1 + rr**2) ** -0.75, 0, 100.0, limit=300)
         assert val == pytest.approx(2 * np.pi * oracle, rel=1e-9)
 
     def test_log_case(self):
         u = shell_profile(-0.5)
-        radii = [50.0, 100.0, 200.0, 400.0]
-        masses = [truncated_weighted_mass(u, -0.5, R, n=2, lam=1.0, check=False) for R in radii]
-        assert fit_log_growth(radii, masses) > 0.99
+        masses = truncated_weighted_mass(u, [-0.5], self.LADDER, n=2, lam=1.0, check=False)
+        assert fit_log_growth(self.LADDER, masses[:, 0]) > 0.99
 
     def test_convergent_case(self):
         u = shell_profile(-0.5)
-        m100 = truncated_weighted_mass(u, -0.75, 100.0, n=2, lam=1.0, check=False)
-        m400 = truncated_weighted_mass(u, -0.75, 400.0, n=2, lam=1.0, check=False)
+        m100, m400 = truncated_weighted_mass(u, [-0.75], [100.0, 400.0], n=2, lam=1.0, check=False)
         assert m400 / m100 < 1.05
 
     def test_compact_support_constant_beyond(self):
@@ -215,15 +218,13 @@ class TestTruncatedMass:
             r2 = np.sum(pts**2, axis=-1)
             return np.where(r2 < 4.0, np.exp(-r2), 0.0)
 
-        vals = [truncated_weighted_mass(u, 0.7, R, n=2, lam=1.0) for R in (5.0, 10.0, 20.0)]
+        vals = truncated_weighted_mass(u, [0.7], [5.0, 10.0, 20.0], n=2, lam=1.0)[:, 0]
         assert vals[0] == pytest.approx(vals[1], rel=1e-12)
         assert vals[1] == pytest.approx(vals[2], rel=1e-12)
 
     def test_monotone_in_radius(self):
         u = shell_profile(-0.5)
-        masses = [
-            truncated_weighted_mass(u, 0.0, R, n=2, lam=1.0, check=False) for R in (10, 20, 40)
-        ]
+        masses = truncated_weighted_mass(u, [0.0], [10, 20, 40], n=2, lam=1.0, check=False)[:, 0]
         assert masses[0] < masses[1] < masses[2]
 
     def test_nonconvergence_flagged(self):
@@ -234,7 +235,7 @@ class TestTruncatedMass:
             return rng.standard_normal(len(pts))
 
         with pytest.raises(QuadratureError):
-            truncated_weighted_mass(noisy, 0.0, 10.0, n=1, lam=1.0, tol=1e-10)
+            truncated_weighted_mass(noisy, [0.0], [10.0], n=1, lam=1.0)
 
     def test_order_sequence_matches_single_orders(self):
         # one evaluation of u serves every order, with the same values
@@ -246,10 +247,59 @@ class TestTruncatedMass:
             return base(pts)
 
         orders = [-0.75, -0.5, 0.0]
-        many = truncated_weighted_mass(u, orders, 40.0, n=2, lam=1.0)
+        many = truncated_weighted_mass(u, orders, [40.0], n=2, lam=1.0)
         assert len(calls) == 2  # the rule and its higher-order check
-        assert many == [truncated_weighted_mass(base, r, 40.0, n=2, lam=1.0) for r in orders]
+        single = [truncated_weighted_mass(base, [r], [40.0], n=2, lam=1.0)[0, 0] for r in orders]
+        assert many[0].tolist() == single
 
     def test_small_radius_rejected(self):
         with pytest.raises(ValueError):
-            truncated_weighted_mass(shell_profile(-0.5), 0.0, 0.5, n=2, lam=1.0)
+            truncated_weighted_mass(shell_profile(-0.5), [0.0], [0.5], n=2, lam=1.0)
+
+
+def bessel_shell(lam):
+    # the n = 2 shell integral of a two-harmonic eigenfunction, elementwise in rho
+    def shell(rho):
+        return jv(0, lam * rho) ** 2 + 0.3 * jv(3, lam * rho) ** 2
+
+    return shell
+
+
+class TestRadialLadder:
+    ORDERS = [-0.75, -0.5, 0.0, 0.4]
+
+    def test_one_shell_call_per_rule(self):
+        calls = []
+
+        def shell(rho):
+            calls.append(len(rho))
+            return bessel_shell(1.0)(rho)
+
+        masses = radial_weighted_mass(shell, self.ORDERS, [5.0, 10.0, 20.0, 40.0], n=2, lam=1.0)
+        assert masses.shape == (4, 4)
+        # the rule and its self-check: 80 panels of 8 and of 12 nodes up to R = 40
+        assert calls == [80 * 8, 80 * 12]
+
+    @pytest.mark.parametrize(
+        "lam, radii", [(1.0, [1.0, 2.5, 50.0, 400.0]), (16.0, [1.25, 3.0, 10.75])]
+    )
+    def test_rungs_on_panel_edges_match_single_radii_bit_for_bit(self, lam, radii):
+        # radii on multiples of the panel width min(0.5, 4 / lam): each rung's
+        # panels are those of its radius alone, and its mass sums the same terms
+        ladder = radial_weighted_mass(bessel_shell(lam), self.ORDERS, radii, n=2, lam=lam)
+        for k, R in enumerate(radii):
+            alone = radial_weighted_mass(bessel_shell(lam), self.ORDERS, [R], n=2, lam=lam)
+            assert np.array_equal(ladder[k], alone[0])
+
+    def test_rungs_between_panel_edges_still_converge(self):
+        # lam = 20: panels 0.2 wide, so the rung at 2.5 cuts a panel of the
+        # single-radius rule in two; both rules pass the self-check, and agree
+        # within its tolerance (about 1e-10 apart)
+        ladder = radial_weighted_mass(bessel_shell(20.0), self.ORDERS, [2.5, 5.0], n=2, lam=20.0)
+        alone = radial_weighted_mass(bessel_shell(20.0), self.ORDERS, [5.0], n=2, lam=20.0)
+        assert np.allclose(ladder[-1], alone[0], rtol=MASS_TOL, atol=0.0)
+
+    @pytest.mark.parametrize("radii", [[10.0, 10.0], [20.0, 10.0], [5.0, 10.0, 7.0]])
+    def test_non_increasing_ladder_rejected(self, radii):
+        with pytest.raises(ValueError, match="increase"):
+            radial_weighted_mass(bessel_shell(1.0), [0.0], radii, n=2, lam=1.0)

@@ -47,7 +47,7 @@ class TestQuadrature:
     def test_harmonics_integrate_exactly(self):
         for n in (2, 3):
             dens = sphere_density(n, lambda th: np.ones(len(th)), degree=24)
-            assert quadrature_harmonic_defect(dens, max_degree=20) < 1e-12
+            assert quadrature_harmonic_defect(dens) < 1e-12
 
 
 class TestEigenfunction:
@@ -76,7 +76,7 @@ class TestEigenfunction:
         else:
             f = sphere_density(3, lambda th: 1.0 + 0.3 * th[:, 2])
             center = [0.4, 0.1, -0.2]
-        assert pde_residual_patch(f, LAM, center, npts=6) < 1e-8
+        assert pde_residual_patch(f, LAM, center) < 1e-8
 
 
 def generic_density(n, degree):
@@ -268,10 +268,10 @@ def skewed_density(n):
     )
 
 
-def dense_masses(f, lam, orders, R, n_ang):
+def dense_masses(f, lam, orders, radii, n_ang):
     # the oracle: plane-wave synthesis of u on the shells of the same radial rule
     u = eigenfunction_evaluator(f, lam)
-    return truncated_weighted_mass(u, orders, R, n=f.n, lam=lam, n_ang=n_ang, check=False)
+    return truncated_weighted_mass(u, orders, radii, n=f.n, lam=lam, n_ang=n_ang, check=False)
 
 
 class TestThresholdScan:
@@ -313,16 +313,16 @@ class TestThresholdScan:
     def test_parseval_against_synthesis_n2(self, lam, R):
         f = skewed_density(2)
         table = threshold_scan(f, lam, self.ORDERS, [R / 2, R])
-        dense = dense_masses(f, lam, self.ORDERS, R, n_ang=64)
-        for r, ref in zip(self.ORDERS, dense):
-            assert table[r]["masses"][-1] == pytest.approx(ref, rel=1e-12)
+        dense = dense_masses(f, lam, self.ORDERS, [R / 2, R], n_ang=64)
+        for r, ref in zip(self.ORDERS, dense.T):
+            assert table[r]["masses"] == pytest.approx(ref, rel=1e-12)
 
     def test_parseval_against_synthesis_n3(self):
         f = skewed_density(3)
         table = threshold_scan(f, 1.7, self.ORDERS, [1.0, 3.0])
-        dense = dense_masses(f, 1.7, self.ORDERS, 3.0, n_ang=16)
-        for r, ref in zip(self.ORDERS, dense):
-            assert table[r]["masses"][-1] == pytest.approx(ref, rel=1e-12)
+        dense = dense_masses(f, 1.7, self.ORDERS, [1.0, 3.0], n_ang=16)
+        for r, ref in zip(self.ORDERS, dense.T):
+            assert table[r]["masses"] == pytest.approx(ref, rel=1e-12)
 
     def test_narrow_bump_beats_fixed_angles(self):
         # at lam R = 250 the Fresnel scale (lam R)^{-1/2} = 0.06 resolves the
@@ -333,15 +333,17 @@ class TestThresholdScan:
             return np.exp(-((np.arctan2(th[:, 1], th[:, 0]) / 0.1) ** 2))
 
         f = sphere_density(2, bump, degree=512)
-        # each radius has its own rule, so the first rung only has to be cheap
-        mass = threshold_scan(f, 50.0, [0.0], [1.0, 5.0])[0.0]["masses"][-1]
+        radii = [1.0, 5.0]
+        mass = threshold_scan(f, 50.0, [0.0], radii)[0.0]["masses"][-1]
         # the oracle sums the plane waves of the degree-521 rule (the one the
         # evaluator raises f to at lam R = 250) where the bump exceeds 1e-16:
         # the 421 dropped terms move u by under 1e-17, far below the 1e-10 asked
         full = f.with_degree(520)
         on = bump(full.nodes) > 1e-16
         support = SphereDensity(2, bump, full.nodes[on], full.weights[on], full.degree)
-        fine, coarse = (dense_masses(support, 50.0, 0.0, 5.0, n_ang=k) for k in (256, 48))
+        fine, coarse = (
+            dense_masses(support, 50.0, [0.0], radii, n_ang=k)[-1, 0] for k in (256, 48)
+        )
         assert mass == pytest.approx(fine, rel=1e-10)
         assert abs(coarse - mass) > 1e-6 * mass
 
@@ -494,5 +496,5 @@ class TestScatteringMatrix:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_fixture_phase_fit(self, n):
-        ph = fit_smatrix_phase(LAM, n, R=200.0)
+        ph = fit_smatrix_phase(LAM, n)
         assert abs(ph - FREE_SMATRIX_PHASE[n]) < 0.02

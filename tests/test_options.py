@@ -3,9 +3,10 @@
 The source of ``src/scatcalc`` is parsed with ``ast``.  Each parameter with a
 default, of a module-level function, of a method or of the ``__init__`` of a
 dataclass (an init field with a default), must be passed, by keyword or by
-position, by at least one call in ``src/``, ``tests/`` or ``perfbench/``.  A
-default that no call ever overrides is a configuration that no test covers:
-it belongs inline, as the value it always is.
+position, by at least one call in ``src/`` or ``perfbench/``.  A default that
+the program never overrides belongs inline, as the value it always is; a test
+alone does not justify a knob, so each one that only tests set is listed in
+``ALLOWED`` with its reason.
 
 Calls are matched by name (``f(...)``, ``obj.f(...)``, ``Class(...)`` for
 ``__init__``), so two functions that share a name share their callers; that
@@ -25,11 +26,22 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "scatcalc"
-CALLER_DIRS = ("src", "tests", "perfbench")
+CALLER_DIRS = ("src", "perfbench")
 
-#: Kept on purpose although no call sets them: (module, function, parameter).
+#: Kept on purpose although only tests set them: (module, function, parameter),
+#: each for a criterion, an oracle, a model under test or ``main.argv``.
 ALLOWED = {
-    ("helmholtz", "build_poisson_series", "oscillation"): "the incoming step is under test",
+    ("cli", "main", "argv"): "main.argv: the tests drive the command line in-process",
+    ("commutants", "build_propagation_commutant", "p1"): "model under test: a subprincipal term",
+    ("commutants", "build_propagation_commutant", "r"): "model under test: the weight substitution",
+    ("hamflow", "schrodinger_model", "n"): "model under test: the 1-D and 2-D Schrodinger flows",
+    ("helmholtz", "build_poisson_series", "oscillation"): "model under test: the incoming step",
+    ("helmholtz", "build_poisson_series", "power"): "criterion 12: the wrong power is refused",
+    ("helmholtz", "fit_smatrix_phase", "extra_degree"): "criterion 11: drift under refinement",
+    ("helmholtz", "sphere_density", "degree"): "oracle: sphere rules of a chosen degree",
+    ("radon", "injectivity_probe", "chi"): "criterion 15: the cone-cut 3-D probe",
+    ("radon", "injectivity_probe", "n_t"): "criterion 15: the cone-cut 3-D probe",
+    ("symbols", "parametrix", "expansion_order"): "model under test: the composition order",
 }
 
 
