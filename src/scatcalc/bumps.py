@@ -30,24 +30,26 @@ __all__ = [
 ]
 
 
-def chi0(t, digamma: float = 1.0):
-    """exp(-digamma/t) for t > 0, identically 0 for t <= 0."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    with np.errstate(over="ignore", divide="ignore"):
-        out[pos] = np.exp(-digamma / t[pos])
-    return out
-
-
-def chi0_prime(t):
-    """Derivative chi0(t) / t**2 of chi0 at digamma 1, extended by 0 through t = 0."""
+def _flat_exp(t, a: float, k: int):
+    """exp(-a/t) / t**k for t > 0, identically 0 for t <= 0."""
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     pos = t > 0
     tp = t[pos]
-    out[pos] = np.exp(-1.0 / tp) / tp**2
+    with np.errstate(over="ignore", divide="ignore"):
+        e = np.exp(-a / tp)
+        out[pos] = e / tp**k if k else e
     return out
+
+
+def chi0(t, digamma: float = 1.0):
+    """exp(-digamma/t) for t > 0, identically 0 for t <= 0."""
+    return _flat_exp(t, digamma, 0)
+
+
+def chi0_prime(t):
+    """Derivative chi0(t) / t**2 of chi0 at digamma 1, extended by 0 through t = 0."""
+    return _flat_exp(t, 1.0, 2)
 
 
 def sqrt_chi0(t):
@@ -55,14 +57,9 @@ def sqrt_chi0(t):
     return chi0(t, 0.5)
 
 
-def sqrt_chi0_over_t2(t, digamma: float = 1.0):
+def sqrt_chi0_over_t2(t, digamma: float):
     """Smooth square root exp(-digamma/(2t))/t of chi0(t)/t**2."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    tp = t[pos]
-    out[pos] = np.exp(-0.5 * digamma / tp) / tp
-    return out
+    return _flat_exp(t, 0.5 * digamma, 1)
 
 
 def smoothstep(u):

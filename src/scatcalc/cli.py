@@ -44,8 +44,8 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     experiment: str
     values: dict
-    seed: int = 0
-    output_dir: str = "."
+    seed: int
+    output_dir: str
 
 
 @dataclass
@@ -170,7 +170,7 @@ def _run_flow(v, seed):
     H = helmholtz_model(v["lambda"], v["dim"])
     starts = _flow_starts(H, v["trajectories"], seed)
     batch = flow_batch(H, starts, v["time"], v["dt"])
-    dists = [helmholtz_radial_distance(H, batch.point(-1, b), "out") for b in range(len(starts))]
+    dists = [helmholtz_radial_distance(H, batch.point(-1, b)) for b in range(len(starts))]
     rho_max = float(np.max(np.abs(batch.states[:, :, 0])))
     char_max = float(np.max(np.abs(batch.char_values())))
     # trajectory 0's rows come through flow_trajectory: perfbench's traced flow
@@ -376,7 +376,7 @@ def _run_threshold(v, seed):
     # the Parseval masses at the first radius against dense plane-wave
     # synthesis (48 angles are exact here: |u|^2 has degree 2 on each shell)
     dense = truncated_weighted_mass(
-        eigenfunction_evaluator(f, lam), orders, radii[:1], n=2, lam=lam, n_ang=48, check=False
+        eigenfunction_evaluator(f, lam), orders, radii[:1], n=2, lam=lam
     )[0]
     for r, ref in zip(orders, dense):
         mass = table[float(r)]["masses"][0]
@@ -503,17 +503,16 @@ def _run_radon(v, seed):
     def vfun(p, k):
         return np.exp(-0.8 * np.sum(p**2, axis=-1)) * (1.0 + 0.01 * k)
 
-    adj_gap = pairing_gap(f, vfun, phi, 2, n_dirs=32)
+    adj_gap = pairing_gap(f, vfun, phi, 2)
     qs = np.geomspace(0.1, 100.0, 21)
     tab = normal_kernel_symbol(2, phi, qs)
     top = tab["scaled"][qs >= 10.0]
     plateau_var = float((top.max() - top.min()) / top.mean())
-    cone3 = cone_ellipticity_check(3, default_cone(v["cone_width"]), phi, xi_ladder=(5.0, 20.0, 80.0))
+    cone3 = cone_ellipticity_check(3, default_cone(v["cone_width"]), phi)
     full2 = cone_ellipticity_check(
-        2, ConeCutoff(lambda w: np.ones_like(np.asarray(w, dtype=float))), phi,
-        xi_ladder=(5.0, 20.0, 80.0),
+        2, ConeCutoff(lambda w: np.ones_like(np.asarray(w, dtype=float))), phi
     )
-    narrow2 = cone_ellipticity_check(2, default_cone(v["cone_width"]), phi, xi_ladder=(5.0, 20.0, 80.0))
+    narrow2 = cone_ellipticity_check(2, default_cone(v["cone_width"]), phi)
     probe = injectivity_probe(v["dim"], grid_points=v["grid_points"], n_dirs=v["directions"])
     metrics = {
         "adjointness_gap": float(adj_gap),

@@ -194,7 +194,7 @@ def model_estimate_multipliers(x1, x2):
     return a, b, e
 
 
-def model_inequality_margins(spec: GridSpec, n_fields: int = 20, seed: int = 0):
+def model_inequality_margins(spec: GridSpec, n_fields: int, seed: int):
     """<b u, u> vs 2 <e u, u> + 36 ||D_x1 u||^2 for random band-limited fields.
 
     Returns (lhs, rhs) pairs in the discrete L^2 pairing; the inequality is

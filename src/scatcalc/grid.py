@@ -323,24 +323,23 @@ def truncated_weighted_mass(
     *,
     n: int,
     lam: float,
-    n_ang: int = 64,
-    check: bool = True,
 ) -> np.ndarray:
     """masses[k, j] = int_{|x| <= radii[k]} <x>^{2 orders[j]} |u|^2 dx by radial x angular rules.
 
     u must be vectorized over (M, n) point arrays and oscillate at wavenumber
-    lam.  The radial rule over the ladder and its self-check are those of
-    :func:`radial_weighted_mass`, so u is evaluated once on the nodes of each
-    rule; each sphere integral is the trapezoidal/product rule on n_ang angles.
+    lam.  The radial rule over the ladder is that of
+    :func:`radial_weighted_mass`, without its self-check, so u is evaluated
+    once on its nodes; each sphere integral is the trapezoidal/product rule on
+    48 angles (and 24 polar nodes for n = 3).
     """
-    theta, tw = product_sphere_rule(n, max(4, n_ang // 2), n_ang)
+    theta, tw = product_sphere_rule(n, 24, 48)
 
     def shell(rho):
         pts = rho[:, None, None] * theta[None, :, :]
         vals = np.asarray(u(pts.reshape(-1, n))).reshape(len(rho), len(tw))
         return np.abs(vals) ** 2 @ tw
 
-    return radial_weighted_mass(shell, orders, radii, n=n, lam=lam, check=check)
+    return radial_weighted_mass(shell, orders, radii, n=n, lam=lam, check=False)
 
 
 def fit_growth_exponent(radii, masses) -> float:

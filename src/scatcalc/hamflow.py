@@ -125,7 +125,7 @@ class SymbolHamiltonian:
         return self.params.get("dim", 1)
 
 
-def helmholtz_model(lam: float, n: int = 2) -> SymbolHamiltonian:
+def helmholtz_model(lam: float, n: int) -> SymbolHamiltonian:
     if lam <= 0:
         raise ValueError("lambda must be positive")
     p = Symbol(
@@ -160,7 +160,7 @@ def schrodinger_model(n: int = 1) -> SymbolHamiltonian:
     return SymbolHamiltonian(p, "schrodinger_free", {"dim": n + 1})
 
 
-def d_x1_model(n: int = 2) -> SymbolHamiltonian:
+def d_x1_model(n: int) -> SymbolHamiltonian:
     p = Symbol(
         eval=lambda x, xi: xi[..., 0] + 0.0 * x[..., 0], order=(1.0, 0.0), depends_on_x=False
     )
@@ -793,8 +793,8 @@ class RadialPoint:
     family: str
     verdict: str
     eigenvalues: np.ndarray
-    tau: Optional[float] = None
-    mu: Optional[float] = None
+    tau: Optional[float]
+    mu: Optional[float]
 
 
 @dataclass
@@ -802,7 +802,7 @@ class RadialSetReport:
     points: list
 
 
-def find_radial_points(H: SymbolHamiltonian, resolution: int = 8) -> RadialSetReport:
+def find_radial_points(H: SymbolHamiltonian, resolution: int) -> RadialSetReport:
     """Scan boundary faces for zeros of the rescaled field and classify them.
 
     The scans of the model's table entries, in table order, seed candidates on
@@ -905,21 +905,19 @@ def threshold_data(H: SymbolHamiltonian, pt: PhasePointChart):
     return beta0, beta1, spec.threshold
 
 
-def helmholtz_radial_distance(H: SymbolHamiltonian, pt: PhasePointChart, which: str = "out") -> float:
-    """Chart distance sqrt(rho^2 + |v|^2) to the in/out Helmholtz radial set."""
+def helmholtz_radial_distance(H: SymbolHamiltonian, pt: PhasePointChart) -> float:
+    """Chart distance sqrt(rho^2 + |v|^2) to the outgoing Helmholtz radial set."""
     if pt.chart != "spatial_face":
         raise ValueError("expected a spatial_face point")
     xi = np.asarray(pt.coords["xi"], dtype=float)
     n = H.dim
-    target = xi if which == "out" else -xi
-    j = int(np.argmax(np.abs(target)))
+    j = int(np.argmax(np.abs(xi)))
     q = pt if (pt.axis == j) else chart_transition(pt, H, j)
-    sign_needed = int(np.sign(target[j]))
-    if q.sign != sign_needed:
+    if q.sign != int(np.sign(xi[j])):
         # point lies on the opposite hemisphere; distance through the equator
         return 2.0
     others = [m for m in range(n) if m != j]
-    v = target[others] / target[j] - np.atleast_1d(q.coords["y"])
+    v = xi[others] / xi[j] - np.atleast_1d(q.coords["y"])
     return float(np.sqrt(float(q.coords["rho"]) ** 2 + np.sum(v**2)))
 
 

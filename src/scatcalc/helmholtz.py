@@ -37,7 +37,7 @@ tail-checked (:func:`harmonic_power`).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -463,7 +463,7 @@ def threshold_scan(f: SphereDensity, lam: float, r_orders, radii) -> dict:
 _OSCILLATION_SIGN = {"outgoing": 1.0, "incoming": -1.0}
 
 
-def series_obstruction(p: float, lam: float, n: int, oscillation: str = "outgoing") -> complex:
+def series_obstruction(p: float, lam: float, n: int, oscillation: str) -> complex:
     """Leading coefficient of (Delta - lam^2)(r^{-p} e^{s i lam r} a(y)).
 
     For the outgoing oscillation (s = +1) it is i lam (2p - n + 1), vanishing
@@ -485,7 +485,7 @@ class ExpansionCoeffs:
     n: int
     lam: float
     terms: list
-    oscillation: str = "outgoing"
+    oscillation: str
 
     def __post_init__(self):
         if len(self.terms) < 1:
@@ -499,7 +499,7 @@ def _laplace_eigen(n: int, key) -> float:
     return float(ell * (ell + 1))
 
 
-def poisson_series_step(a_j: dict, j: int, lam: float, n: int, oscillation: str = "outgoing") -> dict:
+def poisson_series_step(a_j: dict, j: int, lam: float, n: int, oscillation: str) -> dict:
     """One recursion step a_{j+1} from a_j (coefficient dictionaries).
 
     Built so the r^{-(n-1)/2 - j - 1} error of the truncated series cancels:
@@ -603,27 +603,26 @@ def series_residual_slope(exp: ExpansionCoeffs, radii):
 class ScatteringSolution:
     """A solution-like object carrying far-field data for the pairing.
 
-    evaluate / radial_derivative act on (M, n) point arrays; f_plus and
-    f_minus are the outgoing/incoming coefficient evaluators on the unit
+    values maps (M, n) point arrays to (u, d_r u); f_plus and f_minus are
+    the outgoing/incoming coefficient evaluators on the unit
     sphere.  Quadrature eigenfunctions carry both coefficients; one-sided
     formal-series solutions carry one and a zero.
     """
 
     n: int
     lam: float
-    evaluate: Callable[[np.ndarray], np.ndarray]
-    radial_derivative: Callable[[np.ndarray], np.ndarray]
+    values: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     f_plus: Callable[[np.ndarray], np.ndarray]
     f_minus: Callable[[np.ndarray], np.ndarray]
 
 
 def solution_from_density(f: SphereDensity, lam: float) -> ScatteringSolution:
     prof = asymptotic_profile(f, lam)
+    u, du = eigenfunction_evaluator(f, lam), radial_derivative_evaluator(f, lam)
     return ScatteringSolution(
         n=f.n,
         lam=lam,
-        evaluate=eigenfunction_evaluator(f, lam),
-        radial_derivative=radial_derivative_evaluator(f, lam),
+        values=lambda points: (u(points), du(points)),
         f_plus=prof.f_plus,
         f_minus=prof.f_minus,
     )
@@ -635,9 +634,6 @@ def solution_from_series(exp: ExpansionCoeffs) -> ScatteringSolution:
     Its PDE defect O(r^{-(n-1)/2 - J - 2}) is far below the O(1/R) pairing
     convergence, and its radial derivative is exact term-by-term.
     """
-    def du(points):
-        return _series_sums(exp, points)[1]
-
     def leading(points):
         return _angular_eval(exp.n, exp.terms[0], points)
 
@@ -646,7 +642,7 @@ def solution_from_series(exp: ExpansionCoeffs) -> ScatteringSolution:
 
     fp = leading if exp.oscillation == "outgoing" else zero
     fm = zero if exp.oscillation == "outgoing" else leading
-    return ScatteringSolution(exp.n, exp.lam, series_evaluator(exp), du, fp, fm)
+    return ScatteringSolution(exp.n, exp.lam, partial(_series_sums, exp), fp, fm)
 
 
 def _as_solution(sol, lam: float) -> ScatteringSolution:
@@ -679,10 +675,8 @@ def boundary_pairing_check(sol1, sol2, lam: float, R: float):
     n = sol1.n
     nodes, w = sphere_rule(n, _required_degree(lam, R))
     pts = R * nodes
-    u1 = sol1.evaluate(pts)
-    u2 = sol2.evaluate(pts)
-    du1 = sol1.radial_derivative(pts)
-    du2 = sol2.radial_derivative(pts)
+    u1, du1 = sol1.values(pts)
+    u2, du2 = sol2.values(pts)
     integrand = u1 * np.conj(du2) - du1 * np.conj(u2)
     lhs = -complex(np.sum(w * integrand)) * R ** (n - 1)
     rhs = profile_pairing(sol1, sol2, lam)

@@ -178,7 +178,7 @@ class ConeCutoff:
         return vals
 
 
-def default_cone(width: float = 0.3) -> ConeCutoff:
+def default_cone(width: float) -> ConeCutoff:
     return ConeCutoff(chi=lambda w1: plateau(w1, width / 2.0, width))
 
 
@@ -240,18 +240,17 @@ def backproject(v: Callable, phi: LocalizerProfile, directions, dir_weights):
     return Lv
 
 
-def pairing_gap(
-    f: Callable, v: Callable, phi: LocalizerProfile, n: int, *, n_dirs: int = 64
-) -> float:
+def pairing_gap(f: Callable, v: Callable, phi: LocalizerProfile, n: int) -> float:
     """Relative defect of <I_0 f, v> = <f, L v> by tensor Gauss quadrature.
 
-    The tensor rule is 32-point Gauss-Legendre per axis on the box [-6, 6]^n.
+    The directions are the 32-count rule of :func:`direction_rule`, and the
+    tensor rule is 32-point Gauss-Legendre per axis on the box [-6, 6]^n.
     f and v(., omega_index) must be smooth and decayed at the box scale (the
     box must also absorb the +-2 line reach of the localizer); both pairings
     quadrate the same continuum integrals, so the gap then measures
     quadrature error alone.
     """
-    dirs, dw = direction_rule(n, n_dirs)
+    dirs, dw = direction_rule(n, 32)
     ax, axw = _flat_panels(-6.0, 6.0, 1, 32)
     mesh = np.meshgrid(*([ax] * n), indexing="ij")
     Z = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -315,20 +314,15 @@ def normal_symbol_hankel(n: int, phi: LocalizerProfile, xi_grid) -> np.ndarray:
     return np.array(out)
 
 
-def cone_ellipticity_check(
-    n: int,
-    chi: ConeCutoff,
-    phi: LocalizerProfile,
-    *,
-    xi_ladder=(5.0, 10.0, 20.0, 40.0, 80.0),
-) -> dict:
+def cone_ellipticity_check(n: int, chi: ConeCutoff, phi: LocalizerProfile) -> dict:
     """min over directions of the chi-weighted symbol, per |xi| rung.
 
     The symbol a_chi(xi) = int chi(omega_1) phi_hat(omega.xi)^2 domega is
-    evaluated over a ladder of 13 tilt angles between xihat and the e_1 axis
-    (rotational symmetry about e_1 reduces the direction scan to the tilt).
-    Reported floors are |xi|-scaled.
+    evaluated at |xi| = 5, 20 and 80, over a ladder of 13 tilt angles between
+    xihat and the e_1 axis (rotational symmetry about e_1 reduces the direction
+    scan to the tilt).  Reported floors are |xi|-scaled.
     """
+    xi_ladder = (5.0, 20.0, 80.0)
     tilts = np.linspace(0.0, np.pi / 2.0, 13)
     xihats = np.zeros((len(tilts), n))
     xihats[:, 0], xihats[:, 1] = np.cos(tilts), np.sin(tilts)
@@ -397,8 +391,8 @@ def _interp_matrix(axes, pts, line_w) -> sparse.csr_matrix:
 def injectivity_probe(
     n: int,
     *,
-    grid_points: int = 24,
-    n_dirs: int = 64,
+    grid_points: int,
+    n_dirs: int,
     n_t: int = 16,
     chi: Optional[ConeCutoff] = None,
 ) -> dict:

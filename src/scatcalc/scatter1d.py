@@ -122,11 +122,7 @@ def solve_scatter(V: Potential1D, lam: float):
     """
     if lam <= 0:
         raise ValueError("lambda must be positive (zero energy is excluded)")
-    L = max(V.support_radius, 1e-9)
-    if V.support_radius == 0.0:
-        xs = np.linspace(-1.0, 1.0, 9)
-        psi = np.exp(1j * lam * xs)
-        return ScatterSolution(ScatterCoeffs(lam, 0.0 + 0j, 1.0 + 0j), psi, 1j * lam * psi)
+    L = max(V.support_radius, 1e-9)  # the free potential integrates over [-1e-9, 1e-9]
 
     def rhs(x, y):
         return [y[1], (V(np.array([x]))[0] - lam**2) * y[0]]

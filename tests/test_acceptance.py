@@ -463,7 +463,7 @@ def test_15_radon_flat_model(tmp_path):
     rep = run(tmp_path, "radon", {"dim": 2, "grid_points": 24, "directions": 64, "cone_width": 0.3})
     # extra: sigma_min is stable under grid refinement, and the cone-cut
     # 3-D probe is injective too
-    r30 = injectivity_probe(2, grid_points=30)
+    r30 = injectivity_probe(2, grid_points=30, n_dirs=64)
     stable = 0.7 < r30["sigma_min"] / rep.metrics["sigma_min"] < 1.3
     r3 = injectivity_probe(3, grid_points=10, n_dirs=60, n_t=12, chi=default_cone(0.3))
     ok = passed(rep) and stable and r3["sigma_min"] > 0 and r3["reconstruction_error"] < 1e-3

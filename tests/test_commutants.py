@@ -93,7 +93,7 @@ class TestModelInequality:
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError):
-            model_inequality_margins(make_grid(1, 6.0, 64))
+            model_inequality_margins(make_grid(1, 6.0, 64), n_fields=20, seed=0)
 
 
 class TestRadialCommutant:

@@ -191,9 +191,7 @@ class TestTruncatedMass:
     def test_shell_growth_exponents(self):
         # invariant: fitted exponent equals 2r + 1 within 0.05 for r in {-1/4, 0}
         orders = [-0.25, 0.0]
-        masses = truncated_weighted_mass(
-            shell_profile(-0.5), orders, self.LADDER, n=2, lam=1.0, check=False
-        )
+        masses = truncated_weighted_mass(shell_profile(-0.5), orders, self.LADDER, n=2, lam=1.0)
         for col, r in zip(masses.T, orders):
             assert fit_growth_exponent(self.LADDER, col) == pytest.approx(2 * r + 1, abs=0.05)
 
@@ -205,12 +203,12 @@ class TestTruncatedMass:
 
     def test_log_case(self):
         u = shell_profile(-0.5)
-        masses = truncated_weighted_mass(u, [-0.5], self.LADDER, n=2, lam=1.0, check=False)
+        masses = truncated_weighted_mass(u, [-0.5], self.LADDER, n=2, lam=1.0)
         assert fit_log_growth(self.LADDER, masses[:, 0]) > 0.99
 
     def test_convergent_case(self):
         u = shell_profile(-0.5)
-        m100, m400 = truncated_weighted_mass(u, [-0.75], [100.0, 400.0], n=2, lam=1.0, check=False)
+        m100, m400 = truncated_weighted_mass(u, [-0.75], [100.0, 400.0], n=2, lam=1.0)
         assert m400 / m100 < 1.05
 
     def test_compact_support_constant_beyond(self):
@@ -224,18 +222,8 @@ class TestTruncatedMass:
 
     def test_monotone_in_radius(self):
         u = shell_profile(-0.5)
-        masses = truncated_weighted_mass(u, [0.0], [10, 20, 40], n=2, lam=1.0, check=False)[:, 0]
+        masses = truncated_weighted_mass(u, [0.0], [10, 20, 40], n=2, lam=1.0)[:, 0]
         assert masses[0] < masses[1] < masses[2]
-
-    def test_nonconvergence_flagged(self):
-        rng = np.random.default_rng(0)
-
-        def noisy(pts):
-            # white noise defeats any fixed quadrature rule
-            return rng.standard_normal(len(pts))
-
-        with pytest.raises(QuadratureError):
-            truncated_weighted_mass(noisy, [0.0], [10.0], n=1, lam=1.0)
 
     def test_order_sequence_matches_single_orders(self):
         # one evaluation of u serves every order, with the same values
@@ -248,13 +236,9 @@ class TestTruncatedMass:
 
         orders = [-0.75, -0.5, 0.0]
         many = truncated_weighted_mass(u, orders, [40.0], n=2, lam=1.0)
-        assert len(calls) == 2  # the rule and its higher-order check
+        assert len(calls) == 1  # the rule, without a self-check
         single = [truncated_weighted_mass(base, [r], [40.0], n=2, lam=1.0)[0, 0] for r in orders]
         assert many[0].tolist() == single
-
-    def test_small_radius_rejected(self):
-        with pytest.raises(ValueError):
-            truncated_weighted_mass(shell_profile(-0.5), [0.0], [0.5], n=2, lam=1.0)
 
 
 def bessel_shell(lam):
@@ -303,3 +287,17 @@ class TestRadialLadder:
     def test_non_increasing_ladder_rejected(self, radii):
         with pytest.raises(ValueError, match="increase"):
             radial_weighted_mass(bessel_shell(1.0), [0.0], radii, n=2, lam=1.0)
+
+    def test_small_radius_rejected(self):
+        with pytest.raises(ValueError):
+            radial_weighted_mass(bessel_shell(1.0), [0.0], [0.5], n=2, lam=1.0)
+
+    def test_nonconvergence_flagged(self):
+        rng = np.random.default_rng(0)
+
+        def noisy(rho):
+            # white noise defeats any fixed quadrature rule
+            return rng.standard_normal(len(rho))
+
+        with pytest.raises(QuadratureError):
+            radial_weighted_mass(noisy, [0.0], [10.0], n=1, lam=1.0)

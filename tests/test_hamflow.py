@@ -269,8 +269,11 @@ class TestFlow:
         fwd = hamflow.flow_batch(self.H, starts, 20.0, 0.01)
         bwd = hamflow.flow_batch(self.H, starts, -20.0, 0.01)
         for b in range(len(starts)):
-            assert helmholtz_radial_distance(self.H, fwd.point(-1, b), "out") < 1e-3
-            assert helmholtz_radial_distance(self.H, bwd.point(-1, b), "in") < 1e-3
+            assert helmholtz_radial_distance(self.H, fwd.point(-1, b)) < 1e-3
+            # the incoming set at x is the outgoing set at -x: flip the sign
+            end = bwd.point(-1, b)
+            flipped = dataclasses.replace(end, sign=-end.sign)
+            assert helmholtz_radial_distance(self.H, flipped) < 1e-3
         assert np.max(np.abs(fwd.states[:, :, 0])) < 1e-9
         assert np.max(np.abs(fwd.char_values())) < 1e-6
 
@@ -280,7 +283,7 @@ class TestFlow:
         batch = hamflow.flow_batch(self.H, starts, 20.0, 0.01)
         steps = len(batch.states)
         for b in range(len(starts)):
-            d = [helmholtz_radial_distance(self.H, batch.point(i, b), "out")
+            d = [helmholtz_radial_distance(self.H, batch.point(i, b))
                  for i in range(steps // 2, steps)]
             assert all(d[i + 1] <= d[i] + 1e-12 for i in range(len(d) - 1))
 
@@ -294,7 +297,7 @@ class TestFlow:
         path = flow_trajectory(self.H, start, 20.0, 0.01)
         axes_seen = {p.axis for p in path}
         assert axes_seen == {0, 1}
-        assert helmholtz_radial_distance(self.H, path[-1], "out") < 1e-3
+        assert helmholtz_radial_distance(self.H, path[-1]) < 1e-3
 
     def test_stationary_at_radial_point(self):
         xi = np.array([0.6, 0.8])
@@ -435,7 +438,7 @@ class TestRadialPoints:
         assert sorted(p.family for p in rep.points) == ["x1_minus", "x1_plus"]
 
     def test_x_dx_four_configurations(self):
-        rep = find_radial_points(x_dx_model())
+        rep = find_radial_points(x_dx_model(), resolution=8)
         got = {(p.family, p.verdict) for p in rep.points}
         assert got == {
             ("spatial_+", "sink"),
@@ -451,8 +454,8 @@ class TestRadialPoints:
     def test_every_named_model_scans(self):
         models = {
             H.named_model
-            for H in (helmholtz_model(1.0), klein_gordon_model(), schrodinger_model(), d_x1_model(),
-                      x_dx_model())
+            for H in (helmholtz_model(1.0, 2), klein_gordon_model(), schrodinger_model(),
+                      d_x1_model(2), x_dx_model())
         }
         assert models == {m for m, _ in hamflow._SPECS if m is not None}
         for m in models:
@@ -464,7 +467,7 @@ class TestRadialPoints:
 
         p = Symbol(eval=lambda x, xi: np.sum(xi**2, axis=-1) + 0.0 * x[..., 0], order=(2.0, 0.0))
         with pytest.raises(NotImplementedError):
-            find_radial_points(SymbolHamiltonian(p, None, {"dim": 2}))
+            find_radial_points(SymbolHamiltonian(p, None, {"dim": 2}), resolution=8)
 
     def test_empty_scan_reports_not_raises(self):
         # the d_x1 scan in a chart family with no zeros stays silent

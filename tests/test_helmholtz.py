@@ -6,7 +6,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import jv
 
-from scatcalc.grid import QuadratureError, truncated_weighted_mass
+from scatcalc.grid import QuadratureError, radial_weighted_mass
 from scatcalc.helmholtz import (
     FREE_SMATRIX_PHASE,
     PowerMismatchError,
@@ -269,9 +269,16 @@ def skewed_density(n):
 
 
 def dense_masses(f, lam, orders, radii, n_ang):
-    # the oracle: plane-wave synthesis of u on the shells of the same radial rule
+    # the oracle: plane-wave synthesis of u on the shells of the same radial
+    # rule, each shell integrated by the product rule on n_ang angles
     u = eigenfunction_evaluator(f, lam)
-    return truncated_weighted_mass(u, orders, radii, n=f.n, lam=lam, n_ang=n_ang, check=False)
+    theta, tw = product_sphere_rule(f.n, max(4, n_ang // 2), n_ang)
+
+    def shell(rho):
+        pts = (rho[:, None, None] * theta[None, :, :]).reshape(-1, f.n)
+        return np.abs(u(pts).reshape(len(rho), len(tw))) ** 2 @ tw
+
+    return radial_weighted_mass(shell, orders, radii, n=f.n, lam=lam, check=False)
 
 
 class TestThresholdScan:
