@@ -179,20 +179,22 @@ def _take(n: int, axis) -> tuple:
 
 
 class _Rows(NamedTuple):
-    """Per-row chart indices of a batch of flat states, shape (B,): axis (int,
-    -1 on a chart without one), sign (float +-1.0) and take, the
-    :func:`_take` of the axes, built once and kept in step with them."""
+    """Per-row chart data of a batch of flat states: axis (int, -1 on a chart
+    without one) and sign (float +-1.0), shape (B,); take, the :func:`_take`
+    of the axes; and coef, the chart's field coefficients at each row (see
+    ``_ChartSpec.coef``).  All of it changes only at a chart switch."""
 
     axis: np.ndarray
     sign: np.ndarray
     take: tuple
+    coef: tuple
 
 
 @cache
 def _row(axis: int, sign: int, n: int) -> _Rows:
     """The _Rows of one point, cached for the scalar callers (one per field
-    call), so shared and read-only."""
-    rows = _Rows(np.array([axis]), np.array([float(sign)]), _take(n, [axis]))
+    call), so shared and read-only; :func:`_field` adds its coef."""
+    rows = _Rows(np.array([axis]), np.array([float(sign)]), _take(n, [axis]), ())
     for a in (rows.axis, rows.sign, *rows.take):
         a.flags.writeable = False
     return rows
@@ -211,7 +213,7 @@ class _ChartSpec:
     """
 
     layout: tuple
-    field: Callable  # (H, rows, S) -> fields at the flat states S (B, d); see _Rows
+    field: Callable  # (H, rows, S, out): writes the fields at the flat states S (B, d) to out
     rho: Optional[str] = "rho"
     transverse: tuple = ()  # slots of the radial linearization, rho first
     # (H, coords) -> normalized characteristic function, elementwise over
@@ -223,26 +225,26 @@ class _ChartSpec:
     interior: Optional[Callable] = None
     rescale: Optional[Callable] = None
     scan: Optional[Callable] = None  # (H, resolution) -> radial candidates (pt, family, tau, mu)
+    # (H, rows, S) -> the field's per-row coefficients, rows.coef: read from
+    # axis, sign and slots that the field leaves put, so they hold until a switch
+    coef: Optional[Callable] = None
 
 
-def _symbol_field(H, rows, s):
+def _symbol_field(H, rows, s, out):
     """Hamilton field of an arbitrary real symbol, by symbol differentiation."""
     n = H.dim
     x, xi = s[..., :n], s[..., n:]
-    f = np.empty(s.shape)
     z = (0,) * n
     for j in range(n):
         e = tuple(1 if i == j else 0 for i in range(n))
-        f[..., j] = np.real(symbol_derivative(H.p, z, e, x, xi))
-        f[..., n + j] = -np.real(symbol_derivative(H.p, e, z, x, xi))
-    return f
+        out[..., j] = np.real(symbol_derivative(H.p, z, e, x, xi))
+        out[..., n + j] = -np.real(symbol_derivative(H.p, e, z, x, xi))
 
 
-def _pad(head, s):
-    """head followed by zeros up to the shape of s: a field whose tail slots stay put."""
-    out = np.zeros_like(s)
+def _pad(head, out):
+    """head in the leading slots of out, zeros after: a field whose tail slots stay put."""
     out[..., : head.shape[-1]] = head
-    return out
+    out[..., head.shape[-1] :] = 0.0
 
 
 @cache
@@ -253,44 +255,57 @@ def _order(n: int) -> np.ndarray:
     return order
 
 
-def _helmholtz_spatial(H, rows, S):
-    # (2 rho)^{-1} H_p for p = |xi|^2 - lambda^2
-    n, sigma = H.dim, rows.sign
-    xi = S[:, n:][rows.take]  # xi_j, then the others
-    F = np.zeros(S.shape)
-    F[:, 0] = -sigma * xi[:, 0] * S[:, 0]
-    F[:, 1:n] = sigma[:, None] * (xi[:, 1:] - S[:, 1:n] * xi[:, :1])
-    return F
+def _affine_face(H, rows, S, out):
+    """A * S + C, elementwise, with rows.coef = (A, C): the field of every
+    boundary face here is affine in the slots that move, with coefficients
+    read from the slots that stay put."""
+    A, C = rows.coef
+    np.multiply(A, S, out=out)
+    np.add(out, C, out=out)
 
 
-def _d_x1_spatial(H, rows, S):
-    # rho^{-1} <x> H_p for p = xi_1
-    n, sigma = H.dim, rows.sign
+def _affine_coef(S, n, a, b):
+    """(A, C) of the field (a rho, a y + b, 0) on flat states S (B, d) with y
+    in slots 1 to n - 1: a (B,), b (B, n - 1) or a scalar.  The -0.0 added to
+    a rho changes no bit of it, and the tail slots come out +0.0.  With
+    a = -sigma c and b = sigma e for sigma = +-1, a y + b rounds exactly as
+    sigma (e - c y) does, since rounding to nearest is odd."""
+    A, C = np.zeros((2,) + S.shape)
+    A[:, :n] = a[:, None]
+    C[:, 0] = -0.0
+    C[:, 1:n] = b
+    return A, C
+
+
+def _helmholtz_coef(H, rows, S):
+    # (2 rho)^{-1} H_p for p = |xi|^2 - lambda^2: a = -sigma xi_j and
+    # b = sigma xi_m (m != j), so y* = -b/a = xi_m/xi_j; xi stays put
+    xi = S[:, H.dim :][rows.take]  # xi_j, then the others
+    return _affine_coef(S, H.dim, -rows.sign * xi[:, 0], rows.sign[:, None] * xi[:, 1:])
+
+
+def _d_x1_coef(H, rows, S):
+    # rho^{-1} <x> H_p for p = xi_1: a = -sigma on the x1 chart, 0 elsewhere,
+    # and b = sigma in the x1 slot of y off the x1 chart
     on_x1 = np.where(rows.axis == 0, 1.0, 0.0)
     ind = np.where(rows.take[1][:, 1:] == 0, 1.0, 0.0)
-    F = np.zeros(S.shape)
-    F[:, 0] = -sigma * on_x1 * S[:, 0]
-    F[:, 1:n] = sigma[:, None] * (ind - S[:, 1:n] * on_x1[:, None])
-    return F
+    return _affine_coef(S, H.dim, -rows.sign * on_x1, rows.sign[:, None] * ind)
 
 
-def _kg_face(H, rows, S):
-    # rho = sigma/t; the familiar -2 tau (rho d_rho + v d_v) form is the
-    # future-cap chart sigma = +1
-    c = -2.0 * rows.sign * S[:, 2]
-    return _pad(np.stack([c * S[:, 0], c * S[:, 1]], axis=1), S)
-
-
-def _schrodinger_time_face(H, rows, S):
-    n, sigma = H.dim, rows.sign
-    y, xi = S[:, 1:n], S[:, n + 1 :]
-    drho = -sigma * S[:, 0]
-    return _pad(np.concatenate([drho[:, None], sigma[:, None] * (2.0 * xi - y)], 1), S)
+def _sq(v):
+    """|v|^2 over the last axis, added left to right as np.sum adds an axis
+    this short, without the slow path of its reduction; np.einsum adds three
+    terms in another order."""
+    v = np.asarray(v, dtype=float)
+    q = v[..., 0] ** 2
+    for k in range(1, v.shape[-1]):
+        q = q + v[..., k] ** 2
+    return q
 
 
 def _helmholtz_char(H, c):
     lam = H.params["lambda"]
-    q = np.sum(np.asarray(c["xi"], dtype=float) ** 2, axis=-1)
+    q = _sq(c["xi"])
     return (q - lam**2) / (q + lam**2)
 
 
@@ -302,13 +317,13 @@ def _kg_char(H, c):
 
 def _schrodinger_char(H, c):
     tau = np.asarray(c["tau"], dtype=float)
-    q = np.sum(np.asarray(c["xi"], dtype=float) ** 2, axis=-1)
+    q = _sq(c["xi"])
     return (tau + q) / (1.0 + np.abs(tau) + q)
 
 
 def _d_x1_char(H, c):
     xi = np.asarray(c["xi"], dtype=float)
-    return xi[..., 0] / np.sqrt(1.0 + np.sum(xi**2, axis=-1))
+    return xi[..., 0] / np.sqrt(1.0 + _sq(xi))
 
 
 def _x_dx_char(H, c):
@@ -442,66 +457,77 @@ _SPATIAL = (("rho", None), ("y", -1), ("xi", 0))
 _SPECS = {
     (None, "interior"): _ChartSpec(_INTERIOR, _symbol_field, rho=None),
     ("helmholtz", "interior"): _ChartSpec(
-        _INTERIOR, lambda H, rows, s: _pad(2.0 * s[..., H.dim :], s), rho=None,
+        _INTERIOR, lambda H, rows, s, out: _pad(2.0 * s[..., H.dim :], out), rho=None,
         char=_helmholtz_char,
     ),
     ("helmholtz", "spatial_face"): _ChartSpec(
-        _SPATIAL, _helmholtz_spatial, transverse=("rho", "y"), char=_helmholtz_char,
+        _SPATIAL, _affine_face, transverse=("rho", "y"), char=_helmholtz_char,
         threshold=-0.5, projective=True, coords=_spatial_coords, interior=_spatial_interior,
-        rescale=lambda pt, x: abs(x[pt.axis]) / 2.0, scan=_helmholtz_scan,
+        rescale=lambda pt, x: abs(x[pt.axis]) / 2.0, scan=_helmholtz_scan, coef=_helmholtz_coef,
     ),
     ("klein_gordon", "interior"): _ChartSpec(
-        _INTERIOR, lambda H, rows, s: _pad(np.stack([2.0 * s[..., 2], -2.0 * s[..., 3]], -1), s),
+        _INTERIOR,
+        lambda H, rows, s, out: _pad(np.stack([2.0 * s[..., 2], -2.0 * s[..., 3]], -1), out),
         rho=None,
     ),
     ("klein_gordon", "kg_face"): _ChartSpec(
-        (("rho", None), ("v", None), ("tau", None), ("xi", None)), _kg_face,
+        (("rho", None), ("v", None), ("tau", None), ("xi", None)), _affine_face,
         transverse=("rho", "v"), char=_kg_char, threshold=-0.5,
         coords=lambda pt, H, x, xi: np.array(
             [pt.sign / x[0], x[1] * xi[0] / x[0] + xi[1], xi[0], xi[1]]
         ),
         interior=_kg_interior, rescale=lambda pt, x: abs(x[0]), scan=_kg_scan,
+        # rho = sigma/t: a = -2 sigma tau, the familiar -2 tau (rho d_rho + v d_v)
+        # form on the future cap; tau stays put
+        coef=lambda H, rows, S: _affine_coef(S, 2, -2.0 * rows.sign * S[:, 2], -0.0),
     ),
     # position slots (t, x_1..x_n), frequency slots (tau, xi_1..xi_n)
     ("schrodinger_free", "interior"): _ChartSpec(
         _INTERIOR,
-        lambda H, rows, s: _pad(
-            np.concatenate([np.ones_like(s[..., :1]), 2.0 * s[..., H.dim + 1 :]], -1), s
+        lambda H, rows, s, out: _pad(
+            np.concatenate([np.ones_like(s[..., :1]), 2.0 * s[..., H.dim + 1 :]], -1), out
         ),
         rho=None,
     ),
     ("schrodinger_free", "schrodinger_time_face"): _ChartSpec(
-        (("rho", None), ("y", -1), ("tau", None), ("xi", -1)), _schrodinger_time_face,
+        (("rho", None), ("y", -1), ("tau", None), ("xi", -1)), _affine_face,
         transverse=("rho", "y"), char=_schrodinger_char, threshold=-0.5,
         coords=lambda pt, H, x, xi: np.concatenate(
             [[pt.sign / x[0]], x[1:] / x[0], [xi[0]], xi[1:]]
         ),
         interior=_schrodinger_interior, rescale=lambda pt, x: abs(x[0]), scan=_schrodinger_scan,
+        # a = -sigma, b = 2 sigma xi; xi stays put
+        coef=lambda H, rows, S: _affine_coef(
+            S, H.dim, -rows.sign, rows.sign[:, None] * (2.0 * S[:, H.dim + 1 :])
+        ),
     ),
     ("d_x1", "interior"): _ChartSpec(
-        _INTERIOR, lambda H, rows, s: _pad(np.ones_like(s[..., :1]), s), rho=None,
+        _INTERIOR, lambda H, rows, s, out: _pad(np.ones_like(s[..., :1]), out), rho=None,
         char=_d_x1_char,
     ),
     ("d_x1", "spatial_face"): _ChartSpec(
-        _SPATIAL, _d_x1_spatial, transverse=("rho", "y"), char=_d_x1_char, projective=True,
+        _SPATIAL, _affine_face, transverse=("rho", "y"), char=_d_x1_char, projective=True,
         coords=_spatial_coords, interior=_spatial_interior, rescale=lambda pt, x: abs(x[pt.axis]),
-        scan=_d_x1_scan,
+        scan=_d_x1_scan, coef=_d_x1_coef,
     ),
     ("x_dx", "interior"): _ChartSpec(
-        _INTERIOR, lambda H, rows, s: np.concatenate([s[..., : H.dim], -s[..., H.dim :]], -1),
+        _INTERIOR,
+        lambda H, rows, s, out: np.concatenate([s[..., : H.dim], -s[..., H.dim :]], -1, out=out),
         rho=None, char=_x_dx_char,
     ),
     # one dimension: the spatial chart has no y slot, and the fiber variable
     # moves under the flow, so it is transverse
     ("x_dx", "spatial_face"): _ChartSpec(
-        (("rho", None), ("xi", None)), lambda H, rows, s: -s, transverse=("rho", "xi"),
+        (("rho", None), ("xi", None)), lambda H, rows, s, out: np.negative(s, out=out),
+        transverse=("rho", "xi"),
         char=lambda H, c: _unit(np.asarray(c["xi"], dtype=float)),
         coords=_spatial_coords, interior=_spatial_interior, rescale=lambda pt, x: 1.0,
         scan=_x_dx_scan("spatial_face", "xi", "spatial"),
     ),
     # the Euler field rho d_rho + x d_x
     ("x_dx", "frequency_face"): _ChartSpec(
-        (("rho", None), ("x", None)), lambda H, rows, s: s.copy(), transverse=("rho", "x"),
+        (("rho", None), ("x", None)), lambda H, rows, s, out: np.copyto(out, s),
+        transverse=("rho", "x"),
         char=lambda H, c: _unit(np.asarray(c["x"], dtype=float)),
         coords=lambda pt, H, x, xi: np.concatenate([[pt.sign / xi[0]], x]),
         interior=lambda pt, H, s, rho: (s[1:2].copy(), np.array([pt.sign / rho])),
@@ -546,19 +572,28 @@ def _columns(spec: _ChartSpec, S: np.ndarray, n: int) -> dict:
     return {k: S[..., a] if scalar else S[..., a:b] for k, (a, b, scalar) in slots}
 
 
-def _fields(spec: _ChartSpec, H, rows: _Rows, S: np.ndarray) -> np.ndarray:
-    """The table's field at each row of S, refusing one that leaves the boundary at rho = 0."""
-    F = spec.field(H, rows, S)
-    if spec.rho and np.count_nonzero((S[:, 0] == 0.0) & (np.abs(F[:, 0]) > TANGENCY_TOL)):
+def _with_coef(spec: _ChartSpec, H, rows: _Rows, S: np.ndarray) -> _Rows:
+    """rows with the chart's field coefficients at the flat states S (B, d)."""
+    return _Rows(rows.axis, rows.sign, rows.take, spec.coef(H, rows, S)) if spec.coef else rows
+
+
+def _check_tangent(rho, drho) -> None:
+    """Refuse a field whose rho component exceeds TANGENCY_TOL where rho = 0;
+    rho and drho are arrays or scalars."""
+    if np.count_nonzero((rho == 0.0) & (abs(drho) > TANGENCY_TOL)):
         raise RuntimeError("rescaled field is not tangent to the boundary")
-    return F
 
 
 def _field(spec: _ChartSpec, H, pt: Optional[PhasePointChart], s: np.ndarray) -> np.ndarray:
-    """The table's field at one flat state s: :func:`_fields` on a batch of one."""
+    """The table's field at one flat state s, refusing one that leaves the boundary at rho = 0."""
     axis = -1 if pt is None or pt.axis is None else pt.axis
-    rows = _row(axis, 1 if pt is None else pt.sign, H.dim)
-    return _fields(spec, H, rows, s[None])[0]
+    S = s[None]
+    rows = _with_coef(spec, H, _row(axis, 1 if pt is None else pt.sign, H.dim), S)
+    F = np.empty(S.shape)
+    spec.field(H, rows, S, F)
+    if spec.rho:
+        _check_tangent(s[0], F[0, 0])
+    return F[0]
 
 
 def _flat_field(H: SymbolHamiltonian, pt: PhasePointChart) -> np.ndarray:
@@ -719,9 +754,18 @@ def flow_batch(H: SymbolHamiltonian, starts, T: float, dt: float) -> FlowBatch:
     The starts share a chart and lie on the characteristic set; each row keeps
     its own axis and sign.  Stages run on the chart's flat states with rho
     clamped to its half-line, elementwise, so a row does not depend on the others.
+
+    A step writes its four stage states and fields into two preallocated
+    (4, B, d) buffers and its result into ``states[i]`` in place.  The rows'
+    chart data (:class:`_Rows`: the take of the axes and the field's per-row
+    coefficients) is built at the start and again only at a step where some
+    row switches charts, and axes and signs are filled forward from that step.
+    The tangency guard runs once per step, over all four stages.
     """
-    if abs(dt) > 0.01:
-        raise ValueError("|dt| must be at most 0.01")
+    if len(starts) == 0:
+        raise ValueError("a batch needs at least one start")
+    if not 0.0 < abs(dt) <= 0.01:
+        raise ValueError(f"|dt| must be positive and at most 0.01, got {dt}")
     if any(abs(char_value(H, p)) > CHAR_TOL for p in starts):
         raise ValueError("start is not on the characteristic set")
     chart = starts[0].chart
@@ -732,35 +776,62 @@ def flow_batch(H: SymbolHamiltonian, starts, T: float, dt: float) -> FlowBatch:
     steps = int(round(abs(T / dt)))
     h = (np.sign(T) if T != 0 else 1.0) * abs(dt)
 
-    def clamp(V):
-        if spec.rho:
-            V[V[:, 0] < 0.0, 0] = 0.0
-        return V
-
+    field = spec.field
     S = np.array([_flatten(spec, p) for p in starts])
     axis = np.array([-1 if p.axis is None else p.axis for p in starts])
-    rows = _Rows(axis, np.array([p.sign for p in starts], dtype=float), _take(n, axis))
+    sign = np.array([p.sign for p in starts], dtype=float)
+
+    def clamp(V):
+        # a masked copy, so that a negative rho becomes +0.0 exactly; fmin
+        # passes over NaN, so one row's NaN does not skip the others
+        if spec.rho and np.fmin.reduce(V[:, 0]) < 0.0:
+            np.copyto(V[:, 0], 0.0, where=V[:, 0] < 0.0)
+
+    def chart_rows(S):
+        return _with_coef(spec, H, _Rows(axis, sign, _take(n, axis), ()), S)
+
+    rows = chart_rows(S)
     states = np.empty((steps + 1,) + S.shape)
+    states[0] = S
     axes = np.empty((steps + 1, len(S)), dtype=np.int8)
     signs = np.empty_like(axes)
-    states[0], axes[0], signs[0] = S, rows.axis, rows.sign
+    axes[:], signs[:] = axis, sign
+    Y, K = np.empty((2, 4) + S.shape)  # stage states and their fields
+    stages = ((Y[1], K[0], K[1], h / 2), (Y[2], K[1], K[2], h / 2), (Y[3], K[2], K[3], h))
+    rho, drho = Y[:, :, 0], K[:, :, 0]
     for i in range(1, steps + 1):
-        k1 = _fields(spec, H, rows, S)
-        k2 = _fields(spec, H, rows, clamp(S + h / 2 * k1))
-        k3 = _fields(spec, H, rows, clamp(S + h / 2 * k2))
-        k4 = _fields(spec, H, rows, clamp(S + h * k3))
-        S = clamp(S + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
-        if spec.projective:
-            U = np.abs(_direction(S, n, rows.take))
-            switch = 1.0 / np.max(U, axis=1) < SWITCH_LOW  # the ray is 1 on the axis
-            if switch.any():
-                new_axis = np.argmax(U[switch], axis=1)
-                S[switch], rows.sign[switch] = _transition(
-                    S[switch], n, rows.axis[switch], rows.sign[switch], new_axis
-                )
-                rows.axis[switch] = new_axis
-                rows.take[1][switch] = _order(n)[new_axis]
-        states[i], axes[i], signs[i] = S, rows.axis, rows.sign
+        S, new = states[i - 1], states[i]
+        Y[0] = S
+        field(H, rows, S, K[0])
+        for state, prev, out, c in stages:
+            np.multiply(c, prev, out=state)
+            np.add(S, state, out=state)
+            clamp(state)
+            field(H, rows, state, out)
+        if spec.rho:
+            _check_tangent(rho, drho)
+        # S + h/6 (((k1 + 2 k2) + 2 k3) + k4): the reduction adds along axis 0 in order
+        K[1:3] *= 2.0
+        np.add.reduce(K, axis=0, out=new)
+        np.multiply(h / 6, new, out=new)
+        np.add(S, new, out=new)
+        clamp(new)
+        if not spec.projective:
+            continue
+        # a row leaves its chart when 1/max|ray| < SWITCH_LOW, and the ray is 1
+        # on the axis and y elsewhere; 1/x falls as x grows, so the largest |y|
+        # of all rows (fmax passes over NaN) tells whether any row does
+        y = np.abs(new[:, 1:n])
+        if 1.0 / np.fmax.reduce(y, axis=None, initial=1.0) < SWITCH_LOW:
+            switch = 1.0 / np.maximum.reduce(y, axis=1, initial=1.0) < SWITCH_LOW
+            U = np.abs(_direction(new[switch], n, _take(n, axis[switch])))
+            new_axis = np.argmax(U, axis=1)
+            new[switch], sign[switch] = _transition(
+                new[switch], n, axis[switch], sign[switch], new_axis
+            )
+            axis[switch] = new_axis
+            rows = chart_rows(new)
+            axes[i:], signs[i:] = axis, sign
     return FlowBatch(H, chart, states, axes, signs)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ class TestChartFields:
 
     def test_tangency_guard_rejects_a_field_leaving_the_boundary(self, monkeypatch):
         key = ("helmholtz", "spatial_face")
-        bad = dataclasses.replace(hamflow._SPECS[key], field=lambda H, pt, s: np.ones_like(s))
+        bad = dataclasses.replace(hamflow._SPECS[key], field=lambda H, rows, S, out: out.fill(1.0))
         monkeypatch.setitem(hamflow._SPECS, key, bad)
         H, pt = helmholtz_model(1.0, 2), _spatial(0.0, [0.3], [0.8, 0.6], 0, 1)
         with pytest.raises(RuntimeError, match="not tangent"):
@@ -198,8 +199,10 @@ class TestClosedFormsAgainstSymbol:
         rng = np.random.default_rng(3)
         for _ in range(20):
             s = 3.0 * rng.standard_normal(2 * H.dim)
-            err = np.max(np.abs(closed(H, None, s) - hamflow._symbol_field(H, None, s)))
-            assert err < 1e-9
+            want, got = np.empty((2, len(s)))
+            hamflow._symbol_field(H, None, s, want)
+            closed(H, None, s, got)
+            assert np.max(np.abs(got - want)) < 1e-9
 
     @pytest.mark.parametrize("name", SIGNED_CHARS)
     def test_interior_char_has_the_sign_of_p(self, name):
@@ -614,11 +617,181 @@ class TestFlowBatch:
 
     def test_non_tangent_field_rejected(self, monkeypatch):
         key = ("helmholtz", "spatial_face")
-        bad = dataclasses.replace(hamflow._SPECS[key], field=lambda H, rows, S: np.ones_like(S))
+        bad = dataclasses.replace(hamflow._SPECS[key], field=lambda H, rows, S, out: out.fill(1.0))
         monkeypatch.setitem(hamflow._SPECS, key, bad)
         H, starts = _flow_case(2, 0)
         with pytest.raises(RuntimeError, match="not tangent"):
             hamflow.flow_batch(H, starts, 1.0, 0.01)
+
+    @pytest.mark.parametrize("stage", [1, 2, 3])
+    def test_field_non_tangent_at_an_inner_stage_rejected(self, monkeypatch, stage):
+        # tangent at every stage state but the given one of each step: the
+        # guard runs once per step and must still see every stage
+        key = ("helmholtz", "spatial_face")
+        good, calls = hamflow._SPECS[key].field, itertools.count()
+
+        def field(H, rows, S, out):
+            good(H, rows, S, out)
+            if next(calls) % 4 == stage:
+                out[:, 0] = 1.0
+
+        monkeypatch.setitem(hamflow._SPECS, key, dataclasses.replace(hamflow._SPECS[key], field=field))
+        H, starts = _flow_case(2, 0)
+        with pytest.raises(RuntimeError, match="not tangent"):
+            hamflow.flow_batch(H, starts, 1.0, 0.01)
+
+    def test_zero_step_rejected(self):
+        H, starts = _flow_case(2, 0)
+        with pytest.raises(ValueError, match="dt"):
+            hamflow.flow_batch(H, starts, 1.0, 0.0)
+        with pytest.raises(ValueError, match="dt"):
+            flow_trajectory(H, starts[0], 1.0, 0.0)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="start"):
+            hamflow.flow_batch(helmholtz_model(1.0, 2), [], 1.0, 0.01)
+
+
+def _schrodinger_case():
+    """Two schrodinger_time_face starts on both caps, one off the boundary."""
+    starts = [
+        PhasePointChart("schrodinger_time_face",
+                        {"rho": rho, "y": np.array([y]), "tau": -xi**2, "xi": np.array([xi])},
+                        sign=sign)
+        for rho, y, xi, sign in [(0.0, 0.7, 0.3, 1), (0.2, -0.4, -0.5, -1)]
+    ]
+    return schrodinger_model(1), starts
+
+
+def _oracle_helmholtz_spatial(H, rows, S):
+    n, sigma = H.dim, rows.sign
+    xi = S[:, n:][rows.take]
+    F = np.zeros(S.shape)
+    F[:, 0] = -sigma * xi[:, 0] * S[:, 0]
+    F[:, 1:n] = sigma[:, None] * (xi[:, 1:] - S[:, 1:n] * xi[:, :1])
+    return F
+
+
+def _oracle_d_x1_spatial(H, rows, S):
+    n, sigma = H.dim, rows.sign
+    on_x1 = np.where(rows.axis == 0, 1.0, 0.0)
+    ind = np.where(rows.take[1][:, 1:] == 0, 1.0, 0.0)
+    F = np.zeros(S.shape)
+    F[:, 0] = -sigma * on_x1 * S[:, 0]
+    F[:, 1:n] = sigma[:, None] * (ind - S[:, 1:n] * on_x1[:, None])
+    return F
+
+
+def _oracle_kg_face(H, rows, S):
+    c = -2.0 * rows.sign * S[:, 2]
+    F = np.zeros(S.shape)
+    F[:, :2] = np.stack([c * S[:, 0], c * S[:, 1]], axis=1)
+    return F
+
+
+def _oracle_schrodinger_time_face(H, rows, S):
+    n, sigma = H.dim, rows.sign
+    F = np.zeros(S.shape)
+    F[:, 0] = -sigma * S[:, 0]
+    F[:, 1:n] = sigma[:, None] * (2.0 * S[:, n + 1 :] - S[:, 1:n])
+    return F
+
+
+#: the boundary faces' fields in the closed forms they had before the table
+#: read them as affine with per-row coefficients
+ORACLE_FIELDS = {
+    ("helmholtz", "spatial_face"): _oracle_helmholtz_spatial,
+    ("d_x1", "spatial_face"): _oracle_d_x1_spatial,
+    ("klein_gordon", "kg_face"): _oracle_kg_face,
+    ("schrodinger_free", "schrodinger_time_face"): _oracle_schrodinger_time_face,
+}
+
+
+def _flow_batch_oracle(H, starts, T, dt):
+    """The RK4 step loop of flow_batch before its stage buffers, on the fields
+    of ORACLE_FIELDS: new arrays at every stage, the field recomputed from the
+    stage state alone, the tangency guard at every stage, and axes and signs
+    written at every step.  Returns (states, axes, signs) as flow_batch does."""
+    spec, n = hamflow._spec(H, starts[0].chart), H.dim
+    steps = int(round(abs(T / dt)))
+    h = (np.sign(T) if T != 0 else 1.0) * abs(dt)
+
+    def clamp(V):
+        if spec.rho:
+            V[V[:, 0] < 0.0, 0] = 0.0
+        return V
+
+    def fields(S):
+        F = ORACLE_FIELDS[(H.named_model, starts[0].chart)](H, rows, S)
+        if spec.rho and np.count_nonzero((S[:, 0] == 0.0) & (np.abs(F[:, 0]) > hamflow.TANGENCY_TOL)):
+            raise RuntimeError("rescaled field is not tangent to the boundary")
+        return F
+
+    S = np.array([hamflow._flatten(spec, p) for p in starts])
+    axis = np.array([-1 if p.axis is None else p.axis for p in starts])
+    sign = np.array([p.sign for p in starts], dtype=float)
+    rows = hamflow._Rows(axis, sign, hamflow._take(n, axis), ())
+    states, axes, signs = [S], [axis.copy()], [sign.copy()]
+    for _ in range(steps):
+        k1 = fields(S)
+        k2 = fields(clamp(S + h / 2 * k1))
+        k3 = fields(clamp(S + h / 2 * k2))
+        k4 = fields(clamp(S + h * k3))
+        S = clamp(S + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+        if spec.projective:
+            U = np.abs(hamflow._direction(S, n, rows.take))
+            switch = 1.0 / np.max(U, axis=1) < hamflow.SWITCH_LOW
+            if switch.any():
+                new_axis = np.argmax(U[switch], axis=1)
+                S[switch], sign[switch] = hamflow._transition(
+                    S[switch], n, axis[switch], sign[switch], new_axis
+                )
+                axis[switch] = new_axis
+                rows.take[1][switch] = hamflow._order(n)[new_axis]
+        states.append(S)
+        axes.append(axis.copy())
+        signs.append(sign.copy())
+    return np.array(states), np.array(axes, dtype=np.int8), np.array(signs, dtype=np.int8)
+
+
+ORACLE_CASES = {
+    "helmholtz-2": (lambda: _flow_case(2, 0), 20.0, 0.01),
+    "helmholtz-2-backward": (lambda: _flow_case(2, 0), -20.0, 0.01),
+    "helmholtz-3": (lambda: _flow_case(3, 0), 20.0, 0.01),
+    "helmholtz-3-backward": (lambda: _flow_case(3, 0), -20.0, 0.01),
+    "d_x1": (_d_x1_case, 6.0, 0.01),
+    "kg_face": (_kg_case, 3.0, 0.001),
+    "schrodinger": (_schrodinger_case, 3.0, 0.01),
+}
+
+
+class TestFlowBatchOracle:
+    """flow_batch bit for bit against its slow path."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_bit_identical_to_the_step_loop_oracle(self, case):
+        make, T, dt = ORACLE_CASES[case]
+        H, starts = make()
+        batch = hamflow.flow_batch(H, starts, T, dt)
+        states, axes, signs = _flow_batch_oracle(H, starts, T, dt)
+        assert np.array_equal(batch.states, states)
+        assert np.array_equal(batch.axes, axes)
+        assert np.array_equal(batch.signs, signs)
+
+    def test_helmholtz_cases_switch_charts(self):
+        for case in ("helmholtz-2", "helmholtz-2-backward", "helmholtz-3", "helmholtz-3-backward"):
+            make, T, dt = ORACLE_CASES[case]
+            axes = hamflow.flow_batch(*make(), T, dt).axes
+            assert np.any(axes[-1] != axes[0]), case
+
+    def test_oracle_covers_every_face_with_coefficients(self):
+        faces = {key for key, spec in hamflow._SPECS.items() if spec.coef}
+        assert set(ORACLE_FIELDS) == faces
+        cases = set()
+        for make, _, _ in ORACLE_CASES.values():
+            H, starts = make()
+            cases.add((H.named_model, starts[0].chart))
+        assert cases == faces
 
 
 def _others(n, axis):
