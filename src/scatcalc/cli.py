@@ -15,8 +15,8 @@ only definition of its metrics and criteria; the acceptance tests call it
 through ``run_experiment``) and its config schema.  ``load_config``,
 ``run_experiment`` and ``main`` all read that table.
 
-Exit codes: 0 all criteria pass, 1 criterion failure, 2 config error,
-3 I/O error.
+Exit codes: 0 all criteria pass, 1 criterion failure, 2 config error or an
+input the library refuses (``grid.InputRefusal``), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import QUANTIZE_MAX_N
+from .grid import QUANTIZE_MAX_N, InputRefusal
 
 __all__ = ["ExperimentConfig", "RunReport", "load_config", "run_experiment", "emit_report", "main"]
 
@@ -759,6 +759,9 @@ def main(argv=None) -> int:
         report = run_experiment(cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except InputRefusal as e:  # the library refuses a value the schema lets through
+        print(f"refused: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     try:
         paths = emit_report(report, cfg.output_dir, formats=tuple(args.format.split(",")))

@@ -41,7 +41,7 @@ from .bumps import (
     smoothstep_prime,
     sqrt_chi0_over_t2,
 )
-from .grid import GridField, GridSpec, spectral_transform
+from .grid import GridField, GridSpec, InputRefusal, spectral_transform
 from .quadrature import central, richardson
 
 __all__ = [
@@ -57,15 +57,15 @@ __all__ = [
 ]
 
 
-class DigammaTooSmallError(ValueError):
+class DigammaTooSmallError(InputRefusal):
     """Square-root argument loses positivity; increase digamma."""
 
 
-class SupportTooWideError(ValueError):
+class SupportTooWideError(InputRefusal):
     """Square-root argument loses positivity; shrink delta."""
 
 
-class ThresholdOrderError(ValueError):
+class ThresholdOrderError(InputRefusal):
     """Order r = -1/2: the leading commutant term has no sign to exploit."""
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "GridField",
     "SpectralField",
     "SobolevOrder",
+    "InputRefusal",
     "GridBudgetError",
     "QuadratureError",
     "make_grid",
@@ -59,7 +60,12 @@ MASS_GL_ORDER = 8
 MASS_TOL = 1e-8
 
 
-class GridBudgetError(ValueError):
+class InputRefusal(ValueError):
+    """The library refuses an input it cannot compute with: a bad value, not a bug.
+    Every such refusal derives from it, and the CLI exits 2 on it."""
+
+
+class GridBudgetError(InputRefusal):
     """Requested grid or operator exceeds the desk-scale budget."""
 
 

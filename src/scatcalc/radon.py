@@ -16,9 +16,11 @@ is read from a Chebyshev table, filled by angle addition on half a Gauss rule
 (phi is even); the Hankel oracle reads phi_tilde, not the table.
 Since phi is even and the line rule symmetric, L integrates along the lines of
 I_0, so `backproject` and `injectivity_probe` build each line integral once;
-the lines along omega and -omega are the same too, so the probe builds one line
-matrix and `pairing_gap` one I_0 f per antipodal pair, and the probe assembles
-A on the ball only.
+the lines along omega and -omega are the same too, so `pairing_gap` computes one
+I_0 f and the probe one stencil per antipodal pair (its line matrix is that
+stencil shifted along the lattice), and the probe assembles A on the ball only.
+Line points are stored coordinate-major: the callables f and v receive (M, n)
+views with contiguous columns, not C-contiguous copies.
 """
 
 from __future__ import annotations
@@ -203,15 +205,26 @@ def _antipode_pairs(dirs) -> list:
             if j > k or gap[k, j] > 1e-12]
 
 
+def _line_points(z, t, omega) -> np.ndarray:
+    """The points z + t omega, (..., m, n) for t (m,) and z, omega (..., n) with broadcasting
+    batch shapes, stored coordinate-major: their reshape to (... * m, n) is a view with
+    contiguous columns, so the add here and the callables loop over points, not over n."""
+    z, omega = np.asarray(z, dtype=float), np.asarray(omega, dtype=float)
+    batch = np.broadcast_shapes(z.shape[:-1], omega.shape[:-1])
+    out = np.empty((z.shape[-1], *batch, len(t)))
+    np.add(z[..., None], t * omega[..., None], out=np.moveaxis(out, 0, -2))
+    return np.moveaxis(out, 0, -1)
+
+
 def xray_transform(f: Callable, z, omega, phi: LocalizerProfile):
     """I_0 f(z, omega) = int f(z + t omega) phi(t) dt by Gauss quadrature.
 
-    f is vectorized over (M, n) arrays; z and omega may carry matching batch
+    f is vectorized over (M, n) arrays: it receives a view whose columns are
+    contiguous, not a C-contiguous copy.  z and omega may carry matching batch
     dimensions (..., n).
     """
-    z, omega = np.asarray(z, dtype=float), np.asarray(omega, dtype=float)
     t, w = _line_rule(_LINE_NODES)
-    pts = z[..., None, :] + t[:, None] * omega[..., None, :]
+    pts = _line_points(z, t, omega)
     return np.asarray(f(pts.reshape(-1, pts.shape[-1]))).reshape(pts.shape[:-1]) @ (w * phi(t))
 
 
@@ -227,13 +240,12 @@ def backproject(v: Callable, phi: LocalizerProfile, directions, dir_weights):
     lines = list(enumerate(zip(np.asarray(directions, dtype=float), dir_weights)))
 
     def Lv(y):
-        y = np.asarray(y, dtype=float)
         out = 0.0
         # inline, not a helper call per direction: the last direction's points
         # stay allocated, so the heap is not trimmed and refaulted each time
         for k, (om, wk) in lines:
-            pts = y[..., None, :] + t[:, None] * om
-            vals = np.asarray(v(pts.reshape(-1, y.shape[-1]), k)).reshape(pts.shape[:-1])
+            pts = _line_points(y, t, om)
+            vals = np.asarray(v(pts.reshape(-1, pts.shape[-1]), k)).reshape(pts.shape[:-1])
             out = out + wk * (vals @ tw)
         return out
 
@@ -352,40 +364,45 @@ def cone_ellipticity_check(n: int, chi: ConeCutoff, phi: LocalizerProfile) -> di
 # ---------------------------------------------------------------------------
 
 
-def _interp_matrix(axes, pts, line_w) -> sparse.csr_matrix:
-    """Sparse line sums of multilinear interpolation: row i sums line_w[j] times
-    the interpolant at pts[i * len(line_w) + j] (duplicate entries sum in the
-    CSR conversion); columns index the tensor grid; outside queries are zero,
-    and a query on an upper face reads the last cell at fraction 1 (to rounding)."""
-    n, m = len(axes), len(line_w)
-    sizes = [len(a) for a in axes]
-    u = [(pts[:, j] - a[0]) / (a[1] - a[0]) for j, a in enumerate(axes)]
-    inside = np.ones(len(pts), dtype=bool)
-    for j, a in enumerate(axes):  # test the faces on pts: u rounds past them
-        inside &= (pts[:, j] >= a[0]) & (pts[:, j] <= a[-1])
-    r = np.nonzero(inside)[0]  # the rest read zero: drop them before the corners
-    u = [uj[r] for uj in u]
-    idx0 = [np.minimum(np.floor(uj).astype(int), size - 2) for uj, size in zip(u, sizes)]
-    frac = [uj - i for uj, i in zip(u, idx0)]
-    rows, cols, vals = [], [], []
-    for corner in range(2**n):
-        wt = np.ones(len(r))
-        flat = np.zeros(len(r), dtype=int)
-        stride = 1
-        for j in reversed(range(n)):
-            bit = (corner >> j) & 1
-            wt = wt * (frac[j] if bit else (1.0 - frac[j]))
-            flat = flat + (idx0[j] + bit) * stride
-            stride *= sizes[j]
-        keep = wt != 0
-        rows.append(r[keep] // m)
-        cols.append(flat[keep])
-        vals.append(wt[keep] * line_w[r[keep] % m])
-    M = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(pts) // m, int(np.prod(sizes))),
-    )
-    return M.tocsr()
+def _line_blocks(axes, Z, t, wt, omega, ball):
+    """I0[ball, :] and I0[:, ball] in CSR, I0 the wt-weighted sums of the multilinear
+    interpolant on the lines z + t omega from the grid points z of Z.  The cells
+    floor(t omega / h) + corner and their weights do not depend on z: every row is
+    one stencil shifted along the lattice.  Nodes outside the box read zero (tested
+    on the points), and an entry whose column leaves the grid on an axis, a face
+    rounding case of weight ~1e-16, is dropped."""
+    n, m, G = len(axes), len(t), len(Z)
+    sizes = np.array([len(a) for a in axes])
+    s = np.multiply.outer(omega / [(a[-1] - a[0]) / (len(a) - 1) for a in axes], t)
+    cell = np.floor(s)
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1  # (corner, axis)
+    corner_w = np.prod(np.where(bits[..., None] == 1, s - cell, 1.0 - (s - cell)), axis=1) * wt
+    keep = corner_w != 0
+    # an offset vector is one step in the grid padded by the offsets' reach, so
+    # distinct vectors stay distinct and sort in C order; lut maps back to the grid
+    reach = int(np.abs(cell).max()) + 1
+    lut = np.full(sizes + 2 * reach, -1, dtype=np.int32)
+    lut[(slice(reach, -reach),) * n] = np.arange(G).reshape(sizes)
+    strides = np.array(lut.strides) // lut.itemsize
+    steps, inv = np.unique(np.add.outer(bits @ strides, strides @ cell.astype(int))[keep],
+                           return_inverse=True)
+    stencil = np.bincount(np.nonzero(keep)[1] * len(steps) + inv, corner_w[keep], m * len(steps))
+    pts = _line_points(Z, t, omega)
+    inside = np.ones(pts.shape[:-1])
+    for j, a in enumerate(axes):
+        inside *= (pts[..., j] >= a[0]) & (pts[..., j] <= a[-1])
+    vals = inside @ stencil.reshape(m, -1)  # (grid point, offset)
+    cols = lut.ravel()[np.flatnonzero(lut >= 0)[:, None] + steps]  # -1 off the grid
+    # -1 off the ball too: column -1 reads the appended -1
+    ball_cols = np.append(np.where(ball, np.cumsum(ball, dtype=np.int32) - 1, -1), -1)[cols]
+    nonzero = vals != 0
+
+    def csr(mask, indices, data, width):
+        indptr = np.append(0, np.cumsum(np.count_nonzero(mask, axis=1)))
+        return sparse.csr_matrix((data[mask], indices[mask], indptr), shape=(len(mask), width))
+
+    return (csr(nonzero[ball] & (cols[ball] >= 0), cols[ball], vals[ball], G),
+            csr(nonzero & (ball_cols >= 0), ball_cols, vals, int(ball.sum())))
 
 
 def injectivity_probe(
@@ -426,9 +443,8 @@ def injectivity_probe(
     wt = wt * phi(t)
     A = np.zeros((dof, dof))  # every product is nearly dense: sum them densely
     for pair in _antipode_pairs(dirs):
-        pts = (Z[:, None, :] + t[:, None] * dirs[pair[0]]).reshape(-1, n)
-        I0k = _interp_matrix(axes, pts, wt)
-        A += ((c[list(pair)].sum() * I0k[ball]) @ I0k[:, ball]).toarray()
+        rows, cols = _line_blocks(axes, Z, t, wt, dirs[pair[0]], ball)
+        A += (c[list(pair)].sum() * rows @ cols).toarray()
     sigma_min = float(svdvals(A)[-1])
     r2 = np.sum(Z[ball] ** 2, axis=-1)
     fvec = np.exp(-6.0 * r2) * (1.0 - np.clip(r2, 0, 1))

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import svdvals
 
-from .grid import QUANTIZE_MAX_N, GridBudgetError, GridField, GridSpec, SobolevOrder
+from .grid import QUANTIZE_MAX_N, GridBudgetError, GridField, GridSpec, InputRefusal, SobolevOrder
 from .quadrature import central, richardson
 
 __all__ = [
@@ -61,11 +61,11 @@ TABULATE_MAX_SIZE = 2**22
 ELLIPTICITY_FLOOR = 1e-6
 
 
-class NotScEllipticError(ValueError):
+class NotScEllipticError(InputRefusal):
     """Symbol fails the total (joint spatial/frequency) ellipticity gate."""
 
 
-class KernelDecayError(ValueError):
+class KernelDecayError(InputRefusal):
     """Kernel does not decay off-diagonal well enough to read off a symbol."""
 
 

@@ -147,6 +147,49 @@ class TestMainExitCodes:
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "experiment,body,refusal",
+        [
+            ("quantize-check", {"L": 1e-6}, "KernelDecayError"),
+            ("commutant", {"eps": 100}, "DigammaTooSmallError"),
+            ("commutant", {"digamma": 1e-9}, "DigammaTooSmallError"),
+            ("commutant", {"delta": 100}, "SupportTooWideError"),
+        ],
+    )
+    def test_library_refusal_is_two_and_writes_nothing(
+        self, tmp_path, capsys, experiment, body, refusal
+    ):
+        # schema-valid values that the library refuses: a refusal, not a failed criterion
+        cfg = write_config(tmp_path, body)
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"refused: {refusal}: " in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "module,name",
+        [("symbols", "KernelDecayError"), ("symbols", "NotScEllipticError"),
+         ("commutants", "DigammaTooSmallError"), ("commutants", "SupportTooWideError"),
+         ("commutants", "ThresholdOrderError"), ("grid", "GridBudgetError")],
+    )
+    def test_refusals_share_one_value_error_base(self, module, name):
+        from scatcalc.grid import InputRefusal
+
+        refusal = getattr(__import__(f"scatcalc.{module}", fromlist=[name]), name)
+        assert issubclass(refusal, InputRefusal) and issubclass(refusal, ValueError)
+
+    def test_plain_value_error_in_a_runner_propagates(self, tmp_path, monkeypatch):
+        # only the library's refusals map to exit 2; any other exception is a bug
+        def broken(values, seed):
+            raise ValueError("a bug, not a refusal")
+
+        schema = cli._EXPERIMENTS["scatter1d"][1]
+        monkeypatch.setitem(cli._EXPERIMENTS, "scatter1d", (broken, schema))
+        cfg = write_config(tmp_path, {})
+        with pytest.raises(ValueError, match="a bug, not a refusal"):
+            main(["scatter1d", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o").exists()
+
     def test_quantize_check_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"N": 96, "L": 18.0})
         code = main(["quantize-check", "--config", cfg, "--out", str(tmp_path / "q")])

@@ -161,6 +161,23 @@ class TestVarSobolevNorm:
         nf = sobolev_norm(u, SobolevOrder(s=0.0, r=eps))
         assert abs(nv - nf) / nf < 0.02
 
+    @pytest.mark.parametrize("xi0", [3.0, -3.0])
+    def test_order_that_depends_on_xi(self, xi0):
+        # r = -1/2 - 1.25 tanh(x) tanh(xi) is above -1/2 where x xi < 0 (incoming) and
+        # below where x xi > 0 (outgoing).  A packet at (x0, xi0) sees the constant
+        # order r(x0, xi0): ratios 1.0011 and 0.9988 at x0 = 20 (1.0186 and 0.9989 at
+        # x0 = 12), while an order read at xi = 0 or at -xi is off by <x0>^(+-1.24).
+        spec, x0 = make_grid(1, 40.0, 256), 20.0
+        u = field_from_function(spec, lambda x: np.exp(-((x - x0) ** 2) / 32 + 1j * xi0 * x))
+
+        def order(x, xi):
+            return -0.5 - 1.25 * np.tanh(x[..., 0]) * np.tanh(xi[..., 0])
+
+        nv = var_sobolev_norm(u, SobolevOrder(s=0.0, r=order))
+        r0 = float(order(np.array([x0]), np.array([xi0])))
+        nf = sobolev_norm(u, SobolevOrder(s=0.0, r=r0))
+        assert abs(nv / nf - 1.0) < 0.05
+
     def test_zero_field(self):
         u = GridField(self.spec, np.zeros(self.spec.shape, dtype=complex))
         assert var_sobolev_norm(u, SobolevOrder(0, r=lambda x, xi: 0.0 * x[..., 0])) == 0.0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.fft import idct
 from scipy.integrate import quad
 from scipy.linalg import svdvals
@@ -9,8 +10,10 @@ from scatcalc.bumps import plateau
 from scatcalc.radon import (
     ConeCutoff,
     LocalizerProfile,
+    _antipode_pairs,
     _flat_panels,
-    _interp_matrix,
+    _line_blocks,
+    _line_points,
     _line_rule,
     backproject,
     cone_ellipticity_check,
@@ -334,6 +337,44 @@ class TestConeEllipticity:
         assert narrow["scaled_floor"][-1] < 1e-3 * full["scaled_floor"][-1]
 
 
+def interp_matrix(axes, pts, line_w) -> sparse.csr_matrix:
+    """Per-point oracle of the probe's line matrices: row i sums line_w[j] times
+    the multilinear interpolant at pts[i * len(line_w) + j] (duplicate entries
+    sum in the CSR conversion); columns index the tensor grid; outside queries
+    are zero, and a query on an upper face reads the last cell at fraction 1 (to
+    rounding).  The cell width is the linspace step (a[-1] - a[0]) / (len(a) - 1)
+    itself; a[1] - a[0] is up to 6.7e-16 off it, which moves u = 23 by 1.5e-14."""
+    n, m = len(axes), len(line_w)
+    sizes = [len(a) for a in axes]
+    u = [(pts[:, j] - a[0]) / ((a[-1] - a[0]) / (len(a) - 1)) for j, a in enumerate(axes)]
+    inside = np.ones(len(pts), dtype=bool)
+    for j, a in enumerate(axes):  # test the faces on pts: u rounds past them
+        inside &= (pts[:, j] >= a[0]) & (pts[:, j] <= a[-1])
+    r = np.nonzero(inside)[0]  # the rest read zero: drop them before the corners
+    u = [uj[r] for uj in u]
+    idx0 = [np.minimum(np.floor(uj).astype(int), size - 2) for uj, size in zip(u, sizes)]
+    frac = [uj - i for uj, i in zip(u, idx0)]
+    rows, cols, vals = [], [], []
+    for corner in range(2**n):
+        wt = np.ones(len(r))
+        flat = np.zeros(len(r), dtype=int)
+        stride = 1
+        for j in reversed(range(n)):
+            bit = (corner >> j) & 1
+            wt = wt * (frac[j] if bit else (1.0 - frac[j]))
+            flat = flat + (idx0[j] + bit) * stride
+            stride *= sizes[j]
+        keep = wt != 0
+        rows.append(r[keep] // m)
+        cols.append(flat[keep])
+        vals.append(wt[keep] * line_w[r[keep] % m])
+    M = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(len(pts) // m, int(np.prod(sizes))),
+    )
+    return M.tocsr()
+
+
 class TestInterpMatrix:
     def test_linear_function_is_exact_on_every_face(self):
         g = np.linspace(-1.0, 1.0, 24)
@@ -348,9 +389,84 @@ class TestInterpMatrix:
         def f(p):
             return 100.0 + 300.0 * p[:, 0] + 200.0 * p[:, 1]
 
-        read = _interp_matrix((g, g), np.concatenate([faces, past]), np.ones(1)) @ f(grid)
+        read = interp_matrix((g, g), np.concatenate([faces, past]), np.ones(1)) @ f(grid)
         assert np.max(np.abs(read[: len(faces)] - f(faces))) < 1e-12
         assert np.all(read[len(faces):] == 0.0)
+
+
+def probe_grid(n, grid_points):
+    """The probe's axes, grid points and ball mask."""
+    axes = tuple(np.linspace(-1.0, 1.0, grid_points) for _ in range(n))
+    Z = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    return axes, Z, np.sum(Z**2, axis=-1) <= 1.0
+
+
+class TestLineBlocks:
+    """The stencil blocks I0[ball, :] and I0[:, ball] against the per-point oracle."""
+
+    @staticmethod
+    def assert_blocks_match(axes, Z, ball, t, wt, omega):
+        rows, cols = _line_blocks(axes, Z, t, wt, omega, ball)
+        I0 = interp_matrix(axes, _line_points(Z, t, omega).reshape(-1, len(axes)), wt)
+        for got, want in ((rows, I0[ball]), (cols, I0[:, ball])):
+            assert got.shape == want.shape
+            assert abs(got - want).max() <= 1e-14 * abs(want).max()
+            assert got.has_canonical_format  # sorted columns, no duplicates
+
+    @pytest.mark.parametrize(
+        "n, grid_points, n_dirs, n_t",
+        [(2, 24, 64, 16), (2, 16, 63, 16), (3, 10, 60, 12), (3, 16, 64, 16)],
+    )
+    def test_every_direction_of_a_probe_rule(self, n, grid_points, n_dirs, n_t):
+        axes, Z, ball = probe_grid(n, grid_points)
+        dirs, _ = direction_rule(n, n_dirs)
+        t, w = _line_rule(n_t)
+        for pair in _antipode_pairs(dirs):
+            self.assert_blocks_match(axes, Z, ball, t, w * PHI(t), dirs[pair[0]])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_axis_parallel_and_diagonal_directions(self, n):
+        axes, Z, ball = probe_grid(n, 12)
+        t, w = _line_rule(16)
+        eye = np.eye(n)
+        diagonals = [np.ones(n), np.r_[1.0, -np.ones(n - 1)]]
+        for omega in [*eye, *-eye, *(d / np.linalg.norm(d) for d in diagonals)]:
+            self.assert_blocks_match(axes, Z, ball, t, w * PHI(t), omega)
+
+    def test_line_node_on_an_upper_face(self):
+        # z = 0.5 and t = 0.5 along e_1 land on x_1 = 1 exactly, and t = 1.5 past it
+        axes, Z, ball = probe_grid(2, 5)
+        t = np.array([-1.5, -0.5, 0.25, 0.5, 1.5])
+        pts = _line_points(Z, t, np.array([1.0, 0.0]))
+        assert np.any(pts[..., 0] == 1.0) and np.any(pts[..., 0] > 1.0)
+        for omega in (np.array([1.0, 0.0]), np.array([0.0, -1.0]), np.array([0.6, 0.8])):
+            self.assert_blocks_match(axes, Z, ball, t, np.linspace(1.0, 2.0, 5), omega)
+
+
+class TestLinePoints:
+    @staticmethod
+    def broadcast(z, t, omega):
+        """The construction the transforms used before: z + t omega in C order."""
+        z, omega = np.asarray(z, dtype=float), np.asarray(omega, dtype=float)
+        return z[..., None, :] + t[:, None] * omega[..., None, :]
+
+    rng = np.random.default_rng(5)
+
+    @pytest.mark.parametrize(
+        "z_shape, omega_shape",
+        [((40, 2), (2,)), ((40, 2), (40, 2)), ((2,), (2,)), ((2,), (7, 2)), ((3, 5, 3), (5, 3)),
+         ((30, 3), (3,))],
+        ids=["grid", "batched", "one-point", "one-point-many-directions", "3d-batched", "3d"],
+    )
+    def test_bit_identical_to_broadcast(self, z_shape, omega_shape):
+        z, omega = self.rng.normal(size=z_shape), self.rng.normal(size=omega_shape)
+        t = _line_rule(24)[0]
+        got = _line_points(z, t, omega)
+        want = self.broadcast(z, t, omega)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        flat = got.reshape(-1, got.shape[-1])
+        assert np.shares_memory(flat, got) and flat.flags.f_contiguous
 
 
 def two_matrix_sigma_min(n, grid_points, n_dirs, n_t, chi=None):
@@ -364,8 +480,8 @@ def two_matrix_sigma_min(n, grid_points, n_dirs, n_t, chi=None):
     wt = w * PHI(t)
     A = 0
     for om, wk in zip(dirs, dw):
-        I0k = _interp_matrix(axes, (Z[:, None, :] + t[:, None] * om).reshape(-1, n), wt)
-        Lk = _interp_matrix(axes, (Z[:, None, :] - t[:, None] * om).reshape(-1, n), wt)
+        I0k = interp_matrix(axes, (Z[:, None, :] + t[:, None] * om).reshape(-1, n), wt)
+        Lk = interp_matrix(axes, (Z[:, None, :] - t[:, None] * om).reshape(-1, n), wt)
         A = A + (wk * (float(chi(np.array([om[0]]))[0]) if chi else 1.0) * Lk) @ I0k
     return float(svdvals(A.toarray()[np.ix_(ball, ball)])[-1])
 
@@ -413,12 +529,15 @@ class TestInjectivity:
 
     @pytest.mark.parametrize("n, n_dirs, builds", [(2, 64, 32), (2, 63, 63), (3, 60, 30)])
     def test_one_line_matrix_per_antipodal_pair(self, monkeypatch, n, n_dirs, builds):
-        calls = []
+        calls = {"blocks": 0, "points": 0}
 
-        def counted(*args):
-            calls.append(1)
-            return _interp_matrix(*args)
+        def counted(name, build):
+            def wrapped(*args):
+                calls[name] += 1
+                return build(*args)
+            return wrapped
 
-        monkeypatch.setattr(radon, "_interp_matrix", counted)
+        monkeypatch.setattr(radon, "_line_blocks", counted("blocks", _line_blocks))
+        monkeypatch.setattr(radon, "_line_points", counted("points", _line_points))
         injectivity_probe(n, grid_points=8, n_dirs=n_dirs)
-        assert len(calls) == builds
+        assert calls == {"blocks": builds, "points": builds}
