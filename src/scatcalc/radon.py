@@ -241,7 +241,7 @@ def backproject(v: Callable, phi: LocalizerProfile, directions, dir_weights):
 
     def Lv(y):
         out = 0.0
-        # inline, not a helper call per direction: the last direction's points
+        # pts is rebound, not freed, per direction: the last direction's points
         # stay allocated, so the heap is not trimmed and refaulted each time
         for k, (om, wk) in lines:
             pts = _line_points(y, t, om)

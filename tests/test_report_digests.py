@@ -13,9 +13,10 @@ report_digests = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(report_digests)
 
 
-def test_digests_are_those_of_the_reports(tmp_path, capsys):
+def test_digests_are_those_of_the_reports(tmp_path, monkeypatch, capsys):
     # each experiment runs in a fresh process; its files hash as the in-process run's do
-    assert report_digests.main([str(ROOT), "--experiments", "var-order,scatter1d"]) == 0
+    monkeypatch.setattr(report_digests, "EXPERIMENTS", ("var-order", "scatter1d"))
+    assert report_digests.main([str(ROOT)]) == 0
     printed = {}
     for line in capsys.readouterr().out.splitlines():
         sha, root, name = line.split("  ")
@@ -34,7 +35,7 @@ def test_digests_are_those_of_the_reports(tmp_path, capsys):
 def test_lists_the_files_that_differ(monkeypatch, capsys):
     tables = {"a": {"x.json": "1" * 64, "y.csv": "2" * 64}, "b": {"x.json": "1" * 64}}
     monkeypatch.setattr(report_digests, "digests", lambda root, exps, work: (tables[root.name], []))
-    assert report_digests.main(["a", "b", "--experiments", "radon"]) == 1
+    assert report_digests.main(["a", "b"]) == 1
     out = capsys.readouterr().out
     assert "1 of 2 files differ between roots" in out
     assert "differs: y.csv  (a: 222222222222, b: missing)" in out

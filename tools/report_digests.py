@@ -7,7 +7,7 @@ byte-stable at a fixed BLAS thread count), once per checkout root, with
 given two or more roots, the files whose bytes differ between them, or that
 some root did not write, are listed after.
 
-    python tools/report_digests.py ROOT [ROOT ...] [--experiments radon,flow]
+    python tools/report_digests.py ROOT [ROOT ...]
 
 Exit status: 0 when every run wrote its report and all roots agree, 1 when a
 file differs or is missing, 2 when a run exited with neither 0 nor 1.
@@ -23,11 +23,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-#: The experiments of ``scatcalc.cli``, in the order they are run.
-EXPERIMENTS = (
-    "radial", "quantize-check", "commutant", "helmholtz", "pairing", "scatter1d", "var-order",
-    "flow", "threshold", "radon",
-)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from scatcalc.cli import _EXPERIMENTS  # noqa: E402
+
+#: The experiments of this checkout's ``scatcalc.cli``, in the order they are run.
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def digests(root: Path, experiments, work: Path) -> tuple[dict, list]:
@@ -54,16 +54,11 @@ def digests(root: Path, experiments, work: Path) -> tuple[dict, list]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("roots", nargs="+", type=Path, help="checkout roots (each holds src/scatcalc)")
-    ap.add_argument("--experiments", default=",".join(EXPERIMENTS),
-                    help="comma-separated experiments (default: all ten)")
     args = ap.parse_args(argv)
-    experiments = args.experiments.split(",")
-    if unknown := sorted(set(experiments) - set(EXPERIMENTS)):
-        ap.error(f"unknown experiments {unknown}; choose from {list(EXPERIMENTS)}")
     table, failed = {}, []
     for root in args.roots:
         with tempfile.TemporaryDirectory() as work:
-            table[root], bad = digests(root.resolve(), experiments, Path(work))
+            table[root], bad = digests(root.resolve(), EXPERIMENTS, Path(work))
         failed += [f"{root}: {line}" for line in bad]
         for name, sha in table[root].items():
             print(f"{sha}  {root}  {name}")
