@@ -76,7 +76,7 @@ def _numbers(least: int, check):
 
 
 _COMMON = {
-    "seed": (int, 0, None),
+    "seed": (int, 0, lambda v: v >= 0),
     "output_dir": (str, ".", None),
 }
 
@@ -311,7 +311,7 @@ def _run_commutant(v, seed):
         threshold_rejected = False
     except ThresholdOrderError:
         threshold_rejected = True
-    spec = make_grid(2, v["L"], v["N"])
+    spec = make_grid(1, v["L"], v["N"])
     pairs = model_inequality_margins(spec, n_fields=v["fields"], seed=seed)
     min_margin = min(r - l for l, r in pairs)
     metrics = {
@@ -753,6 +753,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.experiment)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be nonnegative (got {args.seed})")
             cfg.seed = args.seed
         if args.out is not None:
             cfg.output_dir = args.out

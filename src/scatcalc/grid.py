@@ -1,11 +1,12 @@
-"""Truncated grids on R^n, discrete Fourier transforms, and weighted Sobolev norms.
+"""Truncated grids on the line, the discrete Fourier transform, and weighted Sobolev norms.
 
-Conventions.  The forward transform is u_hat(xi) = integral exp(-i x.xi) u dx
-and the inverse carries the factor (2 pi)^{-n}.  A grid of N points per axis
-covers [-L, L)^n with spacing h = 2L/N; the dual grid carries frequencies
+Conventions.  The forward transform is u_hat(xi) = integral exp(-i x xi) u dx,
+whose inverse carries the factor (2 pi)^{-1}.  A grid of N points covers
+[-L, L) with spacing h = 2L/N; the dual grid carries frequencies
 xi_k = (pi/L) k for k in [-N/2, N/2), stored in numpy fft layout.  With these
-choices Parseval reads ||u||^2 = (2 pi)^{-n} ||u_hat||^2 exactly, including on
-the discrete grid.
+choices Parseval reads ||u||^2 = (2 pi)^{-1} ||u_hat||^2 exactly, including on
+the discrete grid.  The radial mass quadratures below work on R^n (n = 1..3)
+without a grid.
 
 Functions are assumed negligible outside the box; callers are expected to keep
 fields decayed below ~1e-12 at the boundary so that aliasing is a controlled
@@ -24,7 +25,6 @@ from .quadrature import gauss_panels, product_sphere_rule
 __all__ = [
     "GridSpec",
     "GridField",
-    "SpectralField",
     "SobolevOrder",
     "InputRefusal",
     "GridBudgetError",
@@ -75,24 +75,21 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid on [-L, L)^n with an even number of points per axis."""
+    """Uniform grid on [-L, L) with an even number N of points."""
 
-    dimension: int
     half_width: float
     points_per_axis: int
 
     def __post_init__(self):
-        n, L, N = self.dimension, self.half_width, self.points_per_axis
-        if n not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
+        L, N = self.half_width, self.points_per_axis
         if not L > 0:
             raise ValueError("half_width must be positive")
         if N % 2 != 0:
             raise ValueError(f"points_per_axis must be even, got {N}")
         if N < 8:
             raise ValueError("points_per_axis must be at least 8")
-        if N**n > MAX_TOTAL_POINTS:
-            raise GridBudgetError(f"grid with {N}^{n} points exceeds budget {MAX_TOTAL_POINTS}")
+        if N > MAX_TOTAL_POINTS:
+            raise GridBudgetError(f"grid with {N} points exceeds budget {MAX_TOTAL_POINTS}")
 
     @property
     def spacing(self) -> float:
@@ -103,64 +100,42 @@ class GridSpec:
         return np.pi / self.half_width
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.points_per_axis,) * self.dimension
-
-    @property
     def size(self) -> int:
-        return self.points_per_axis**self.dimension
+        return self.points_per_axis
 
     def axis(self) -> np.ndarray:
-        """Spatial nodes -L, -L+h, ..., L-h along one axis."""
+        """Spatial nodes -L, -L+h, ..., L-h."""
         return -self.half_width + self.spacing * np.arange(self.points_per_axis)
 
     def freq_axis(self) -> np.ndarray:
         """Frequencies in fft layout: 0, dxi, ..., -dxi."""
         return 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
 
-    def mesh(self) -> list[np.ndarray]:
-        return np.meshgrid(*([self.axis()] * self.dimension), indexing="ij")
-
-    def freq_mesh(self) -> list[np.ndarray]:
-        return np.meshgrid(*([self.freq_axis()] * self.dimension), indexing="ij")
-
     def _alt_signs(self) -> np.ndarray:
-        """(-1)^k per axis in fft layout, as an n-dim outer product.
+        """(-1)^k in fft layout.
 
         These absorb the exp(+i L xi) phases relating the DFT to the
         centered-box transform (L xi_k = pi k).
         """
         k = np.rint(np.fft.fftfreq(self.points_per_axis) * self.points_per_axis).astype(int)
-        s = (-1.0) ** k
-        out = s
-        for _ in range(self.dimension - 1):
-            out = np.multiply.outer(out, s)
-        return out
+        return (-1.0) ** k
 
 
 @dataclass(frozen=True)
-class _Field:
-    """Finite values on the grid's N^n lattice; l2_norm sums them with the cell measure."""
+class GridField:
+    """Finite values on the grid's N nodes; l2_norm sums them with the cell measure h."""
 
     spec: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != self.spec.shape:
-            raise ValueError(f"values shape {self.values.shape} != grid shape {self.spec.shape}")
+        if self.values.shape != (self.spec.size,):
+            raise ValueError(f"values shape {self.values.shape} != grid shape ({self.spec.size},)")
         if not np.all(np.isfinite(self.values)):
-            raise ValueError(f"{type(self).__name__} contains non-finite entries")
+            raise ValueError("GridField contains non-finite entries")
 
     def l2_norm(self) -> float:
-        return float(np.sqrt(self._cell**self.spec.dimension * np.sum(np.abs(self.values) ** 2)))
-
-
-class GridField(_Field):
-    _cell = property(lambda self: self.spec.spacing)
-
-
-class SpectralField(_Field):
-    _cell = property(lambda self: self.spec.freq_spacing)
+        return float(np.sqrt(self.spec.spacing * np.sum(np.abs(self.values) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -180,49 +155,34 @@ class SobolevOrder:
 
 
 def make_grid(n: int, L: float, N: int) -> GridSpec:
-    """Validated grid constructor; see :class:`GridSpec` for the invariants."""
+    """Validated grid constructor; see :class:`GridSpec` for the invariants.
+    Grids are one-dimensional: any n but 1 raises :class:`GridBudgetError`."""
+    if n != 1:
+        raise GridBudgetError("grids are one-dimensional")
     if isinstance(N, float) and not float(N).is_integer():
         raise ValueError("points_per_axis must be an integer")
-    return GridSpec(dimension=int(n), half_width=float(L), points_per_axis=int(N))
+    return GridSpec(half_width=float(L), points_per_axis=int(N))
 
 
-def field_from_function(spec: GridSpec, fn: Callable[..., np.ndarray]) -> GridField:
-    """Sample fn(x1, ..., xn) on the grid."""
-    vals = np.asarray(fn(*spec.mesh()), dtype=complex)
-    return GridField(spec, np.broadcast_to(vals, spec.shape).copy())
+def field_from_function(spec: GridSpec, fn: Callable[[np.ndarray], np.ndarray]) -> GridField:
+    """Sample fn(x) on the grid."""
+    vals = np.asarray(fn(spec.axis()), dtype=complex)
+    return GridField(spec, np.broadcast_to(vals, (spec.size,)).copy())
 
 
-def spectral_transform(u):
-    """Discrete realization of the continuum Fourier transform pair.
-
-    GridField -> SpectralField, u_hat(xi) = h^n sum exp(-i x.xi) u(x);
-    SpectralField -> GridField, the inverse with the (2 pi)^{-n} factor.
-    """
-    if isinstance(u, GridField):
-        spec = u.spec
-        vals = spec.spacing**spec.dimension * spec._alt_signs() * np.fft.fftn(u.values)
-        return SpectralField(spec, vals)
-    if isinstance(u, SpectralField):
-        spec = u.spec
-        norm = (spec.freq_spacing / (2.0 * np.pi)) ** spec.dimension * spec.size
-        return GridField(spec, norm * np.fft.ifftn(spec._alt_signs() * u.values))
-    raise TypeError(f"spectral_transform expects a GridField or a SpectralField, got {type(u).__name__}")
+def spectral_transform(u: GridField) -> np.ndarray:
+    """Discrete forward transform u_hat(xi) = h sum exp(-i x xi) u(x), in fft layout."""
+    if not isinstance(u, GridField):
+        raise TypeError(f"spectral_transform expects a GridField, got {type(u).__name__}")
+    spec = u.spec
+    return spec.spacing * spec._alt_signs() * np.fft.fft(u.values)
 
 
 def parseval_defect(u: GridField) -> float:
-    """Relative defect of ||u||^2 - (2 pi)^{-n} ||u_hat||^2."""
-    uh = spectral_transform(u)
+    """Relative defect of ||u||^2 - (2 pi)^{-1} ||u_hat||^2."""
     a = u.l2_norm() ** 2
-    b = (2.0 * np.pi) ** (-u.spec.dimension) * uh.l2_norm() ** 2
+    b = (2.0 * np.pi) ** -1 * u.spec.freq_spacing * np.sum(np.abs(spectral_transform(u)) ** 2)
     return abs(a - b) / a if a > 0 else abs(b)
-
-
-def _jbracket(arrs) -> np.ndarray:
-    """sqrt(1 + |v|^2) for a list of coordinate meshes."""
-    s = np.zeros_like(np.asarray(arrs[0], dtype=float))
-    for a in arrs:
-        s = s + np.asarray(a, dtype=float) ** 2
-    return np.sqrt(1.0 + s)
 
 
 def sobolev_norm(u: GridField, ord: SobolevOrder) -> float:
@@ -234,14 +194,10 @@ def sobolev_norm(u: GridField, ord: SobolevOrder) -> float:
     if ord.is_variable:
         raise ValueError("sobolev_norm takes constant orders; use var_sobolev_norm")
     spec = u.spec
-    xw = _jbracket(spec.mesh()) ** ord.r
-    v = GridField(spec, u.values * xw)
-    vh = spectral_transform(v)
-    xiw = _jbracket(spec.freq_mesh()) ** ord.s
-    n = spec.dimension
-    total = (2.0 * np.pi) ** (-n) * spec.freq_spacing**n * np.sum(
-        np.abs(xiw * vh.values) ** 2
-    )
+    xw = np.sqrt(1.0 + spec.axis() ** 2) ** ord.r
+    vh = spectral_transform(GridField(spec, u.values * xw))
+    xiw = np.sqrt(1.0 + spec.freq_axis() ** 2) ** ord.s
+    total = (2.0 * np.pi) ** -1 * spec.freq_spacing * np.sum(np.abs(xiw * vh) ** 2)
     return float(np.sqrt(total))
 
 
@@ -253,8 +209,7 @@ def var_sobolev_norm(u: GridField, ord: SobolevOrder) -> float:
     the :func:`sobolev_norm` ordering.  The fixed-order floor term
     Lambda = <D>^s <x>^Lfloor (Lfloor = min r - 1) enters with weight
     :data:`FLOOR_WEIGHT`; it guards strict positivity without perturbing the
-    constant-order agreement.  Variable orders are one-dimensional, as dense
-    quantization is: another dimension raises :class:`GridBudgetError`.
+    constant-order agreement.
     """
     from .symbols import Symbol, quantize  # deferred: symbols builds on grid
 

@@ -34,6 +34,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .grid import GridBudgetError, InputRefusal
 from .quadrature import central, richardson
 from .symbols import Symbol, symbol_derivative
 
@@ -68,9 +69,11 @@ EPS_EIG = 1e-6
 TANGENCY_TOL = 1e-9
 FIELD_TOL = 1e-10  # |rescaled field| above which a scan candidate is not radial
 CHAR_TOL = 1e-8  # |char_value| up to which a flow start counts as null
+#: Largest states array of :func:`flow_batch`, (steps + 1) x B x d float entries.
+MAX_FLOW_ENTRIES = 2**24
 
 
-class ThresholdDegeneracyError(RuntimeError):
+class ThresholdDegeneracyError(InputRefusal):
     """Radial point whose threshold data is undefined, chiefly by a vanishing
     normal rate beta_0.
 
@@ -773,11 +776,12 @@ def flow_batch(H: SymbolHamiltonian, starts, T: float, dt: float) -> FlowBatch:
         raise ValueError("the starts of a batch must share one chart")
     spec = _spec(H, chart)
     n = H.dim
-    steps = int(round(abs(T / dt)))
-    h = (np.sign(T) if T != 0 else 1.0) * abs(dt)
-
     field = spec.field
     S = np.array([_flatten(spec, p) for p in starts])
+    if (abs(T / dt) + 1.0) * S.size > MAX_FLOW_ENTRIES:
+        raise GridBudgetError(f"{abs(T / dt):.3g} steps of {S.size} entries exceed the budget")
+    steps = int(round(abs(T / dt)))
+    h = (np.sign(T) if T != 0 else 1.0) * abs(dt)
     axis = np.array([-1 if p.axis is None else p.axis for p in starts])
     sign = np.array([p.sign for p in starts], dtype=float)
 

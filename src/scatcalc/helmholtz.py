@@ -44,7 +44,9 @@ import numpy as np
 
 from scipy.special import jv, sph_harm_y, spherical_jn
 
-from .grid import QuadratureError, fit_growth_exponent, fit_log_growth, radial_weighted_mass
+from .grid import (
+    InputRefusal, QuadratureError, fit_growth_exponent, fit_log_growth, radial_weighted_mass,
+)
 from .quadrature import product_sphere_rule, richardson
 
 __all__ = [
@@ -448,6 +450,8 @@ def threshold_scan(f: SphereDensity, lam: float, r_orders, radii) -> dict:
             # rung on a ladder of fewer than three radii), where the tail
             # dominates the trend
             base = -3 if len(masses) >= 3 else 0
+            if masses[base] == 0.0:
+                raise InputRefusal(f"order {r}: the weighted masses underflow to zero")
             entry["ratio"] = masses[-1] / masses[base]
             entry["ratio_radii"] = [float(radii[base]), float(radii[-1])]
         table[float(r)] = entry

@@ -7,8 +7,8 @@ measured by :func:`conormal_seminorm` on a logarithmically spaced probe set.
 
 The symbol calculus is one-dimensional, (x, xi) in R x R: composition
 expansions, Poisson brackets, seminorms and parametrices take 1-D symbols
-(built with :func:`sym1d`), and so are the dense operators.  Quantization is
-the left (standard) one,
+(built with :func:`sym1d`), and the dense operators live on the 1-D grids of
+:mod:`scatcalc.grid`.  Quantization is the left (standard) one,
 
     (Op a) u(x) = (2 pi)^{-1} int exp(i x xi) a(x, xi) u_hat(xi) d xi,
 
@@ -243,12 +243,10 @@ class DenseOperator:
 
     spec: GridSpec
     matrix: np.ndarray
-    declared_order: tuple[float, float]
 
     def __post_init__(self):
-        _require_1d(self.spec)
         if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("operator kernel contains non-finite entries")
+            raise InputRefusal("operator kernel contains non-finite entries (the symbol overflows)")
 
     @property
     def measure(self) -> float:
@@ -266,21 +264,11 @@ class DenseOperator:
     def compose(self, other: "DenseOperator") -> "DenseOperator":
         if other.spec != self.spec:
             raise ValueError("operators live on different grids")
-        kern = self.as_l2_matrix() @ other.matrix
-        order = (
-            self.declared_order[0] + other.declared_order[0],
-            self.declared_order[1] + other.declared_order[1],
-        )
-        return DenseOperator(self.spec, kern, order)
-
-
-def _require_1d(spec: GridSpec):
-    if spec.dimension != 1:
-        raise GridBudgetError(f"dense operators are one-dimensional, got n = {spec.dimension}")
+        return DenseOperator(self.spec, self.as_l2_matrix() @ other.matrix)
 
 
 def identity_operator(spec: GridSpec) -> DenseOperator:
-    return DenseOperator(spec, np.eye(spec.points_per_axis, dtype=complex) / spec.spacing, (0.0, 0.0))
+    return DenseOperator(spec, np.eye(spec.size, dtype=complex) / spec.spacing)
 
 
 def quantize(a: Symbol, spec: GridSpec, mode: str = "left") -> DenseOperator:
@@ -291,27 +279,24 @@ def quantize(a: Symbol, spec: GridSpec, mode: str = "left") -> DenseOperator:
     Op_R(a) = Op_L(conj a)^*; it is what the variable-order norm uses to match
     the <D>^s <x>^r operator ordering.
     """
-    if mode == "right":
-        conj = Symbol(
-            eval=lambda x, xi: np.conj(a(x, xi)),
-            order=a.order,
-            depends_on_x=a.depends_on_x,
-            depends_on_xi=a.depends_on_xi,
-        )
-        left = quantize(conj, spec, mode="left")
-        return DenseOperator(spec, left.matrix.conj().T, a.order)
-    if mode != "left":
+    if mode not in ("left", "right"):
         raise ValueError("mode must be 'left' or 'right'")
-    _require_1d(spec)
     if spec.size > QUANTIZE_MAX_N:
         raise GridBudgetError(f"N = {spec.size} exceeds dense budget {QUANTIZE_MAX_N}")
     x, xi = spec.axis()[:, None], spec.freq_axis()
     sym = a(x[:, :, None], xi[None, :, None])
+    if mode == "right":
+        return DenseOperator(spec, _left_kernel(spec, x, xi, np.conj(sym)).conj().T)
+    return DenseOperator(spec, _left_kernel(spec, x, xi, sym))
+
+
+def _left_kernel(spec: GridSpec, x, xi, sym) -> np.ndarray:
+    """Kernel of Op_L from the symbol table sym[i, k] = a(x_i, xi_k)."""
     # a named phase keeps sym * phase in that order: numpy's in-place reuse
     # of a temporary would swap the factors and move the complex product's last bit
     phase = np.exp(1j * (x * xi))
     rows = np.fft.fft(sym * phase * spec._alt_signs(), axis=1)
-    return DenseOperator(spec, (2.0 * np.pi) ** -1 * spec.freq_spacing * rows, a.order)
+    return (2.0 * np.pi) ** -1 * spec.freq_spacing * rows
 
 
 @dataclass(frozen=True)
@@ -334,7 +319,6 @@ def symbol_from_kernel(kernel, spec: GridSpec) -> TabulatedSymbol:
     otherwise the w-integral is visibly truncated and a KernelDecayError is
     raised.
     """
-    _require_1d(spec)
     if spec.size**2 > TABULATE_MAX_SIZE:
         raise GridBudgetError("grid too large to tabulate a full symbol")
     x = spec.axis()

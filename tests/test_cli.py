@@ -170,7 +170,8 @@ class TestMainExitCodes:
         "module,name",
         [("symbols", "KernelDecayError"), ("symbols", "NotScEllipticError"),
          ("commutants", "DigammaTooSmallError"), ("commutants", "SupportTooWideError"),
-         ("commutants", "ThresholdOrderError"), ("grid", "GridBudgetError")],
+         ("commutants", "ThresholdOrderError"), ("grid", "GridBudgetError"),
+         ("hamflow", "ThresholdDegeneracyError")],
     )
     def test_refusals_share_one_value_error_base(self, module, name):
         from scatcalc.grid import InputRefusal
@@ -204,6 +205,14 @@ class TestMainExitCodes:
         a = (tmp_path / "a" / "quantize-check-report.json").read_bytes()
         assert json.loads(a)["parameters"]["seed"] == 7
         assert a == (tmp_path / "b" / "quantize-check-report.json").read_bytes()
+
+    def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
+        # the flag passes the check of the config's seed key
+        cfg = write_config(tmp_path, {})
+        argv = ["scatter1d", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]
+        assert main(argv) == 2
+        assert "--seed must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_int_for_float_key_is_the_float(self, tmp_path):
         for out, L in (("int", 20), ("float", 20.0)):

@@ -14,7 +14,7 @@ from scatcalc.commutants import (
     model_inequality_margins,
     radial_commutant_check,
 )
-from scatcalc.grid import make_grid
+from scatcalc.grid import GridBudgetError, make_grid
 
 
 class TestFlowBoxCommutant:
@@ -65,10 +65,11 @@ class TestFlowBoxCommutant:
 
 
 class TestModelInequality:
-    spec = make_grid(2, 6.0, 64)
+    spec = make_grid(1, 6.0, 64)
+    X1, X2 = np.meshgrid(spec.axis(), spec.axis(), indexing="ij")
 
     def test_multiplier_signs_and_split(self):
-        X1, X2 = self.spec.mesh()
+        X1, X2 = self.X1, self.X2
         a, b, e = model_estimate_multipliers(X1, X2)
         assert np.all(b >= -1e-15) and np.all(e >= -1e-15) and np.all(a >= -1e-15)
         assert np.all(b >= a - 1e-12)
@@ -77,7 +78,7 @@ class TestModelInequality:
         assert np.max(np.abs(e[X1 > -1.0 + 1e-9]), initial=0.0) == 0.0
 
     def test_split_reconstructs_derivative(self):
-        X1, X2 = self.spec.mesh()
+        X1, X2 = self.X1, self.X2
         a, b, e = model_estimate_multipliers(X1, X2)
         h = 1e-6
         da = (
@@ -91,9 +92,22 @@ class TestModelInequality:
         assert len(pairs) == 20
         assert all(lhs <= rhs + 1e-8 for lhs, rhs in pairs)
 
-    def test_wrong_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            model_inequality_margins(make_grid(1, 6.0, 64), n_fields=20, seed=0)
+    def test_derivative_is_the_spectral_one(self, monkeypatch):
+        # the x1-derivative of a plane wave exp(i k x1) that the grid resolves is k times it
+        spec = make_grid(1, np.pi, 16)
+        k = 3.0
+        wave = np.exp(1j * k * spec.axis())[:, None] * np.ones(16)
+        monkeypatch.setattr(np.fft, "ifftn", lambda values: wave)
+        [(lhs, rhs)] = model_inequality_margins(spec, n_fields=1, seed=0)
+        _, b, e = model_estimate_multipliers(spec.axis()[:, None], spec.axis()[None, :])
+        h2 = spec.spacing**2
+        assert lhs == pytest.approx(np.sum(b) * h2, rel=1e-14)
+        assert rhs == pytest.approx((2.0 * np.sum(e) + 36.0 * k**2 * 16**2) * h2, rel=1e-12)
+
+    def test_lattice_budget(self):
+        # N^2 lattice points are bounded as an N^2 grid was: 4098^2 > 2^24
+        with pytest.raises(GridBudgetError, match="budget"):
+            model_inequality_margins(make_grid(1, 6.0, 4098), n_fields=1, seed=0)
 
 
 class TestRadialCommutant:

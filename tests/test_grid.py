@@ -27,9 +27,6 @@ class TestMakeGrid:
         spec = make_grid(1, 20.0, 256)
         assert spec.spacing == 0.15625
 
-    def test_point_count_2d(self):
-        assert make_grid(2, 10.0, 64).size == 4096
-
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError, match="even"):
             make_grid(1, 20.0, 257)
@@ -39,13 +36,19 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(*bad)
 
+    def test_two_dimensions_refused(self):
+        # no grid of another dimension reaches a 1-D entry point (quantize, DenseOperator,
+        # symbol_from_kernel, var_sobolev_norm): it cannot be built
+        with pytest.raises(GridBudgetError, match="one-dimensional"):
+            make_grid(2, 8.0, 8)
+
     def test_nonpositive_width_rejected(self):
         with pytest.raises(ValueError):
             make_grid(1, -1.0, 64)
 
     def test_oversize_rejected(self):
-        with pytest.raises(GridBudgetError):
-            make_grid(3, 10.0, 512)
+        with pytest.raises(GridBudgetError, match="budget"):
+            make_grid(1, 10.0, 2**25)
 
 
 class TestTransforms:
@@ -58,32 +61,24 @@ class TestTransforms:
         for k in (0, 3, 17, 101):
             xi = self.spec.freq_axis()[k]
             val, _ = quad(lambda x: np.exp(-(x**2) / 2) * np.cos(x * xi), -20, 20, limit=200)
-            assert abs(uh.values[k] - val) < 1e-12
+            assert abs(uh[k] - val) < 1e-12
 
     def test_spike_has_constant_modulus_spectrum(self):
-        vals = np.zeros(self.spec.shape, dtype=complex)
+        vals = np.zeros(self.spec.size, dtype=complex)
         vals[31] = 1.0
-        uh = spectral_transform(GridField(self.spec, vals))
-        mods = np.abs(uh.values)
+        mods = np.abs(spectral_transform(GridField(self.spec, vals)))
         assert np.allclose(mods, mods[0], rtol=1e-12)
 
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        vals = rng.standard_normal(self.spec.shape) + 1j * rng.standard_normal(self.spec.shape)
-        u = GridField(self.spec, vals)
-        back = spectral_transform(spectral_transform(u))
-        assert np.max(np.abs(back.values - vals)) / np.max(np.abs(vals)) < 1e-12
-
-    @pytest.mark.parametrize("n,N", [(1, 64), (2, 32), (3, 16)])
+    @pytest.mark.parametrize("n,N", [(1, 64), (1, 256)])
     def test_parseval_random_fields(self, n, N):
         spec = make_grid(n, 8.0, N)
         rng = np.random.default_rng(n)
         for _ in range(5):
-            vals = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+            vals = rng.standard_normal(N) + 1j * rng.standard_normal(N)
             assert parseval_defect(GridField(spec, vals)) < 1e-10
 
     def test_type_mismatch(self):
-        # the direction comes from the field type; bare values have none
+        # bare values carry no grid
         u = field_from_function(self.spec, lambda x: np.exp(-(x**2)))
         with pytest.raises(TypeError):
             spectral_transform(u.values)
@@ -94,7 +89,7 @@ class TestSobolevNorm:
 
     def test_zero_orders_is_l2(self):
         rng = np.random.default_rng(1)
-        vals = rng.standard_normal(self.spec.shape) * np.exp(-self.spec.axis() ** 2 / 20)
+        vals = rng.standard_normal(self.spec.size) * np.exp(-self.spec.axis() ** 2 / 20)
         u = GridField(self.spec, vals.astype(complex))
         assert sobolev_norm(u, SobolevOrder(0, 0)) == pytest.approx(u.l2_norm(), rel=1e-14)
 
@@ -179,7 +174,7 @@ class TestVarSobolevNorm:
         assert abs(nv / nf - 1.0) < 0.05
 
     def test_zero_field(self):
-        u = GridField(self.spec, np.zeros(self.spec.shape, dtype=complex))
+        u = GridField(self.spec, np.zeros(self.spec.size, dtype=complex))
         assert var_sobolev_norm(u, SobolevOrder(0, r=lambda x, xi: 0.0 * x[..., 0])) == 0.0
 
     def test_unbounded_order_rejected(self):

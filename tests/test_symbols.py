@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
+from scatcalc import symbols
 from scatcalc.grid import (
     GridBudgetError,
-    GridField,
     SobolevOrder,
     field_from_function,
     make_grid,
-    var_sobolev_norm,
 )
 from scatcalc.symbols import (
-    DenseOperator,
     KernelDecayError,
     NotScEllipticError,
     Symbol,
@@ -115,13 +113,10 @@ class TestQuantize:
         assert np.max(np.abs(I.as_l2_matrix() - np.eye(SPEC.size))) < 1e-10
 
     def test_op_xi_is_spectral_derivative(self):
-        from scatcalc.grid import spectral_transform
-
         D = quantize(xi_symbol(), SPEC)
         u = field_from_function(SPEC, lambda x: np.exp(3j * x) * np.exp(-(x**2) / 8))
-        uh = spectral_transform(u)
-        oracle = spectral_transform(type(uh)(SPEC, uh.values * SPEC.freq_axis()))
-        assert np.max(np.abs(D.apply(u).values - oracle.values)) < 1e-8
+        oracle = np.fft.ifft(SPEC.freq_axis() * np.fft.fft(u.values))
+        assert np.max(np.abs(D.apply(u).values - oracle)) < 1e-8
 
     def test_op_xi_action_on_modulated_bump(self):
         # Op(xi) e^{i k x} g = k e^{i k x} g + e^{i k x} (D g)
@@ -151,31 +146,16 @@ class TestQuantize:
         with pytest.raises(GridBudgetError):
             quantize(one_symbol(), make_grid(1, 20.0, 512))
 
-
-SPEC_2D = make_grid(2, 8.0, 8)
-
-
-def _never_evaluated(x, xi):
-    raise AssertionError("the symbol was evaluated on a 2-D grid")
-
-
-@pytest.mark.parametrize(
-    "entry",
-    [
-        lambda: quantize(Symbol(eval=_never_evaluated, order=(0, 0)), SPEC_2D),
-        lambda: DenseOperator(SPEC_2D, np.eye(SPEC_2D.size), (0.0, 0.0)),
-        lambda: symbol_from_kernel(lambda x, y: np.exp(-np.sum((x - y) ** 2, axis=-1)), SPEC_2D),
-        lambda: var_sobolev_norm(
-            GridField(SPEC_2D, np.zeros(SPEC_2D.shape, dtype=complex)),
-            SobolevOrder(0, lambda x, xi: 0.0 * x[..., 0]),
-        ),
-    ],
-    ids=["quantize", "DenseOperator", "symbol_from_kernel", "var_sobolev_norm"],
-)
-def test_dense_operators_refuse_other_dimensions(entry):
-    # each 1-D entry point would return a wrong 1-D answer on a 2-D grid
-    with pytest.raises(GridBudgetError, match="one-dimensional"):
-        entry()
+    def test_right_mode_does_not_reenter_quantize(self, monkeypatch):
+        # Op_R(a) = Op_L(conj a)^*, bit for bit, without a second public quantize call
+        a = sym1d(lambda x, xi: np.exp(-(x**2) / 4 - xi**2 / 6 + 1j * x * xi / 8), (0, 0))
+        conj = Symbol(eval=lambda x, xi: np.conj(a(x, xi)), order=a.order)
+        expected = quantize(conj, SPEC).matrix.conj().T
+        calls = []
+        monkeypatch.setattr(symbols, "quantize", lambda *args, **kw: calls.append(args))
+        right = quantize(a, SPEC, mode="right")
+        assert calls == []
+        assert np.array_equal(right.matrix, expected)
 
 
 class TestSymbolFromKernel:
