@@ -245,12 +245,13 @@ def radial_commutant_check(lam: float, r: float, delta: float) -> RadialCommutan
         a = rho^{-(2r+1)} phi(pbar)^2 psi(varrho)^2,   varrho = v^2,
 
     with pbar the normalized characteristic function of xi, phi a plateau
-    (1 on |pbar| <= 0.1, 0 beyond 0.25) and psi the flat square cutoff on
-    [0.01, 0.09].  Below threshold
-    (r < -1/2) the identity H_p a = -2 delta rho^{2r+2} a^2 - b^2 + e^2
-    + h pbar holds pointwise (h vanishes for the flat model, whose flow
-    freezes xi); above threshold the b^2 and delta terms switch sign, and the
-    e^2 term stays on the same side (it is the *estimate* that discards it).
+    (1 on |pbar| <= 0.1, 0 beyond 0.25) and psi the closed-form
+    :class:`FlatSquareCutoff` on [0.01, 0.09], whose eta = sqrt(-(psi^2)')
+    is smooth.  Below threshold (r < -1/2) the identity
+    H_p a = -2 delta rho^{2r+2} a^2 - b^2 + e^2 + h pbar holds pointwise (h
+    vanishes for the flat model, whose flow freezes xi); above threshold the
+    b^2 and delta terms switch sign, and the e^2 term stays on the same side
+    (it is the *estimate* that discards it).
     Exactly at r = -1/2 there is no sign to exploit and the check refuses.
     """
     if r == -0.5:

@@ -250,7 +250,9 @@ def radial_weighted_mass(
     composite Gauss-Legendre rule of order :data:`MASS_GL_ORDER` covers the
     increasing ladder: each gap between consecutive radii (0 to radii[0]
     first) is cut into panels at most min(0.5, 4 / lam) wide (0.5 for every
-    lam <= 8), and the mass at a radius sums the nodes below it.  When `check`
+    lam <= 8), and the mass at a radius sums the nodes below it.  A rule of
+    more than :data:`MAX_TOTAL_POINTS` nodes at the self-check's order raises
+    :class:`GridBudgetError` before any node is built.  When `check`
     is set, the masses are recomputed with four more nodes per panel and a
     :class:`QuadratureError` is raised on a relative disagreement beyond
     :data:`MASS_TOL`.
@@ -258,7 +260,11 @@ def radial_weighted_mass(
     edges = np.concatenate([[0.0], radii])
     if edges[1] < 1 or np.any(np.diff(edges) <= 0) or not lam > 0:
         raise ValueError("radii must increase from at least 1 and lam be positive")
-    panels = np.ceil(np.diff(edges) / min(0.5, 4.0 / lam)).astype(int)
+    panels = np.ceil(np.diff(edges) / min(0.5, 4.0 / lam))
+    nodes = panels.sum() * (MASS_GL_ORDER + 4)
+    if nodes > MAX_TOTAL_POINTS:
+        raise GridBudgetError(f"radial rule with {nodes:.3g} nodes exceeds budget {MAX_TOTAL_POINTS}")
+    panels = panels.astype(int)
     masses = _radial_once(shell, orders, edges, panels, n, MASS_GL_ORDER)
     if check:
         refs = _radial_once(shell, orders, edges, panels, n, MASS_GL_ORDER + 4)
@@ -291,11 +297,15 @@ def truncated_weighted_mass(
     lam.  The radial rule over the ladder is that of
     :func:`radial_weighted_mass`, without its self-check, so u is evaluated
     once on its nodes; each sphere integral is the trapezoidal/product rule on
-    48 angles (and 24 polar nodes for n = 3).
+    48 angles (and 24 polar nodes for n = 3).  More than
+    :data:`MAX_TOTAL_POINTS` points raise :class:`GridBudgetError` before u
+    is evaluated.
     """
     theta, tw = product_sphere_rule(n, 24, 48)
 
     def shell(rho):
+        if len(rho) * len(tw) > MAX_TOTAL_POINTS:
+            raise GridBudgetError(f"{len(rho)} x {len(tw)} points exceed budget {MAX_TOTAL_POINTS}")
         pts = rho[:, None, None] * theta[None, :, :]
         vals = np.asarray(u(pts.reshape(-1, n))).reshape(len(rho), len(tw))
         return np.abs(vals) ** 2 @ tw

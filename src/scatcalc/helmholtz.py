@@ -45,7 +45,8 @@ import numpy as np
 from scipy.special import jv, sph_harm_y, spherical_jn
 
 from .grid import (
-    InputRefusal, QuadratureError, fit_growth_exponent, fit_log_growth, radial_weighted_mass,
+    MAX_TOTAL_POINTS, GridBudgetError, InputRefusal, QuadratureError, fit_growth_exponent,
+    fit_log_growth, radial_weighted_mass,
 )
 from .quadrature import product_sphere_rule, richardson
 
@@ -95,16 +96,30 @@ def _rule_sizes(degree: int) -> tuple[int, int]:
     return max((degree + 2) // 2, 4), max(degree + 1, 8)
 
 
+def _check_rule_budget(n: int, degree: int) -> None:
+    """GridBudgetError when the degree-`degree` rule on S^{n-1} has more than
+    :data:`~scatcalc.grid.MAX_TOTAL_POINTS` nodes."""
+    n_polar, n_azimuth = _rule_sizes(degree)
+    size = n_azimuth * (n_polar if n == 3 else 1)
+    if size > MAX_TOTAL_POINTS:
+        raise GridBudgetError(
+            f"degree-{degree} sphere rule with {size} nodes exceeds budget {MAX_TOTAL_POINTS}"
+        )
+
+
 @lru_cache(maxsize=32)
 def sphere_rule(n: int, degree: int):
     """Product quadrature on S^{n-1} exact for harmonics up to `degree`.
 
     An odd degree has an even azimuth count K, and its rule is closed under
     theta -> -theta exactly: node (ring P-1-i, azimuth k+K/2) is set to the
-    negation of node (i, k).  Cached per (n, degree), so read-only.
+    negation of node (i, k).  Cached per (n, degree), so read-only.  A rule
+    of more than :data:`~scatcalc.grid.MAX_TOTAL_POINTS` nodes raises
+    :class:`~scatcalc.grid.GridBudgetError` before it is built.
     """
     if n not in (2, 3):
         raise ValueError("sphere dimension n must be 2 or 3")
+    _check_rule_budget(n, degree)
     n_polar, n_azimuth = _rule_sizes(degree)
     nodes, w = product_sphere_rule(n, n_polar, n_azimuth)
     if degree % 2:
@@ -177,6 +192,8 @@ def _far_field_constants(n: int, lam: float) -> tuple[complex, complex]:
 
 
 def _required_degree(lam: float, rmax: float) -> int:
+    if not lam * rmax < MAX_TOTAL_POINTS:  # past every sphere rule's budget, or not finite
+        raise GridBudgetError(f"lambda R = {lam * rmax:.3g} exceeds the sphere-rule budget")
     return int(4 + 2 * np.ceil(lam * rmax)) + 16
 
 
@@ -346,6 +363,7 @@ def _probe_directions(n: int, n_dirs: int) -> np.ndarray:
 def error_slope(f: SphereDensity, lam: float, radii) -> float:
     """Fitted log-log slope of sup |u - leading| over about 4 directions
     against radius."""
+    _check_rule_budget(f.n, _required_degree(lam, max(radii)))  # before any synthesis
     dirs = _probe_directions(f.n, 4)
     u = eigenfunction_evaluator(f, lam)
     errs = []

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .grid import fit_growth_exponent
+from .grid import GridBudgetError, fit_growth_exponent
 from .quadrature import gauss_panels
 
 __all__ = [
@@ -112,17 +112,31 @@ class ScatterSolution:
     dpsi: np.ndarray
 
 
+#: Largest 2L sqrt(lambda^2 + max|V|) that :func:`solve_scatter` integrates
+#: over [-L, L]: it bounds both the growth exponent and the phase of psi there,
+#: so psi stays far from overflow (exp(400) ~ 5e173) and the IVP short.
+MAX_PATH_EXPONENT = 400.0
+
+
 def solve_scatter(V: Potential1D, lam: float):
     """Reflection/transmission coefficients of V at energy lambda^2.
 
     Integrates backwards from x = +L with the pure transmitted wave (psi'' =
     (V - lambda^2) psi in the PDE-positive convention D_x^2 = -d^2/dx^2), then
     divides out the incident amplitude.  Returns a ScatterSolution carrying
-    the sampled path for Wronskian diagnostics.
+    the path sampled at 257 points for Wronskian diagnostics.  Raises
+    GridBudgetError before integrating when 2L sqrt(lambda^2 + max|V|), with
+    max|V| over those points, exceeds :data:`MAX_PATH_EXPONENT`.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive (zero energy is excluded)")
     L = max(V.support_radius, 1e-9)  # the free potential integrates over [-1e-9, 1e-9]
+    xs = np.linspace(-L, L, 257)
+    exponent = 2.0 * L * np.sqrt(lam**2 + np.max(np.abs(V(xs))))
+    if not exponent <= MAX_PATH_EXPONENT:
+        raise GridBudgetError(
+            f"2L sqrt(lambda^2 + max|V|) = {exponent:.3g} exceeds {MAX_PATH_EXPONENT:g}"
+        )
 
     def rhs(x, y):
         return [y[1], (V(np.array([x]))[0] - lam**2) * y[0]]
@@ -145,7 +159,7 @@ def solve_scatter(V: Potential1D, lam: float):
     beta = (1j * lam * psiL - dpsiL) * np.exp(-1j * lam * L) / (2j * lam)
     r = beta / alpha
     t = 1.0 / alpha
-    path = sol.sol(np.linspace(-L, L, 257)) / alpha
+    path = sol.sol(xs) / alpha
     return ScatterSolution(ScatterCoeffs(lam, complex(r), complex(t)), path[0], path[1])
 
 

@@ -7,9 +7,9 @@ admits both signs.  Keys that scale the work (trajectories, time, dt, N,
 directions, grid_points, lambdas, n_radii, fields, r_max, lambda, radii) keep
 their huge edge only where a budget refuses it before any work; elsewhere the
 large edge is capped, so that the sweep stays short.  ``output_dir`` is not
-swept: ``--out`` sets it.  Not covered: combinations of keys, and huge
-``threshold`` or ``pairing`` radii, which no budget refuses yet (a radius of
-1e9 asks for a 15 GiB quadrature array).
+swept: ``--out`` sets it.  Combinations of keys are not swept, except the
+large ``scatter1d`` potentials of ``POTENTIALS``, which must be refused within
+a second.
 
 A run goes through ``main(argv)`` in-process.  It must return 0 or 1 and
 write its report, or return 2 with a config error or a library refusal on
@@ -17,6 +17,7 @@ stderr and no report.  Any exception that escapes ``main`` fails the test.
 """
 
 import json
+import time
 
 import pytest
 
@@ -55,17 +56,17 @@ EDGES = {
         "lambda": [TINY, 2.0],
         "dims": [[2], [3]],
         "r_min": [TINY, HUGE],
-        "r_max": [TINY, 400.0],
+        "r_max": [TINY, HUGE],  # HUGE: the sphere-rule budget
         "n_radii": [2, 4],
     },
     "threshold": {
         "lambda": [TINY, 2.0],
         "orders": [[-HUGE], [HUGE]],
-        "radii": [[1.0, 1.0 + TINY], [50.0, 800.0]],
+        "radii": [[1.0, 1.0 + TINY], [50.0, HUGE]],  # HUGE: the radial-rule budget
     },
     "pairing": {
         "lambda": [TINY, 2.0],
-        "radii": [[TINY, 2 * TINY], [100.0, 800.0]],
+        "radii": [[TINY, 2 * TINY], [100.0, HUGE]],  # HUGE: the sphere-rule budget
     },
     "scatter1d": {
         "potential": ["free", "square_barrier", "gaussian_bump", "compact_bump"],
@@ -117,3 +118,29 @@ def test_edge_config_ends_in_a_report_or_a_refusal(tmp_path, capsys, experiment,
         assert not out.exists()
     else:
         assert (out / f"{experiment}-report.json").exists()
+
+
+#: Large potentials, each refused by the path budget of ``solve_scatter``
+#: before integrating; unbudgeted, the first four ended in a traceback and
+#: the others in runs past a minute.
+POTENTIALS = [
+    {"potential": "square_barrier", "height": HUGE},
+    {"potential": "gaussian_bump", "height": HUGE},
+    {"potential": "compact_bump", "height": HUGE},
+    {"potential": "square_barrier", "width": HUGE},
+    {"potential": "square_barrier", "height": -HUGE},
+    {"potential": "gaussian_bump", "height": -HUGE},
+    {"potential": "compact_bump", "height": -HUGE},
+    {"potential": "compact_bump", "width": HUGE},
+]
+
+
+@pytest.mark.parametrize("body", POTENTIALS, ids=json.dumps)
+def test_large_potential_is_refused_within_a_second(tmp_path, capsys, body):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(body))
+    start = time.perf_counter()
+    code = main(["scatter1d", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    elapsed = time.perf_counter() - start
+    assert code == 2 and capsys.readouterr().err.startswith("refused: GridBudgetError")
+    assert elapsed < 1.0

@@ -1,11 +1,13 @@
-"""Every public function and class of ``scatcalc`` has a reader in ``src/``.
+"""Every public function, class, method and property of ``scatcalc`` has a reader in ``src/``.
 
 The source of ``src/scatcalc`` is parsed with ``ast``.  Each public (no
-leading underscore) module-level function or class must be referenced by an
-``ast.Name`` or an ``ast.Attribute`` somewhere in ``src/`` outside its own
-definition: a call, an annotation, a table entry.  A name that only tests use
-is an oracle or a criterion kept in the package; it stays only with a reason
-in ``ALLOWED``.  Strings (``__all__``) do not count.
+leading underscore) module-level function or class, and each public method or
+property of a module-level class, must be referenced by an ``ast.Name`` or an
+``ast.Attribute`` somewhere in ``src/`` outside its own definition: a call,
+an annotation, a table entry.  A name that only tests use is an oracle or a
+criterion kept in the package; it stays only with a reason in ``ALLOWED``,
+keyed ``(module, name)`` or ``(module, "Class.method")``.  Strings
+(``__all__``) do not count.
 
 References are matched by name, so two definitions that share a name share
 their readers; that only errs towards passing.
@@ -15,14 +17,15 @@ from __future__ import annotations
 
 import ast
 import functools
-from collections import defaultdict
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "scatcalc"
 
-#: Kept on purpose although nothing in ``src/`` reads them: (module, name).
+#: Kept on purpose although nothing in ``src/`` reads them: (module, name or
+#: "Class.method").
 ALLOWED = {
     ("grid", "parseval_defect"): "oracle of the FFT normalization",
     ("hamflow", "boundary_chart_field"): "oracle of the boundary Hamilton field",
@@ -46,29 +49,42 @@ ALLOWED = {
 }
 
 
-def _referenced_names(tree: ast.AST) -> set:
-    names = set()
+def _referenced_names(tree: ast.AST) -> Counter:
+    names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names[node.attr] += 1
     return names
+
+
+def _public_definitions(module: ast.Module):
+    """(label, node) of each public module-level function or class, and of
+    each public method or property of a module-level class."""
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
 
 
 @functools.cache
 def _unread() -> tuple:
-    """(module, name) of each public module-level function or class that no
-    top-level statement of ``src/`` reads, its own definition excepted."""
-    readers = defaultdict(set)
-    public = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for i, node in enumerate(ast.parse(path.read_text()).body):
-            for name in _referenced_names(node):
-                readers[name].add((path.stem, i))
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                public.append((path.stem, node.name, i))
-    return tuple(sorted((m, name) for m, name, i in public if not readers[name] - {(m, i)}))
+    """(module, label) of each public definition that nothing in ``src/``
+    reads, its own definition excepted."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    readers = sum((_referenced_names(tree) for tree in trees.values()), Counter())
+    return tuple(
+        sorted(
+            (module, label)
+            for module, tree in trees.items()
+            for label, node in _public_definitions(tree)
+            if readers[node.name] == _referenced_names(node)[node.name]
+        )
+    )
 
 
 def test_every_public_name_has_a_reader():

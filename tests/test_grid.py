@@ -200,6 +200,14 @@ def shell_profile(r_amp):
 class TestTruncatedMass:
     LADDER = [50.0, 100.0, 200.0, 400.0]
 
+    def test_oversize_point_set_refused_before_u(self):
+        # R = 1000 at lam = 1: 2000 panels x 8 nodes x 1152 angles = 1.8e7 points
+        def u(points):
+            raise AssertionError("the budget is checked before u is evaluated")
+
+        with pytest.raises(GridBudgetError, match="budget"):
+            truncated_weighted_mass(u, [0.0], [1000.0], n=3, lam=1.0)
+
     def test_shell_growth_exponents(self):
         # invariant: fitted exponent equals 2r + 1 within 0.05 for r in {-1/4, 0}
         orders = [-0.25, 0.0]
@@ -303,6 +311,14 @@ class TestRadialLadder:
     def test_small_radius_rejected(self):
         with pytest.raises(ValueError):
             radial_weighted_mass(bessel_shell(1.0), [0.0], [0.5], n=2, lam=1.0)
+
+    @pytest.mark.parametrize("radii,lam", [([1.0, 1e9], 1.0), ([1.0, 400.0], 1e9)])
+    def test_oversize_rule_refused_before_any_node(self, radii, lam):
+        def shell(rho):
+            raise AssertionError("the budget is checked before the rule is built")
+
+        with pytest.raises(GridBudgetError, match="budget"):
+            radial_weighted_mass(shell, [0.0], radii, n=2, lam=lam)
 
     def test_nonconvergence_flagged(self):
         rng = np.random.default_rng(0)

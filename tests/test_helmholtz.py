@@ -6,7 +6,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import jv
 
-from scatcalc.grid import QuadratureError, radial_weighted_mass
+from scatcalc.grid import GridBudgetError, QuadratureError, radial_weighted_mass
 from scatcalc.helmholtz import (
     FREE_SMATRIX_PHASE,
     PowerMismatchError,
@@ -178,6 +178,19 @@ class TestSphereRule:
         ref_nodes, ref_w = product_sphere_rule(n, *_rule_sizes(degree))
         np.testing.assert_array_equal(nodes, ref_nodes)
         np.testing.assert_array_equal(w, ref_w)
+
+    @pytest.mark.parametrize("n,degree", [(2, 2**24), (3, 5800)])
+    def test_oversize_rule_refused(self, n, degree):
+        # 2^24 + 1 azimuths; 2901 rings x 5801 azimuths = 1.68e7 nodes
+        with pytest.raises(GridBudgetError, match="budget"):
+            sphere_rule(n, degree)
+
+    @pytest.mark.parametrize("lam", [1e9, 1e308])
+    def test_error_slope_refuses_before_synthesis(self, lam):
+        # the largest radius's rule is checked before any synthesis, and a
+        # non-finite lam R is refused too
+        with pytest.raises(GridBudgetError, match="budget"):
+            error_slope(sphere_density(2, lambda th: np.ones(len(th))), lam, [1.0, 400.0])
 
     def test_probe_directions_unchanged(self):
         # the degree-8 rule: 9 azimuths (5 Gauss rings on S^2), strides 2 and 11

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scatcalc.grid import GridBudgetError
 from scatcalc.scatter1d import (
     compact_bump,
     free_potential,
@@ -55,6 +56,22 @@ class TestSolveScatter:
             ts.append(abs(c.t))
         assert rs[0] > rs[1] > rs[2] > rs[3]
         assert abs(ts[-1] - 1.0) < 1e-4
+
+    @pytest.mark.parametrize("lam", [0.8, 1.3])
+    def test_path_ends_at_the_plane_waves(self, lam):
+        # the path is psi / alpha: t e^{i lam x} at x = L and
+        # e^{i lam x} + r e^{-i lam x} at x = -L; both ends are algebraic in the
+        # read-off, so they hold far inside 100 x the IVP's rtol of 1e-11
+        V = square_barrier(2.0, 1.0)
+        sol = solve_scatter(V, lam)
+        r, t, L = sol.coeffs.r, sol.coeffs.t, V.support_radius
+        assert abs(sol.psi[-1] - t * np.exp(1j * lam * L)) < 1e-9
+        assert abs(sol.psi[0] - (np.exp(-1j * lam * L) + r * np.exp(1j * lam * L))) < 1e-9
+
+    def test_large_potential_refused(self):
+        # 2L sqrt(lam^2 + max|V|) = 2 * 0.5 * sqrt(1 + 1e6) ~ 1000 > 400
+        with pytest.raises(GridBudgetError, match="exceeds 400"):
+            solve_scatter(square_barrier(1e6, 1.0), 1.0)
 
     def test_zero_energy_rejected(self):
         with pytest.raises(ValueError):
