@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .grid import GridBudgetError, fit_growth_exponent
+from .grid import GridBudgetError, InputRefusal, fit_growth_exponent
 from .quadrature import gauss_panels
 
 __all__ = [
@@ -55,9 +55,13 @@ class Potential1D:
 def potential_from_callable(fn: Callable) -> Potential1D:
     """Wrap fn with an automatically detected support radius: the last point
     of a 4001-point scan of [0, 60] where |V(x)| + |V(-x)| > 1e-12, plus one
-    scan step."""
+    scan step.  InputRefusal when V has not decayed by the scan's end."""
     xs, step = np.linspace(0.0, 60.0, 4001, retstep=True)
     vals = np.abs(np.asarray(fn(xs))) + np.abs(np.asarray(fn(-xs)))
+    if vals[-1] > 1e-12:
+        raise InputRefusal(
+            f"|V(x)| + |V(-x)| = {vals[-1]:.3g} at x = {xs[-1]:g}, the end of the support scan"
+        )
     big = np.nonzero(vals > 1e-12)[0]
     L = float(xs[big[-1]] + step) if len(big) else 0.0
     return Potential1D(eval=fn, support_radius=L)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Callable
 
@@ -286,16 +287,23 @@ def quantize(a: Symbol, spec: GridSpec, mode: str = "left") -> DenseOperator:
     x, xi = spec.axis()[:, None], spec.freq_axis()
     sym = a(x[:, :, None], xi[None, :, None])
     if mode == "right":
-        return DenseOperator(spec, _left_kernel(spec, x, xi, np.conj(sym)).conj().T)
-    return DenseOperator(spec, _left_kernel(spec, x, xi, sym))
+        return DenseOperator(spec, _left_kernel(spec, np.conj(sym)).conj().T)
+    return DenseOperator(spec, _left_kernel(spec, sym))
 
 
-def _left_kernel(spec: GridSpec, x, xi, sym) -> np.ndarray:
+@lru_cache(maxsize=4)
+def _phase_table(spec: GridSpec) -> np.ndarray:
+    """exp(i x xi) on the (x, xi) grid lattice, xi in fft layout.  Cached per
+    grid, so read-only."""
+    table = np.exp(1j * (spec.axis()[:, None] * spec.freq_axis()))
+    table.flags.writeable = False
+    return table
+
+
+def _left_kernel(spec: GridSpec, sym) -> np.ndarray:
     """Kernel of Op_L from the symbol table sym[i, k] = a(x_i, xi_k)."""
-    # a named phase keeps sym * phase in that order: numpy's in-place reuse
-    # of a temporary would swap the factors and move the complex product's last bit
-    phase = np.exp(1j * (x * xi))
-    rows = np.fft.fft(sym * phase * spec._alt_signs(), axis=1)
+    # sym * phase in that order: the factor order moves the complex product's last bit
+    rows = np.fft.fft(sym * _phase_table(spec) * spec._alt_signs(), axis=1)
     return (2.0 * np.pi) ** -1 * spec.freq_spacing * rows
 
 
@@ -335,8 +343,7 @@ def symbol_from_kernel(kernel, spec: GridSpec) -> TabulatedSymbol:
     # sum_y K(x, y) exp(+i y xi) via an inverse FFT per x-row, then strip the
     # exp(-i x xi) factor
     tr = np.fft.ifft(K, axis=1) * spec._alt_signs() * spec.size
-    phase = np.exp(-1j * (x[:, None] * spec.freq_axis()))
-    return TabulatedSymbol(spec, spec.spacing * phase * tr)
+    return TabulatedSymbol(spec, spec.spacing * _phase_table(spec).conj() * tr)
 
 
 def compose_expansion(a: Symbol, b: Symbol, N_terms: int) -> Symbol:

@@ -33,7 +33,7 @@ from scatcalc.helmholtz import (
     stationary_phase_leading,
     threshold_scan,
 )
-from scatcalc.helmholtz import _probe_directions, _required_degree, _rule_sizes
+from scatcalc.helmholtz import _cos_sin_from_half, _probe_directions, _required_degree, _rule_sizes
 from scatcalc.quadrature import product_sphere_rule
 
 LAM = 1.0
@@ -119,6 +119,19 @@ class TestFoldedSynthesis:
         dens = generic_density(n, _required_degree(self.LAM, 1.01 * lam_r / self.LAM) | 1)
         self.assert_matches_direct_sum(dens, self.points(n, lam_r))
 
+    @pytest.mark.parametrize("n,count", [(2, 3000), (3, 200)])
+    def test_blocks_of_shell_points_match_direct_sum(self, n, count):
+        # radii up to lam |x| = 52, and enough points for several blocks;
+        # relative to the largest |u| and |d_r u|
+        rng = np.random.default_rng(8)
+        dirs = rng.standard_normal((count, n))
+        pts = rng.uniform(0.1, 40.0, count)[:, None] * dirs / np.linalg.norm(dirs, axis=-1)[:, None]
+        dens = generic_density(n, _required_degree(1.3, 40.0) | 1)
+        u, du, _ = direct_sums(dens, 1.3, pts)
+        for evaluator, want in ((eigenfunction_evaluator, u), (radial_derivative_evaluator, du)):
+            got = evaluator(dens, 1.3)(pts)
+            assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_unclosed_node_set_matches_direct_sum(self, n):
         full = generic_density(n, _required_degree(self.LAM, 51.0 / self.LAM) | 1)
@@ -155,6 +168,47 @@ class TestFoldedSynthesis:
             du(np.zeros(2))
         with pytest.raises(ValueError, match="x = 0"):
             du(np.array([[3.0, 0.0], [0.0, 0.0]]))
+
+
+def half_angle_trig(a):
+    return _cos_sin_from_half(0.5 * np.asarray(a, dtype=float))
+
+
+class TestHalfAngleTrig:
+    """The synthesis kernels' cos and sin, from tan(a/2), against libm's."""
+
+    @staticmethod
+    def assert_matches_libm(a):
+        c, s = half_angle_trig(a)
+        assert np.max(np.abs(c - np.cos(a))) <= 4.5e-16
+        assert np.max(np.abs(s - np.sin(a))) <= 4.5e-16
+
+    @pytest.mark.parametrize("bound", [1.0, 10.0, 150.0, 1e3, 1e5, 1e7])
+    def test_uniform_samples(self, bound):
+        self.assert_matches_libm(np.random.default_rng(5).uniform(-bound, bound, 1 << 16))
+
+    @pytest.mark.parametrize("period", [np.pi, np.pi / 2])
+    def test_near_odd_multiples(self, period):
+        # tan(a/2) is largest at odd multiples of pi, and cos a passes 0 at
+        # odd multiples of pi/2
+        base = np.arange(-20001, 20002, 2) * period
+        for a in (np.nextafter(base, -np.inf), base, np.nextafter(base, np.inf)):
+            self.assert_matches_libm(a)
+
+    def test_signed_zero(self):
+        c, s = half_angle_trig([0.0, -0.0])
+        assert list(c) == [1.0, 1.0]
+        assert list(s) == [0.0, 0.0] and list(np.signbit(s)) == [False, True]
+
+    def test_non_finite_gives_nan(self):
+        with np.errstate(invalid="ignore"):
+            c, s = half_angle_trig([np.inf, -np.inf, np.nan])
+        assert np.isnan(c).all() and np.isnan(s).all()
+
+    def test_works_in_place(self):
+        half = np.linspace(-3.0, 3.0, 7)
+        c, s = _cos_sin_from_half(half)
+        assert s is half and not np.shares_memory(c, half)
 
 
 class TestSphereRule:

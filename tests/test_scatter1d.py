@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scatcalc.grid import GridBudgetError
+from scatcalc.grid import GridBudgetError, InputRefusal
 from scatcalc.scatter1d import (
     compact_bump,
     free_potential,
@@ -81,6 +81,16 @@ class TestSolveScatter:
         V = potential_from_callable(lambda x: 0.4 * np.exp(-np.asarray(x) ** 2))
         # exp(-x^2) < 1e-12 beyond |x| ~ 5.26
         assert 5.0 < V.support_radius < 6.0
+
+    def test_support_just_inside_the_scan_is_admitted(self):
+        # 2 exp(-(x/10)^2) < 1e-12 beyond |x| ~ 53.8; 4.6e-16 at the scan's end
+        assert 53.0 < gaussian_bump(2.0, 10.0).support_radius < 55.0
+
+    @pytest.mark.parametrize("width", [20.0, 1e9])
+    def test_undecayed_potential_is_refused(self, width):
+        # V(60) = 2 exp(-9) ~ 2.5e-4 at width 20, and about 2 at width 1e9
+        with pytest.raises(InputRefusal, match="at x = 60, the end of the support scan"):
+            gaussian_bump(2.0, width)
 
 
 class TestWronskian:

@@ -157,6 +157,15 @@ class TestQuantize:
         assert calls == []
         assert np.array_equal(right.matrix, expected)
 
+    def test_phase_table_is_shared_per_grid_and_read_only(self):
+        table = symbols._phase_table(SPEC)
+        assert symbols._phase_table(make_grid(1, 20.0, 128)) is table
+        assert not table.flags.writeable
+        # bit for bit the tables quantize and symbol_from_kernel built per call
+        x, xi = SPEC.axis()[:, None], SPEC.freq_axis()
+        assert np.array_equal(table, np.exp(1j * (x * xi)))
+        assert np.array_equal(table.conj(), np.exp(-1j * (x * xi)))
+
 
 class TestSymbolFromKernel:
     def test_round_trip_schwartz(self):
