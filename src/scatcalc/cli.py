@@ -491,7 +491,8 @@ def _run_radon(v, seed):
     )
 
     if v["dim"] == 3 and v["grid_points"] > 16:
-        # the probe's dense SVD grows like grid_points^6: 1,736 unknowns at 16, 6,272 at 24
+        # the probe's two dense SVDs, of half the ball each, grow like grid_points^9:
+        # 1,736 unknowns at 16 (two blocks of 868), 6,272 at 24 (two of 3,136)
         raise ConfigError(f"radon dim 3 needs grid_points <= 16 (got {v['grid_points']})")
     phi = default_profile()
     rng = np.random.default_rng(seed)

@@ -19,6 +19,9 @@ I_0, so `backproject` and `injectivity_probe` build each line integral once;
 the lines along omega and -omega are the same too, so `pairing_gap` computes one
 I_0 f and the probe one stencil per antipodal pair (its line matrix is that
 stencil shifted along the lattice), and the probe assembles A on the ball only.
+The probe's A commutes with z -> -z, so only the rows of half the ball are built
+and A splits into even and odd half-size blocks; the cone check reads phi_hat once
+per orbit of omega -> -omega (and x_3 -> -x_3 at n = 3), against summed weights.
 Line points are stored coordinate-major: the callables f and v receive (M, n)
 views with contiguous columns, not C-contiguous copies.
 """
@@ -332,7 +335,10 @@ def cone_ellipticity_check(n: int, chi: ConeCutoff, phi: LocalizerProfile) -> di
     The symbol a_chi(xi) = int chi(omega_1) phi_hat(omega.xi)^2 domega is
     evaluated at |xi| = 5, 20 and 80, over a ladder of 13 tilt angles between
     xihat and the e_1 axis (rotational symmetry about e_1 reduces the direction
-    scan to the tilt).  Reported floors are |xi|-scaled.
+    scan to the tilt).  Reported floors are |xi|-scaled.  phi_hat is even and
+    every tilt lies in the e_1-e_2 plane, so omega, -omega and (n = 3) their
+    mirrors in x_3 -> -x_3 share one value: each orbit of these symmetries of the
+    even-sized rules is read once, weighted by its summed w chi(omega_1).
     """
     xi_ladder = (5.0, 20.0, 80.0)
     tilts = np.linspace(0.0, np.pi / 2.0, 13)
@@ -343,11 +349,18 @@ def cone_ellipticity_check(n: int, chi: ConeCutoff, phi: LocalizerProfile) -> di
     for iq, q in enumerate(xi_ladder):
         if n == 2:
             om, wgt = product_sphere_rule(2, 0, int(max(256, 8 * q)))
+            images = [np.arange(len(om)), np.roll(np.arange(len(om)), -(len(om) // 2))]
         else:
             m = max(64, int(2 * q))
             om, wgt = product_sphere_rule(3, m, m)
             om = np.roll(om, 1, axis=-1)  # polar axis e_1
-        wchi = wgt * chi(om[:, 0])
+            p, a = np.divmod(np.arange(m * m), m)  # Gauss node, azimuth (runs fastest)
+            # -omega: the mirrored Gauss node, the azimuth turned by pi; x_3 -> -x_3: -azimuth
+            images = [p * m + a, p * m + -a % m, (m - 1 - p) * m + (a + m // 2) % m,
+                      (m - 1 - p) * m + (m // 2 - a) % m]
+        rep = np.min(images, axis=0)  # each orbit's first node
+        orbits = np.flatnonzero(rep == np.arange(len(rep)))
+        wchi, om = np.bincount(rep, wgt * chi(om[:, 0]))[orbits], om[orbits]
         for it, xihat in enumerate(xihats):
             per_dir[iq, it] = np.sum(wchi * phi.phi_hat(q * (om @ xihat)) ** 2)
         floors.append(float(np.min(per_dir[iq]) * q))
@@ -364,11 +377,11 @@ def cone_ellipticity_check(n: int, chi: ConeCutoff, phi: LocalizerProfile) -> di
 # ---------------------------------------------------------------------------
 
 
-def _line_blocks(axes, Z, t, wt, omega, ball):
-    """I0[ball, :] and I0[:, ball] in CSR, I0 the wt-weighted sums of the multilinear
-    interpolant on the lines z + t omega from the grid points z of Z.  The cells
-    floor(t omega / h) + corner and their weights do not depend on z: every row is
-    one stencil shifted along the lattice.  Nodes outside the box read zero (tested
+def _line_blocks(axes, Z, t, wt, omega, ball, top):
+    """I0[top, :] and I0[:, ball] in CSR for masks top and ball of the grid points z of Z,
+    I0 the wt-weighted sums of the multilinear interpolant on the lines z + t omega.
+    The cells floor(t omega / h) + corner and their weights do not depend on z: every
+    row is one stencil shifted along the lattice.  Nodes outside the box read zero (tested
     on the points), and an entry whose column leaves the grid on an axis, a face
     rounding case of weight ~1e-16, is dropped."""
     n, m, G = len(axes), len(t), len(Z)
@@ -401,8 +414,15 @@ def _line_blocks(axes, Z, t, wt, omega, ball):
         indptr = np.append(0, np.cumsum(np.count_nonzero(mask, axis=1)))
         return sparse.csr_matrix((data[mask], indices[mask], indptr), shape=(len(mask), width))
 
-    return (csr(nonzero[ball] & (cols[ball] >= 0), cols[ball], vals[ball], G),
+    return (csr(nonzero[top] & (cols[top] >= 0), cols[top], vals[top], G),
             csr(nonzero & (ball_cols >= 0), ball_cols, vals, int(ball.sum())))
+
+
+def _lattice_ball(n: int, grid_points: int) -> np.ndarray:
+    """Mask of the grid points in the closed unit ball, decided exactly on the integers
+    2 i - (grid_points - 1), i the axis index, so that it is closed under z -> -z."""
+    k2 = (2 * np.arange(grid_points) - (grid_points - 1)) ** 2
+    return functools.reduce(np.add.outer, [k2] * n).ravel() <= (grid_points - 1) ** 2
 
 
 def injectivity_probe(
@@ -421,8 +441,10 @@ def injectivity_probe(
     A = sum_k c_k I0k I0k with c_k = w_k chi(omega_k), the optional cone cutoff
     chi weighting L.  The lines along -omega_k are those along omega_k, so a
     direction and its antipode in the rule share one I0k, weighted by the sum
-    of their c_k; and only the ball block
-    A[ball, ball] = sum_k c_k I0k[ball, :] I0k[:, ball] is assembled.
+    of their c_k.  The box, ball, phi and line rule are invariant under z -> -z,
+    which reverses the ball's points (J), so J A J = A: only the rows of the
+    first half of the ball are assembled, and A splits into an even block E and
+    an odd block O of half the size each, whose singular values together are A's.
     Reports sigma_min, the relative reconstruction error for the bump
     f0 = exp(-6 |z|^2) (1 - |z|^2) on the ball, the size of the function
     space, and the demo data: the ball points, f0 on them and the
@@ -435,21 +457,31 @@ def injectivity_probe(
     # restrict the function space to the inscribed ball: the corners of the
     # box are barely sampled by localized lines and contribute spurious
     # near-null high-frequency modes that wander under refinement
-    ball = np.sum(Z**2, axis=-1) <= 1.0
+    ball = _lattice_ball(n, grid_points)
     dof = int(ball.sum())
+    half, h = (dof + 1) // 2, dof // 2  # ball point k reflects to dof - 1 - k
+    top = ball & (np.cumsum(ball) <= half)
     dirs, dw = direction_rule(n, n_dirs)
     c = dw * (chi(dirs[:, 0]) if chi is not None else 1.0)
     t, wt = _line_rule(n_t)
     wt = wt * phi(t)
-    A = np.zeros((dof, dof))  # every product is nearly dense: sum them densely
+    A = np.zeros((half, dof))  # every product is nearly dense: sum them densely
     for pair in _antipode_pairs(dirs):
-        rows, cols = _line_blocks(axes, Z, t, wt, dirs[pair[0]], ball)
+        rows, cols = _line_blocks(axes, Z, t, wt, dirs[pair[0]], ball, top)
         A += (c[list(pair)].sum() * rows @ cols).toarray()
-    sigma_min = float(svdvals(A)[-1])
+    # E and O in orthonormal bases (e_k +- e_{dof-1-k}) / sqrt 2; the origin, the
+    # fixed point when dof is odd, is e_h alone, so s scales its row and column
+    mirror = A[:, ::-1][:, :half]
+    s = np.where(np.arange(half) < h, 1.0, np.sqrt(0.5))
+    blocks = (s[:, None] * (A[:, :half] + mirror) * s, A[:h, :h] - mirror[:h, :h])
+    sigma_min = float(min(svdvals(B)[-1] for B in blocks))
     r2 = np.sum(Z[ball] ** 2, axis=-1)
     fvec = np.exp(-6.0 * r2) * (1.0 - np.clip(r2, 0, 1))
-    rhs = A @ fvec
-    rec = np.linalg.solve(A, rhs)
+    # the even and odd parts of f0 on the first half of the ball, the even one scaled by s
+    parts = (s * (fvec[:half] + fvec[::-1][:half]) / 2.0, (fvec[:h] - fvec[::-1][:h]) / 2.0)
+    even, odd = (np.linalg.solve(B, B @ y) for B, y in zip(blocks, parts))
+    even /= s
+    rec = np.concatenate([even + np.pad(odd, (0, half - h)), (even[:h] - odd)[::-1]])
     err = float(np.linalg.norm(rec - fvec) / np.linalg.norm(fvec))
     return {
         "sigma_min": sigma_min,

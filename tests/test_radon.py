@@ -7,6 +7,7 @@ from scipy.linalg import svdvals
 
 from scatcalc import radon
 from scatcalc.bumps import plateau
+from scatcalc.quadrature import product_sphere_rule
 from scatcalc.radon import (
     ConeCutoff,
     LocalizerProfile,
@@ -15,6 +16,7 @@ from scatcalc.radon import (
     _line_blocks,
     _line_points,
     _line_rule,
+    _lattice_ball,
     backproject,
     cone_ellipticity_check,
     default_cone,
@@ -336,6 +338,56 @@ class TestConeEllipticity:
         full = cone_ellipticity_check(2, full_cone(), PHI)
         assert narrow["scaled_floor"][-1] < 1e-3 * full["scaled_floor"][-1]
 
+    @staticmethod
+    def unfolded_scaled_values(n, chi):
+        """The |xi|-scaled tilt values summed over every node of the check's rules."""
+        xi_ladder = (5.0, 20.0, 80.0)
+        tilts = np.linspace(0.0, np.pi / 2.0, 13)
+        xihats = np.zeros((len(tilts), n))
+        xihats[:, 0], xihats[:, 1] = np.cos(tilts), np.sin(tilts)
+        out = np.empty((len(xi_ladder), len(tilts)))
+        for iq, q in enumerate(xi_ladder):
+            if n == 2:
+                om, wgt = product_sphere_rule(2, 0, int(max(256, 8 * q)))
+            else:
+                m = max(64, int(2 * q))
+                om, wgt = product_sphere_rule(3, m, m)
+                om = np.roll(om, 1, axis=-1)
+            wchi = wgt * chi(om[:, 0])
+            for it, xihat in enumerate(xihats):
+                out[iq, it] = q * np.sum(wchi * PHI.phi_hat(q * (om @ xihat)) ** 2)
+        return out
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize(
+        "chi",
+        [full_cone(), default_cone(0.3), ConeCutoff(lambda w: 0.75 + 0.25 * w)],
+        ids=["full", "default", "non-even"],
+    )
+    def test_folded_rule_matches_unfolded_sum(self, n, chi):
+        # the non-even cutoff weighs omega and -omega differently: an orbit's
+        # weight is w chi(omega_1) + w chi(-omega_1), not a multiple of one of them
+        got = cone_ellipticity_check(n, chi, PHI)["scaled_values"]
+        want = self.unfolded_scaled_values(n, chi)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "n, per_tilt", [(2, [128, 128, 320]), (3, [32 * 33, 32 * 33, 80 * 81])]
+    )
+    def test_phi_hat_once_per_orbit(self, monkeypatch, n, per_tilt):
+        # n = 2: K / 2 antipodal pairs; n = 3: half the Gauss nodes times the
+        # azimuths 0 ... pi, which x_3 -> -x_3 pairs with their negatives
+        sizes = []
+        read = LocalizerProfile.phi_hat
+
+        def counted(prof, s):
+            sizes.append(np.size(s))
+            return read(prof, s)
+
+        monkeypatch.setattr(LocalizerProfile, "phi_hat", counted)
+        cone_ellipticity_check(n, full_cone(), PHI)
+        assert sizes == [k for k in per_tilt for _ in range(13)]
+
 
 def interp_matrix(axes, pts, line_w) -> sparse.csr_matrix:
     """Per-point oracle of the probe's line matrices: row i sums line_w[j] times
@@ -394,21 +446,54 @@ class TestInterpMatrix:
         assert np.all(read[len(faces):] == 0.0)
 
 
+def lattice_ball(n, grid_points):
+    """The probe's ball: grid point i sits at (2 i - g) / g, g = grid_points - 1, so
+    |z|^2 <= 1 is decided on the integers: sum_j (2 i_j - g)^2 <= g^2."""
+    g = grid_points - 1
+    idx = np.stack(np.meshgrid(*[np.arange(grid_points)] * n, indexing="ij"), axis=-1)
+    return np.sum((2 * idx.reshape(-1, n) - g) ** 2, axis=-1) <= g**2
+
+
 def probe_grid(n, grid_points):
     """The probe's axes, grid points and ball mask."""
     axes = tuple(np.linspace(-1.0, 1.0, grid_points) for _ in range(n))
     Z = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    return axes, Z, np.sum(Z**2, axis=-1) <= 1.0
+    return axes, Z, lattice_ball(n, grid_points)
+
+
+#: (dim, grid_points) the radon runner admits: 4 ... 24 points per axis, at most 16 in 3-D
+ADMITTED = [(2, g) for g in range(4, 25)] + [(3, g) for g in range(4, 17)]
+
+
+class TestLatticeBall:
+    @pytest.mark.parametrize("n, grid_points", ADMITTED)
+    def test_closed_under_reflection_and_float_test_where_that_is(self, n, grid_points):
+        _, Z, want = probe_grid(n, grid_points)
+        ball = _lattice_ball(n, grid_points)
+        assert np.array_equal(ball, want)
+        assert np.array_equal(ball, ball[::-1])  # flat index i reflects to G - 1 - i
+        float_test = np.sum(Z**2, axis=-1) <= 1.0
+        if np.array_equal(float_test, float_test[::-1]):
+            assert np.array_equal(ball, float_test)
+
+    def test_rounded_lattice_points_are_in(self):
+        # at 11 points the axis holds +-0.6 and +-0.8, whose squares sum to 1 up to rounding
+        probe = injectivity_probe(2, grid_points=11, n_dirs=16)
+        assert probe["dof"] == 81
+        pts = probe["points"]  # linspace is antisymmetric to rounding, not bit for bit
+        assert np.max(np.abs(pts[::-1] + pts)) <= 1e-15
 
 
 class TestLineBlocks:
-    """The stencil blocks I0[ball, :] and I0[:, ball] against the per-point oracle."""
+    """The stencil blocks I0[top, :] and I0[:, ball] against the per-point oracle, top the
+    first half of the ball's points as the probe builds them."""
 
     @staticmethod
     def assert_blocks_match(axes, Z, ball, t, wt, omega):
-        rows, cols = _line_blocks(axes, Z, t, wt, omega, ball)
+        top = ball & (np.cumsum(ball) <= (ball.sum() + 1) // 2)
+        rows, cols = _line_blocks(axes, Z, t, wt, omega, ball, top)
         I0 = interp_matrix(axes, _line_points(Z, t, omega).reshape(-1, len(axes)), wt)
-        for got, want in ((rows, I0[ball]), (cols, I0[:, ball])):
+        for got, want in ((rows, I0[top]), (cols, I0[:, ball])):
             assert got.shape == want.shape
             assert abs(got - want).max() <= 1e-14 * abs(want).max()
             assert got.has_canonical_format  # sorted columns, no duplicates
@@ -469,12 +554,10 @@ class TestLinePoints:
         assert np.shares_memory(flat, got) and flat.flags.f_contiguous
 
 
-def two_matrix_sigma_min(n, grid_points, n_dirs, n_t, chi=None):
-    """sigma_min of sum_k w_k chi_k L_k I0_k on the probe's ball, with L_k built
-    from its own lines z - t omega instead of reusing I0_k."""
-    axes = tuple(np.linspace(-1.0, 1.0, grid_points) for _ in range(n))
-    Z = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    ball = np.sum(Z**2, axis=-1) <= 1.0
+def two_matrix_normal_operator(n, grid_points, n_dirs, n_t, chi=None):
+    """sum_k w_k chi_k L_k I0_k on the probe's ball, dense, with L_k built from its
+    own lines z - t omega instead of reusing I0_k, and every row assembled."""
+    axes, Z, ball = probe_grid(n, grid_points)
     dirs, dw = direction_rule(n, n_dirs)
     t, w = _line_rule(n_t)
     wt = w * PHI(t)
@@ -483,7 +566,11 @@ def two_matrix_sigma_min(n, grid_points, n_dirs, n_t, chi=None):
         I0k = interp_matrix(axes, (Z[:, None, :] + t[:, None] * om).reshape(-1, n), wt)
         Lk = interp_matrix(axes, (Z[:, None, :] - t[:, None] * om).reshape(-1, n), wt)
         A = A + (wk * (float(chi(np.array([om[0]]))[0]) if chi else 1.0) * Lk) @ I0k
-    return float(svdvals(A.toarray()[np.ix_(ball, ball)])[-1])
+    return A.toarray()[np.ix_(ball, ball)]
+
+
+def two_matrix_sigma_min(n, **kw):
+    return float(svdvals(two_matrix_normal_operator(n, **kw))[-1])
 
 
 class TestInjectivity:
@@ -518,14 +605,41 @@ class TestInjectivity:
             (2, dict(grid_points=16, n_dirs=63, n_t=16), None),
             # chi is not even, so an antipodal pair weighs c_k + c_k', not 2 c_k
             (3, dict(CONE3, chi=ConeCutoff(lambda w: 0.75 + 0.25 * w)), None),
+            # odd dof: the origin is in the ball, the fixed point of z -> -z
+            (2, dict(grid_points=9, n_dirs=64, n_t=16), None),
+            (3, dict(CONE3, grid_points=9, chi=default_cone(0.3)), None),
         ],
-        ids=["2d", "3d-cone", "2d-odd-count", "3d-noneven-cutoff"],
+        ids=["2d", "3d-cone", "2d-odd-count", "3d-noneven-cutoff", "2d-odd-dof",
+             "3d-cone-odd-dof"],
     )
     def test_one_matrix_per_direction_matches_two(self, request, n, kw, fixture):
         # phi is even and the line rule symmetric, so L_k is I0_k itself
         probe = request.getfixturevalue(fixture) if fixture else injectivity_probe(n, **kw)
         two = two_matrix_sigma_min(n, **kw)
         assert abs(probe["sigma_min"] - two) <= 1e-12 * two
+
+    @pytest.mark.parametrize(
+        "n, kw",
+        [(2, dict(grid_points=16, n_dirs=64, n_t=16)),
+         (3, dict(CONE3, grid_points=9, chi=ConeCutoff(lambda w: 0.75 + 0.25 * w)))],
+        ids=["2d-even-dof", "3d-odd-dof"],
+    )
+    def test_even_and_odd_blocks_hold_the_whole_spectrum(self, monkeypatch, n, kw):
+        # the probe takes sigma_min over the blocks E and O; their singular values
+        # together are those of the fully assembled A
+        blocks = []
+
+        def kept(B):
+            blocks.append(B.copy())
+            return svdvals(B)
+
+        monkeypatch.setattr(radon, "svdvals", kept)
+        probe = injectivity_probe(n, **kw)
+        want = svdvals(two_matrix_normal_operator(n, **kw))
+        assert probe["dof"] % 2 == kw["grid_points"] % 2
+        assert [len(B) for B in blocks] == [(probe["dof"] + 1) // 2, probe["dof"] // 2]
+        got = np.sort(np.concatenate([svdvals(B) for B in blocks]))[::-1]
+        assert np.max(np.abs(got - want) / want) <= 1e-12
 
     @pytest.mark.parametrize("n, n_dirs, builds", [(2, 64, 32), (2, 63, 63), (3, 60, 30)])
     def test_one_line_matrix_per_antipodal_pair(self, monkeypatch, n, n_dirs, builds):
