@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import QUANTIZE_MAX_N, InputRefusal
+from .grid import MAX_DIRECTIONS, QUANTIZE_MAX_N, GridBudgetError, InputRefusal
 
 __all__ = ["ExperimentConfig", "RunReport", "load_config", "run_experiment", "emit_report", "main"]
 
@@ -490,6 +490,8 @@ def _run_radon(v, seed):
         pairing_gap,
     )
 
+    if v["directions"] > MAX_DIRECTIONS:
+        raise GridBudgetError(f"radon directions {v['directions']} exceed budget {MAX_DIRECTIONS}")
     if v["dim"] == 3 and v["grid_points"] > 16:
         # the probe's two dense SVDs, of half the ball each, grow like grid_points^9:
         # 1,736 unknowns at 16 (two blocks of 868), 6,272 at 24 (two of 3,136)

@@ -43,6 +43,12 @@ __all__ = [
 
 MAX_TOTAL_POINTS = 2**24
 
+#: Largest `directions` of the radon probe.  It builds one line block per orbit of
+#: the rule's lines, about 40 ms each in 3-D at 16 grid points (2-core machine, one
+#: BLAS thread), so 256 keeps the slowest admitted probe (3-D, 16 points, 72 orbits)
+#: near 3.5 s; tests and perfbench use at most 64.
+MAX_DIRECTIONS = 256
+
 #: Largest points_per_axis of a dense operator (dense operators are 1-D); the
 #: CLI bounds its N keys by it without importing the symbol calculus.
 QUANTIZE_MAX_N = 256

@@ -48,7 +48,7 @@ from .grid import (
     MAX_TOTAL_POINTS, GridBudgetError, InputRefusal, QuadratureError, fit_growth_exponent,
     fit_log_growth, radial_weighted_mass,
 )
-from .quadrature import product_sphere_rule, richardson
+from .quadrature import _cos_sin_from_half, product_sphere_rule, richardson
 
 __all__ = [
     "SphereDensity",
@@ -255,21 +255,6 @@ def _synthesis_evaluator(f: SphereDensity, lam: float, kernel):
         return pref * out.view(complex)[:, 0]
 
     return synth
-
-
-def _cos_sin_from_half(half: np.ndarray):
-    """(cos a, sin a) from the half angle a/2, which is overwritten: with
-    t = tan(a/2) and q = 2/(1 + t^2), cos a = q - 1 and sin a = t q.  numpy's
-    tan is vectorized where its cos and sin are scalar calls, and this takes
-    one temporary; the error stays within about 3.3e-16 absolute, and t is
-    finite at every finite a."""
-    t = np.tan(half, out=half)
-    q = t * t
-    q += 1.0
-    np.divide(2.0, q, out=q)
-    t *= q
-    q -= 1.0
-    return q, t
 
 
 def eigenfunction_evaluator(f: SphereDensity, lam: float):

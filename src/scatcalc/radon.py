@@ -13,15 +13,19 @@ orthogroup {omega . xihat = 0} always meets {chi > 0}: true for n >= 3 (two
 great circles on S^2 intersect), false for narrow cutoffs in n = 2 (two
 antipodal points miss the allowed arc), and the probe exhibits both.  phi_hat
 is read from a Chebyshev table, filled by angle addition on half a Gauss rule
-(phi is even); the Hankel oracle reads phi_tilde, not the table.
+(phi is even, and cos and sin come from one tangent of the half angle); the
+Hankel oracle reads phi_tilde, not the table.
 Since phi is even and the line rule symmetric, L integrates along the lines of
 I_0, so `backproject` and `injectivity_probe` build each line integral once;
 the lines along omega and -omega are the same too, so `pairing_gap` computes one
-I_0 f and the probe one stencil per antipodal pair (its line matrix is that
-stencil shifted along the lattice), and the probe assembles A on the ball only.
-The probe's A commutes with z -> -z, so only the rows of half the ball are built
-and A splits into even and odd half-size blocks; the cone check reads phi_hat once
-per orbit of omega -> -omega (and x_3 -> -x_3 at n = 3), against summed weights.
+I_0 f per antipodal pair, and the probe assembles A on the ball only.  The
+lattice, the ball and phi are invariant under the signed axis permutations g,
+and those that map the weighted lines of the direction rule onto themselves act
+on A by permuting the ball: the probe builds one line matrix (a stencil shifted
+along the lattice) per orbit of lines and sums its images.  One of them, z -> -z,
+reverses the ball, so only the rows of half the ball are built and A splits into
+even and odd half-size blocks; the cone check reads phi_hat once per orbit of
+omega -> -omega (and x_3 -> -x_3 at n = 3), against summed weights.
 Line points are stored coordinate-major: the callables f and v receive (M, n)
 views with contiguous columns, not C-contiguous copies.
 """
@@ -29,6 +33,7 @@ views with contiguous columns, not C-contiguous copies.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -38,7 +43,7 @@ from scipy.fft import dct
 from scipy.linalg import svdvals
 
 from .bumps import plateau
-from .quadrature import gauss_panels, product_sphere_rule
+from .quadrature import _cos_sin_from_half, gauss_panels, product_sphere_rule
 
 __all__ = [
     "LocalizerProfile",
@@ -149,9 +154,12 @@ class LocalizerProfile:
         n = _HAT_DEGREE + 1
         x = 0.5 * (np.cos(np.pi * (np.arange(n) + 0.5) / n) + 1.0)
         t, w = _flat_panels(0.0, _SUPPORT, (_hat_panels(top) + 1) // 2, 16)
-        kt, xt = np.multiply.outer(np.arange(top), t), np.multiply.outer(x, t)
+        ck, sk = _cos_sin_from_half(np.multiply.outer(np.arange(top), 0.5 * t))
+        cx, sx = _cos_sin_from_half(np.multiply.outer(x, 0.5 * t))
         cw = 2.0 * w * self(t)
-        vals = (np.cos(kt) * cw) @ np.cos(xt).T - (np.sin(kt) * cw) @ np.sin(xt).T
+        ck *= cw
+        sk *= cw
+        vals = ck @ cx.T - sk @ sx.T
         return dct(vals, type=2).T / n
 
     def _hat_sums(self, u: np.ndarray, reach: float) -> np.ndarray:
@@ -199,13 +207,60 @@ def direction_rule(n: int, count: int):
     return np.roll(nodes, 1, axis=-1), w  # polar axis e_1
 
 
+#: Sort key of `_nearest`: generic, so that the rules' symmetric nodes rarely share a key.
+_MATCH_KEY = np.array([1.0, np.sqrt(2.0), np.sqrt(5.0)])
+
+
+def _nearest(points, queries) -> np.ndarray:
+    """For each row of queries, the index of the nearest row of points within 1e-12, else
+    -1.  Points are sorted on a generic linear key, which moves by at most the distance,
+    so only the keys within the window (doubled for rounding) are checked: O((K + M) log K)
+    time and O(K + M) memory for K points and M queries."""
+    n = points.shape[-1]
+    key = _MATCH_KEY[:n] / np.linalg.norm(_MATCH_KEY[:n])
+    pk = points @ key
+    order = np.argsort(pk)
+    qk = queries @ key
+    lo = np.searchsorted(pk[order], qk - 2e-12)
+    hi = np.searchsorted(pk[order], qk + 2e-12, side="right")
+    best, gap = np.full(len(queries), -1), np.full(len(queries), np.inf)
+    for j in range(int(np.max(hi - lo, initial=0))):
+        cand = order[np.minimum(lo + j, len(order) - 1)]
+        d = np.linalg.norm(points[cand] - queries, axis=-1)
+        hit = (lo + j < hi) & (d <= 1e-12) & (d < gap)
+        best[hit], gap[hit] = cand[hit], d[hit]
+    return best
+
+
 def _antipode_pairs(dirs) -> list:
     """Each direction once: (k, k') with k < k' where node k' is within 1e-12 of
     -omega_k, else (k,).  The lines z + t omega of a pair are the same points."""
-    gap = np.linalg.norm(dirs[:, None, :] + dirs[None, :, :], axis=-1)
-    anti = np.argmin(gap, axis=1)
-    return [(k, int(j)) if gap[k, j] <= 1e-12 else (k,) for k, j in enumerate(anti)
-            if j > k or gap[k, j] > 1e-12]
+    anti = _nearest(dirs, -dirs)
+    return [(k, int(j)) if j >= 0 else (k,) for k, j in enumerate(anti) if j > k or j < 0]
+
+
+def _line_symmetries(dirs, weight, pairs):
+    """The signed axis permutations g x = s * x[perm] that map every line of the rule
+    (a pair of `_antipode_pairs`, of summed weight `weight`) to a line of equal weight,
+    one of g and -g = J g each (s_0 = +1: J fixes every line), the identity first.
+    Returns [(perm, s)] and the line each g sends each line to, (|G/J|, lines)."""
+    n = dirs.shape[-1]
+    line = np.empty(len(dirs), dtype=int)
+    for q, pair in enumerate(pairs):
+        line[list(pair)] = q
+    both = np.concatenate([dirs, -dirs])  # a line is matched through either direction
+    first = dirs[[pair[0] for pair in pairs]]
+    group, images = [], []
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n - 1):
+            s = np.array((1, *signs))
+            hit = _nearest(both, s * first[:, perm])
+            if np.all(hit >= 0):
+                img = line[hit % len(dirs)]
+                if np.all(np.abs(weight[img] - weight) <= 1e-12 * np.max(np.abs(weight))):
+                    group.append((np.array(perm), s))
+                    images.append(img)
+    return group, np.array(images)
 
 
 def _line_points(z, t, omega) -> np.ndarray:
@@ -440,11 +495,16 @@ def injectivity_probe(
     z - t omega_k are the same (even phi, symmetric rule), so
     A = sum_k c_k I0k I0k with c_k = w_k chi(omega_k), the optional cone cutoff
     chi weighting L.  The lines along -omega_k are those along omega_k, so a
-    direction and its antipode in the rule share one I0k, weighted by the sum
-    of their c_k.  The box, ball, phi and line rule are invariant under z -> -z,
-    which reverses the ball's points (J), so J A J = A: only the rows of the
-    first half of the ball are assembled, and A splits into an even block E and
-    an odd block O of half the size each, whose singular values together are A's.
+    direction and its antipode in the rule share one line matrix M_q = I0k I0k,
+    weighted by the sum C_q of their c_k.  A signed axis permutation g permutes
+    the ball's points (P_g), and M_{g q} = P_g M_q P_g^T; the group G of those g
+    that map every line q to a line of equal C_q always holds J: z -> -z, which
+    fixes every line and reverses the ball's points.  So M_q is built for each
+    orbit's first line only, S = sum C_q / |stabilizer of q in G/J| M_q, and
+    A = sum over G/J of P_g S P_g^T.  J A J = A, so only the rows of the first
+    half of the ball are assembled (S's other rows are read through J S J = S),
+    and A splits into an even block E and an odd block O of half the size each,
+    whose singular values together are A's.
     Reports sigma_min, the relative reconstruction error for the bump
     f0 = exp(-6 |z|^2) (1 - |z|^2) on the ball, the size of the function
     space, and the demo data: the ball points, f0 on them and the
@@ -463,12 +523,36 @@ def injectivity_probe(
     top = ball & (np.cumsum(ball) <= half)
     dirs, dw = direction_rule(n, n_dirs)
     c = dw * (chi(dirs[:, 0]) if chi is not None else 1.0)
+    pairs = _antipode_pairs(dirs)
+    weight = np.array([c[list(pair)].sum() for pair in pairs])
+    group, images = _line_symmetries(dirs, weight, pairs)
+    stab = np.sum(images == np.arange(len(pairs)), axis=0)
     t, wt = _line_rule(n_t)
     wt = wt * phi(t)
-    A = np.zeros((half, dof))  # every product is nearly dense: sum them densely
-    for pair in _antipode_pairs(dirs):
-        rows, cols = _line_blocks(axes, Z, t, wt, dirs[pair[0]], ball, top)
-        A += (c[list(pair)].sum() * rows @ cols).toarray()
+    # S: each orbit's first line at its weight over its stabilizer's size, so that the
+    # sum of g S g^T over G/J gives every line of the orbit its own weight
+    S = np.zeros((half, dof))  # every product is nearly dense: sum them densely
+    for q in np.flatnonzero(images.min(axis=0) == np.arange(len(pairs))):
+        rows, cols = _line_blocks(axes, Z, t, wt, dirs[pairs[q][0]], ball, top)
+        S += (weight[q] / stab[q] * rows @ cols).toarray()
+    # g permutes the ball's points, at lattice coordinates 2 i - (grid_points - 1), by p:
+    # (P_g S P_g^T)[i, j] = S[p_i, p_j].  A row r past half is S[dof - 1 - r, dof - 1 - p_j]
+    # by J S J = S, and dof - 1 - p_j = p_{dof - 1 - j} (g commutes with J): that row of
+    # the gather on dof - 1 - r, read backwards
+    shape = (grid_points,) * n
+    lattice = 2 * np.argwhere(ball.reshape(shape)) - (grid_points - 1)
+    number = np.cumsum(ball) - 1  # grid point -> ball point
+    A = np.zeros((half, dof))
+    for perm, sign in group:
+        image = (sign * lattice[:, perm] + grid_points - 1) // 2
+        p = number[np.ravel_multi_index(image.T, shape)]
+        r = p[:half]
+        up = (r < half)[:, None]
+        X = S[np.ix_(np.where(r < half, r, dof - 1 - r), p)]
+        np.add(A, X, out=A, where=up)
+        np.add(A, X[:, ::-1], out=A, where=~up)
+        del X  # before the next gather
+    del S
     # E and O in orthonormal bases (e_k +- e_{dof-1-k}) / sqrt 2; the origin, the
     # fixed point when dof is odd, is e_h alone, so s scales its row and column
     mirror = A[:, ::-1][:, :half]

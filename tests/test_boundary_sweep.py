@@ -2,10 +2,11 @@
 
 Each config is an experiment's default config (``{}``) with one key set to an
 edge of its range check: the smallest and the largest admissible value, or a
-tiny (1e-9) and a huge (1e9) one where the check is open, signed where it
-admits both signs.  Keys that scale the work (trajectories, time, dt, N,
-directions, grid_points, lambdas, n_radii, fields, r_max, lambda, radii) keep
-their huge edge only where a budget refuses it before any work; elsewhere the
+tiny (1e-9) and a huge (1e9, 10**9 for an integer key) one where the check is
+open, signed where it admits both signs.  Keys that scale the work
+(trajectories, time, dt, N, directions, grid_points, lambdas, n_radii, fields,
+r_max, lambda, radii) keep their huge edge only where a budget refuses it
+before any work (``directions`` by ``grid.MAX_DIRECTIONS``); elsewhere the
 large edge is capped, so that the sweep stays short.  ``output_dir`` is not
 swept: ``--out`` sets it.  Combinations of keys are not swept, except the
 large ``scatter1d`` potentials of ``POTENTIALS``, which must be refused within
@@ -77,7 +78,7 @@ EDGES = {
     "radon": {
         "dim": [2, 3],
         "grid_points": [4, 24],
-        "directions": [1, 64],
+        "directions": [1, int(HUGE)],  # HUGE: the directions budget
         "cone_width": [TINY, HUGE],
     },
     "var-order": {

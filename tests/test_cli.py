@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
 from scatcalc import cli
 from scatcalc.cli import ConfigError, emit_report, load_config, main, run_experiment
+from scatcalc.grid import MAX_DIRECTIONS
 
 
 def write_config(tmp_path, body, name="cfg.json"):
@@ -164,6 +166,15 @@ class TestMainExitCodes:
         assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert f"refused: {refusal}: " in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("directions", [MAX_DIRECTIONS + 1, 10**9])
+    def test_radon_directions_budget_refuses_before_any_work(self, tmp_path, capsys, directions):
+        cfg = write_config(tmp_path, {"directions": directions})
+        start = time.perf_counter()
+        assert main(["radon", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("refused: GridBudgetError: radon directions ")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

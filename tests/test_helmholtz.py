@@ -33,8 +33,8 @@ from scatcalc.helmholtz import (
     stationary_phase_leading,
     threshold_scan,
 )
-from scatcalc.helmholtz import _cos_sin_from_half, _probe_directions, _required_degree, _rule_sizes
-from scatcalc.quadrature import product_sphere_rule
+from scatcalc.helmholtz import _probe_directions, _required_degree, _rule_sizes
+from scatcalc.quadrature import _cos_sin_from_half, product_sphere_rule
 
 LAM = 1.0
 

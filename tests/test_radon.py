@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -16,7 +18,9 @@ from scatcalc.radon import (
     _line_blocks,
     _line_points,
     _line_rule,
+    _line_symmetries,
     _lattice_ball,
+    _nearest,
     backproject,
     cone_ellipticity_check,
     default_cone,
@@ -608,9 +612,15 @@ class TestInjectivity:
             # odd dof: the origin is in the ball, the fixed point of z -> -z
             (2, dict(grid_points=9, n_dirs=64, n_t=16), None),
             (3, dict(CONE3, grid_points=9, chi=default_cone(0.3)), None),
+            # chi weighs the lines near x_1 and x_2 apart: no quarter turn
+            (2, dict(grid_points=16, n_dirs=64, n_t=16,
+                     chi=ConeCutoff(lambda w: 0.75 + 0.25 * w + 0.1 * w**2)), None),
+            # lines that a reflection fixes: 90 degrees of 6, and of 10, directions
+            (2, dict(grid_points=16, n_dirs=6, n_t=16), None),
+            (2, dict(grid_points=16, n_dirs=10, n_t=16), None),
         ],
         ids=["2d", "3d-cone", "2d-odd-count", "3d-noneven-cutoff", "2d-odd-dof",
-             "3d-cone-odd-dof"],
+             "3d-cone-odd-dof", "2d-noneven-cutoff", "2d-stabilized-6", "2d-stabilized-10"],
     )
     def test_one_matrix_per_direction_matches_two(self, request, n, kw, fixture):
         # phi is even and the line rule symmetric, so L_k is I0_k itself
@@ -641,8 +651,10 @@ class TestInjectivity:
         got = np.sort(np.concatenate([svdvals(B) for B in blocks]))[::-1]
         assert np.max(np.abs(got - want) / want) <= 1e-12
 
-    @pytest.mark.parametrize("n, n_dirs, builds", [(2, 64, 32), (2, 63, 63), (3, 60, 30)])
-    def test_one_line_matrix_per_antipodal_pair(self, monkeypatch, n, n_dirs, builds):
+    @pytest.mark.parametrize("n, n_dirs, builds", [(2, 64, 8), (2, 63, 32), (3, 60, 6)])
+    def test_one_line_matrix_per_orbit(self, monkeypatch, n, n_dirs, builds):
+        # 32 lines in 8 free orbits of the dihedral group; 63 lines, the reflection
+        # x_2 -> -x_2 fixing one; 30 lines in 6 orbits, two of them on the equator
         calls = {"blocks": 0, "points": 0}
 
         def counted(name, build):
@@ -655,3 +667,74 @@ class TestInjectivity:
         monkeypatch.setattr(radon, "_line_points", counted("points", _line_points))
         injectivity_probe(n, grid_points=8, n_dirs=n_dirs)
         assert calls == {"blocks": builds, "points": builds}
+
+
+def old_antipode_pairs(dirs) -> list:
+    """Oracle of `_antipode_pairs`: the nearest antipode of each node in a (K, K) table of
+    |omega_k + omega_j|, at about 46 B K^2 of memory."""
+    gap = np.linalg.norm(dirs[:, None, :] + dirs[None, :, :], axis=-1)
+    anti = np.argmin(gap, axis=1)
+    return [(k, int(j)) if gap[k, j] <= 1e-12 else (k,) for k, j in enumerate(anti)
+            if j > k or gap[k, j] > 1e-12]
+
+
+class TestLineSymmetries:
+    @pytest.mark.parametrize("n, n_dirs", [(2, 1), (2, 6), (2, 63), (2, 64), (2, 500),
+                                           (3, 1), (3, 60), (3, 61), (3, 64), (3, 500)])
+    def test_pairs_match_the_table_oracle(self, n, n_dirs):
+        dirs, _ = direction_rule(n, n_dirs)
+        assert _antipode_pairs(dirs) == old_antipode_pairs(dirs)
+
+    def test_nearest_against_brute_force(self):
+        rng = np.random.default_rng(4)
+        points = rng.normal(size=(300, 3))
+        # moved off the sort key's line: the same key, 1e-11 away
+        aside = np.cross(radon._MATCH_KEY, [1.0, 0.0, 0.0])
+        # exact copies, copies moved by 1e-13, by 1e-11 and aside, and strangers
+        queries = np.concatenate([points[:50], points[50:100] + 1e-13 / np.sqrt(3),
+                                  points[100:150] + 1e-11,
+                                  points[150:200] + 1e-11 * aside / np.linalg.norm(aside),
+                                  rng.normal(size=(50, 3))])
+        gap = np.linalg.norm(queries[:, None, :] - points[None, :, :], axis=-1)
+        want = np.where(gap.min(axis=1) <= 1e-12, gap.argmin(axis=1), -1)
+        got = _nearest(points, queries)
+        assert np.array_equal(got, want)
+        assert np.array_equal(want[:100], np.arange(100)) and np.all(want[100:] == -1)
+
+    def test_pairs_need_no_k_squared_table(self):
+        # the table oracle's peak is about 46 B K^2: 183 MB at K = 2000
+        dirs, _ = direction_rule(2, 2000)
+        tracemalloc.start()
+        try:
+            pairs = _antipode_pairs(dirs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 1000 and peak < 2e6
+
+    @staticmethod
+    def group_size(n, n_dirs, chi=None):
+        dirs, dw = direction_rule(n, n_dirs)
+        c = dw * (chi(dirs[:, 0]) if chi is not None else 1.0)
+        pairs = _antipode_pairs(dirs)
+        group, images = _line_symmetries(dirs, np.array([c[list(p)].sum() for p in pairs]), pairs)
+        assert len(images) == len(group)
+        assert np.array_equal(images[0], np.arange(len(pairs)))  # the identity first
+        for img in images:  # each g permutes the lines
+            assert np.array_equal(np.sort(img), np.arange(len(pairs)))
+        return len(group)
+
+    @pytest.mark.parametrize(
+        "n, n_dirs, chi, size",
+        [(2, 64, None, 4), (2, 62, None, 2), (2, 63, None, 2), (3, 60, None, 8),
+         # chi(omega_1) weighs x_1 <-> x_2 apart; its line sums are even in omega_1
+         (2, 64, default_cone(0.3), 2), (3, 60, default_cone(0.3), 8),
+         (2, 64, ConeCutoff(lambda w: 0.75 + 0.25 * w + 0.1 * w**2), 2),
+         (3, 60, ConeCutoff(lambda w: 0.75 + 0.25 * w + 0.1 * w**2), 8),
+         # chi(w) + chi(-w) = 1.5: every line weighs the same, as with no cutoff
+         (2, 64, ConeCutoff(lambda w: 0.75 + 0.25 * w), 4)],
+        ids=["2d-64", "2d-62", "2d-63", "3d-60", "2d-cone", "3d-cone", "2d-noneven",
+             "3d-noneven", "2d-noneven-flat-sum"],
+    )
+    def test_group_size_modulo_the_point_reflection(self, n, n_dirs, chi, size):
+        assert self.group_size(n, n_dirs, chi) == size
