@@ -263,8 +263,8 @@ def _affine_face(H, rows, S, out):
     boundary face here is affine in the slots that move, with coefficients
     read from the slots that stay put."""
     A, C = rows.coef
-    np.multiply(A, S, out=out)
-    np.add(out, C, out=out)
+    np.multiply(A, S, out)
+    np.add(out, C, out)
 
 
 def _affine_coef(S, n, a, b):
@@ -564,9 +564,12 @@ def _slots(spec: _ChartSpec, n: int) -> dict:
     return out
 
 
-def _unflatten(spec: _ChartSpec, s: np.ndarray, n: int) -> dict:
-    """Coords dict over the flat state s: floats for scalar slots, arrays else."""
-    return {k: float(s[a]) if scalar else s[a:b] for k, (a, b, scalar) in _slots(spec, n).items()}
+def _unflatten(spec: _ChartSpec, S: np.ndarray, n: int) -> dict:
+    """Coords dict over flat states S (..., d): floats for scalar slots (nested
+    lists of them over the leading axes) and views for vector slots; one flat
+    state gives one point's coords."""
+    slots = _slots(spec, n).items()
+    return {k: S[..., a].tolist() if scalar else S[..., a:b] for k, (a, b, scalar) in slots}
 
 
 def _columns(spec: _ChartSpec, S: np.ndarray, n: int) -> dict:
@@ -721,7 +724,12 @@ def flow_trajectory(
     """Fixed-step RK4 bicharacteristic flow with automatic chart switching from
     one start: :func:`flow_batch` on ``[start]``, read back as chart points."""
     batch = flow_batch(H, [start], T, dt)
-    return [batch.point(i, 0) for i in range(len(batch.states))]
+    cols = _unflatten(_spec(H, start.chart), batch.states[:, 0], H.dim)
+    axes, signs = batch.axes[:, 0].tolist(), batch.signs[:, 0].tolist()
+    return [
+        PhasePointChart(start.chart, {k: v[i] for k, v in cols.items()}, None if a < 0 else a, sign)
+        for i, (a, sign) in enumerate(zip(axes, signs))
+    ]
 
 
 @dataclass(frozen=True)
@@ -758,12 +766,19 @@ def flow_batch(H: SymbolHamiltonian, starts, T: float, dt: float) -> FlowBatch:
     its own axis and sign.  Stages run on the chart's flat states with rho
     clamped to its half-line, elementwise, so a row does not depend on the others.
 
-    A step writes its four stage states and fields into two preallocated
-    (4, B, d) buffers and its result into ``states[i]`` in place.  The rows'
-    chart data (:class:`_Rows`: the take of the axes and the field's per-row
-    coefficients) is built at the start and again only at a step where some
-    row switches charts, and axes and signs are filled forward from that step.
-    The tangency guard runs once per step, over all four stages.
+    A step writes its three stage states and result, and its four fields, into
+    two preallocated (4, B, d) buffers, and copies the result to ``states[i]``.
+    The rows' chart data (:class:`_Rows`: the take of the axes and the field's
+    per-row coefficients) is built at the start and again only at a step where
+    some row switches charts, and axes and signs are filled forward from that
+    step.  On a chart with rho, a step first runs unclamped; one reduction
+    over the rho of its stages and result tells whether any left rho's
+    half-line, and only then is the step redone with every stage and the
+    result clamped.  A clamp that finds no negative rho writes nothing, so
+    the states are those of clamping at every stage, bit for bit.  The
+    tangency guard takes the largest |drho| of the four stage fields and runs
+    its full check, rho == 0 where |drho| > TANGENCY_TOL, only when that
+    largest exceeds the tolerance.
     """
     if len(starts) == 0:
         raise ValueError("a batch needs at least one start")
@@ -788,11 +803,29 @@ def flow_batch(H: SymbolHamiltonian, starts, T: float, dt: float) -> FlowBatch:
     def clamp(V):
         # a masked copy, so that a negative rho becomes +0.0 exactly; fmin
         # passes over NaN, so one row's NaN does not skip the others
-        if spec.rho and np.fmin.reduce(V[:, 0]) < 0.0:
+        if np.fmin.reduce(V[:, 0]) < 0.0:
             np.copyto(V[:, 0], 0.0, where=V[:, 0] < 0.0)
 
     def chart_rows(S):
         return _with_coef(spec, H, _Rows(axis, sign, _take(n, axis), ()), S)
+
+    def step(S, clamped):
+        # the RK4 step from S into Y[0], with K[0] its field at S
+        for state, prev, out, c in stages:
+            np.multiply(c, prev, state)
+            np.add(S, state, state)
+            if clamped:
+                clamp(state)
+            field(H, rows, state, out)
+        if spec.rho:
+            np.abs(drho, abs_drho)
+        # S + h/6 (((k1 + 2 k2) + 2 k3) + k4): the reduction adds along axis 0 in order
+        np.multiply(doubled, two, doubled)
+        np.add.reduce(K, 0, None, Y[0])
+        np.multiply(sixth, Y[0], Y[0])
+        np.add(S, Y[0], Y[0])
+        if clamped:
+            clamp(Y[0])
 
     rows = chart_rows(S)
     states = np.empty((steps + 1,) + S.shape)
@@ -800,32 +833,36 @@ def flow_batch(H: SymbolHamiltonian, starts, T: float, dt: float) -> FlowBatch:
     axes = np.empty((steps + 1, len(S)), dtype=np.int8)
     signs = np.empty_like(axes)
     axes[:], signs[:] = axis, sign
-    Y, K = np.empty((2, 4) + S.shape)  # stage states and their fields
-    stages = ((Y[1], K[0], K[1], h / 2), (Y[2], K[1], K[2], h / 2), (Y[3], K[2], K[3], h))
+    Y, K = np.empty((2, 4) + S.shape)  # the result and three stage states, and four fields
+    # 0-d arrays: numpy multiplies by them faster than by a Python or numpy scalar
+    half, full, sixth, two = (np.array(c) for c in (h / 2, h, h / 6, 2.0))
+    stages = ((Y[1], K[0], K[1], half), (Y[2], K[1], K[2], half), (Y[3], K[2], K[3], full))
     rho, drho = Y[:, :, 0], K[:, :, 0]
+    abs_drho, doubled = np.empty(drho.shape), K[1:3]
+    ray_y = Y[0, :, 1:n]  # the result's y slots, on a projective chart
+    y = np.empty(ray_y.shape)
     for i in range(1, steps + 1):
         S, new = states[i - 1], states[i]
-        Y[0] = S
         field(H, rows, S, K[0])
-        for state, prev, out, c in stages:
-            np.multiply(c, prev, out=state)
-            np.add(S, state, out=state)
-            clamp(state)
-            field(H, rows, state, out)
+        step(S, False)
         if spec.rho:
-            _check_tangent(rho, drho)
-        # S + h/6 (((k1 + 2 k2) + 2 k3) + k4): the reduction adds along axis 0 in order
-        K[1:3] *= 2.0
-        np.add.reduce(K, axis=0, out=new)
-        np.multiply(h / 6, new, out=new)
-        np.add(S, new, out=new)
-        clamp(new)
+            # a clamp that finds no negative rho writes nothing, so the step is
+            # the clamped one unless a stage or the result left rho's half-line
+            # (fmin passes over NaN, as the clamp does)
+            if np.fmin.reduce(rho, None) < 0.0:
+                step(S, True)
+            # refuse a stage field with |drho| > TANGENCY_TOL at rho = 0; with
+            # no |drho| that large no stage can fail
+            if np.fmax.reduce(abs_drho, None) > TANGENCY_TOL:
+                _check_tangent(S[:, 0], abs_drho[0])
+                _check_tangent(rho[1:], abs_drho[1:])
+        new[...] = Y[0]
         if not spec.projective:
             continue
         # a row leaves its chart when 1/max|ray| < SWITCH_LOW, and the ray is 1
         # on the axis and y elsewhere; 1/x falls as x grows, so the largest |y|
         # of all rows (fmax passes over NaN) tells whether any row does
-        y = np.abs(new[:, 1:n])
+        np.abs(ray_y, y)
         if 1.0 / np.fmax.reduce(y, axis=None, initial=1.0) < SWITCH_LOW:
             switch = 1.0 / np.maximum.reduce(y, axis=1, initial=1.0) < SWITCH_LOW
             U = np.abs(_direction(new[switch], n, _take(n, axis[switch])))

@@ -198,6 +198,10 @@ def default_cone(width: float) -> ConeCutoff:
 def direction_rule(n: int, count: int):
     """Direction quadrature: `count` angles on S^1, a product grid on S^2.
 
+    On S^2 the grid has nc = max(4, int(sqrt(count / 2))) Gauss polar nodes
+    times max(8, count // nc) azimuths, which is `count` directions only for
+    some counts: 1, 60, 64, 255 and 511 give 32, 60, 60, 253 and 510.
+
     The rule is closed under omega -> -omega for an even `count` on S^1 and for
     an even azimuth count on S^2 (the Gauss polar nodes are symmetric)."""
     if n == 2:

@@ -623,10 +623,11 @@ class TestFlowBatch:
         with pytest.raises(RuntimeError, match="not tangent"):
             hamflow.flow_batch(H, starts, 1.0, 0.01)
 
-    @pytest.mark.parametrize("stage", [1, 2, 3])
+    @pytest.mark.parametrize("stage", [0, 1, 2, 3])
     def test_field_non_tangent_at_an_inner_stage_rejected(self, monkeypatch, stage):
         # tangent at every stage state but the given one of each step: the
-        # guard runs once per step and must still see every stage
+        # guard runs once per step and must still see every stage, stage 0
+        # being the step's own state
         key = ("helmholtz", "spatial_face")
         good, calls = hamflow._SPECS[key].field, itertools.count()
 
@@ -661,6 +662,32 @@ def _schrodinger_case():
         for rho, y, xi, sign in [(0.0, 0.7, 0.3, 1), (0.2, -0.4, -0.5, -1)]
     ]
     return schrodinger_model(1), starts
+
+
+def _kg_clamp_case():
+    """kg_face starts with |tau| about 150: at dt = 0.01 the decaying rows'
+    RK4 stages overshoot rho = 0, so flow_batch redoes their steps clamped."""
+    starts = [
+        PhasePointChart("kg_face", {"rho": rho, "v": v, "tau": tsheet * np.hypot(xi, 1.0),
+                                    "xi": xi}, sign=sign)
+        for rho, v, xi, tsheet, sign in [(0.3, 0.2, 150.0, 1, 1), (0.1, -0.1, -149.5, -1, -1),
+                                         (0.0, 0.4, 150.5, 1, 1), (0.2, 0.3, 0.5, 1, 1)]
+    ]
+    return klein_gordon_model(1.0), starts
+
+
+def _helmholtz_clamp_case():
+    """Helmholtz at lambda = 250 from rho > 0: rho decays at rate |xi_j| up to
+    240, so at dt = 0.01 some RK4 stages overshoot rho = 0."""
+    lam = 250.0
+    starts = [
+        _spatial(rho, [y], lam * np.array(u), axis, sign)
+        for rho, y, u, axis, sign in [(0.3, 0.2, [0.96, 0.28], 0, 1),
+                                      (0.3, -0.5, [-0.6, 0.8], 1, 1),
+                                      (0.05, 0.1, [0.6, 0.8], 0, 1),
+                                      (0.0, 0.4, [0.28, -0.96], 0, -1)]
+    ]
+    return helmholtz_model(lam, 2), starts
 
 
 def _oracle_helmholtz_spatial(H, rows, S):
@@ -762,6 +789,8 @@ ORACLE_CASES = {
     "d_x1": (_d_x1_case, 6.0, 0.01),
     "kg_face": (_kg_case, 3.0, 0.001),
     "schrodinger": (_schrodinger_case, 3.0, 0.01),
+    "kg_face-clamped": (_kg_clamp_case, 1.0, 0.01),
+    "helmholtz-clamped": (_helmholtz_clamp_case, 1.0, 0.01),
 }
 
 
@@ -783,6 +812,16 @@ class TestFlowBatchOracle:
             make, T, dt = ORACLE_CASES[case]
             axes = hamflow.flow_batch(*make(), T, dt).axes
             assert np.any(axes[-1] != axes[0]), case
+
+    @pytest.mark.parametrize("case", ["kg_face-clamped", "helmholtz-clamped"])
+    def test_clamped_cases_clamp(self, case):
+        # rho decays geometrically in these flows, so only a clamp takes a row
+        # that starts at rho > 0 to rho == 0 exactly
+        make, T, dt = ORACLE_CASES[case]
+        H, starts = make()
+        rho = hamflow.flow_batch(H, starts, T, dt).states[:, :, 0]
+        assert np.all(rho >= 0.0)
+        assert np.any((rho[0] > 0.0) & np.any(rho == 0.0, axis=0))
 
     def test_oracle_covers_every_face_with_coefficients(self):
         faces = {key for key, spec in hamflow._SPECS.items() if spec.coef}

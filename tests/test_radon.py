@@ -147,6 +147,15 @@ class TestPhiHatTable:
             PHI.phi_hat(bad)
 
 
+class TestDirectionRule:
+    @pytest.mark.parametrize("count, size", [(1, 32), (60, 60), (255, 253), (511, 510)])
+    def test_size_is_count_in_2d_and_a_product_in_3d(self, count, size):
+        # S^2: nc = max(4, int(sqrt(count / 2))) polar nodes times max(8, count // nc) azimuths
+        for n, k in ((2, count), (3, size)):
+            dirs, w = direction_rule(n, count)
+            assert dirs.shape == (k, n) and w.shape == (k,)
+
+
 class TestXray:
     def test_constant_integrand(self):
         ez = np.zeros((4, 2))
