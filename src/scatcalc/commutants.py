@@ -101,7 +101,9 @@ def build_propagation_commutant(
     the construction literally replaces p1 by p1 + w^{-1} d_z1 w (the
     frequency weight is constant on a chart at fixed finite frequency, so no
     frequency order enters).  If digamma is omitted it is set to 10x the sup of the
-    competing terms and escalated by 4x up to three times.
+    competing terms (T - z1)^2 (|p1| + w) on the chart grid, which holds the
+    support, so with a0 <= 1 the root's argument is at least 0.9 digamma there;
+    an argument below 1e-6 on the support raises DigammaTooSmallError.
     """
     T = s0 + eps
     p1_fn = p1 if p1 is not None else (lambda z1, z2: np.zeros_like(z1))
@@ -126,34 +128,24 @@ def build_propagation_commutant(
 
     Z1, Z2 = _chart_grid(s0, eps)
     competing = (T - Z1) ** 2 * (np.abs(p1_eff(Z1, Z2)) + w(Z1, Z2))
-    auto = digamma is None
-    dig = 10.0 * float(np.max(competing)) if auto else float(digamma)
+    dig = 10.0 * float(np.max(competing)) if digamma is None else float(digamma)
 
-    def sqrt_arg(z1, z2, dg):
-        chi = chi0(T - z1, dg)
-        a0 = chi * chi1(z1) ** 2 * psi(z2) ** 2
-        return dg - (T - z1) ** 2 * (p1_eff(z1, z2) + w(z1, z2) * a0)
+    def sqrt_arg(z1, z2):
+        a0 = chi0(T - z1, dig) * chi1(z1) ** 2 * psi(z2) ** 2
+        return dig - (T - z1) ** 2 * (p1_eff(z1, z2) + w(z1, z2) * a0)
 
-    support = (chi1(Z1) * psi(Z2) > 0) & (Z1 < T)
-    attempts = 0
-    while True:
-        arg = sqrt_arg(Z1, Z2, dig)
-        if np.all(arg[support] >= 1e-6):
-            break
-        attempts += 1
-        if not auto or attempts > 3:
-            raise DigammaTooSmallError(
-                f"square-root argument reaches {float(np.min(arg[support])):.3e}; "
-                "increase digamma"
-            )
-        dig *= 4.0
+    arg = sqrt_arg(Z1, Z2)[(chi1(Z1) * psi(Z2) > 0) & (Z1 < T)]
+    if not np.all(arg >= 1e-6):
+        raise DigammaTooSmallError(
+            f"square-root argument reaches {float(np.min(arg)):.3e}; increase digamma"
+        )
 
     def a_fn(z1, z2):
         return w(z1, z2) * chi0(T - z1, dig) * chi1(z1) ** 2 * psi(z2) ** 2
 
     def b_fn(z1, z2):
         core = sqrt_chi0_over_t2(T - z1, dig) * chi1(z1) * psi(z2) * np.sqrt(w(z1, z2))
-        return core * np.sqrt(np.clip(sqrt_arg(z1, z2, dig), 0.0, None))
+        return core * np.sqrt(np.clip(sqrt_arg(z1, z2), 0.0, None))
 
     def e_fn(z1, z2):
         return 2.0 * w(z1, z2) * chi0(T - z1, dig) * chi1(z1) * chi1p(z1) * psi(z2) ** 2

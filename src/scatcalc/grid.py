@@ -283,7 +283,7 @@ def radial_weighted_mass(
 
 def _radial_once(shell, orders, edges, panels, n, gl_order) -> np.ndarray:
     rungs = [gauss_panels(a, b, p, gl_order) for a, b, p in zip(edges[:-1], edges[1:], panels)]
-    rho, rw = (np.concatenate([a.ravel() for a in arrs]) for arrs in zip(*rungs))
+    rho, rw = map(np.concatenate, zip(*rungs))
     ang = shell(rho)
     terms = np.array([rw * ((1.0 + rho**2) ** r * rho ** (n - 1)) * ang for r in orders])
     return np.array([np.sum(terms[:, :m], axis=1) for m in np.cumsum(panels) * gl_order])

@@ -636,19 +636,12 @@ def _transverse(H: SymbolHamiltonian, pt: PhasePointChart):
 
 
 def _transverse_field(spec, H, pt, s, idx, vec):
-    """Transverse field components with the transverse slots of s set to vec."""
-    # rho sits in slot 0 of every transverse layout; FD probes may push it
-    # negative, in which case we use the odd/even extension (every implemented
-    # field has drho odd and the other components even in rho)
+    """Transverse field components with the transverse slots of s set to vec; a
+    rho that a difference probe pushed negative is used as it is (every face
+    with transverse slots is affine in its moving slots, so drho is odd in rho)."""
     w = s.copy()
     w[idx] = vec
-    rho_neg = w[0] < 0
-    if rho_neg:
-        w[0] = -w[0]
-    out = _field(spec, H, pt, w)[idx]
-    if rho_neg:
-        out[0] = -out[0]
-    return out
+    return _field(spec, H, pt, w)[idx]
 
 
 def _jacobian(g, base: np.ndarray, step: float) -> np.ndarray:

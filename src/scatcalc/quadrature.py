@@ -3,8 +3,8 @@
 ``product_sphere_rule`` integrates over the unit sphere S^{n-1}: the two
 points +-1 for n = 1, the uniform trapezoid in the angle on S^1, and
 Gauss-Legendre in cos(theta) times a uniform azimuth on S^2 (polar axis e_3).
-``gauss_panels`` is the composite Gauss-Legendre rule on equal panels of an
-interval, with array endpoints broadcasting to a batch of intervals.
+``gauss_panels`` is the flat composite Gauss-Legendre rule on equal panels of
+an interval, with array endpoints broadcasting to a batch of intervals.
 ``central`` is the central difference and ``richardson`` one Richardson step,
 removing the h^p error term of an estimate d(h) by halving h; scatcalc writes
 no central difference or Richardson step outside these two.  The private
@@ -50,14 +50,15 @@ def product_sphere_rule(n: int, n_polar: int, n_azimuth: int, offset: float = 0.
 def gauss_panels(lo, hi, n_panels: int, order: int):
     """Composite Gauss-Legendre rule on n_panels equal panels of [lo, hi].
 
-    Returns nodes and weights of shape lo.shape + (n_panels, order); array
-    endpoints broadcast, one rule per interval.  Ravel for a flat rule.
+    Returns nodes and weights of shape lo.shape + (n_panels * order,), panel
+    by panel; array endpoints broadcast, one flat rule per interval.
     """
     x, w = leggauss(order)
     edges = np.linspace(lo, hi, n_panels + 1, axis=-1)
     mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
     half = 0.5 * (edges[..., 1:] - edges[..., :-1])
-    return mid[..., None] + half[..., None] * x, half[..., None] * w
+    shape = mid.shape[:-1] + (-1,)
+    return (mid[..., None] + half[..., None] * x).reshape(shape), (half[..., None] * w).reshape(shape)
 
 
 def central(f, h):

@@ -61,10 +61,6 @@ __all__ = [
 ]
 
 
-def _flat_panels(lo, hi, n_panels: int, order: int):
-    return tuple(a.ravel() for a in gauss_panels(lo, hi, n_panels, order))
-
-
 #: The profile vanishes for |t| > _SUPPORT.
 _SUPPORT = 2.0
 #: Gauss nodes per panel of the line integrals of xray_transform and backproject.
@@ -75,7 +71,7 @@ _LINE_NODES = 24
 def _line_rule(n_t: int):
     """4 Gauss panels of n_t nodes on [-_SUPPORT, _SUPPORT], aligned with the plateau;
     t is exactly antisymmetric and w exactly symmetric.  Cached, so read-only."""
-    t, w = _flat_panels(-_SUPPORT, _SUPPORT, 4, n_t)
+    t, w = gauss_panels(-_SUPPORT, _SUPPORT, 4, n_t)
     t.flags.writeable = w.flags.writeable = False
     return t, w
 
@@ -120,8 +116,8 @@ class LocalizerProfile:
         lo = np.maximum(-_SUPPORT, s - _SUPPORT)
         hi = np.minimum(_SUPPORT, s + _SUPPORT)
         pts, w = gauss_panels(lo, hi, 8, 16)
-        vals = self(pts) * self(s[..., None, None] - pts)
-        return np.sum(vals * w, axis=(-2, -1))
+        vals = self(pts) * self(s[..., None] - pts)
+        return np.sum(vals * w, axis=-1)
 
     def phi_hat(self, s):
         """Fourier transform int phi(t) exp(-i s t) dt (real and even), read from the
@@ -153,7 +149,7 @@ class LocalizerProfile:
         the half of `_hat_sums`'s rule at reach top, its panels rounded up to even."""
         n = _HAT_DEGREE + 1
         x = 0.5 * (np.cos(np.pi * (np.arange(n) + 0.5) / n) + 1.0)
-        t, w = _flat_panels(0.0, _SUPPORT, (_hat_panels(top) + 1) // 2, 16)
+        t, w = gauss_panels(0.0, _SUPPORT, (_hat_panels(top) + 1) // 2, 16)
         ck, sk = _cos_sin_from_half(np.multiply.outer(np.arange(top), 0.5 * t))
         cx, sx = _cos_sin_from_half(np.multiply.outer(x, 0.5 * t))
         cw = 2.0 * w * self(t)
@@ -165,7 +161,7 @@ class LocalizerProfile:
     def _hat_sums(self, u: np.ndarray, reach: float) -> np.ndarray:
         """phi_hat at every entry of u (rows, m) by composite Gauss quadrature, with
         panels fine enough for |s| <= reach (for |s| past _HAT_TOP, and the table's oracle)."""
-        pts, w = _flat_panels(-_SUPPORT, _SUPPORT, _hat_panels(reach), 16)
+        pts, w = gauss_panels(-_SUPPORT, _SUPPORT, _hat_panels(reach), 16)
         cw = w * self(pts)
         # one row at a time, summed pairwise (the table's BLAS sums are within 2.6e-15)
         return np.array([(np.cos(np.multiply.outer(uk, pts)) * cw).sum(axis=-1) for uk in u])
@@ -325,7 +321,7 @@ def pairing_gap(f: Callable, v: Callable, phi: LocalizerProfile, n: int) -> floa
     quadrature error alone.
     """
     dirs, dw = direction_rule(n, 32)
-    ax, axw = _flat_panels(-6.0, 6.0, 1, 32)
+    ax, axw = gauss_panels(-6.0, 6.0, 1, 32)
     mesh = np.meshgrid(*([ax] * n), indexing="ij")
     Z = np.stack([m.ravel() for m in mesh], axis=-1)
     WZ = np.prod(np.meshgrid(*([axw] * n), indexing="ij"), axis=0).ravel()
@@ -354,7 +350,7 @@ def normal_kernel_symbol(n: int, phi: LocalizerProfile, xi_grid) -> dict:
         vals = phi.phi_hat(np.outer(q, om[:, 0])) ** 2
         a = vals.sum(axis=1) * w[0]
     elif n == 3:
-        c, w = _flat_panels(-1.0, 1.0, 1, 512)
+        c, w = gauss_panels(-1.0, 1.0, 1, 512)
         vals = phi.phi_hat(np.outer(q, c)) ** 2
         a = 2.0 * np.pi * vals @ w
     else:
@@ -377,7 +373,7 @@ def normal_symbol_hankel(n: int, phi: LocalizerProfile, xi_grid) -> np.ndarray:
     out = []
     for qq in np.asarray(xi_grid, dtype=float):
         n_panels = int(np.ceil(2.0 * _SUPPORT)) * max(8, int(np.ceil(qq / 2.0)))
-        rho, wr = _flat_panels(0.0, 2.0 * _SUPPORT, n_panels, 12)
+        rho, wr = gauss_panels(0.0, 2.0 * _SUPPORT, n_panels, 12)
         pt = phi.phi_tilde(rho)
         if n == 2:
             out.append(4.0 * np.pi * np.sum(wr * pt * j0(qq * rho)))

@@ -279,7 +279,7 @@ def lg_tail_masses(k: int, cutoffs) -> dict:
     edges = np.log(np.concatenate([[10.0], cutoffs]))
     s, w = gauss_panels(edges[:-1], edges[1:], 4, 16)
     x = np.exp(s)
-    rungs = np.sum(np.abs(lg_profile(k, -1)(x)[0]) ** 2 * x * w, axis=(-2, -1))
+    rungs = np.sum(np.abs(lg_profile(k, -1)(x)[0]) ** 2 * x * w, axis=-1)
     widths = np.diff(edges[1:])
     slope = fit_growth_exponent(np.exp(edges[1:-1] + widths / 2), rungs[1:] / widths)
     return {"masses": np.cumsum(rungs), "convergent": slope < -1e-6}

@@ -249,13 +249,9 @@ class DenseOperator:
         if not np.all(np.isfinite(self.matrix)):
             raise InputRefusal("operator kernel contains non-finite entries (the symbol overflows)")
 
-    @property
-    def measure(self) -> float:
-        return self.spec.spacing
-
     def as_l2_matrix(self) -> np.ndarray:
-        """Matrix of the operator on grid value-vectors (measure included)."""
-        return self.matrix * self.measure
+        """Matrix of the operator on grid value-vectors (the measure h included)."""
+        return self.matrix * self.spec.spacing
 
     def apply(self, u: GridField) -> GridField:
         if u.spec != self.spec:

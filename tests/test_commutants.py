@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scatcalc import commutants
-from scatcalc.cli import load_config, run_experiment
+from scatcalc.cli import load_config, main, run_experiment
 from scatcalc.commutants import (
     DigammaTooSmallError,
     SupportTooWideError,
@@ -15,6 +15,14 @@ from scatcalc.commutants import (
     radial_commutant_check,
 )
 from scatcalc.grid import GridBudgetError, make_grid
+
+
+def _p1_cos(z1, z2):
+    return 0.3 * np.cos(z1) + 0.0 * z2
+
+
+def _p1_one(z1, z2):
+    return np.ones_like(z1)
 
 
 class TestFlowBoxCommutant:
@@ -29,10 +37,25 @@ class TestFlowBoxCommutant:
         z2 = np.zeros_like(z1)
         assert np.allclose(cb.e_prime(z1, z2), 0.0)
 
-    def test_auto_digamma_escalates(self):
+    def test_auto_digamma_builds_the_identity(self):
         cb = build_propagation_commutant(1.0, 0.25)
         assert cb.digamma > 0
         assert cb.residual_sup < 1e-8
+
+    @pytest.mark.parametrize("r", [-0.7, 0.0, 1.3])
+    @pytest.mark.parametrize("p1", [None, _p1_cos, _p1_one], ids=["zero", "cos", "one"])
+    def test_auto_digamma_keeps_the_root_argument_above_nine_tenths(self, r, p1):
+        # digamma is 10x the sup of (T - z1)^2 (|p1| + w) on the chart grid and
+        # a0 <= 1, so the argument cannot fall below 0.9 digamma on the support
+        s0, eps = 1.0, 0.25
+        cb = build_propagation_commutant(s0, eps, r=r, p1=p1)
+        assert 40.0 <= cb.digamma <= 170.0
+        Z1, Z2 = commutants._chart_grid(s0, eps)
+        T = s0 + eps
+        p1_eff = (0.0 if p1 is None else p1(Z1, Z2)) + 2.0 * r * Z1 / (1.0 + Z1**2 + Z2**2)
+        arg = cb.digamma - (T - Z1) ** 2 * (p1_eff + cb.a(Z1, Z2))  # cb.a = w a0
+        support = (Z1 > -eps) & (Z1 < T) & (np.abs(Z2) < 2 * eps)
+        assert np.min(arg[support]) >= 0.9 * cb.digamma
 
     def test_small_digamma_with_p1_rejected(self):
         with pytest.raises(DigammaTooSmallError, match="increase digamma"):
@@ -143,6 +166,21 @@ class TestRadialCommutant:
         path.write_text(json.dumps({}))
         with pytest.raises(SupportTooWideError):
             run_experiment(load_config(str(path), "commutant"))
+
+    def test_runner_fails_when_the_threshold_order_is_accepted(self, tmp_path, monkeypatch):
+        # a check that builds a commutant at r = -1/2 fails the criterion, and the CLI exits 1
+        real = commutants.radial_commutant_check
+
+        def accepts_threshold(lam, r, delta):
+            return real(lam, -0.6 if r == -0.5 else r, delta)
+
+        monkeypatch.setattr(commutants, "radial_commutant_check", accepts_threshold)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({}))
+        report = run_experiment(load_config(str(path), "commutant"))
+        assert report.criteria["threshold_order_rejected"] is False
+        assert sum(not ok for ok in report.criteria.values()) == 1
+        assert main(["commutant", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
     def test_oversized_delta_rejected(self):
         with pytest.raises(SupportTooWideError, match="shrink"):

@@ -478,6 +478,107 @@ class TestRadialPoints:
         assert isinstance(rep.points, list)
 
 
+# the models behind each table entry with transverse slots, at the dimensions checked
+TRANSVERSE_MODELS = {
+    "helmholtz": [lambda: helmholtz_model(1.3, 2), lambda: helmholtz_model(0.7, 3)],
+    "klein_gordon": [klein_gordon_model],
+    "schrodinger_free": [lambda: schrodinger_model(1), lambda: schrodinger_model(2)],
+    "d_x1": [lambda: d_x1_model(1), lambda: d_x1_model(2)],
+    "x_dx": [x_dx_model],
+}
+TRANSVERSE_KEYS = [key for key, spec in hamflow._SPECS.items() if spec.transverse]
+# rho of the difference probes: classify_radial's and _newton_polish's steps, and a wide one
+PROBE_RHOS = (-1e-5, -1e-6, -3e-3)
+
+
+def _reflected_transverse_field(spec, H, pt, s, idx, vec):
+    """The former evaluation at rho < 0: the field at |rho|, its drho negated."""
+    w = s.copy()
+    w[idx] = vec
+    neg = w[0] < 0
+    if neg:
+        w[0] = -w[0]
+    out = hamflow._field(spec, H, pt, w)[idx]
+    if neg:
+        out[0] = -out[0]
+    return out
+
+
+def _reflection_mismatches(key, n_states, seed):
+    """Random states on the face key at each PROBE_RHOS rho where _transverse_field
+    and the reflected evaluation differ in a bit, sign bits included."""
+    rng = np.random.default_rng(seed)
+    makers = TRANSVERSE_MODELS[key[0]]
+    spec = hamflow._SPECS[key]
+    bad = 0
+    for rho, k in itertools.product(PROBE_RHOS, range(n_states)):
+        H = makers[k % len(makers)]()
+        axis = int(rng.integers(H.dim)) if spec.projective else None
+        sign = int(rng.choice([-1, 1]))
+        coords = {}
+        for name, (a, b, scalar) in hamflow._slots(spec, H.dim).items():
+            v = rng.standard_normal(b - a)
+            v[rng.random(b - a) < 0.2] = rng.choice([0.0, -0.0])  # zeros of either sign
+            coords[name] = float(v[0]) if scalar else v
+        coords["rho"] = 0.0
+        pt = PhasePointChart(key[1], coords, axis, sign)
+        _, s, idx = hamflow._transverse(H, pt)
+        vec = s[idx].copy()
+        vec[0] = rho
+        new = hamflow._transverse_field(spec, H, pt, s, idx, vec)
+        old = _reflected_transverse_field(spec, H, pt, s, idx, vec)
+        bad += not (np.array_equal(new, old) and np.array_equal(np.signbit(new), np.signbit(old)))
+    return bad
+
+
+class TestTransverseLinearization:
+    def test_every_transverse_entry_has_models(self):
+        assert {m for m, _ in TRANSVERSE_KEYS} == set(TRANSVERSE_MODELS)
+        assert len(TRANSVERSE_KEYS) == 6
+
+    @pytest.mark.parametrize("key", TRANSVERSE_KEYS, ids=lambda k: f"{k[0]}-{k[1]}")
+    def test_negative_rho_keeps_the_bits_of_the_reflection(self, key):
+        # every face is affine in its moving slots: drho odd, the rest even in rho
+        assert _reflection_mismatches(key, 200, seed=len(key[1])) == 0
+
+    def test_a_drho_with_an_even_part_fails(self, monkeypatch):
+        key = ("x_dx", "frequency_face")
+
+        def even_part(H, rows, S, out):
+            np.copyto(out, S)
+            out[..., 0] += S[..., 0] ** 2
+
+        monkeypatch.setitem(hamflow._SPECS, key, dataclasses.replace(hamflow._SPECS[key], field=even_part))
+        assert _reflection_mismatches(key, 20, seed=0) == 3 * 20
+
+    def test_saddle_verdict(self, monkeypatch):
+        # x_dx's spatial face with the fiber field reversed: rates -1 and +1
+        key = ("x_dx", "spatial_face")
+
+        def field(H, rows, S, out):
+            np.multiply(S, [-1.0, 1.0], out=out)
+
+        monkeypatch.setitem(hamflow._SPECS, key, dataclasses.replace(hamflow._SPECS[key], field=field))
+        pt = PhasePointChart("spatial_face", {"rho": 0.0, "xi": 0.0}, axis=0, sign=1)
+        verdict, eigs = classify_radial(x_dx_model(), pt)
+        assert verdict == "saddle"
+        assert np.allclose(sorted(eigs.real), [-1.0, 1.0])
+
+    def test_newton_polish_stops_at_a_singular_jacobian(self, monkeypatch):
+        # drho = rho and dx = 1: the field never vanishes and the x column of
+        # its Jacobian is exactly zero, so the first solve raises LinAlgError
+        key = ("x_dx", "frequency_face")
+
+        def field(H, rows, S, out):
+            out[..., 0] = S[..., 0]
+            out[..., 1] = 1.0
+
+        monkeypatch.setitem(hamflow._SPECS, key, dataclasses.replace(hamflow._SPECS[key], field=field))
+        pt = PhasePointChart("frequency_face", {"rho": 0.0, "x": 0.25}, axis=0, sign=1)
+        polished = hamflow._newton_polish(x_dx_model(), pt)
+        assert polished.coords == {"rho": 0.0, "x": 0.25}
+
+
 class TestThresholdData:
     H = helmholtz_model(1.0, 2)
 

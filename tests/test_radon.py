@@ -9,12 +9,11 @@ from scipy.linalg import svdvals
 
 from scatcalc import radon
 from scatcalc.bumps import plateau
-from scatcalc.quadrature import product_sphere_rule
+from scatcalc.quadrature import gauss_panels, product_sphere_rule
 from scatcalc.radon import (
     ConeCutoff,
     LocalizerProfile,
     _antipode_pairs,
-    _flat_panels,
     _line_blocks,
     _line_points,
     _line_rule,
@@ -252,7 +251,7 @@ class TestBackprojection:
     def test_folded_lhs_matches_unfolded_sum(self, monkeypatch, n_dirs):
         # <I_0 f, v> summed over every direction, I_0 f computed for each
         dirs, dw = direction_rule(2, n_dirs)
-        ax, axw = _flat_panels(-6.0, 6.0, 1, 32)  # the box rule of pairing_gap
+        ax, axw = gauss_panels(-6.0, 6.0, 1, 32)  # the box rule of pairing_gap
         Z = np.stack([m.ravel() for m in np.meshgrid(ax, ax, indexing="ij")], axis=-1)
         WZ = np.outer(axw, axw).ravel()
         lhs = sum(
