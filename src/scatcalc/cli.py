@@ -564,7 +564,7 @@ def _run_var_order(v, seed):
     xs = spec.axis()
     u = GridField(spec, np.exp(-((xs - 1.0) ** 2) / 2.0) * (1.0 + 0.2j))
     rc = v["r_const"]
-    const_var = SobolevOrder(s=v["s"], r=lambda x, xi: rc + 0.0 * x[..., 0] * xi[..., 0])
+    const_var = SobolevOrder(s=v["s"], r=lambda x, xi: rc + 0.0 * x * xi)
     nvar = var_sobolev_norm(u, const_var)
     nfix = sobolev_norm(u, SobolevOrder(s=v["s"], r=rc))
     rel = abs(nvar - nfix) / nfix

@@ -49,8 +49,8 @@ MAX_TOTAL_POINTS = 2**24
 #: near 3.5 s; tests and perfbench use at most 64.
 MAX_DIRECTIONS = 256
 
-#: Largest points_per_axis of a dense operator (dense operators are 1-D); the
-#: CLI bounds its N keys by it without importing the symbol calculus.
+#: Largest size of a dense operator's grid (dense operators are 1-D); the CLI
+#: bounds its N keys by it without importing the symbol calculus.
 QUANTIZE_MAX_N = 256
 
 #: Relative weight of the fixed-order floor term inside the variable-order
@@ -84,38 +84,34 @@ class GridSpec:
     """Uniform grid on [-L, L) with an even number N of points."""
 
     half_width: float
-    points_per_axis: int
+    size: int
 
     def __post_init__(self):
-        L, N = self.half_width, self.points_per_axis
+        L, N = self.half_width, self.size
         if not L > 0:
             raise ValueError("half_width must be positive")
         if N % 2 != 0:
-            raise ValueError(f"points_per_axis must be even, got {N}")
+            raise ValueError(f"size must be even, got {N}")
         if N < 8:
-            raise ValueError("points_per_axis must be at least 8")
+            raise ValueError("size must be at least 8")
         if N > MAX_TOTAL_POINTS:
             raise GridBudgetError(f"grid with {N} points exceeds budget {MAX_TOTAL_POINTS}")
 
     @property
     def spacing(self) -> float:
-        return 2.0 * self.half_width / self.points_per_axis
+        return 2.0 * self.half_width / self.size
 
     @property
     def freq_spacing(self) -> float:
         return np.pi / self.half_width
 
-    @property
-    def size(self) -> int:
-        return self.points_per_axis
-
     def axis(self) -> np.ndarray:
         """Spatial nodes -L, -L+h, ..., L-h."""
-        return -self.half_width + self.spacing * np.arange(self.points_per_axis)
+        return -self.half_width + self.spacing * np.arange(self.size)
 
     def freq_axis(self) -> np.ndarray:
         """Frequencies in fft layout: 0, dxi, ..., -dxi."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
+        return 2.0 * np.pi * np.fft.fftfreq(self.size, d=self.spacing)
 
     def _alt_signs(self) -> np.ndarray:
         """(-1)^k in fft layout.
@@ -123,7 +119,7 @@ class GridSpec:
         These absorb the exp(+i L xi) phases relating the DFT to the
         centered-box transform (L xi_k = pi k).
         """
-        k = np.rint(np.fft.fftfreq(self.points_per_axis) * self.points_per_axis).astype(int)
+        k = np.rint(np.fft.fftfreq(self.size) * self.size).astype(int)
         return (-1.0) ** k
 
 
@@ -149,7 +145,7 @@ class SobolevOrder:
     """Differential order s and spatial order r, the latter possibly variable.
 
     A variable spatial order is a callable r(x, xi) -> real, vectorized over
-    trailing-(..., 1) position and frequency arrays, bounded on the grid.
+    broadcastable position and frequency arrays, bounded on the grid.
     """
 
     s: float
@@ -166,8 +162,8 @@ def make_grid(n: int, L: float, N: int) -> GridSpec:
     if n != 1:
         raise GridBudgetError("grids are one-dimensional")
     if isinstance(N, float) and not float(N).is_integer():
-        raise ValueError("points_per_axis must be an integer")
-    return GridSpec(half_width=float(L), points_per_axis=int(N))
+        raise ValueError("size must be an integer")
+    return GridSpec(half_width=float(L), size=int(N))
 
 
 def field_from_function(spec: GridSpec, fn: Callable[[np.ndarray], np.ndarray]) -> GridField:
@@ -222,16 +218,15 @@ def var_sobolev_norm(u: GridField, ord: SobolevOrder) -> float:
     if not ord.is_variable:
         return sobolev_norm(u, ord)
     spec = u.spec
-    x = spec.axis()[:, None]
-    sub = spec.freq_axis()[:: max(1, spec.points_per_axis // 16), None]
-    rflat = np.asarray(ord.r(x[:, None, :], sub[None, :, :]), dtype=float).ravel()
+    sub = spec.freq_axis()[:: max(1, spec.size // 16)]
+    rflat = np.asarray(ord.r(spec.axis()[:, None], sub), dtype=float).ravel()
     if not np.all(np.isfinite(rflat)):
         raise ValueError("variable order is unbounded on the grid")
     floor_order = float(np.floor(rflat.min())) - 1.0
 
     def weight_symbol(x, xi):
-        xb, xib = np.sqrt(1.0 + x[..., 0] ** 2), np.sqrt(1.0 + xi[..., 0] ** 2)
-        return xib**ord.s * xb ** np.asarray(ord.r(x, xi), dtype=float)
+        r = np.asarray(ord.r(x, xi), dtype=float)
+        return np.sqrt(1.0 + xi**2) ** ord.s * np.sqrt(1.0 + x**2) ** r
 
     a = Symbol(eval=weight_symbol, order=(ord.s, float(rflat.max())))
     A = quantize(a, spec, mode="right")

@@ -36,7 +36,6 @@ import numpy as np
 
 from .grid import GridBudgetError, InputRefusal
 from .quadrature import central, richardson
-from .symbols import Symbol, symbol_derivative
 
 __all__ = [
     "PhasePointChart",
@@ -102,7 +101,8 @@ class PhasePointChart:
 
 @dataclass
 class SymbolHamiltonian:
-    """Real Hamiltonian p with optional named model enabling closed forms.
+    """Real Hamiltonian p(x, xi) on (..., n) arrays, with an optional named
+    model enabling closed forms.
 
     For the named models the position variables are ordered as written in the
     chart table; for klein_gordon and schrodinger_free the first position slot
@@ -110,18 +110,15 @@ class SymbolHamiltonian:
     probes (flows of complex Hamiltonians are out of scope).
     """
 
-    p: Optional[Symbol]
+    p: Callable[[np.ndarray, np.ndarray], np.ndarray]
     named_model: Optional[str] = None
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.p is not None:
-            n = self.dim
-            rng = np.random.default_rng(0)
-            probes = 4.0 * rng.standard_normal((16, n))
-            vals = self.p(probes, 4.0 * rng.standard_normal((16, n)))
-            if float(np.max(np.abs(np.imag(vals)))) > 1e-12:
-                raise ValueError("Hamiltonian symbol must be real-valued on probes")
+        rng = np.random.default_rng(0)
+        probes = 4.0 * rng.standard_normal((2, 16, self.dim))
+        if float(np.max(np.abs(np.imag(self.p(*probes))))) > 1e-12:
+            raise ValueError("Hamiltonian symbol must be real-valued on probes")
 
     @property
     def dim(self) -> int:
@@ -131,21 +128,17 @@ class SymbolHamiltonian:
 def helmholtz_model(lam: float, n: int) -> SymbolHamiltonian:
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    p = Symbol(
-        eval=lambda x, xi: np.sum(xi**2, axis=-1) - lam**2 + 0.0 * x[..., 0],
-        order=(2.0, 0.0),
-        depends_on_x=False,
+    return SymbolHamiltonian(
+        lambda x, xi: np.sum(xi**2, axis=-1) - lam**2, "helmholtz", {"lambda": lam, "dim": n}
     )
-    return SymbolHamiltonian(p, "helmholtz", {"lambda": lam, "dim": n})
 
 
 def klein_gordon_model(mass: float = 1.0) -> SymbolHamiltonian:
-    p = Symbol(
-        eval=lambda x, xi: xi[..., 0] ** 2 - xi[..., 1] ** 2 - mass**2 + 0.0 * x[..., 0],
-        order=(2.0, 0.0),
-        depends_on_x=False,
+    return SymbolHamiltonian(
+        lambda x, xi: xi[..., 0] ** 2 - xi[..., 1] ** 2 - mass**2,
+        "klein_gordon",
+        {"mass": mass, "dim": 2},
     )
-    return SymbolHamiltonian(p, "klein_gordon", {"mass": mass, "dim": 2})
 
 
 def wave_model() -> SymbolHamiltonian:
@@ -155,24 +148,19 @@ def wave_model() -> SymbolHamiltonian:
 
 def schrodinger_model(n: int = 1) -> SymbolHamiltonian:
     # position slots (t, x_1..x_n), frequency slots (tau, xi_1..xi_n)
-    p = Symbol(
-        eval=lambda x, xi: xi[..., 0] + np.sum(xi[..., 1:] ** 2, axis=-1) + 0.0 * x[..., 0],
-        order=(2.0, 0.0),
-        depends_on_x=False,
+    return SymbolHamiltonian(
+        lambda x, xi: xi[..., 0] + np.sum(xi[..., 1:] ** 2, axis=-1),
+        "schrodinger_free",
+        {"dim": n + 1},
     )
-    return SymbolHamiltonian(p, "schrodinger_free", {"dim": n + 1})
 
 
 def d_x1_model(n: int) -> SymbolHamiltonian:
-    p = Symbol(
-        eval=lambda x, xi: xi[..., 0] + 0.0 * x[..., 0], order=(1.0, 0.0), depends_on_x=False
-    )
-    return SymbolHamiltonian(p, "d_x1", {"dim": n})
+    return SymbolHamiltonian(lambda x, xi: xi[..., 0], "d_x1", {"dim": n})
 
 
 def x_dx_model() -> SymbolHamiltonian:
-    p = Symbol(eval=lambda x, xi: x[..., 0] * xi[..., 0], order=(1.0, 1.0))
-    return SymbolHamiltonian(p, "x_dx", {"dim": 1})
+    return SymbolHamiltonian(lambda x, xi: x[..., 0] * xi[..., 0], "x_dx", {"dim": 1})
 
 
 def _take(n: int, axis) -> tuple:
@@ -234,14 +222,19 @@ class _ChartSpec:
 
 
 def _symbol_field(H, rows, s, out):
-    """Hamilton field of an arbitrary real symbol, by symbol differentiation."""
+    """Hamilton field (d_xi p, -d_x p) of an arbitrary real Hamiltonian: each
+    partial of p by one central difference and one Richardson step, at step
+    1e-4 (1 + |s_j|) in slot j."""
     n = H.dim
-    x, xi = s[..., :n], s[..., n:]
-    z = (0,) * n
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        out[..., j] = np.real(symbol_derivative(H.p, z, e, x, xi))
-        out[..., n + j] = -np.real(symbol_derivative(H.p, e, z, x, xi))
+    for j in range(2 * n):
+
+        def p_at(t):
+            shifted = s.copy()
+            shifted[..., j] += t
+            return H.p(shifted[..., :n], shifted[..., n:])
+
+        d = np.real(richardson(lambda h: central(p_at, h), 1e-4 * (1.0 + np.abs(s[..., j])), 2))
+        out[..., (j + n) % (2 * n)] = d if j >= n else -d
 
 
 def _pad(head, out):

@@ -1,14 +1,16 @@
 """Scattering symbols, seminorms, quantization, composition, and parametrices.
 
-A :class:`Symbol` is an evaluator a(x, xi) on position/frequency arrays of
-shape (..., n), with declared bi-order (m, l): differentiation in x is expected
-to gain a factor <x>^{-1} and differentiation in xi a factor <xi>^{-1}, both
-measured by :func:`conormal_seminorm` on a logarithmically spaced probe set.
+A :class:`Symbol` is an evaluator a(x, xi) on mutually broadcastable position
+and frequency arrays, with declared bi-order (m, l): differentiation in x is
+expected to gain a factor <x>^{-1} and differentiation in xi a factor
+<xi>^{-1}, both measured by :func:`conormal_seminorm` on a logarithmically
+spaced probe set.
 
 The symbol calculus is one-dimensional, (x, xi) in R x R: composition
 expansions, Poisson brackets, seminorms and parametrices take 1-D symbols
-(built with :func:`sym1d`), and the dense operators live on the 1-D grids of
-:mod:`scatcalc.grid`.  Quantization is the left (standard) one,
+(built with :func:`sym1d`) and integer derivative orders, and the dense
+operators live on the 1-D grids of :mod:`scatcalc.grid`.  Quantization is the
+left (standard) one,
 
     (Op a) u(x) = (2 pi)^{-1} int exp(i x xi) a(x, xi) u_hat(xi) d xi,
 
@@ -27,8 +29,8 @@ from itertools import product
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import svdvals
 
+from .bumps import smoothstep
 from .grid import QUANTIZE_MAX_N, GridBudgetError, GridField, GridSpec, InputRefusal, SobolevOrder
 from .quadrature import central, richardson
 
@@ -74,12 +76,12 @@ class KernelDecayError(InputRefusal):
 class Symbol:
     """Evaluator a(x, xi) with declared order (m, l).
 
-    eval takes arrays of shape (..., n) for x and xi (mutually broadcastable)
-    and returns a complex array of the broadcast batch shape.  Derivatives are
-    scale-aware central finite differences (:func:`symbol_derivative`).
-    `depends_on_x` / `depends_on_xi` short-circuit derivatives of
-    genuinely one-sided symbols to exact zeros, which keeps composition
-    expansions of Fourier multipliers exact.
+    eval takes mutually broadcastable arrays x and xi and returns a complex
+    array of their broadcast shape.  Derivatives are scale-aware central
+    finite differences (:func:`symbol_derivative`).  `depends_on_x` /
+    `depends_on_xi` short-circuit derivatives of genuinely one-sided symbols
+    to exact zeros, which keeps composition expansions of Fourier multipliers
+    exact.
     """
 
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -92,8 +94,8 @@ class Symbol:
 
 
 def sym1d(f: Callable[[np.ndarray, np.ndarray], np.ndarray], order, **kw) -> Symbol:
-    """Wrap a scalar-argument evaluator f(x, xi) as a 1D Symbol."""
-    return Symbol(eval=lambda x, xi: f(x[..., 0], xi[..., 0]), order=tuple(order), **kw)
+    """The Symbol of f(x, xi) with order (m, l)."""
+    return Symbol(f, tuple(order), **kw)
 
 
 def symbol_sum(a: Symbol, b: Symbol) -> Symbol:
@@ -114,39 +116,33 @@ def symbol_scale(a: Symbol, c: complex) -> Symbol:
     )
 
 
-def symbol_derivative(a: Symbol, alpha, beta, x, xi):
+def symbol_derivative(a: Symbol, alpha: int, beta: int, x, xi):
     """partial_x^alpha partial_xi^beta a by nested finite differences (exact zeros
     where a does not depend on x or on xi).
 
     Note this returns plain partial derivatives; D = -i * partial factors are
     applied by the callers that need them.
     """
-    alpha, beta = tuple(alpha), tuple(beta)
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    if sum(alpha) == 0 and sum(beta) == 0:
+    if alpha == 0 and beta == 0:
         return a(x, xi)
-    if (sum(alpha) > 0 and not a.depends_on_x) or (sum(beta) > 0 and not a.depends_on_xi):
-        return np.zeros(np.broadcast(x[..., 0], xi[..., 0]).shape, dtype=complex)
-    # peel one derivative off the first nonzero slot, x before xi
-    in_x = sum(alpha) > 0
-    multi = alpha if in_x else beta
-    j = next(i for i, v in enumerate(multi) if v > 0)
-    rest = tuple(v - (1 if i == j else 0) for i, v in enumerate(multi))
+    if (alpha > 0 and not a.depends_on_x) or (beta > 0 and not a.depends_on_xi):
+        return np.zeros(np.broadcast(x, xi).shape, dtype=complex)
+    # peel one derivative off, x before xi
+    in_x = alpha > 0
     base = x if in_x else xi
 
     def shifted(h):
-        b = base.copy()
-        b[..., j] = b[..., j] + h
         if in_x:
-            return symbol_derivative(a, rest, beta, b, xi)
-        return symbol_derivative(a, alpha, rest, x, b)
+            return symbol_derivative(a, alpha - 1, beta, x + h, xi)
+        return symbol_derivative(a, alpha, beta - 1, x, xi + h)
 
     # central differences with one Richardson pass, scale-aware; the step
     # balances the truncation error against rounding noise that grows with
     # the order
-    step = max(1e-4, _EPS ** (1.0 / (2 + sum(alpha) + sum(beta))))
-    return richardson(lambda h: central(shifted, h), step * (1.0 + np.abs(base[..., j])), 2)
+    step = max(1e-4, _EPS ** (1.0 / (2 + alpha + beta)))
+    return richardson(lambda h: central(shifted, h), step * (1.0 + np.abs(base)), 2)
 
 
 #: |x| and |xi| scales of the probe lattice.
@@ -156,13 +152,13 @@ _PROBE_SCALES = (0.0, 1.0, 4.0, 16.0, 64.0, 256.0, 1024.0)
 def probe_lattice():
     """Logarithmic probe lattice in (x, xi): every pair of signed scales.
 
-    Returns (X, XI, x_scale, xi_scale) with X, XI of shape (P, 1).  Conormal
+    Returns (X, XI, x_scale, xi_scale), each of shape (P,).  Conormal
     estimates are scale-wise statements, so log spacing is the right stress.
     """
     pos = np.array(_PROBE_SCALES[1:])
     signed = np.concatenate([-pos[::-1], [0.0], pos])
     X, XI = (g.ravel() for g in np.meshgrid(signed, signed, indexing="ij"))
-    return X[:, None], XI[:, None], np.abs(X), np.abs(XI)
+    return X, XI, np.abs(X), np.abs(XI)
 
 
 @dataclass
@@ -197,7 +193,7 @@ def conormal_seminorm(a: Symbol, k: int) -> SeminormReport:
     drifts = []  # (sup at the top scale, sup two scales below), along x and along xi
     for alpha in range(k + 1):
         for beta in range(k - alpha + 1):
-            d = symbol_derivative(a, (alpha,), (beta,), X, XI)
+            d = symbol_derivative(a, alpha, beta, X, XI)
             w = xw ** (-l + alpha) * xiw ** (-m + beta) * np.abs(d)
             per_idx[(alpha, beta)] = float(np.max(w))
             for s in (sx, sxi):
@@ -226,7 +222,7 @@ def classical_limit_consistency(a: Symbol) -> float:
             vals = []
             for fac in (1.0, 4.0):
                 x, xi = sx * fac * u, sxi * fac * v
-                val = complex(a(np.array([[x]]), np.array([[xi]]))[0])
+                val = complex(a(np.array([x]), np.array([xi]))[0])
                 vals.append(val * math.sqrt(1.0 + x**2) ** (-l) * math.sqrt(1.0 + xi**2) ** (-m))
             scale = max(abs(vals[0]), abs(vals[1]), 1e-300)
             worst = max(worst, abs(vals[0] - vals[1]) / scale)
@@ -280,8 +276,7 @@ def quantize(a: Symbol, spec: GridSpec, mode: str = "left") -> DenseOperator:
         raise ValueError("mode must be 'left' or 'right'")
     if spec.size > QUANTIZE_MAX_N:
         raise GridBudgetError(f"N = {spec.size} exceeds dense budget {QUANTIZE_MAX_N}")
-    x, xi = spec.axis()[:, None], spec.freq_axis()
-    sym = a(x[:, :, None], xi[None, :, None])
+    sym = a(spec.axis()[:, None], spec.freq_axis())
     if mode == "right":
         return DenseOperator(spec, _left_kernel(spec, np.conj(sym)).conj().T)
     return DenseOperator(spec, _left_kernel(spec, sym))
@@ -317,7 +312,7 @@ class TabulatedSymbol:
 def symbol_from_kernel(kernel, spec: GridSpec) -> TabulatedSymbol:
     """Left symbol from a kernel: a(x, xi) = int exp(-i w xi) K(x, x - w) dw.
 
-    `kernel` is a DenseOperator or a callable K(x, y) over (..., 1) arrays.
+    `kernel` is a DenseOperator or a callable K(x, y) over broadcastable arrays.
     The result holds the values on the (x, xi) grid lattice: a table, not an
     evaluator.  Kernels must decay below 1e-10 (relative) at the box edge;
     otherwise the w-integral is visibly truncated and a KernelDecayError is
@@ -331,7 +326,7 @@ def symbol_from_kernel(kernel, spec: GridSpec) -> TabulatedSymbol:
             raise ValueError("kernel and target grid disagree")
         K = kernel.matrix
     else:
-        K = np.asarray(kernel(x[:, None, None], x[None, :, None]), dtype=complex)
+        K = np.asarray(kernel(x[:, None], x[None, :]), dtype=complex)
     kmax = float(np.max(np.abs(K)))
     edge = np.abs(x[:, None] - x[None, :]) >= spec.half_width - 2 * spec.spacing
     if kmax > 0 and float(np.max(np.abs(K[edge]))) > 1e-10 * kmax:
@@ -357,8 +352,8 @@ def compose_expansion(a: Symbol, b: Symbol, N_terms: int) -> Symbol:
     def ev(x, xi):
         out = None
         for j in range(top + 1):
-            da = symbol_derivative(a, (0,), (j,), x, xi)
-            db = symbol_derivative(b, (j,), (0,), x, xi)
+            da = symbol_derivative(a, 0, j, x, xi)
+            db = symbol_derivative(b, j, 0, x, xi)
             term = (-1j) ** j / math.factorial(j) * da * db
             out = term if out is None else out + term
         return out
@@ -376,8 +371,8 @@ def poisson_bracket(a: Symbol, b: Symbol) -> Symbol:
 
     def ev(x, xi):
         return (
-            symbol_derivative(a, (0,), (1,), x, xi) * symbol_derivative(b, (1,), (0,), x, xi)
-            - symbol_derivative(a, (1,), (0,), x, xi) * symbol_derivative(b, (0,), (1,), x, xi)
+            symbol_derivative(a, 0, 1, x, xi) * symbol_derivative(b, 1, 0, x, xi)
+            - symbol_derivative(a, 1, 0, x, xi) * symbol_derivative(b, 0, 1, x, xi)
         )
 
     return Symbol(
@@ -390,9 +385,7 @@ def poisson_bracket(a: Symbol, b: Symbol) -> Symbol:
 
 def _normalized_modulus(a: Symbol, x, xi):
     m, l = a.order
-    xw = np.sqrt(1.0 + np.sum(np.asarray(x, float) ** 2, axis=-1))
-    xiw = np.sqrt(1.0 + np.sum(np.asarray(xi, float) ** 2, axis=-1))
-    return np.abs(a(x, xi)) * xw ** (-l) * xiw ** (-m)
+    return np.abs(a(x, xi)) * np.sqrt(1.0 + x**2) ** (-l) * np.sqrt(1.0 + xi**2) ** (-m)
 
 
 def ellipticity_floor(a: Symbol) -> float:
@@ -423,7 +416,6 @@ def parametrix(a: Symbol, N_terms: int, *, expansion_order: int = 3) -> Symbol:
             "including at zero frequency over spatial infinity)"
         )
     m, l = a.order
-    from .bumps import smoothstep
 
     def b0_eval(x, xi):
         av = a(x, xi)
@@ -439,7 +431,7 @@ def parametrix(a: Symbol, N_terms: int, *, expansion_order: int = 3) -> Symbol:
         depends_on_xi=a.depends_on_xi,
     )
     one = Symbol(
-        eval=lambda x, xi: np.ones(np.broadcast(x[..., 0], xi[..., 0]).shape, dtype=complex),
+        eval=lambda x, xi: np.ones(np.broadcast(x, xi).shape, dtype=complex),
         order=(0.0, 0.0),
         depends_on_x=False,
         depends_on_xi=False,
@@ -473,4 +465,4 @@ def operator_norm_estimate(A: DenseOperator, frm: SobolevOrder, to: SobolevOrder
     """Largest singular value of A as a map H^{frm} -> H^{to} on the grid."""
     _, Winv_from = _weight_matrices(A.spec, frm)
     W_to, _ = _weight_matrices(A.spec, to)
-    return float(svdvals(W_to @ A.as_l2_matrix() @ Winv_from)[0])
+    return float(np.linalg.svd(W_to @ A.as_l2_matrix() @ Winv_from, compute_uv=False)[0])

@@ -60,9 +60,9 @@ def test_01_quantization_identity(tmp_path):
     s_xi = sym1d(lambda x, xi: xi + 0 * x, (1, 0), depends_on_x=False)
     s_x = sym1d(lambda x, xi: x + 0 * xi, (0, 1), depends_on_xi=False)
     comp = compose_expansion(s_xi, s_x, 2)
-    xs = np.linspace(-5, 5, 11)[:, None]
-    xis = np.linspace(-4, 4, 11)[:, None]
-    sym_err = float(np.max(np.abs(comp(xs, xis) - (xs[:, 0] * xis[:, 0] - 1j))))
+    xs = np.linspace(-5, 5, 11)
+    xis = np.linspace(-4, 4, 11)
+    sym_err = float(np.max(np.abs(comp(xs, xis) - (xs * xis - 1j))))
     m = rep.metrics
     announce(
         1,

@@ -25,6 +25,20 @@ def _p1_one(z1, z2):
     return np.ones_like(z1)
 
 
+#: Gate on residual_sup / max|a| over the chart grid.  The automatic digamma
+#: (40-166) leaves max|a| at 4e-15 (r = 0), 1.8e-20 (r = -0.7) and 1.6e-55
+#: (r = 1.3), so an absolute gate holds whatever the identity does.  What is left
+#: of an exact identity is the Richardson-extrapolated difference of H_p a,
+#: 7e-11 to 5e-10 of max|a|; dropping w^{-1} d_z1 w or p1 from the effective p1
+#: leaves 0.07 to 0.32 of it.  1e-6 sits more than three decades from both.
+RELATIVE_RESIDUAL_TOL = 1e-6
+
+
+def _relative_residual(cb, s0=1.0, eps=0.25):
+    Z1, Z2 = commutants._chart_grid(s0, eps)
+    return cb.residual_sup / float(np.max(np.abs(cb.a(Z1, Z2))))
+
+
 class TestFlowBoxCommutant:
     def test_identity_residual(self):
         cb = build_propagation_commutant(1.0, 0.25, digamma=10.0)
@@ -41,6 +55,7 @@ class TestFlowBoxCommutant:
         cb = build_propagation_commutant(1.0, 0.25)
         assert cb.digamma > 0
         assert cb.residual_sup < 1e-8
+        assert _relative_residual(cb) < RELATIVE_RESIDUAL_TOL
 
     @pytest.mark.parametrize("r", [-0.7, 0.0, 1.3])
     @pytest.mark.parametrize("p1", [None, _p1_cos, _p1_one], ids=["zero", "cos", "one"])
@@ -66,14 +81,17 @@ class TestFlowBoxCommutant:
     def test_general_orders_substitution(self):
         cb = build_propagation_commutant(1.0, 0.25, r=-0.7)
         assert cb.residual_sup < 1e-8
+        assert _relative_residual(cb) < RELATIVE_RESIDUAL_TOL
         cb2 = build_propagation_commutant(1.0, 0.25, r=1.3)
         assert cb2.residual_sup < 1e-8
+        assert _relative_residual(cb2) < RELATIVE_RESIDUAL_TOL
 
     def test_nonzero_p1_folded_in(self):
         cb = build_propagation_commutant(
             1.0, 0.25, p1=lambda z1, z2: 0.3 * np.cos(z1) + 0.0 * z2
         )
         assert cb.residual_sup < 1e-8
+        assert _relative_residual(cb) < RELATIVE_RESIDUAL_TOL
 
     def test_b_and_a_supports(self):
         cb = build_propagation_commutant(1.0, 0.25, digamma=10.0)

@@ -88,14 +88,9 @@ class TestHamiltonField:
         assert np.allclose(dx, [2.0]) and np.allclose(dxi, [1.5])
 
     def test_generic_symbol_fallback(self):
-        from scatcalc.symbols import Symbol
         from scatcalc.hamflow import SymbolHamiltonian
 
-        p = Symbol(
-            eval=lambda x, xi: np.sum(xi**2, axis=-1) - 1.0 + 0.0 * x[..., 0],
-            order=(2.0, 0.0),
-        )
-        H = SymbolHamiltonian(p, None, {"dim": 2})
+        H = SymbolHamiltonian(lambda x, xi: np.sum(xi**2, axis=-1) - 1.0, None, {"dim": 2})
         dx, dxi = hamilton_field(H, np.array([0.3, 0.4]), np.array([0.6, 0.8]))
         assert np.allclose(dx, [1.2, 1.6], atol=1e-7)
         assert np.allclose(dxi, 0.0, atol=1e-7)
@@ -466,11 +461,10 @@ class TestRadialPoints:
 
     def test_model_without_scan_raises(self):
         from scatcalc.hamflow import SymbolHamiltonian
-        from scatcalc.symbols import Symbol
 
-        p = Symbol(eval=lambda x, xi: np.sum(xi**2, axis=-1) + 0.0 * x[..., 0], order=(2.0, 0.0))
+        H = SymbolHamiltonian(lambda x, xi: np.sum(xi**2, axis=-1), None, {"dim": 2})
         with pytest.raises(NotImplementedError):
-            find_radial_points(SymbolHamiltonian(p, None, {"dim": 2}), resolution=8)
+            find_radial_points(H, resolution=8)
 
     def test_empty_scan_reports_not_raises(self):
         # the d_x1 scan in a chart family with no zeros stays silent

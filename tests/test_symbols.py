@@ -58,8 +58,8 @@ class TestSeminorm:
             for v in ((1.0, -1.0) if sxi > 0 else (1.0,))
         }
         X, XI, sx, sxi = probe_lattice()
-        assert X.shape == XI.shape == (169, 1)
-        points = list(zip(X[:, 0], XI[:, 0], sx, sxi))
+        assert X.shape == XI.shape == (169,)
+        points = list(zip(X, XI, sx, sxi))
         assert len(set(points)) == len(points)
         assert set(points) == expected
 
@@ -179,7 +179,7 @@ class TestSymbolFromKernel:
 
     def test_gaussian_kernel_fourier_pair(self):
         tab = symbol_from_kernel(
-            lambda x, y: np.exp(-((x[..., 0] - y[..., 0]) ** 2) / 2), SPEC
+            lambda x, y: np.exp(-((x - y) ** 2) / 2), SPEC
         )
         vals = tab.value_table().reshape(SPEC.size, SPEC.size)
         xis = SPEC.freq_axis()
@@ -194,15 +194,15 @@ class TestSymbolFromKernel:
 
     def test_non_decaying_kernel_flagged(self):
         with pytest.raises(KernelDecayError):
-            symbol_from_kernel(lambda x, y: np.cos(x[..., 0] - y[..., 0]), SPEC)
+            symbol_from_kernel(lambda x, y: np.cos(x - y), SPEC)
 
 
 class TestCompose:
     def test_terminating_case_exact(self):
         c = compose_expansion(xi_symbol(), x_symbol(), 2)
-        xs = np.array([[0.3], [2.0], [-1.4]])
-        xis = np.array([[1.5], [-0.7], [0.2]])
-        assert np.allclose(c(xs, xis), xs[:, 0] * xis[:, 0] - 1j)
+        xs = np.array([0.3, 2.0, -1.4])
+        xis = np.array([1.5, -0.7, 0.2])
+        assert np.allclose(c(xs, xis), xs * xis - 1j)
 
     def test_terminating_case_dense_oracle(self):
         c = compose_expansion(xi_symbol(), x_symbol(), 2)
@@ -214,8 +214,8 @@ class TestCompose:
     def test_right_identity(self):
         a = sym1d(lambda x, xi: np.exp(-(x**2) - xi**2 / 2), (0, 0))
         c = compose_expansion(a, one_symbol(), 3)
-        xs = np.array([[0.4], [-1.0]])
-        xis = np.array([[0.9], [2.0]])
+        xs = np.array([0.4, -1.0])
+        xis = np.array([0.9, 2.0])
         assert np.allclose(c(xs, xis), a(xs, xis), atol=1e-12)
 
     def test_x_independent_right_factor_takes_no_xi_derivative(self):
@@ -230,8 +230,8 @@ class TestCompose:
         a = sym1d(f, (0, 0))
         b = sym1d(lambda x, xi: xi**2 + 1 + 0 * x, (2, 0), depends_on_x=False)
         c = compose_expansion(a, b, 3)
-        xs = np.array([[0.4], [-1.0]])
-        xis = np.array([[0.9], [2.0]])
+        xs = np.array([0.4, -1.0])
+        xis = np.array([0.9, 2.0])
         got = c(xs, xis)
         assert len(calls) == 1
         assert np.array_equal(got, a(xs, xis) * b(xs, xis))
@@ -257,9 +257,9 @@ class TestPoissonBracket:
     def test_xi_bracket_is_x_derivative(self):
         b = sym1d(lambda x, xi: np.sin(x) * np.exp(-(xi**2) / 9), (0, 0))
         pb = poisson_bracket(xi_symbol(), b)
-        xs = np.linspace(-2, 2, 7)[:, None]
-        xis = np.linspace(-3, 3, 7)[:, None]
-        expected = np.cos(xs[:, 0]) * np.exp(-(xis[:, 0] ** 2) / 9)
+        xs = np.linspace(-2, 2, 7)
+        xis = np.linspace(-3, 3, 7)
+        expected = np.cos(xs) * np.exp(-(xis**2) / 9)
         assert np.allclose(pb(xs, xis), expected, atol=1e-7)
 
     def test_antisymmetry_and_self(self):
@@ -268,8 +268,8 @@ class TestPoissonBracket:
         pab = poisson_bracket(a, b)
         pba = poisson_bracket(b, a)
         paa = poisson_bracket(a, a)
-        xs = np.linspace(-2, 2, 5)[:, None]
-        xis = np.linspace(-2, 2, 5)[:, None]
+        xs = np.linspace(-2, 2, 5)
+        xis = np.linspace(-2, 2, 5)
         assert np.allclose(pab(xs, xis), -pba(xs, xis), atol=1e-6)
         assert np.allclose(paa(xs, xis), 0.0, atol=1e-7)
 
@@ -277,9 +277,9 @@ class TestPoissonBracket:
         a = sym1d(lambda x, xi: xi**2 + 0 * x, (2, 0), depends_on_x=False)
         b = sym1d(lambda x, xi: x**2 + 0 * xi, (0, 2), depends_on_xi=False)
         pb = poisson_bracket(a, b)
-        xs = np.array([[1.5], [-0.3]])
-        xis = np.array([[0.7], [2.0]])
-        assert np.allclose(pb(xs, xis), 4 * xs[:, 0] * xis[:, 0])
+        xs = np.array([1.5, -0.3])
+        xis = np.array([0.7, 2.0])
+        assert np.allclose(pb(xs, xis), 4 * xs * xis)
 
 
 class TestParametrix:
@@ -304,8 +304,8 @@ class TestParametrix:
         # sits below twice the floor everywhere for a == 1), the parametrix
         # is the Neumann partial sum b0 (1 + ... + r^N) -> 1 with defect
         # exactly 2^{-(N+1)}
-        xs = np.array([[0.0], [3.0]])
-        xis = np.array([[1.0], [-2.0]])
+        xs = np.array([0.0, 3.0])
+        xis = np.array([1.0, -2.0])
         for N in (0, 2, 4):
             b = parametrix(one_symbol(), N)
             assert np.allclose(b(xs, xis), 1.0 - 0.5 ** (N + 1), atol=1e-12)
