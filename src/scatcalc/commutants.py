@@ -75,7 +75,6 @@ class CommutantBundle:
     a: Callable
     b: Callable
     e_prime: Callable
-    digamma: float
     residual_sup: float
     eprime_support_ok: bool
 
@@ -89,7 +88,7 @@ def _chart_grid(s0: float, eps: float):
 def build_propagation_commutant(
     s0: float,
     eps: float,
-    digamma: Optional[float] = None,
+    digamma: float,
     r: float = 0.0,
     p1: Optional[Callable] = None,
 ) -> CommutantBundle:
@@ -100,10 +99,8 @@ def build_propagation_commutant(
     the spatial order r the weight w = (1 + z1^2 + z'^2)^r multiplies a, and
     the construction literally replaces p1 by p1 + w^{-1} d_z1 w (the
     frequency weight is constant on a chart at fixed finite frequency, so no
-    frequency order enters).  If digamma is omitted it is set to 10x the sup of the
-    competing terms (T - z1)^2 (|p1| + w) on the chart grid, which holds the
-    support, so with a0 <= 1 the root's argument is at least 0.9 digamma there;
-    an argument below 1e-6 on the support raises DigammaTooSmallError.
+    frequency order enters).  A square-root argument below 1e-6 on the
+    support raises DigammaTooSmallError.
     """
     T = s0 + eps
     p1_fn = p1 if p1 is not None else (lambda z1, z2: np.zeros_like(z1))
@@ -127,12 +124,10 @@ def build_propagation_commutant(
         return plateau(z2, eps, 2 * eps)
 
     Z1, Z2 = _chart_grid(s0, eps)
-    competing = (T - Z1) ** 2 * (np.abs(p1_eff(Z1, Z2)) + w(Z1, Z2))
-    dig = 10.0 * float(np.max(competing)) if digamma is None else float(digamma)
 
     def sqrt_arg(z1, z2):
-        a0 = chi0(T - z1, dig) * chi1(z1) ** 2 * psi(z2) ** 2
-        return dig - (T - z1) ** 2 * (p1_eff(z1, z2) + w(z1, z2) * a0)
+        a0 = chi0(T - z1, digamma) * chi1(z1) ** 2 * psi(z2) ** 2
+        return digamma - (T - z1) ** 2 * (p1_eff(z1, z2) + w(z1, z2) * a0)
 
     arg = sqrt_arg(Z1, Z2)[(chi1(Z1) * psi(Z2) > 0) & (Z1 < T)]
     if not np.all(arg >= 1e-6):
@@ -141,14 +136,14 @@ def build_propagation_commutant(
         )
 
     def a_fn(z1, z2):
-        return w(z1, z2) * chi0(T - z1, dig) * chi1(z1) ** 2 * psi(z2) ** 2
+        return w(z1, z2) * chi0(T - z1, digamma) * chi1(z1) ** 2 * psi(z2) ** 2
 
     def b_fn(z1, z2):
-        core = sqrt_chi0_over_t2(T - z1, dig) * chi1(z1) * psi(z2) * np.sqrt(w(z1, z2))
+        core = sqrt_chi0_over_t2(T - z1, digamma) * chi1(z1) * psi(z2) * np.sqrt(w(z1, z2))
         return core * np.sqrt(np.clip(sqrt_arg(z1, z2), 0.0, None))
 
     def e_fn(z1, z2):
-        return 2.0 * w(z1, z2) * chi0(T - z1, dig) * chi1(z1) * chi1p(z1) * psi(z2) ** 2
+        return 2.0 * w(z1, z2) * chi0(T - z1, digamma) * chi1(z1) * chi1p(z1) * psi(z2) ** 2
 
     # flow derivative by Richardson-extrapolated central differences in z1
     h = 1e-4 * (1.0 + np.abs(Z1))
@@ -161,7 +156,6 @@ def build_propagation_commutant(
         a=a_fn,
         b=b_fn,
         e_prime=e_fn,
-        digamma=dig,
         residual_sup=residual_sup,
         eprime_support_ok=eprime_ok,
     )

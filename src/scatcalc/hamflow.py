@@ -17,12 +17,15 @@ for the Helmholtz spatial chart), so threshold data like beta_0 = -|xi_j| come
 out in the conventional scale; only sign patterns and the ratio beta_1/beta_0
 are invariant statements.
 
-The table ``_SPECS`` is the single source for what each (model, chart) pair
-means: flat coordinate layout, closed-form field, defining and transverse
-slots, characteristic function, the maps of the limit oracle and the seeds of
-the radial scan.  Every routine here reads it, and a pair missing from it
-raises NotImplementedError; :func:`find_radial_points` walks the scans of a
-model's entries in table order and raises it for a model with none.
+The interior chart is one spec shared by every Hamiltonian, named or not: its
+field is (d_xi p, -d_x p) by finite differences of p and its characteristic
+function is p / sqrt(1 + p^2).  The table ``_SPECS`` holds the boundary faces
+only, and is the single source for what each (model, face) pair means: flat
+coordinate layout, closed-form field, defining and transverse slots,
+characteristic function, the maps of the limit oracle and the seeds of the
+radial scan.  Every routine here reads it, and a pair missing from it raises
+NotImplementedError; :func:`find_radial_points` walks the scans of a model's
+entries in table order and raises it for a model with none.
 """
 
 from __future__ import annotations
@@ -193,7 +196,8 @@ def _row(axis: int, sign: int, n: int) -> _Rows:
 
 @dataclass(frozen=True)
 class _ChartSpec:
-    """What one (model, chart) pair means; every flow and radial routine reads it.
+    """What one chart means, for one model on a boundary face or for every
+    Hamiltonian on the interior; every flow and radial routine reads it.
 
     The flat state of a chart concatenates its layout slots (name, k): k None
     is a scalar, an int k a vector of length dim + k.  The defining slot rho
@@ -205,11 +209,11 @@ class _ChartSpec:
 
     layout: tuple
     field: Callable  # (H, rows, S, out): writes the fields at the flat states S (B, d) to out
-    rho: Optional[str] = "rho"
-    transverse: tuple = ()  # slots of the radial linearization, rho first
     # (H, coords) -> normalized characteristic function, elementwise over
     # coords of one point or over the columns of a batch (see _columns)
-    char: Optional[Callable] = None
+    char: Callable
+    rho: Optional[str] = "rho"
+    transverse: tuple = ()  # slots of the radial linearization, rho first
     threshold: Optional[float] = None
     projective: bool = False  # a direction-ray chart whose axis flows may switch
     coords: Optional[Callable] = None
@@ -237,10 +241,11 @@ def _symbol_field(H, rows, s, out):
         out[..., (j + n) % (2 * n)] = d if j >= n else -d
 
 
-def _pad(head, out):
-    """head in the leading slots of out, zeros after: a field whose tail slots stay put."""
-    out[..., : head.shape[-1]] = head
-    out[..., head.shape[-1] :] = 0.0
+def _symbol_char(H, c):
+    """p / sqrt(1 + p^2) of an arbitrary real Hamiltonian: zero exactly on
+    Char(P), with the sign of p, and bounded."""
+    x, xi = np.asarray(c["x"], dtype=float), np.asarray(c["xi"], dtype=float)
+    return _unit(np.real(H.p(x, xi)))
 
 
 @cache
@@ -320,11 +325,6 @@ def _schrodinger_char(H, c):
 def _d_x1_char(H, c):
     xi = np.asarray(c["xi"], dtype=float)
     return xi[..., 0] / np.sqrt(1.0 + _sq(xi))
-
-
-def _x_dx_char(H, c):
-    x, xi = np.asarray(c["x"], dtype=float), np.asarray(c["xi"], dtype=float)
-    return x[..., 0] * xi[..., 0] / np.sqrt((1 + x[..., 0] ** 2) * (1 + xi[..., 0] ** 2))
 
 
 def _unit(v):
@@ -447,24 +447,15 @@ def _x_dx_scan(chart, slot, family):
     return scan
 
 
-_INTERIOR = (("x", 0), ("xi", 0))
+#: The interior chart of every Hamiltonian, named or not.
+_INTERIOR = _ChartSpec((("x", 0), ("xi", 0)), _symbol_field, char=_symbol_char, rho=None)
 _SPATIAL = (("rho", None), ("y", -1), ("xi", 0))
 
 _SPECS = {
-    (None, "interior"): _ChartSpec(_INTERIOR, _symbol_field, rho=None),
-    ("helmholtz", "interior"): _ChartSpec(
-        _INTERIOR, lambda H, rows, s, out: _pad(2.0 * s[..., H.dim :], out), rho=None,
-        char=_helmholtz_char,
-    ),
     ("helmholtz", "spatial_face"): _ChartSpec(
         _SPATIAL, _affine_face, transverse=("rho", "y"), char=_helmholtz_char,
         threshold=-0.5, projective=True, coords=_spatial_coords, interior=_spatial_interior,
         rescale=lambda pt, x: abs(x[pt.axis]) / 2.0, scan=_helmholtz_scan, coef=_helmholtz_coef,
-    ),
-    ("klein_gordon", "interior"): _ChartSpec(
-        _INTERIOR,
-        lambda H, rows, s, out: _pad(np.stack([2.0 * s[..., 2], -2.0 * s[..., 3]], -1), out),
-        rho=None,
     ),
     ("klein_gordon", "kg_face"): _ChartSpec(
         (("rho", None), ("v", None), ("tau", None), ("xi", None)), _affine_face,
@@ -476,14 +467,6 @@ _SPECS = {
         # rho = sigma/t: a = -2 sigma tau, the familiar -2 tau (rho d_rho + v d_v)
         # form on the future cap; tau stays put
         coef=lambda H, rows, S: _affine_coef(S, 2, -2.0 * rows.sign * S[:, 2], -0.0),
-    ),
-    # position slots (t, x_1..x_n), frequency slots (tau, xi_1..xi_n)
-    ("schrodinger_free", "interior"): _ChartSpec(
-        _INTERIOR,
-        lambda H, rows, s, out: _pad(
-            np.concatenate([np.ones_like(s[..., :1]), 2.0 * s[..., H.dim + 1 :]], -1), out
-        ),
-        rho=None,
     ),
     ("schrodinger_free", "schrodinger_time_face"): _ChartSpec(
         (("rho", None), ("y", -1), ("tau", None), ("xi", -1)), _affine_face,
@@ -497,19 +480,10 @@ _SPECS = {
             S, H.dim, -rows.sign, rows.sign[:, None] * (2.0 * S[:, H.dim + 1 :])
         ),
     ),
-    ("d_x1", "interior"): _ChartSpec(
-        _INTERIOR, lambda H, rows, s, out: _pad(np.ones_like(s[..., :1]), out), rho=None,
-        char=_d_x1_char,
-    ),
     ("d_x1", "spatial_face"): _ChartSpec(
         _SPATIAL, _affine_face, transverse=("rho", "y"), char=_d_x1_char, projective=True,
         coords=_spatial_coords, interior=_spatial_interior, rescale=lambda pt, x: abs(x[pt.axis]),
         scan=_d_x1_scan, coef=_d_x1_coef,
-    ),
-    ("x_dx", "interior"): _ChartSpec(
-        _INTERIOR,
-        lambda H, rows, s, out: np.concatenate([s[..., : H.dim], -s[..., H.dim :]], -1, out=out),
-        rho=None, char=_x_dx_char,
     ),
     # one dimension: the spatial chart has no y slot, and the fiber variable
     # moves under the flow, so it is transverse
@@ -535,11 +509,13 @@ _SPECS = {
 _RHO_KEYS = {chart: spec.rho for (_, chart), spec in _SPECS.items()}
 
 
-def _spec(H: SymbolHamiltonian, chart: str, need: str = "field") -> _ChartSpec:
-    """The table entry for (H.named_model, chart), which must provide ``need``."""
-    spec = _SPECS.get((H.named_model, chart))
-    if spec is None or not getattr(spec, need):
-        raise NotImplementedError(f"no {need} for model {H.named_model!r} on chart {chart!r}")
+def _spec(H: SymbolHamiltonian, chart: str, need: Optional[str] = None) -> _ChartSpec:
+    """The shared interior spec, or the table entry for (H.named_model, chart);
+    either must provide ``need`` when given."""
+    spec = _INTERIOR if chart == "interior" else _SPECS.get((H.named_model, chart))
+    if spec is None or (need and not getattr(spec, need)):
+        what = need or "spec"
+        raise NotImplementedError(f"no {what} for model {H.named_model!r} on chart {chart!r}")
     return spec
 
 
@@ -643,16 +619,20 @@ def _jacobian(g, base: np.ndarray, step: float) -> np.ndarray:
 
 
 def hamilton_field(H: SymbolHamiltonian, x: np.ndarray, xi: np.ndarray):
-    """(dx/dt, dxi/dt) = (dp/dxi, -dp/dx) at an interior point."""
+    """(dx/dt, dxi/dt) = (dp/dxi, -dp/dx) at an interior point, each partial
+    of p by a Richardson-extrapolated central difference (see _symbol_field)."""
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    f = _field(_spec(H, "interior"), H, None, np.concatenate([x, xi]))
+    f = _field(_INTERIOR, H, None, np.concatenate([x, xi]))
     return f[: len(x)], f[len(x) :]
 
 
 def char_value(H: SymbolHamiltonian, pt: PhasePointChart) -> float:
-    """Normalized characteristic function; zero on Char(P), bounded on charts."""
-    return float(_spec(H, pt.chart, "char").char(H, pt.coords))
+    """Normalized characteristic function; zero on Char(P), bounded on charts.
+
+    On the interior it is p / sqrt(1 + p^2), which has the sign of p; on a
+    boundary face it is the face's closed form."""
+    return float(_spec(H, pt.chart).char(H, pt.coords))
 
 
 def boundary_chart_field(H: SymbolHamiltonian, pt: PhasePointChart) -> dict:
@@ -739,7 +719,7 @@ class FlowBatch:
     def char_values(self) -> np.ndarray:
         """:func:`char_value` at every state, shape (steps + 1, B), taken in
         blocks of about 256 steps so that its temporaries stay small."""
-        spec, n = _spec(self.H, self.chart, "char"), self.H.dim
+        spec, n = _spec(self.H, self.chart), self.H.dim
         blocks = np.array_split(self.states, max(1, len(self.states) // 256))
         return np.concatenate([spec.char(self.H, _columns(spec, S, n)) for S in blocks])
 

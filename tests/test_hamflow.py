@@ -8,6 +8,7 @@ from scatcalc import hamflow
 from scatcalc.cli import _flow_starts
 from scatcalc.hamflow import (
     PhasePointChart,
+    SymbolHamiltonian,
     ThresholdDegeneracyError,
     boundary_chart_field,
     chart_field_by_limit,
@@ -88,8 +89,6 @@ class TestHamiltonField:
         assert np.allclose(dx, [2.0]) and np.allclose(dxi, [1.5])
 
     def test_generic_symbol_fallback(self):
-        from scatcalc.hamflow import SymbolHamiltonian
-
         H = SymbolHamiltonian(lambda x, xi: np.sum(xi**2, axis=-1) - 1.0, None, {"dim": 2})
         dx, dxi = hamilton_field(H, np.array([0.3, 0.4]), np.array([0.6, 0.8]))
         assert np.allclose(dx, [1.2, 1.6], atol=1e-7)
@@ -174,11 +173,19 @@ NAMED_MODELS = {
     "d_x1-2": lambda: d_x1_model(2),
     "x_dx": x_dx_model,
 }
-SIGNED_CHARS = ("helmholtz-2", "helmholtz-3", "d_x1-1", "d_x1-2", "x_dx")
+# (d_xi p, -d_x p) of each named model by hand, at one point (x, xi); the
+# spacetime models put t and tau in slot 0
+HAND_FIELDS = {
+    "helmholtz": lambda x, xi: (2.0 * xi, 0.0 * x),
+    "klein_gordon": lambda x, xi: (np.array([2.0 * xi[0], -2.0 * xi[1]]), 0.0 * x),
+    "schrodinger_free": lambda x, xi: (np.concatenate([[1.0], 2.0 * xi[1:]]), 0.0 * x),
+    "d_x1": lambda x, xi: (np.eye(len(x))[0], 0.0 * x),
+    "x_dx": lambda x, xi: (x, -xi),
+}
 
 
 class TestClosedFormsAgainstSymbol:
-    """The closed forms of the chart table against each model's own symbol p."""
+    """The chart table and the interior chart against each model's own symbol p."""
 
     @pytest.mark.parametrize("name", sorted(NAMED_MODELS))
     def test_char_vanishes_at_scanned_radial_points(self, name):
@@ -190,16 +197,14 @@ class TestClosedFormsAgainstSymbol:
     @pytest.mark.parametrize("name", sorted(NAMED_MODELS))
     def test_interior_field_matches_symbol_derivatives(self, name):
         H = NAMED_MODELS[name]()
-        closed = hamflow._SPECS[(H.named_model, "interior")].field
         rng = np.random.default_rng(3)
         for _ in range(20):
-            s = 3.0 * rng.standard_normal(2 * H.dim)
-            want, got = np.empty((2, len(s)))
-            hamflow._symbol_field(H, None, s, want)
-            closed(H, None, s, got)
+            x, xi = np.split(3.0 * rng.standard_normal(2 * H.dim), 2)
+            got = np.concatenate(hamilton_field(H, x, xi))
+            want = np.concatenate(HAND_FIELDS[H.named_model](x, xi))
             assert np.max(np.abs(got - want)) < 1e-9
 
-    @pytest.mark.parametrize("name", SIGNED_CHARS)
+    @pytest.mark.parametrize("name", sorted(NAMED_MODELS))
     def test_interior_char_has_the_sign_of_p(self, name):
         H = NAMED_MODELS[name]()
         rng = np.random.default_rng(4)
@@ -209,12 +214,10 @@ class TestClosedFormsAgainstSymbol:
             p = float(np.real(H.p(x[None], xi[None])[0]))
             assert np.sign(c) == np.sign(p) and abs(c) < 1.0
 
-    def test_every_named_interior_entry_is_checked(self):
-        models = {NAMED_MODELS[name]().named_model for name in NAMED_MODELS}
-        assert models == {m for m, chart in hamflow._SPECS if m and chart == "interior"}
-        signed = {NAMED_MODELS[name]().named_model for name in SIGNED_CHARS}
-        interior = {m: spec for (m, chart), spec in hamflow._SPECS.items() if chart == "interior"}
-        assert signed == {m for m, spec in interior.items() if m and spec.char}
+    def test_the_table_holds_boundary_faces_only(self):
+        # the interior chart is shared by every Hamiltonian, so no model has its own
+        assert "interior" not in {chart for _, chart in hamflow._SPECS}
+        assert set(HAND_FIELDS) == {NAMED_MODELS[name]().named_model for name in NAMED_MODELS}
 
 
 class TestChartTransitions:
@@ -311,6 +314,20 @@ class TestFlow:
         path = flow_trajectory(self.H, start, 5.0, 0.01)
         exact = np.array([1.0, -2.0]) + 2 * xi * 5.0
         assert np.max(np.abs(np.asarray(path[-1].coords["x"]) - exact)) < 1e-10
+
+    def test_generic_hamiltonian_turns_at_the_barrier(self):
+        # p = xi^2 + 1.5 exp(-x^2) - 1 has no named model; from x = -3 on Char(P)
+        # the ray climbs the barrier and turns back where 1.5 exp(-x^2) = 1.
+        # The sampled turning point lies within 1/2 |x''| (dt/2)^2 ~ 3.2e-5 of
+        # the exact one, as x'' ~ -2.55 there.
+        H = SymbolHamiltonian(
+            lambda x, xi: xi[..., 0] ** 2 + 1.5 * np.exp(-x[..., 0] ** 2) - 1.0, None, {"dim": 1}
+        )
+        xi0 = np.sqrt(1.0 - 1.5 * np.exp(-9.0))
+        start = PhasePointChart("interior", {"x": np.array([-3.0]), "xi": np.array([xi0])})
+        batch = hamflow.flow_batch(H, [start], 6.0, 0.01)
+        assert abs(np.max(batch.states[:, 0, 0]) + np.sqrt(np.log(1.5))) < 1e-4
+        assert np.max(np.abs(batch.char_values())) < 1e-8
 
     @pytest.mark.parametrize("sign, T", [(1, 5.0), (1, -2.0), (-1, 2.0), (-1, -5.0)])
     def test_frozen_xi_closed_form(self, sign, T):
@@ -455,13 +472,11 @@ class TestRadialPoints:
             for H in (helmholtz_model(1.0, 2), klein_gordon_model(), schrodinger_model(),
                       d_x1_model(2), x_dx_model())
         }
-        assert models == {m for m, _ in hamflow._SPECS if m is not None}
+        assert models == {m for m, _ in hamflow._SPECS}
         for m in models:
             assert any(spec.scan for (k, _), spec in hamflow._SPECS.items() if k == m), m
 
     def test_model_without_scan_raises(self):
-        from scatcalc.hamflow import SymbolHamiltonian
-
         H = SymbolHamiltonian(lambda x, xi: np.sum(xi**2, axis=-1), None, {"dim": 2})
         with pytest.raises(NotImplementedError):
             find_radial_points(H, resolution=8)

@@ -45,8 +45,6 @@ DEFAULT = "<default>"  # a default that is not a literal: one value of its own
 #: ``main.argv``.
 ALLOWED = {
     ("cli", "main", "argv"): "main.argv: the tests drive the command line in-process",
-    ("commutants", "build_propagation_commutant", "digamma"):
-        "model under test: the r and p1 commutants pick their own digamma",
     ("commutants", "build_propagation_commutant", "p1"): "model under test: a subprincipal term",
     ("commutants", "build_propagation_commutant", "r"): "model under test: the weight substitution",
     ("hamflow", "schrodinger_model", "n"): "model under test: the 1-D and 2-D Schrodinger flows",
