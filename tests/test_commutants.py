@@ -21,11 +21,15 @@ def _p1_cos(z1, z2):
     return 0.3 * np.cos(z1) + 0.0 * z2
 
 
+def _p1_one(z1, z2):
+    return np.ones_like(z1)
+
+
 #: Gate on residual_sup / max|a| over the chart grid.  At digamma 2, max|a| is
-#: 0.15 to 0.18 (r = -0.7, 0 and 1.3, with or without p1 = 0.3 cos z1), so the
-#: absolute gate measures the identity as well.  What is left of an exact
-#: identity is the Richardson-extrapolated difference of H_p a, 5e-12 to 8e-12
-#: of max|a|; dropping w^{-1} d_z1 w or p1 from the effective p1 leaves 0.29 to
+#: 0.15 to 0.18 (r = -0.7, 0 and 1.3, with or without p1 = 0.3 cos z1), and at
+#: digamma 3 it is 0.06 to 0.07, so the absolute gate measures the identity as
+#: well.  What is left of an exact identity is the Richardson-extrapolated
+#: difference of H_p a, 5e-12 to 9e-12 of max|a|; dropping w^{-1} d_z1 w or p1 from the effective p1 leaves 0.29 to
 #: 0.60 of it.  1e-6 sits more than five decades from both.
 RELATIVE_RESIDUAL_TOL = 1e-6
 
@@ -65,6 +69,19 @@ class TestFlowBoxCommutant:
         cb = build_propagation_commutant(1.0, 0.25, digamma=2.0, p1=_p1_cos)
         assert cb.residual_sup < 1e-8
         assert _relative_residual(cb) < RELATIVE_RESIDUAL_TOL
+
+    @pytest.mark.parametrize("r", [-0.7, 0.0, 1.3])
+    @pytest.mark.parametrize("p1", [None, _p1_cos, _p1_one], ids=["zero", "cos", "one"])
+    def test_explicit_digamma_builds_the_identity(self, r, p1):
+        # digamma 3 is the least integer that all nine accept (p1 = 1 at r = -0.7
+        # and r = 0 refuses digamma 2); b is the square root of a positive
+        # argument times a's factors, so it vanishes nowhere a does not
+        cb = build_propagation_commutant(1.0, 0.25, digamma=3.0, r=r, p1=p1)
+        assert cb.residual_sup < 1e-8
+        assert _relative_residual(cb) < RELATIVE_RESIDUAL_TOL
+        Z1, Z2 = commutants._chart_grid(1.0, 0.25)
+        a = cb.a(Z1, Z2)
+        assert np.all(cb.b(Z1, Z2)[a > 0] > 0)
 
     def test_b_and_a_supports(self):
         cb = build_propagation_commutant(1.0, 0.25, digamma=10.0)
