@@ -37,7 +37,7 @@ tail-checked (:func:`harmonic_power`).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -107,14 +107,15 @@ def _check_rule_budget(n: int, degree: int) -> None:
         )
 
 
-@lru_cache(maxsize=32)
 def sphere_rule(n: int, degree: int):
     """Product quadrature on S^{n-1} exact for harmonics up to `degree`.
 
     An odd degree has an even azimuth count K, and its rule is closed under
     theta -> -theta exactly: node (ring P-1-i, azimuth k+K/2) is set to the
-    negation of node (i, k).  Cached per (n, degree), so read-only.  A rule
-    of more than :data:`~scatcalc.grid.MAX_TOTAL_POINTS` nodes raises
+    negation of node (i, k).  Read-only: the densities built on a rule share
+    its arrays (:meth:`SphereDensity.with_degree`, :func:`rotate_density`),
+    and the synthesis folds views of them.  A rule of more than
+    :data:`~scatcalc.grid.MAX_TOTAL_POINTS` nodes raises
     :class:`~scatcalc.grid.GridBudgetError` before it is built.
     """
     if n not in (2, 3):
@@ -209,17 +210,17 @@ def _fold(dens: SphereDensity):
     ``np.array_equal``) when the nodes are the antipodally closed rule of
     `dens.degree`; otherwise every node is a `plus` node and G_- = 0."""
     gw = dens(dens.nodes) * dens.weights
-    plus, gm = np.arange(len(gw)), 0.0
+    nodes, gp, gm = dens.nodes, gw, 0.0
     n_rings, n_azimuth = _rule_sizes(dens.degree)
     n_rings = 1 if dens.n == 2 else n_rings
     if n_azimuth % 2 == 0 and len(gw) == n_rings * n_azimuth:
-        idx, half = plus.reshape(n_rings, n_azimuth), n_azimuth // 2
-        p, m = idx[:, :half].ravel(), idx[::-1, half:].ravel()
-        if np.array_equal(dens.nodes[m], -dens.nodes[p]):
-            plus, gm = p, gw[m]
-    gp = gw[plus]
-    columns = [np.stack([s.real, s.imag], -1) for s in (gp + gm, 1j * (gp - gm))]
-    return (dens.nodes[plus], *columns)
+        # ring-major halves: azimuths [0, K/2) of every ring, and their antipodes
+        half = n_azimuth // 2
+        grid, g = dens.nodes.reshape(n_rings, n_azimuth, -1), gw.reshape(n_rings, n_azimuth)
+        if np.array_equal(grid[::-1, half:], -grid[:, :half]):
+            nodes, gp, gm = grid[:, :half].reshape(-1, dens.n), g[:, :half], g[::-1, half:]
+    columns = [s.reshape(-1).view(float).reshape(-1, 2) for s in (gp + gm, 1j * (gp - gm))]
+    return (nodes, *columns)
 
 
 def _synthesis_evaluator(f: SphereDensity, lam: float, kernel):
@@ -229,7 +230,9 @@ def _synthesis_evaluator(f: SphereDensity, lam: float, kernel):
     kernel(points, nodes) returns the real (even, odd) parts of the summand
     under theta -> -theta at the `plus` nodes of :func:`_fold`; the sum is
     pref * [even @ (G_+ + G_-) + i odd @ (G_+ - G_-)] with G_+- = (g w)(+-theta),
-    in blocks of about :data:`_SYNTH_TERMS` terms.
+    in blocks of about :data:`_SYNTH_TERMS` terms.  The closure holds one rule
+    and its fold at a time, ``state["dens"]`` and ``state["folded"]``: both
+    are dropped before the next rule is built from `f`.
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
@@ -239,20 +242,23 @@ def _synthesis_evaluator(f: SphereDensity, lam: float, kernel):
 
     def synth(points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            return synth(pts[None, :])[0]
+        single = pts.ndim == 1
+        pts = np.atleast_2d(pts)
         rmax = float(np.sqrt(np.max(np.sum(pts**2, axis=-1)))) if len(pts) else 0.0
-        dens = state["dens"].with_degree(_required_degree(lam, rmax))
-        if state["folded"] is None or dens is not state["dens"]:
+        degree = _required_degree(lam, rmax)
+        if state["folded"] is None or degree > state["dens"].degree:
             # once per rule, so that each block is two real GEMMs
-            state["dens"], state["folded"] = dens, _fold(dens)
+            state["dens"] = state["folded"] = None
+            state["dens"] = f.with_degree(degree)
+            state["folded"] = _fold(state["dens"])
         nodes, even, odd = state["folded"]
         step = max(1, _SYNTH_TERMS // len(nodes))
         out = np.empty((len(pts), 2))  # (real, imaginary) rows, read as complex
         for lo in range(0, len(pts), step):
             e, o = kernel(pts[lo : lo + step], nodes)
             out[lo : lo + step] = e @ even + o @ odd
-        return pref * out.view(complex)[:, 0]
+        out = pref * out.view(complex)[:, 0]
+        return out[0] if single else out
 
     return synth
 

@@ -10,14 +10,28 @@ removing the h^p error term of an estimate d(h) by halving h; scatcalc writes
 no central difference or Richardson step outside these two.  The private
 ``_cos_sin_from_half`` gives cos a and sin a from one vectorized tangent of a/2,
 for the plane-wave synthesis of ``helmholtz`` and the phi_hat table of ``radon``.
+Both integration rules take numpy's Gauss-Legendre rule from the private
+``_gauss_legendre``, cached per order: the only rules the package caches.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 __all__ = ["product_sphere_rule", "gauss_panels", "central", "richardson"]
+
+
+@lru_cache(maxsize=64)
+def _gauss_legendre(order: int):
+    """numpy's Gauss-Legendre nodes and weights of `order` points, cached per
+    order (a few KB each; building them is the cost of a product sphere rule)
+    and shared, so read-only."""
+    x, w = leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def product_sphere_rule(n: int, n_polar: int, n_azimuth: int, offset: float = 0.0):
@@ -33,7 +47,7 @@ def product_sphere_rule(n: int, n_polar: int, n_azimuth: int, offset: float = 0.
     if n == 2:
         return np.stack([np.cos(phi), np.sin(phi)], axis=-1), w_phi
     if n == 3:
-        c, wc = leggauss(n_polar)
+        c, wc = _gauss_legendre(n_polar)
         s = np.sqrt(1.0 - c**2)
         nodes = np.stack(
             [
@@ -53,7 +67,7 @@ def gauss_panels(lo, hi, n_panels: int, order: int):
     Returns nodes and weights of shape lo.shape + (n_panels * order,), panel
     by panel; array endpoints broadcast, one flat rule per interval.
     """
-    x, w = leggauss(order)
+    x, w = _gauss_legendre(order)
     edges = np.linspace(lo, hi, n_panels + 1, axis=-1)
     mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
     half = 0.5 * (edges[..., 1:] - edges[..., :-1])

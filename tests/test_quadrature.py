@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from scatcalc.helmholtz import SphereDensity, quadrature_harmonic_defect
-from scatcalc.quadrature import central, gauss_panels, product_sphere_rule, richardson
+from scatcalc.quadrature import _gauss_legendre, central, gauss_panels, product_sphere_rule, richardson
 
 
 def harmonic_defect(n, nodes, w, degree):
@@ -47,6 +48,17 @@ class TestProductSphereRule:
     def test_rejects_other_dimensions(self):
         with pytest.raises(ValueError):
             product_sphere_rule(4, 4, 8)
+
+
+class TestGaussLegendreCache:
+    @pytest.mark.parametrize("order", [1, 5, 16, 211])
+    def test_numpy_bits_read_only_and_shared(self, order):
+        x, w = _gauss_legendre(order)
+        ref_x, ref_w = leggauss(order)
+        assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+        assert not x.flags.writeable and not w.flags.writeable
+        again = _gauss_legendre(order)
+        assert again[0] is x and again[1] is w
 
 
 def exact_monomial(lo, hi, k):
