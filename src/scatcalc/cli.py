@@ -358,7 +358,7 @@ def _run_helmholtz(v, seed):
         for r in radii:
             pt = (r * direction)[None, :]
             uv = complex(u(pt)[0])
-            lv = complex(np.atleast_1d(stationary_phase_leading(f, v["lambda"], pt))[0])
+            lv = complex(stationary_phase_leading(f, v["lambda"], pt)[0])
             rows.append(
                 {"n": n, "radius": float(r), "abs_u": abs(uv), "abs_leading": abs(lv),
                  "error": abs(uv - lv)}
@@ -409,6 +409,7 @@ def _run_pairing(v, seed):
         boundary_pairing_check,
         build_poisson_series,
         profile_pairing,
+        solution_from_density,
         solution_from_series,
         sphere_density,
     )
@@ -419,9 +420,11 @@ def _run_pairing(v, seed):
     sol2 = solution_from_series(ser)
     gaps = []
     for R in v["radii"]:
-        _, _, gap = boundary_pairing_check(f1, sol2, lam, float(R))
+        # one solution per radius: each check builds only its own radius's rule
+        _, _, gap = boundary_pairing_check(solution_from_density(f1, lam), sol2, float(R))
         gaps.append(gap)
-    rhs_self = abs(profile_pairing(f1, f1, lam))
+    sol1 = solution_from_density(f1, lam)
+    rhs_self = abs(profile_pairing(sol1, sol1))
     metrics = {"final_gap": gaps[-1], "self_pairing_rhs": rhs_self}
     criteria = {
         "gap_below_10pct": gaps[-1] < 0.10,

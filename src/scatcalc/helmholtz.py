@@ -17,11 +17,14 @@ about 2^16 terms (points x pairs) that stay in cache.  A node set not closed
 under the antipodal map is summed by the same kernel with G_- = 0.
 
 The far field u ~ r^{-(n-1)/2} (e^{i lambda r} f_+ + e^{-i lambda r} f_-) is
-read off this representation once: :func:`asymptotic_profile` gives
-f_+-(theta) = c_+- g(+-theta), and the leading term, the profile form of the
-boundary pairing (:func:`profile_pairing`) and the free scattering matrix all
-take f_+- or c_+- from there.  The outgoing/incoming formal series is summed,
-with its radial derivative, in one pass over its terms.
+read off this representation once: :func:`asymptotic_profile` gives the pair
+f_+-(theta) = c_+- g(+-theta), and the leading term and
+:func:`solution_from_density` read it.  A :class:`ScatteringSolution` is the
+one far-field object: n, lambda, (u, d_r u) and f_+- of an eigenfunction or
+of an outgoing/incoming formal series, whose sum and radial derivative come
+from one pass over its terms.  The boundary pairing (:func:`profile_pairing`,
+:func:`boundary_pairing_check`) takes two solutions and reads n and lambda
+from them; a pair that differs in either is refused.
 
 Threshold-decay scans read the density's harmonic power spectrum instead.
 By Jacobi-Anger (n = 2) and Rayleigh (n = 3), with orthonormal harmonic
@@ -52,7 +55,6 @@ from .quadrature import _cos_sin_from_half, product_sphere_rule, richardson
 
 __all__ = [
     "SphereDensity",
-    "AsymptoticProfile",
     "ExpansionCoeffs",
     "PowerMismatchError",
     "sphere_rule",
@@ -69,7 +71,6 @@ __all__ = [
     "series_obstruction",
     "poisson_series_step",
     "build_poisson_series",
-    "series_evaluator",
     "series_residual_slope",
     "ScatteringSolution",
     "solution_from_density",
@@ -224,7 +225,7 @@ def _fold(dens: SphereDensity):
 
 
 def _synthesis_evaluator(f: SphereDensity, lam: float, kernel):
-    """Plane-wave sum over (M, n) or (n,) points, raising the density's sphere
+    """Plane-wave sum over (M, n) points, raising the density's sphere
     rule to the largest radius it is asked for.
 
     kernel(points, nodes) returns the real (even, odd) parts of the summand
@@ -241,9 +242,7 @@ def _synthesis_evaluator(f: SphereDensity, lam: float, kernel):
     state = {"dens": f, "folded": None}
 
     def synth(points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
         rmax = float(np.sqrt(np.max(np.sum(pts**2, axis=-1)))) if len(pts) else 0.0
         degree = _required_degree(lam, rmax)
         if state["folded"] is None or degree > state["dens"].degree:
@@ -257,8 +256,7 @@ def _synthesis_evaluator(f: SphereDensity, lam: float, kernel):
         for lo in range(0, len(pts), step):
             e, o = kernel(pts[lo : lo + step], nodes)
             out[lo : lo + step] = e @ even + o @ odd
-        out = pref * out.view(complex)[:, 0]
-        return out[0] if single else out
+        return pref * out.view(complex)[:, 0]
 
     return synth
 
@@ -328,37 +326,25 @@ def pde_residual_patch(f: SphereDensity, lam: float, center) -> float:
 
 def stationary_phase_leading(f: SphereDensity, lam: float, x) -> np.ndarray:
     """Leading large-|x| term r^{-(n-1)/2} (e^{i lam r} f_+(xhat) + e^{-i lam r}
-    f_-(xhat)), r = |x|, with f_+- from :func:`asymptotic_profile`: spherical
-    waves with amplitudes g(+-xhat)."""
+    f_-(xhat)), r = |x|, at (M, n) points x, with f_+- from
+    :func:`asymptotic_profile`: spherical waves with amplitudes g(+-xhat)."""
     pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    prof = asymptotic_profile(f, lam)
+    f_plus, f_minus = asymptotic_profile(f, lam)
     r = np.sqrt(np.sum(pts**2, axis=-1))
     xhat = pts / r[:, None]
-    waves = np.exp(1j * lam * r) * prof.f_plus(xhat) + np.exp(-1j * lam * r) * prof.f_minus(xhat)
-    out = waves / r ** ((f.n - 1) / 2)
-    return out[0] if single else out
+    waves = np.exp(1j * lam * r) * f_plus(xhat) + np.exp(-1j * lam * r) * f_minus(xhat)
+    return waves / r ** ((f.n - 1) / 2)
 
 
-@dataclass
-class AsymptoticProfile:
-    f_plus: SphereDensity
-    f_minus: SphereDensity
-    lam: float
-
-
-def asymptotic_profile(f: SphereDensity, lam: float) -> AsymptoticProfile:
-    """Outgoing/incoming coefficients read off analytically from the density.
+def asymptotic_profile(f: SphereDensity, lam: float) -> tuple[SphereDensity, SphereDensity]:
+    """(f_+, f_-): the outgoing/incoming coefficients, read off analytically
+    from the density.
 
     In u ~ r^{-(n-1)/2} (e^{i lam r} f_+ + e^{-i lam r} f_-), the coefficients
     are f_+-(theta) = c_+- g(+-theta), the stationary-phase constants of
     :func:`_far_field_constants`."""
     cp, cm = _far_field_constants(f.n, lam)
-    fp = replace(f, eval=lambda th: cp * f(th))
-    fm = replace(f, eval=lambda th: cm * f(-th))
-    return AsymptoticProfile(fp, fm, lam)
+    return replace(f, eval=lambda th: cp * f(th)), replace(f, eval=lambda th: cm * f(-th))
 
 
 def _probe_directions(n: int, n_dirs: int) -> np.ndarray:
@@ -604,16 +590,14 @@ def _series_sums(exp: ExpansionCoeffs, points) -> tuple[np.ndarray, np.ndarray]:
     return osc * u, du * osc
 
 
-def series_evaluator(exp: ExpansionCoeffs):
-    """Pointwise evaluator of the truncated series on (M, n) arrays."""
-    return lambda points: _series_sums(exp, points)[0]
-
-
 def series_residual_slope(exp: ExpansionCoeffs, radii):
     """Fitted decay exponent of |(Delta - lam^2) u_J| via the FD oracle (step
     0.02, about 6 directions)."""
+
+    def u(points):
+        return _series_sums(exp, points)[0]
+
     n = exp.n
-    u = series_evaluator(exp)
     dirs = _probe_directions(n, 6)
     vals = []
     for r in radii:
@@ -630,12 +614,13 @@ def series_residual_slope(exp: ExpansionCoeffs, radii):
 
 @dataclass
 class ScatteringSolution:
-    """A solution-like object carrying far-field data for the pairing.
+    """The one far-field object: a solution of (Delta - lam^2) u = 0 on R^n.
 
     values maps (M, n) point arrays to (u, d_r u); f_plus and f_minus are
-    the outgoing/incoming coefficient evaluators on the unit
-    sphere.  Quadrature eigenfunctions carry both coefficients; one-sided
-    formal-series solutions carry one and a zero.
+    the outgoing/incoming coefficient evaluators on the unit sphere.
+    Quadrature eigenfunctions carry both coefficients; one-sided formal-series
+    solutions carry one and a zero.  The boundary pairing reads n and lam
+    from the two solutions it pairs.
     """
 
     n: int
@@ -646,14 +631,15 @@ class ScatteringSolution:
 
 
 def solution_from_density(f: SphereDensity, lam: float) -> ScatteringSolution:
-    prof = asymptotic_profile(f, lam)
+    """The eigenfunction of `f` at `lam` as a two-sided solution."""
+    f_plus, f_minus = asymptotic_profile(f, lam)
     u, du = eigenfunction_evaluator(f, lam), radial_derivative_evaluator(f, lam)
     return ScatteringSolution(
         n=f.n,
         lam=lam,
         values=lambda points: (u(points), du(points)),
-        f_plus=prof.f_plus,
-        f_minus=prof.f_minus,
+        f_plus=f_plus,
+        f_minus=f_minus,
     )
 
 
@@ -674,41 +660,47 @@ def solution_from_series(exp: ExpansionCoeffs) -> ScatteringSolution:
     return ScatteringSolution(exp.n, exp.lam, partial(_series_sums, exp), fp, fm)
 
 
-def _as_solution(sol, lam: float) -> ScatteringSolution:
-    """A density promoted to its eigenfunction's solution; a solution as is."""
-    return solution_from_density(sol, lam) if isinstance(sol, SphereDensity) else sol
+def _same_energy(sol1: ScatteringSolution, sol2: ScatteringSolution) -> None:
+    """ValueError unless the two solutions share n and lambda."""
+    if (sol1.n, sol1.lam) != (sol2.n, sol2.lam):
+        raise ValueError(
+            f"cannot pair solutions at (n, lambda) = ({sol1.n}, {sol1.lam}) "
+            f"and ({sol2.n}, {sol2.lam})"
+        )
 
 
-def profile_pairing(sol1, sol2, lam: float) -> complex:
+def profile_pairing(sol1: ScatteringSolution, sol2: ScatteringSolution) -> complex:
     """2 i lam int (f1+ conj(f2+) - f1- conj(f2-)) on the degree-64 sphere rule:
-    the profile form of the boundary pairing.  Densities are promoted to
-    solutions."""
-    sol1, sol2 = _as_solution(sol1, lam), _as_solution(sol2, lam)
+    the profile form of the boundary pairing, at the solutions' common n and
+    lam."""
+    _same_energy(sol1, sol2)
     qn, qw = sphere_rule(sol1.n, 64)
     plus = np.asarray(sol1.f_plus(qn)) * np.conj(np.asarray(sol2.f_plus(qn)))
     minus = np.asarray(sol1.f_minus(qn)) * np.conj(np.asarray(sol2.f_minus(qn)))
-    return 2j * lam * complex(np.sum(qw * (plus - minus)))
+    return 2j * sol1.lam * complex(np.sum(qw * (plus - minus)))
 
 
-def boundary_pairing_check(sol1, sol2, lam: float, R: float):
+def boundary_pairing_check(sol1: ScatteringSolution, sol2: ScatteringSolution, R: float):
     """(lhs(R), rhs, gap): Green's-identity boundary term vs the profile form.
 
     lhs(R) = - oint_{|x|=R} (u1 dr conj(u2) - (dr u1) conj(u2)) dS converges to
     rhs = :func:`profile_pairing`; the oscillatory cross terms cancel exactly
     in the Wronskian-type combination, so the gap decays at the rate of the
-    subleading far-field corrections.  Densities are promoted to solutions;
-    pass series solutions for one-sided data.  The gap is relative to |rhs|
-    when that is nonzero, absolute otherwise.
+    subleading far-field corrections.  n and lam are the solutions' own, and a
+    pair that differs in either raises ValueError; promote a density with
+    :func:`solution_from_density`, and pass series solutions for one-sided
+    data.  The gap is relative to |rhs| when that is nonzero, absolute
+    otherwise.
     """
-    sol1, sol2 = _as_solution(sol1, lam), _as_solution(sol2, lam)
-    n = sol1.n
+    _same_energy(sol1, sol2)
+    n, lam = sol1.n, sol1.lam
     nodes, w = sphere_rule(n, _required_degree(lam, R))
     pts = R * nodes
     u1, du1 = sol1.values(pts)
     u2, du2 = sol2.values(pts)
     integrand = u1 * np.conj(du2) - du1 * np.conj(u2)
     lhs = -complex(np.sum(w * integrand)) * R ** (n - 1)
-    rhs = profile_pairing(sol1, sol2, lam)
+    rhs = profile_pairing(sol1, sol2)
     scale = abs(rhs) if abs(rhs) > 1e-12 else 1.0
     return lhs, rhs, abs(lhs - rhs) / scale
 

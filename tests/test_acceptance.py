@@ -273,6 +273,7 @@ def test_10_boundary_pairing(tmp_path):
     from scatcalc.helmholtz import (
         asymptotic_profile,
         boundary_pairing_check,
+        solution_from_density,
         sphere_density,
         sphere_rule,
     )
@@ -282,12 +283,13 @@ def test_10_boundary_pairing(tmp_path):
     # 2 i lam (||f+||^2 - ||f-||^2), which vanishes
     lam = 1.0
     f1 = sphere_density(2, lambda th: 1.0 + 0.5 * th[:, 0] + 0.2j * th[:, 1])
-    _, rhs_self, _ = boundary_pairing_check(f1, f1, lam, 100.0)
-    prof = asymptotic_profile(f1, lam)
+    sol1 = solution_from_density(f1, lam)
+    _, rhs_self, _ = boundary_pairing_check(sol1, sol1, 100.0)
+    f_plus, f_minus = asymptotic_profile(f1, lam)
     nodes, w = sphere_rule(2, 64)
     direct = 2j * lam * (
-        np.sum(w * np.abs(prof.f_plus(nodes)) ** 2)
-        - np.sum(w * np.abs(prof.f_minus(nodes)) ** 2)
+        np.sum(w * np.abs(f_plus(nodes)) ** 2)
+        - np.sum(w * np.abs(f_minus(nodes)) ** 2)
     )
     self_err = abs(rhs_self - complex(direct))
     gaps = [row["gap"] for row in rep.tables["pairing"]]

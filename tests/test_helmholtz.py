@@ -3,6 +3,7 @@ import inspect
 import tracemalloc
 import weakref
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,12 +27,13 @@ from scatcalc.helmholtz import (
     harmonic_power,
     pde_residual_patch,
     poisson_series_step,
+    profile_pairing,
     quadrature_harmonic_defect,
     radial_derivative_evaluator,
     rotate_density,
-    series_evaluator,
     series_obstruction,
     series_residual_slope,
+    solution_from_density,
     solution_from_series,
     sphere_density,
     sphere_rule,
@@ -59,17 +61,17 @@ class TestEigenfunction:
     def test_constant_density_sinc_profile(self):
         # n = 3, f == 1: closed-form sphere integral gives the sinc profile
         f = sphere_density(3, lambda th: np.ones(len(th), dtype=complex))
-        x = np.array([0.7, -0.2, 0.4])
+        x = np.array([[0.7, -0.2, 0.4]])
         r = np.linalg.norm(x)
         oracle, _ = quad(lambda c: np.cos(LAM * r * c), -1.0, 1.0)
         expected = (2 * np.pi) ** -3 * LAM**2 * 2 * np.pi * oracle
-        assert eigenfunction_evaluator(f, LAM)(x) == pytest.approx(expected, rel=1e-12)
+        assert eigenfunction_evaluator(f, LAM)(x)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_value_at_origin(self):
         f = smooth_density_2d()
         nodes, w = sphere_rule(2, 64)
         integral = np.sum(w * f(nodes))
-        assert eigenfunction_evaluator(f, LAM)(np.zeros(2)) == pytest.approx(
+        assert eigenfunction_evaluator(f, LAM)(np.zeros((1, 2)))[0] == pytest.approx(
             (2 * np.pi) ** -2 * integral, rel=1e-12
         )
 
@@ -410,8 +412,8 @@ class TestStationaryPhase:
     def test_antipodal_term_vanishes(self):
         # density zero at +xhat, nonzero at -xhat: only the incoming wave
         f = sphere_density(2, lambda th: (1.0 - th[:, 0]) / 2.0)
-        x = np.array([50.0, 0.0])
-        lead = stationary_phase_leading(f, LAM, x)
+        x = np.array([[50.0, 0.0]])
+        lead = stationary_phase_leading(f, LAM, x)[0]
         incoming_only = (
             (2 * np.pi) ** -2
             * LAM
@@ -435,7 +437,7 @@ class TestStationaryPhase:
         d = np.array([[1.0, 0.0]])
         rs = np.geomspace(10, 50, 6)
         vals = [abs(complex(u(r * d)[0])) for r in rs]
-        lead = [abs(np.atleast_1d(stationary_phase_leading(f, LAM, r * d))[0]) for r in rs]
+        lead = [abs(stationary_phase_leading(f, LAM, r * d)[0]) for r in rs]
         assert max(lead) == 0.0
         slope = np.polyfit(np.log(rs), np.log(vals), 1)[0]
         assert slope < -0.5 - 1.0  # much faster than the generic r^{-1/2}
@@ -443,8 +445,8 @@ class TestStationaryPhase:
 
 class TestProfiles:
     def test_plus_minus_norms_equal(self):
-        prof = asymptotic_profile(smooth_density_2d(), LAM)
-        assert prof.f_plus.l2_norm() == pytest.approx(prof.f_minus.l2_norm(), rel=1e-12)
+        f_plus, f_minus = asymptotic_profile(smooth_density_2d(), LAM)
+        assert f_plus.l2_norm() == pytest.approx(f_minus.l2_norm(), rel=1e-12)
 
 
 class TestLeadingTermOracles:
@@ -638,8 +640,8 @@ class TestPoissonSeries:
 
     def test_evaluator_leading_amplitude(self):
         s = build_poisson_series({0: 2.0}, 0, LAM, 2)
-        u = series_evaluator(s)
-        val = complex(u(np.array([[100.0, 0.0]]))[0])
+        u, _ = solution_from_series(s).values(np.array([[100.0, 0.0]]))
+        val = complex(u[0])
         assert abs(val) == pytest.approx(2.0 / np.sqrt(100.0), rel=1e-12)
 
 
@@ -650,15 +652,43 @@ class TestBoundaryPairing:
         sol = solution_from_series(ser)
         gaps = []
         for R in (100.0, 200.0, 400.0):
-            lhs, rhs, gap = boundary_pairing_check(f1, sol, LAM, R)
+            lhs, rhs, gap = boundary_pairing_check(solution_from_density(f1, LAM), sol, R)
             gaps.append(gap)
         assert abs(rhs) > 0.1
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[-1] < 0.10
 
-    def test_self_pairing_vanishes(self):
+    def test_gap_ladder_against_incoming_series(self):
+        # only f_- pairs with an incoming series, so a wrong f_- shows here
+        # (read at +theta it leaves a gap of about 0.25 at every R)
         f1 = smooth_density_2d()
-        lhs, rhs, _ = boundary_pairing_check(f1, f1, LAM, 150.0)
+        ser = build_poisson_series({0: 1.0, 1: 0.4, -1: 0.15j}, 0, LAM, 2, oscillation="incoming")
+        sol = solution_from_series(ser)
+        gaps = []
+        for R in (100.0, 200.0, 400.0):
+            _, _, gap = boundary_pairing_check(solution_from_density(f1, LAM), sol, R)
+            gaps.append(gap)
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[-1] < 1e-2
+
+    @pytest.mark.parametrize("which", ["lambda", "n"])
+    def test_mismatched_pair_refused(self, which):
+        if which == "lambda":
+            ser = build_poisson_series({0: 1.0, 1: 0.4}, 0, 1.3, 2)
+            sol1, sol2 = solution_from_density(smooth_density_2d(), 1.0), solution_from_series(ser)
+            names = ("(2, 1.0)", "(2, 1.3)")
+        else:
+            sol1 = solution_from_density(smooth_density_2d(), LAM)
+            sol2 = solution_from_density(sphere_density(3, lambda th: 1.0 + 0.3 * th[:, 2]), LAM)
+            names = ("(2, 1.0)", "(3, 1.0)")
+        for pair in (profile_pairing, partial(boundary_pairing_check, R=100.0)):
+            with pytest.raises(ValueError) as err:
+                pair(sol1, sol2)
+            assert all(name in str(err.value) for name in names)
+
+    def test_self_pairing_vanishes(self):
+        sol1 = solution_from_density(smooth_density_2d(), LAM)
+        lhs, rhs, _ = boundary_pairing_check(sol1, sol1, 150.0)
         assert abs(rhs) < 1e-12
         assert abs(lhs) < 1e-2
 
@@ -672,11 +702,11 @@ class TestBoundaryPairing:
         # outgoing data concentrated on a harmonic; overlap integral against
         # the cap profile of f1's outgoing coefficient is the only rhs term
         sol = solution_from_series(ser)
-        _, rhs, _ = boundary_pairing_check(f1, sol, LAM, 100.0)
-        prof = asymptotic_profile(f1, LAM)
+        _, rhs, _ = boundary_pairing_check(solution_from_density(f1, LAM), sol, 100.0)
+        f_plus, _ = asymptotic_profile(f1, LAM)
         nodes, w = sphere_rule(2, 64)
         th = np.arctan2(nodes[:, 1], nodes[:, 0])
-        overlap = 2j * LAM * np.sum(w * prof.f_plus(nodes) * np.conj(np.exp(5j * th)))
+        overlap = 2j * LAM * np.sum(w * f_plus(nodes) * np.conj(np.exp(5j * th)))
         assert rhs == pytest.approx(complex(overlap), rel=1e-10)
 
 
