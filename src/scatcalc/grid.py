@@ -49,6 +49,14 @@ MAX_TOTAL_POINTS = 2**24
 #: near 3.5 s; tests and perfbench use at most 64.
 MAX_DIRECTIONS = 256
 
+#: Largest number of plane-wave terms (points x node pairs x evaluators) that one
+#: boundary pairing check synthesizes.  The synthesis runs about 1e8 terms/s
+#: (2-core x86_64, one BLAS thread), and the count takes both solutions as
+#: synthesized, u and d_r u each, so at lambda = 1 the largest admitted radius,
+#: about 8,000, pairs a density with a series in about 2.5 s and two densities in
+#: about 5 s; the default ladder (R <= 400) counts 1.35e6 terms.
+MAX_PAIRING_TERMS = 2**29
+
 #: Largest size of a dense operator's grid (dense operators are 1-D); the CLI
 #: bounds its N keys by it without importing the symbol calculus.
 QUANTIZE_MAX_N = 256

@@ -48,8 +48,8 @@ import numpy as np
 from scipy.special import jv, sph_harm_y, spherical_jn
 
 from .grid import (
-    MAX_TOTAL_POINTS, GridBudgetError, InputRefusal, QuadratureError, fit_growth_exponent,
-    fit_log_growth, radial_weighted_mass,
+    MAX_PAIRING_TERMS, MAX_TOTAL_POINTS, GridBudgetError, InputRefusal, QuadratureError,
+    fit_growth_exponent, fit_log_growth, radial_weighted_mass,
 )
 from .quadrature import _cos_sin_from_half, product_sphere_rule, richardson
 
@@ -97,11 +97,16 @@ def _rule_sizes(degree: int) -> tuple[int, int]:
     return max((degree + 2) // 2, 4), max(degree + 1, 8)
 
 
+def _rule_size(n: int, degree: int) -> int:
+    """Node count of the degree-`degree` rule on S^{n-1}."""
+    n_polar, n_azimuth = _rule_sizes(degree)
+    return n_azimuth * (n_polar if n == 3 else 1)
+
+
 def _check_rule_budget(n: int, degree: int) -> None:
     """GridBudgetError when the degree-`degree` rule on S^{n-1} has more than
     :data:`~scatcalc.grid.MAX_TOTAL_POINTS` nodes."""
-    n_polar, n_azimuth = _rule_sizes(degree)
-    size = n_azimuth * (n_polar if n == 3 else 1)
+    size = _rule_size(n, degree)
     if size > MAX_TOTAL_POINTS:
         raise GridBudgetError(
             f"degree-{degree} sphere rule with {size} nodes exceeds budget {MAX_TOTAL_POINTS}"
@@ -690,11 +695,22 @@ def boundary_pairing_check(sol1: ScatteringSolution, sol2: ScatteringSolution, R
     pair that differs in either raises ValueError; promote a density with
     :func:`solution_from_density`, and pass series solutions for one-sided
     data.  The gap is relative to |rhs| when that is nonzero, absolute
-    otherwise.
+    otherwise.  A check whose synthesis would exceed
+    :data:`~scatcalc.grid.MAX_PAIRING_TERMS` terms raises
+    :class:`~scatcalc.grid.GridBudgetError` before any synthesis.
     """
     _same_energy(sol1, sol2)
     n, lam = sol1.n, sol1.lam
-    nodes, w = sphere_rule(n, _required_degree(lam, R))
+    degree = _required_degree(lam, R)
+    # points x node pairs of the synthesis rule (odd degree) x the evaluators u
+    # and d_r u of both solutions, as if both were synthesized
+    terms = _rule_size(n, degree) * (_rule_size(n, degree | 1) // 2) * 4
+    if terms > MAX_PAIRING_TERMS:
+        raise GridBudgetError(
+            f"boundary pairing at R = {R:.3g} needs {terms:.3g} synthesis terms, over the budget "
+            f"{MAX_PAIRING_TERMS:.3g}; use smaller radii (terms grow as (lambda R)^{2 * (n - 1)})"
+        )
+    nodes, w = sphere_rule(n, degree)
     pts = R * nodes
     u1, du1 = sol1.values(pts)
     u2, du2 = sol2.values(pts)

@@ -18,6 +18,15 @@ realized as a dense kernel matrix on a :class:`~scatcalc.grid.GridSpec`.  The
 grid is a stand-in for the continuum: all operator-norm statements in this
 package are made as ratios or monotone trends, never absolute continuum
 constants.
+
+Every dense kernel that :func:`quantize` and :meth:`DenseOperator.compose`
+build has no real or imaginary part strictly between 0 and
+:data:`KERNEL_FLUSH_LEVEL` (2^-511) of its largest part: smaller parts are set
+to zero.  They lie some 140 decades below double precision relative to the
+operator, yet a product of two of them underflows, and BLAS and LAPACK then
+run on x86's slow subnormal path; with the flush, a product of two kept parts
+is at least 2^-1022 of the product of the largest, the smallest normal double
+when those are of order one.
 """
 
 from __future__ import annotations
@@ -58,6 +67,10 @@ __all__ = [
 _EPS = np.finfo(float).eps
 
 TABULATE_MAX_SIZE = 2**22
+
+#: Parts of a dense kernel below this fraction of its largest part are zero
+#: (module docstring): the square root of the smallest normal double.
+KERNEL_FLUSH_LEVEL = 2.0**-511
 
 #: Floor below which the normalized symbol modulus disqualifies a symbol from
 #: the parametrix construction (full sc-ellipticity gate).
@@ -235,7 +248,9 @@ class DenseOperator:
 
     matrix[i, j] approximates the Schwartz kernel K(x_i, y_j) on a 1-D grid;
     applying to a field carries the h quadrature measure, so Op(1) acts as the
-    identity.
+    identity.  Matrices from :func:`quantize` and :meth:`compose` have no part
+    strictly between 0 and :data:`KERNEL_FLUSH_LEVEL` of their largest part,
+    so products and norms of them keep BLAS and LAPACK off the subnormal path.
     """
 
     spec: GridSpec
@@ -257,7 +272,7 @@ class DenseOperator:
     def compose(self, other: "DenseOperator") -> "DenseOperator":
         if other.spec != self.spec:
             raise ValueError("operators live on different grids")
-        return DenseOperator(self.spec, self.as_l2_matrix() @ other.matrix)
+        return DenseOperator(self.spec, _flush_tiny(self.as_l2_matrix() @ other.matrix))
 
 
 def identity_operator(spec: GridSpec) -> DenseOperator:
@@ -295,7 +310,20 @@ def _left_kernel(spec: GridSpec, sym) -> np.ndarray:
     """Kernel of Op_L from the symbol table sym[i, k] = a(x_i, xi_k)."""
     # sym * phase in that order: the factor order moves the complex product's last bit
     rows = np.fft.fft(sym * _phase_table(spec) * spec._alt_signs(), axis=1)
-    return (2.0 * np.pi) ** -1 * spec.freq_spacing * rows
+    return _flush_tiny((2.0 * np.pi) ** -1 * spec.freq_spacing * rows)
+
+
+def _flush_tiny(K: np.ndarray) -> np.ndarray:
+    """K, in place, with each real or imaginary part below KERNEL_FLUSH_LEVEL
+    of its largest part set to zero.  Its temporaries are boolean, an eighth
+    of a float copy's memory.  A NaN part flushes nothing and an infinite one
+    everything finite, so the non-finite refusal still sees it."""
+    parts = K.view(K.real.dtype)
+    level = KERNEL_FLUSH_LEVEL * max(parts.max(), -parts.min())
+    tiny = parts < level
+    tiny &= parts > -level
+    parts[tiny] = 0.0
+    return K
 
 
 @dataclass(frozen=True)

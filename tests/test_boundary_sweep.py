@@ -10,7 +10,8 @@ before any work (``directions`` by ``grid.MAX_DIRECTIONS``); elsewhere the
 large edge is capped, so that the sweep stays short.  ``output_dir`` is not
 swept: ``--out`` sets it.  Combinations of keys are not swept, except the
 large ``scatter1d`` potentials of ``POTENTIALS``, which must be refused within
-a second.
+a second, and the ``pairing`` ladders of ``PAIRINGS``, refused by the synthesis
+budget of ``boundary_pairing_check``.
 
 A run goes through ``main(argv)`` in-process.  It must return 0 or 1 and
 write its report, or return 2 with a config error or a library refusal on
@@ -147,4 +148,26 @@ def test_large_potential_is_refused_within_a_second(tmp_path, capsys, body, refu
     code = main(["scatter1d", "--config", str(cfg), "--out", str(tmp_path / "out")])
     elapsed = time.perf_counter() - start
     assert code == 2 and capsys.readouterr().err.startswith(f"refused: {refusal}: ")
+    assert elapsed < 1.0
+
+
+#: Pairing ladders past the synthesis budget (``grid.MAX_PAIRING_TERMS``); the
+#: first exited 0 after 391 s and 138 MiB while unbudgeted.
+PAIRINGS = [
+    {"radii": [100.0, 100000.0]},
+    {"radii": [100.0, 8200.0]},
+    {"lambda": 2.0, "radii": [100.0, 4100.0]},
+]
+
+
+@pytest.mark.parametrize("body", PAIRINGS, ids=[json.dumps(b) for b in PAIRINGS])
+def test_large_pairing_is_refused_within_a_second(tmp_path, capsys, body):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(body))
+    start = time.perf_counter()
+    code = main(["pairing", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("refused: GridBudgetError: ") and "radii" in err
+    assert not (tmp_path / "out").exists()
     assert elapsed < 1.0

@@ -12,10 +12,11 @@ from scipy.integrate import quad
 from scipy.special import jv
 
 from scatcalc.cli import load_config, run_experiment
-from scatcalc.grid import GridBudgetError, QuadratureError, radial_weighted_mass
+from scatcalc.grid import MAX_PAIRING_TERMS, GridBudgetError, QuadratureError, radial_weighted_mass
 from scatcalc.helmholtz import (
     FREE_SMATRIX_PHASE,
     PowerMismatchError,
+    ScatteringSolution,
     SphereDensity,
     asymptotic_profile,
     boundary_pairing_check,
@@ -685,6 +686,29 @@ class TestBoundaryPairing:
             with pytest.raises(ValueError) as err:
                 pair(sol1, sol2)
             assert all(name in str(err.value) for name in names)
+
+    @pytest.mark.parametrize("n,admitted", [(2, 8181.0), (3, 79.0)])
+    def test_synthesis_budget_refuses_before_any_synthesis(self, n, admitted):
+        # points x node pairs x 4 evaluators at lambda = 1: the largest
+        # admitted radius reaches synthesis, the next one is refused first
+        class Synthesized(Exception):
+            pass
+
+        def values(points):
+            raise Synthesized
+
+        sol = ScatteringSolution(n, LAM, values, values, values)
+        for R in (admitted, admitted + 1.0):
+            degree = _required_degree(LAM, R)
+            polar, azimuth = _rule_sizes(degree)
+            polar_odd, azimuth_odd = _rule_sizes(degree | 1)
+            points, pairs = (azimuth, azimuth_odd // 2) if n == 2 else (
+                polar * azimuth, polar_odd * azimuth_odd // 2)
+            assert (points * pairs * 4 > MAX_PAIRING_TERMS) == (R > admitted)
+        with pytest.raises(Synthesized):
+            boundary_pairing_check(sol, sol, admitted)
+        with pytest.raises(GridBudgetError, match="radii"):
+            boundary_pairing_check(sol, sol, admitted + 1.0)
 
     def test_self_pairing_vanishes(self):
         sol1 = solution_from_density(smooth_density_2d(), LAM)

@@ -1,3 +1,5 @@
+from functools import cache
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from scatcalc.grid import (
     make_grid,
 )
 from scatcalc.symbols import (
+    KERNEL_FLUSH_LEVEL,
+    DenseOperator,
     KernelDecayError,
     NotScEllipticError,
     Symbol,
@@ -365,3 +369,181 @@ class TestOperatorNorm:
         oo = SobolevOrder(0, 0)
         nAB = operator_norm_estimate(A.compose(B), oo, oo)
         assert nAB <= operator_norm_estimate(A, o, oo) * operator_norm_estimate(B, oo, o) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the flush of tiny kernel parts, against the unflushed kernel build
+# ---------------------------------------------------------------------------
+
+
+def unflushed_kernel(a, spec):
+    """The left kernel as quantize built it before the flush: the oracle."""
+    sym = a(spec.axis()[:, None], spec.freq_axis())
+    rows = np.fft.fft(sym * symbols._phase_table(spec) * spec._alt_signs(), axis=1)
+    return (2.0 * np.pi) ** -1 * spec.freq_spacing * rows
+
+
+def parts(M):
+    """The real and imaginary parts of a complex matrix, as one float array."""
+    return np.ascontiguousarray(M).view(float)
+
+
+def flush_level(M):
+    return KERNEL_FLUSH_LEVEL * np.max(np.abs(parts(M)))
+
+
+def assert_oracle_flushed(got, oracle):
+    """got equals oracle at every part at or above the level, and is 0 below it."""
+    g, o = parts(got), parts(oracle)
+    kept = np.abs(o) >= flush_level(oracle)
+    assert np.array_equal(g[kept], o[kept])
+    assert np.all(g[~kept] == 0.0)
+
+
+def assert_no_tiny_part(M):
+    p = np.abs(parts(M))
+    assert not np.any((p > 0.0) & (p < flush_level(M)))
+
+
+COMMUTATOR_SPEC = make_grid(1, 30.0, 256)
+
+
+def commutator_symbols(s, sig):
+    """The benchmark's commutator pairs at width s: a, a shifted by 2, b and
+    the Poisson brackets {a, b} and {a shifted, b}."""
+
+    def gx(x, c=0.0):
+        return np.exp(-(((x - c) / s) ** 4))
+
+    def gxi(xi):
+        return np.exp(-((xi / sig) ** 4))
+
+    a = sym1d(lambda x, xi: xi * gx(x) * gxi(xi), (1, 0))
+    a2 = sym1d(lambda x, xi: xi * gx(x, 2.0) * gxi(xi), (1, 0))
+    b = sym1d(lambda x, xi: sig * gx(x) * gxi(xi), (1, 0))
+    return {"a": a, "a2": a2, "b": b, "pb": poisson_bracket(a, b), "pb2": poisson_bracket(a2, b)}
+
+
+def parametrix_symbols(mass2=1.25):
+    a = sym1d(lambda x, xi: xi**2 + mass2 + 0 * x, (2, 0), depends_on_x=False)
+    out = {"a": a}
+    out.update({f"B{N}": parametrix(a, N) for N in range(4)})
+    return out
+
+
+def criterion1_symbols():
+    s_xi, s_x = xi_symbol(), x_symbol()
+    return {
+        "one": one_symbol(),
+        "xi": s_xi,
+        "x": s_x,
+        "xi_x": compose_expansion(s_xi, s_x, 2),
+        "gauss": sym1d(lambda x, xi: np.exp(-(x**2) / 2 - xi**2 / 2), (0, 0)),
+    }
+
+
+#: name -> (grid, symbols): criteria 1-3's symbols, the commutators at s in
+#: {5.5, 6.5} and at their doubles as the benchmark draws them (sig = 0.6 s)
+FLUSH_CASES = {
+    **{f"commutator-{s}": (COMMUTATOR_SPEC, lambda s=s: commutator_symbols(s, 0.6 * s))
+       for s in (5.5, 6.5, 11.0, 13.0)},
+    "parametrix": (SPEC, parametrix_symbols),
+    "criterion-1": (SPEC, criterion1_symbols),
+}
+
+
+#: the cases whose kernels and products have parts below the level
+TINY_CASES = ("commutator-5.5", "commutator-6.5")
+
+
+@cache
+def flush_case(name):
+    """{symbol name: (quantize's operator, the unflushed oracle kernel)}."""
+    spec, build = FLUSH_CASES[name]
+    return spec, {k: (quantize(a, spec), unflushed_kernel(a, spec)) for k, a in build().items()}
+
+
+class TestKernelFlush:
+    @pytest.mark.parametrize("name", list(FLUSH_CASES))
+    def test_quantize_is_the_oracle_flushed(self, name):
+        _, ops = flush_case(name)
+        for op, oracle in ops.values():
+            assert_oracle_flushed(op.matrix, oracle)
+            assert_no_tiny_part(op.matrix)
+        if name in TINY_CASES:
+            # the benchmark's own widths: every kernel had tiny parts to flush
+            assert all(np.any(op.matrix != oracle) for op, oracle in ops.values())
+
+    @pytest.mark.parametrize("name", ["parametrix", "criterion-1", *TINY_CASES])
+    def test_compose_is_the_plain_product_flushed(self, name):
+        _, ops = flush_case(name)
+        left, *rights = [op for op, _ in ops.values()]
+        for right in rights:
+            got = left.compose(right).matrix
+            plain = left.as_l2_matrix() @ right.matrix
+            assert_oracle_flushed(got, plain)
+            assert_no_tiny_part(got)
+            assert np.array_equal(got, plain) == (name not in TINY_CASES)
+
+    def test_right_quantization_is_flushed(self):
+        a = commutator_symbols(5.5, 3.3)["pb"]
+        right = quantize(a, COMMUTATOR_SPEC, mode="right").matrix
+        conj = Symbol(eval=lambda x, xi: np.conj(a(x, xi)), order=a.order)
+        assert_oracle_flushed(right, unflushed_kernel(conj, COMMUTATOR_SPEC).conj().T)
+        assert_no_tiny_part(right)
+
+    @pytest.mark.parametrize("s", [5.5, 6.5])
+    def test_commutator_ratios_are_bit_identical(self, s):
+        # 1 - i[A, B] against Op({a, b}), as the benchmark computes it, from
+        # quantize's kernels and from the unflushed ones
+        for width in (s, 2 * s):
+            spec, ops = flush_case(f"commutator-{width}")
+            for which in ("", "2"):
+                got, want = (
+                    self._ratio(*(get(ops[k]) * spec.spacing for k in (f"a{which}", "b", f"pb{which}")))
+                    for get in (lambda t: t[0].matrix, lambda t: t[1])
+                )
+                assert got == want
+
+    @staticmethod
+    def _ratio(A, B, pb):
+        return float(np.linalg.norm(1j * (A @ B - B @ A) - pb, 2) / np.linalg.norm(pb, 2))
+
+    def test_parametrix_residuals_are_bit_identical(self):
+        spec, ops = flush_case("parametrix")
+        A, A_oracle = ops["a"]
+        eye = np.eye(spec.size)
+        for N in range(4):
+            B, B_oracle = ops[f"B{N}"]
+            got = np.linalg.norm(A.compose(B).as_l2_matrix() - eye, 2)
+            h = spec.spacing
+            want = np.linalg.norm((A_oracle * h @ B_oracle) * h - eye, 2)
+            assert got == want
+
+    def test_criterion1_errors_are_bit_identical(self):
+        spec, ops = flush_case("criterion-1")
+        eye = np.eye(spec.size)
+        one, one_oracle = ops["one"]
+        assert np.max(np.abs(one.as_l2_matrix() - eye)) == np.max(np.abs(one_oracle * spec.spacing - eye))
+        X, XI = np.meshgrid(spec.axis(), spec.freq_axis(), indexing="ij")
+        exact = np.exp(-(X**2) / 2 - XI**2 / 2)
+        interior = np.abs(X) <= 10.0
+        gauss, gauss_oracle = ops["gauss"]
+        got, want = (
+            np.max(np.abs(symbol_from_kernel(op, spec).value_table() - exact)[interior])
+            for op in (gauss, DenseOperator(spec, gauss_oracle))
+        )
+        assert got == want
+
+    def test_non_finite_kernels_are_still_refused(self):
+        a = sym1d(lambda x, xi: np.where((x == 0) & (xi == 0), np.nan, 1.0 + 0 * x * xi), (0, 0))
+        with np.errstate(invalid="ignore"), pytest.raises(symbols.InputRefusal):
+            quantize(a, SPEC)
+        # a NaN part flushes nothing, an infinite one every finite part: the
+        # non-finite parts stay for DenseOperator to refuse
+        for bad in (np.nan, np.inf, -np.inf):
+            K = np.array([[1e-200, bad], [1.0 + 1e-300j, 2.0]], dtype=complex)
+            flushed = symbols._flush_tiny(K.copy())
+            assert np.array_equal(np.isfinite(flushed), np.isfinite(K))
+            with pytest.raises(symbols.InputRefusal):
+                DenseOperator(SPEC, flushed)
