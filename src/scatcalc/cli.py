@@ -113,9 +113,9 @@ def load_config(path, experiment: str) -> ExperimentConfig:
         except ValueError:
             problems.append(f"key {key!r} must be finite (got {val!r})")
             continue
-        if typ is float and isinstance(val, int):
+        if typ is float and type(val) is int:
             val = float(val)
-        if not isinstance(val, typ):
+        if type(val) is not typ:  # not isinstance: a JSON boolean is an int
             problems.append(f"key {key!r} must have type {typ.__name__}")
             continue
         if check is not None and not check(val):
@@ -406,6 +406,7 @@ def _run_threshold(v, seed):
 
 def _run_pairing(v, seed):
     from .helmholtz import (
+        _pairing_degree,
         boundary_pairing_check,
         build_poisson_series,
         profile_pairing,
@@ -418,6 +419,7 @@ def _run_pairing(v, seed):
     f1 = sphere_density(2, lambda th: 1.0 + 0.5 * th[:, 0] + 0.2j * th[:, 1])
     ser = build_poisson_series({0: 1.0, 1: 0.4, -1: 0.15j}, 0, lam, 2)
     sol2 = solution_from_series(ser)
+    _pairing_degree(f1.n, lam, max(v["radii"]))  # the whole ladder, before any synthesis
     gaps = []
     for R in v["radii"]:
         # one solution per radius: each check builds only its own radius's rule

@@ -685,6 +685,22 @@ def profile_pairing(sol1: ScatteringSolution, sol2: ScatteringSolution) -> compl
     return 2j * sol1.lam * complex(np.sum(qw * (plus - minus)))
 
 
+def _pairing_degree(n: int, lam: float, R: float) -> int:
+    """Degree of the boundary pairing's sphere rule at radius R; GridBudgetError
+    when its synthesis would exceed :data:`~scatcalc.grid.MAX_PAIRING_TERMS`
+    terms.  The terms grow with R, so a ladder is admitted by its largest."""
+    degree = _required_degree(lam, R)
+    # points x node pairs of the synthesis rule (odd degree) x the evaluators u
+    # and d_r u of both solutions, as if both were synthesized
+    terms = _rule_size(n, degree) * (_rule_size(n, degree | 1) // 2) * 4
+    if terms > MAX_PAIRING_TERMS:
+        raise GridBudgetError(
+            f"boundary pairing at R = {R:.3g} needs {terms:.3g} synthesis terms, over the budget "
+            f"{MAX_PAIRING_TERMS:.3g}; use smaller radii (terms grow as (lambda R)^{2 * (n - 1)})"
+        )
+    return degree
+
+
 def boundary_pairing_check(sol1: ScatteringSolution, sol2: ScatteringSolution, R: float):
     """(lhs(R), rhs, gap): Green's-identity boundary term vs the profile form.
 
@@ -700,17 +716,8 @@ def boundary_pairing_check(sol1: ScatteringSolution, sol2: ScatteringSolution, R
     :class:`~scatcalc.grid.GridBudgetError` before any synthesis.
     """
     _same_energy(sol1, sol2)
-    n, lam = sol1.n, sol1.lam
-    degree = _required_degree(lam, R)
-    # points x node pairs of the synthesis rule (odd degree) x the evaluators u
-    # and d_r u of both solutions, as if both were synthesized
-    terms = _rule_size(n, degree) * (_rule_size(n, degree | 1) // 2) * 4
-    if terms > MAX_PAIRING_TERMS:
-        raise GridBudgetError(
-            f"boundary pairing at R = {R:.3g} needs {terms:.3g} synthesis terms, over the budget "
-            f"{MAX_PAIRING_TERMS:.3g}; use smaller radii (terms grow as (lambda R)^{2 * (n - 1)})"
-        )
-    nodes, w = sphere_rule(n, degree)
+    n = sol1.n
+    nodes, w = sphere_rule(n, _pairing_degree(n, sol1.lam, R))
     pts = R * nodes
     u1, du1 = sol1.values(pts)
     u2, du2 = sol2.values(pts)
@@ -721,10 +728,10 @@ def boundary_pairing_check(sol1: ScatteringSolution, sol2: ScatteringSolution, R
     return lhs, rhs, abs(lhs - rhs) / scale
 
 
-#: Free scattering-matrix phase constants, frozen from the derived procedure
-#: (two-radius oscillation fit against the analytic coefficient chain); the
-#: map is f_+(theta) = PHASE[n] * f_-(-theta).
-FREE_SMATRIX_PHASE = {2: -1j, 3: -1.0 + 0j}
+#: Free scattering-matrix phase c_+ / c_- = e^{-i pi (n-1)/2} of
+#: :func:`_far_field_constants`, for n = 2, 3 (lam cancels); the map is
+#: f_+(theta) = PHASE[n] * f_-(-theta).
+FREE_SMATRIX_PHASE = {n: complex(np.divide(*_far_field_constants(n, 1.0))) for n in (2, 3)}
 
 
 def free_scattering_matrix(lam: float, f_minus: SphereDensity) -> SphereDensity:
@@ -732,8 +739,7 @@ def free_scattering_matrix(lam: float, f_minus: SphereDensity) -> SphereDensity:
 
     Implemented through the coefficient chain: solve for the synthesizing
     density g from f_- and read off f_+; the net effect is the antipodal map
-    times a dimension-dependent phase (a regression fixture, not a value the
-    theory pins to a printed constant).
+    times the phase c_+ / c_- = e^{-i pi (n-1)/2}, :data:`FREE_SMATRIX_PHASE`.
     """
     cp, cm = _far_field_constants(f_minus.n, lam)
 

@@ -85,7 +85,7 @@ class KernelDecayError(InputRefusal):
     """Kernel does not decay off-diagonal well enough to read off a symbol."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Symbol:
     """Evaluator a(x, xi) with declared order (m, l).
 
@@ -94,7 +94,7 @@ class Symbol:
     finite differences (:func:`symbol_derivative`).  `depends_on_x` /
     `depends_on_xi` short-circuit derivatives of genuinely one-sided symbols
     to exact zeros, which keeps composition expansions of Fourier multipliers
-    exact.
+    exact.  A composite depends on x (on xi) exactly when a parent does.
     """
 
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -111,22 +111,21 @@ def sym1d(f: Callable[[np.ndarray, np.ndarray], np.ndarray], order, **kw) -> Sym
     return Symbol(f, tuple(order), **kw)
 
 
-def symbol_sum(a: Symbol, b: Symbol) -> Symbol:
+def _composite(ev, order, *parents: Symbol) -> Symbol:
+    """The Symbol of evaluator ev and order (m, l) built from `parents`: it
+    depends on x (on xi) exactly when some parent does."""
     return Symbol(
-        eval=lambda x, xi: a(x, xi) + b(x, xi),
-        order=(max(a.order[0], b.order[0]), max(a.order[1], b.order[1])),
-        depends_on_x=a.depends_on_x or b.depends_on_x,
-        depends_on_xi=a.depends_on_xi or b.depends_on_xi,
+        ev, order, any(p.depends_on_x for p in parents), any(p.depends_on_xi for p in parents)
     )
+
+
+def symbol_sum(a: Symbol, b: Symbol) -> Symbol:
+    order = (max(a.order[0], b.order[0]), max(a.order[1], b.order[1]))
+    return _composite(lambda x, xi: a(x, xi) + b(x, xi), order, a, b)
 
 
 def symbol_scale(a: Symbol, c: complex) -> Symbol:
-    return Symbol(
-        eval=lambda x, xi: c * a(x, xi),
-        order=a.order,
-        depends_on_x=a.depends_on_x,
-        depends_on_xi=a.depends_on_xi,
-    )
+    return _composite(lambda x, xi: c * a(x, xi), a.order, a)
 
 
 def symbol_derivative(a: Symbol, alpha: int, beta: int, x, xi):
@@ -337,24 +336,21 @@ class TabulatedSymbol:
         return self.values
 
 
-def symbol_from_kernel(kernel, spec: GridSpec) -> TabulatedSymbol:
+def symbol_from_kernel(kernel: DenseOperator, spec: GridSpec) -> TabulatedSymbol:
     """Left symbol from a kernel: a(x, xi) = int exp(-i w xi) K(x, x - w) dw.
 
-    `kernel` is a DenseOperator or a callable K(x, y) over broadcastable arrays.
     The result holds the values on the (x, xi) grid lattice: a table, not an
     evaluator.  Kernels must decay below 1e-10 (relative) at the box edge;
     otherwise the w-integral is visibly truncated and a KernelDecayError is
     raised.
     """
+    if not isinstance(kernel, DenseOperator):
+        raise TypeError(f"symbol_from_kernel expects a DenseOperator, got {type(kernel).__name__}")
     if spec.size**2 > TABULATE_MAX_SIZE:
         raise GridBudgetError("grid too large to tabulate a full symbol")
-    x = spec.axis()
-    if isinstance(kernel, DenseOperator):
-        if kernel.spec != spec:
-            raise ValueError("kernel and target grid disagree")
-        K = kernel.matrix
-    else:
-        K = np.asarray(kernel(x[:, None], x[None, :]), dtype=complex)
+    if kernel.spec != spec:
+        raise ValueError("kernel and target grid disagree")
+    x, K = spec.axis(), kernel.matrix
     kmax = float(np.max(np.abs(K)))
     edge = np.abs(x[:, None] - x[None, :]) >= spec.half_width - 2 * spec.spacing
     if kmax > 0 and float(np.max(np.abs(K[edge]))) > 1e-10 * kmax:
@@ -386,12 +382,7 @@ def compose_expansion(a: Symbol, b: Symbol, N_terms: int) -> Symbol:
             out = term if out is None else out + term
         return out
 
-    return Symbol(
-        eval=ev,
-        order=(a.order[0] + b.order[0], a.order[1] + b.order[1]),
-        depends_on_x=a.depends_on_x or b.depends_on_x,
-        depends_on_xi=a.depends_on_xi or b.depends_on_xi,
-    )
+    return _composite(ev, (a.order[0] + b.order[0], a.order[1] + b.order[1]), a, b)
 
 
 def poisson_bracket(a: Symbol, b: Symbol) -> Symbol:
@@ -403,12 +394,7 @@ def poisson_bracket(a: Symbol, b: Symbol) -> Symbol:
             - symbol_derivative(a, 1, 0, x, xi) * symbol_derivative(b, 0, 1, x, xi)
         )
 
-    return Symbol(
-        eval=ev,
-        order=(a.order[0] + b.order[0] - 1, a.order[1] + b.order[1] - 1),
-        depends_on_x=a.depends_on_x or b.depends_on_x,
-        depends_on_xi=a.depends_on_xi or b.depends_on_xi,
-    )
+    return _composite(ev, (a.order[0] + b.order[0] - 1, a.order[1] + b.order[1] - 1), a, b)
 
 
 def _normalized_modulus(a: Symbol, x, xi):
@@ -452,28 +438,16 @@ def parametrix(a: Symbol, N_terms: int, *, expansion_order: int = 3) -> Symbol:
         safe = np.where(np.abs(av) > 0, av, 1.0)
         return (1.0 - low) / safe + low * np.conj(av) / (np.abs(av) ** 2 + 1.0)
 
-    b0 = Symbol(
-        eval=b0_eval,
-        order=(-m, -l),
-        depends_on_x=a.depends_on_x,
-        depends_on_xi=a.depends_on_xi,
-    )
-    one = Symbol(
-        eval=lambda x, xi: np.ones(np.broadcast(x, xi).shape, dtype=complex),
-        order=(0.0, 0.0),
-        depends_on_x=False,
-        depends_on_xi=False,
-    )
+    b0 = _composite(b0_eval, (-m, -l), a)
+    one = _composite(lambda x, xi: np.ones(np.broadcast(x, xi).shape, dtype=complex), (0.0, 0.0))
     ab = compose_expansion(a, b0, expansion_order)
     r1 = symbol_sum(one, symbol_scale(ab, -1.0))
-    acc = one
-    term = one
+    acc = term = one
     for _ in range(N_terms):
         term = compose_expansion(term, r1, expansion_order)
         acc = symbol_sum(acc, term)
-    out = compose_expansion(b0, acc, expansion_order)
-    out.order = (-m, -l)
-    return out
+    # of order (-m, -l): every factor after b0 is of order (0, 0)
+    return compose_expansion(b0, acc, expansion_order)
 
 
 def _weight_matrices(spec: GridSpec, order: SobolevOrder):

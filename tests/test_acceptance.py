@@ -303,7 +303,7 @@ def test_10_boundary_pairing(tmp_path):
 
 def _criterion_11_phase_fits(lam):
     """Per n: the phase f_+(theta)/f_-(-theta) fitted at R = 200, its drift
-    under quadrature refinement, and its distance to the frozen constant."""
+    under quadrature refinement, and its distance to the derived constant c_+ / c_-."""
     from scatcalc.helmholtz import FREE_SMATRIX_PHASE, fit_smatrix_phase
 
     fits = {}
@@ -343,7 +343,7 @@ def test_11_free_scattering_matrix():
     nodes, _ = sphere_rule(2, 64)
     equivar = float(np.max(np.abs(lhs(nodes) - rhs(nodes))))
     # fixture: the fitted phase is stable under quadrature refinement and
-    # sits at the frozen constant up to the O(1/R) fit truncation
+    # sits at the derived constant up to the O(1/R) fit truncation
     fits = _criterion_11_phase_fits(lam)
     stable = all(v[1] < 1e-6 for v in fits.values())
     near = all(v[2] < 0.02 for v in fits.values())
@@ -357,7 +357,7 @@ def test_11_free_scattering_matrix():
 
 
 def test_11_phase_check_fails_for_negated_constant(monkeypatch):
-    # the fit measures the phase from the field, so a wrong frozen constant
+    # the fit measures the phase from the field, so a wrong constant
     # must put every fitted phase outside the criterion-11 tolerance
     import scatcalc.helmholtz as hz
 

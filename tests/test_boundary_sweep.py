@@ -171,3 +171,25 @@ def test_large_pairing_is_refused_within_a_second(tmp_path, capsys, body):
     assert code == 2 and err.startswith("refused: GridBudgetError: ") and "radii" in err
     assert not (tmp_path / "out").exists()
     assert elapsed < 1.0
+
+
+def test_pairing_ladder_is_refused_before_any_synthesis(tmp_path, capsys, monkeypatch):
+    # the budget admits 100 and 8000 but not 100000: the ladder is refused by
+    # its largest radius before the admitted ones are synthesized
+    from scatcalc import helmholtz
+
+    calls = []
+    synthesis = helmholtz._synthesis_evaluator
+
+    def counted(f, lam, kernel):
+        synth = synthesis(f, lam, kernel)
+        return lambda points: calls.append(len(points)) or synth(points)
+
+    monkeypatch.setattr(helmholtz, "_synthesis_evaluator", counted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"radii": [100.0, 8000.0, 100000.0]}))
+    code = main(["pairing", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("refused: GridBudgetError: ") and "radii" in err
+    assert calls == []
+    assert not (tmp_path / "out").exists()

@@ -14,6 +14,17 @@ def write_config(tmp_path, body, name="cfg.json"):
     return str(p)
 
 
+#: (experiment, key) of every int and float key: the common ones under
+#: quantize-check, each experiment's own under that experiment
+NUMERIC_KEYS = [
+    (experiment, key)
+    for experiment, schema in [("quantize-check", cli._COMMON)]
+    + [(experiment, schema) for experiment, (_, schema) in cli._EXPERIMENTS.items()]
+    for key, (typ, _, _) in schema.items()
+    if typ in (int, float)
+]
+
+
 class TestLoadConfig:
     def test_minimal_with_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {"lambda": 2.0}), "radial")
@@ -231,6 +242,15 @@ class TestMainExitCodes:
             assert main(["quantize-check", "--config", cfg, "--out", str(tmp_path / out)]) == 0
         a = (tmp_path / "int" / "quantize-check-report.json").read_bytes()
         assert a == (tmp_path / "float" / "quantize-check-report.json").read_bytes()
+
+    @pytest.mark.parametrize("experiment,key", NUMERIC_KEYS)
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_for_numeric_key_is_two(self, tmp_path, capsys, experiment, key, flag):
+        # bool is an int in Python, so an isinstance check would take true as 1
+        cfg = write_config(tmp_path, {key: flag})
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"key {key!r} must have type " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_non_object_body_is_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, [])

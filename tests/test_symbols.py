@@ -1,4 +1,6 @@
+import dataclasses
 from functools import cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -51,8 +53,6 @@ def one_symbol():
 class TestSeminorm:
     def test_probe_lattice_is_signed_scale_pairs(self):
         # every (|x|, |xi|) scale pair with both signs, scale 0 taken once
-        from itertools import product
-
         from scatcalc.symbols import _PROBE_SCALES
 
         expected = {
@@ -171,6 +171,12 @@ class TestQuantize:
         assert np.array_equal(table.conj(), np.exp(-1j * (x * xi)))
 
 
+def kernel_operator(K):
+    """The DenseOperator on SPEC of the kernel K(x, y) sampled at the grid points."""
+    x = SPEC.axis()
+    return DenseOperator(SPEC, np.asarray(K(x[:, None], x[None, :]), dtype=complex))
+
+
 class TestSymbolFromKernel:
     def test_round_trip_schwartz(self):
         a = sym1d(lambda x, xi: np.exp(-(x**2) / 2 - xi**2 / 2), (0, 0))
@@ -182,9 +188,7 @@ class TestSymbolFromKernel:
         assert np.max(np.abs(vals - np.exp(-(X**2) / 2 - XI**2 / 2))[interior]) < 1e-8
 
     def test_gaussian_kernel_fourier_pair(self):
-        tab = symbol_from_kernel(
-            lambda x, y: np.exp(-((x - y) ** 2) / 2), SPEC
-        )
+        tab = symbol_from_kernel(kernel_operator(lambda x, y: np.exp(-((x - y) ** 2) / 2)), SPEC)
         vals = tab.value_table().reshape(SPEC.size, SPEC.size)
         xis = SPEC.freq_axis()
         X = SPEC.axis()[:, None]
@@ -198,7 +202,11 @@ class TestSymbolFromKernel:
 
     def test_non_decaying_kernel_flagged(self):
         with pytest.raises(KernelDecayError):
-            symbol_from_kernel(lambda x, y: np.cos(x - y), SPEC)
+            symbol_from_kernel(kernel_operator(lambda x, y: np.cos(x - y)), SPEC)
+
+    def test_callable_kernel_refused(self):
+        with pytest.raises(TypeError, match="DenseOperator"):
+            symbol_from_kernel(lambda x, y: np.exp(-((x - y) ** 2) / 2), SPEC)
 
 
 class TestCompose:
@@ -336,6 +344,67 @@ class TestParametrix:
         r0 = np.linalg.norm(A.compose(quantize(parametrix(a, 0, expansion_order=2), spec)).as_l2_matrix() - I, 2)
         r1 = np.linalg.norm(A.compose(quantize(parametrix(a, 1, expansion_order=2), spec)).as_l2_matrix() - I, 2)
         assert r1 < r0
+
+
+#: name -> (depends on x, depends on xi, order, evaluator): sc-elliptic
+#: parents of the composite rule, one per dependence pattern
+PARENTS = {
+    "constant": (False, False, (0, 0), lambda x, xi: 2.0 + 0 * (x + xi)),
+    "x-only": (True, False, (0, 1), lambda x, xi: np.sqrt(1 + x**2) + 0 * xi),
+    "xi-only": (False, True, (1.5, 0), lambda x, xi: (1 + xi**2) ** 0.75 + 0 * x),
+    "two-sided": (True, True, (2, 1), lambda x, xi: (1 + xi**2) * np.sqrt(1 + x**2)),
+}
+PARENT_PAIRS = list(product(PARENTS, repeat=2))
+
+
+def parent(name):
+    on_x, on_xi, order, f = PARENTS[name]
+    return sym1d(f, order, depends_on_x=on_x, depends_on_xi=on_xi)
+
+
+def assert_composite(c, order, *names):
+    """c carries `order` and depends on x (on xi) exactly when a parent does."""
+    assert c.order == order
+    assert c.depends_on_x == any(PARENTS[n][0] for n in names)
+    assert c.depends_on_xi == any(PARENTS[n][1] for n in names)
+
+
+class TestCompositeRule:
+    @pytest.mark.parametrize("first,second", PARENT_PAIRS)
+    def test_sum(self, first, second):
+        a, b = parent(first), parent(second)
+        order = (max(a.order[0], b.order[0]), max(a.order[1], b.order[1]))
+        assert_composite(symbol_sum(a, b), order, first, second)
+
+    @pytest.mark.parametrize("name", PARENTS)
+    def test_scale(self, name):
+        a = parent(name)
+        assert_composite(symbol_scale(a, -0.5j), a.order, name)
+
+    @pytest.mark.parametrize("first,second", PARENT_PAIRS)
+    def test_compose_expansion(self, first, second):
+        a, b = parent(first), parent(second)
+        for terms in (1, 2, 3):
+            c = compose_expansion(a, b, terms)
+            assert_composite(c, (a.order[0] + b.order[0], a.order[1] + b.order[1]), first, second)
+
+    @pytest.mark.parametrize("first,second", PARENT_PAIRS)
+    def test_poisson_bracket(self, first, second):
+        a, b = parent(first), parent(second)
+        order = (a.order[0] + b.order[0] - 1, a.order[1] + b.order[1] - 1)
+        assert_composite(poisson_bracket(a, b), order, first, second)
+
+    @pytest.mark.parametrize("name", PARENTS)
+    def test_parametrix(self, name):
+        a = parent(name)
+        for N in range(3):
+            assert_composite(parametrix(a, N), (-a.order[0], -a.order[1]), name)
+
+    def test_symbol_is_frozen(self):
+        a = parent("two-sided")
+        for field, value in (("order", (0, 0)), ("depends_on_x", False), ("eval", abs)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(a, field, value)
 
 
 class TestOperatorNorm:
